@@ -279,80 +279,19 @@ func BenchmarkPlanCompile(b *testing.B) {
 	})
 }
 
-// directionalBench is the direction-optimizing adversarial shape
-// (datasets.DirectionalSkew, shared with the graph-side correctness
-// tests) under the query a*·b: forward evaluation from the chain head
-// floods the whole core for one answer, while the backward co-accepting
-// set is just the chain.
-func directionalBench() (*graph.Graph, *query.Query, graph.NodeID) {
-	g, head, _ := datasets.DirectionalSkew(3000, 12)
-	return g, query.MustParse(g.Alphabet(), "a*·b"), head
-}
-
-// BenchmarkSelectBinaryDirectional compares forward-only binary
-// evaluation against the direction-optimizing evaluator on the skewed
-// bench graph — the acceptance criterion is directional beating forward.
-func BenchmarkSelectBinaryDirectional(b *testing.B) {
-	g, q, head := directionalBench()
-	snap := g.Snapshot()
-	p := q.Plan()
-	want := snap.SelectBinaryFromForward(p, head)
-	if got := snap.SelectBinaryFromPlan(p, head); len(got) != 1 || len(want) != 1 || got[0] != want[0] {
-		b.Fatalf("directional %v and forward %v disagree or are empty", got, want)
-	}
-	b.Run("forward", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			snap.SelectBinaryFromForward(p, head)
-		}
-	})
-	b.Run("directional", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			snap.SelectBinaryFromPlan(p, head)
-		}
-	})
-}
-
-// TestDirectionalBinaryFaster is the acceptance assertion behind
-// BenchmarkSelectBinaryDirectional: on the skewed bench graph the
-// direction-optimizing evaluation must beat forward-only by a wide margin
-// (the measured gap is >10×; 2× keeps the test robust on loaded CI
-// machines).
-func TestDirectionalBinaryFaster(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing comparison")
-	}
-	g, q, head := directionalBench()
-	snap := g.Snapshot()
-	p := q.Plan()
-	snap.SelectBinaryFromPlan(p, head) // warm pools
-	// Best-of-trials minimum per side: a descheduling spike on a loaded CI
-	// machine inflates some trials but not the minimum.
-	const rounds = 10
-	timeSide := func(fn func()) time.Duration {
-		best := time.Duration(1<<63 - 1)
-		for trial := 0; trial < 3; trial++ {
-			t0 := time.Now()
-			for i := 0; i < rounds; i++ {
-				fn()
-			}
-			if d := time.Since(t0); d < best {
-				best = d
-			}
-		}
-		return best
-	}
-	forward := timeSide(func() { snap.SelectBinaryFromForward(p, head) })
-	directional := timeSide(func() { snap.SelectBinaryFromPlan(p, head) })
-	if directional*2 > forward {
-		t.Errorf("directional %v not ≥2× faster than forward %v", directional/rounds, forward/rounds)
-	}
+// evalNodes serves src under the default nodes semantics through the
+// engine's evaluation entry point, Engine.Evaluate.
+func evalNodes(e *engine.Engine, src string) (engine.Answer, error) {
+	return e.Evaluate(context.Background(), engine.Request{Query: src})
 }
 
 // BenchmarkEngineServe measures the query-serving layer on the 10k
 // synthetic graph. "uncached" is the baseline library path: every request
 // pays a full product pass through Query.Select. "cached" is the engine's
-// repeat-query path (plan cache + result cache on a stable epoch) — the
-// acceptance criterion is cached ≥ 10× faster than uncached. "closedloop"
+// repeat-query path through Engine.Evaluate (plan cache + result cache on
+// a stable epoch, with the evaluation timed into its histogram as served
+// traffic is) — the acceptance criterion is cached ≥ 10× faster than
+// uncached. "closedloop"
 // drives a concurrent closed-loop mix (16 clients, mutations publishing
 // fresh epochs every 50 requests) and reports throughput and tail latency
 // as custom metrics, so the serving numbers land in BENCH_<date>.json.
@@ -369,12 +308,12 @@ func BenchmarkEngineServe(b *testing.B) {
 
 	b.Run("cached", func(b *testing.B) {
 		e := engine.New(g, engine.Options{})
-		if _, err := e.Select(src); err != nil { // warm plan + result caches
+		if _, err := evalNodes(e, src); err != nil { // warm plan + result caches
 			b.Fatal(err)
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			res, err := e.Select(src)
+			res, err := evalNodes(e, src)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -472,16 +411,16 @@ func BenchmarkReplayMixed(b *testing.B) {
 }
 
 // BenchmarkEngineMaintain measures publish-time result-cache maintenance
-// (the delta-epoch pipeline). "retainedhit" verifies the tentpole's core
-// promise: after a mutation whose label is disjoint from the cached
+// (the delta-epoch pipeline). "retainedhit" verifies the core promise of
+// maintenance: after a mutation whose label is disjoint from the cached
 // query's alphabet, the cached entry is retained at the new epoch and the
-// repeat-select latency stays on the ~150ns cached-hit path — no product
-// traversal is re-run. "regrow" measures the full mutate→publish→regrow
-// round trip when the mutated label overlaps the plan alphabet. The
-// "closedloop" pair drives the same concurrent mixed workload (2% mutation
-// rate) with incremental maintenance on and off (RegrowBudget: -1 is the
-// old prune-everything behavior); the acceptance criterion is ≥5×
-// sustained req/s for the incremental configuration.
+// repeat Evaluate stays on the cached-hit path — no product traversal is
+// re-run. "regrow" measures the full mutate→publish→regrow round trip
+// when the mutated label overlaps the plan alphabet. The "closedloop"
+// pair drives the same concurrent mixed workload (2% mutation rate) with
+// incremental maintenance on and off (RegrowBudget: -1 is the old
+// prune-everything behavior); the acceptance criterion is ≥5× sustained
+// req/s for the incremental configuration.
 func BenchmarkEngineMaintain(b *testing.B) {
 	_, qs := synthetic()
 	src := qs[1].Expr
@@ -489,7 +428,7 @@ func BenchmarkEngineMaintain(b *testing.B) {
 	b.Run("retainedhit", func(b *testing.B) {
 		// Fresh mutable graph: the shared fixture must stay immutable.
 		e := engine.New(datasets.Synthetic(10000, 10000), engine.Options{})
-		if _, err := e.Select(src); err != nil {
+		if _, err := evalNodes(e, src); err != nil {
 			b.Fatal(err)
 		}
 		// "zz" is a fresh label — a new alphabet symbol no plan mentions —
@@ -498,7 +437,7 @@ func BenchmarkEngineMaintain(b *testing.B) {
 			b.Fatal(err)
 		}
 		e.FlushMaintenance() // maintenance is async; wait for the retain
-		res, err := e.Select(src)
+		res, err := evalNodes(e, src)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -510,7 +449,7 @@ func BenchmarkEngineMaintain(b *testing.B) {
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			res, err := e.Select(src)
+			res, err := evalNodes(e, src)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -526,7 +465,7 @@ func BenchmarkEngineMaintain(b *testing.B) {
 		// each publish intersects the plan alphabet and forces a regrow.
 		label := "l04"
 		e := engine.New(g, engine.Options{})
-		if _, err := e.Select(src); err != nil {
+		if _, err := evalNodes(e, src); err != nil {
 			b.Fatal(err)
 		}
 		b.ResetTimer()
@@ -539,7 +478,7 @@ func BenchmarkEngineMaintain(b *testing.B) {
 				b.Fatal(err)
 			}
 			e.FlushMaintenance() // include the async regrow in the round trip
-			res, err := e.Select(src)
+			res, err := evalNodes(e, src)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -612,7 +551,7 @@ func BenchmarkEngineMaintain(b *testing.B) {
 		}
 		e := engine.New(g, engine.Options{RegrowBudget: budget})
 		for _, src := range queries {
-			if _, err := e.Select(src); err != nil {
+			if _, err := evalNodes(e, src); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -660,7 +599,7 @@ func BenchmarkEngineMaintain(b *testing.B) {
 							return
 						default:
 						}
-						res, err := e.Select(queries[rng.Intn(len(queries))])
+						res, err := evalNodes(e, queries[rng.Intn(len(queries))])
 						if err != nil {
 							panic(err)
 						}
@@ -807,9 +746,9 @@ func BenchmarkEvaluateCount(b *testing.B) {
 }
 
 // TestEngineCachedSpeedup is the acceptance assertion behind
-// BenchmarkEngineServe: serving a repeat query from the result cache must
-// be at least 10× faster than an uncached Query.Select of the same
-// workload. The generous bound (the measured gap is orders of magnitude)
+// BenchmarkEngineServe: serving a repeat query from the result cache
+// through Engine.Evaluate must be at least 10× faster than an uncached
+// Query.Select of the same workload. The generous bound (the measured gap is orders of magnitude)
 // keeps the test robust on loaded CI machines.
 func TestEngineCachedSpeedup(t *testing.T) {
 	if testing.Short() {
@@ -818,7 +757,7 @@ func TestEngineCachedSpeedup(t *testing.T) {
 	g, qs := synthetic()
 	src, q := qs[1].Expr, qs[1].Query
 	e := engine.New(g, engine.Options{})
-	if _, err := e.Select(src); err != nil {
+	if _, err := evalNodes(e, src); err != nil {
 		t.Fatal(err)
 	}
 	const rounds = 20
@@ -830,7 +769,7 @@ func TestEngineCachedSpeedup(t *testing.T) {
 	uncached := time.Since(t0)
 	t0 = time.Now()
 	for i := 0; i < rounds; i++ {
-		if _, err := e.Select(src); err != nil {
+		if _, err := evalNodes(e, src); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -75,7 +75,7 @@ var (
 	serveDuration    = flag.Duration("serve-duration", 5*time.Second, "load duration for -serve")
 	serveMutateEvery = flag.Int("serve-mutate-every", 50, "every n-th request per client mutates and publishes an epoch (0: read-only)")
 	serveMutateRate  = flag.Float64("serve-mutate-rate", 0, "probability each request mutates (0..1) — the closed-loop mutation-rate axis; composes with -serve-mutate-every")
-	serveBatch       = flag.Int("serve-batch", 0, "issue SelectBatch requests of this size instead of single selects")
+	serveBatch       = flag.Int("serve-batch", 0, "issue EvaluateBatch requests of this size instead of single evaluations")
 	serveWriters     = flag.Int("serve-writers", 0, "dedicated free-running mutator lanes on top of the client mix (group-commit saturation)")
 	serveBaseline    = flag.Bool("serve-baseline", false, "disable incremental result maintenance (prune-everything on each publish) for comparison")
 )

@@ -13,8 +13,7 @@
 // selection with one reconstructed accepting path per node), count
 // (distinct accepting path lengths per node up to -maxlen), or shortest
 // (shortest witness per node, or per pair with -from). -timeout bounds
-// the evaluation through context cancellation. The legacy -binary flag is
-// shorthand for -semantics pairsFrom -from.
+// the evaluation through context cancellation.
 package main
 
 import (
@@ -43,15 +42,11 @@ func main() {
 	limit := flag.Int("limit", 0, "bound the witness paths computed (0 = all)")
 	maxLen := flag.Int("maxlen", 0, "count semantics: max path length (0 = 2·|Q|+1)")
 	timeout := flag.Duration("timeout", 0, "evaluation deadline (0 = none)")
-	binaryFrom := flag.String("binary", "", "deprecated: -semantics pairsFrom -from NODE")
 	quiet := flag.Bool("quiet", false, "print only the summary line")
 	flag.Parse()
 	if (*graphPath == "") == (*storePath == "") || (*querySrc == "" && *queryFile == "") {
 		flag.Usage()
 		os.Exit(2)
-	}
-	if *binaryFrom != "" {
-		*semantics, *from = "pairsFrom", *binaryFrom
 	}
 
 	var g *graph.Graph

@@ -10,9 +10,9 @@
 //
 // With -serve ADDR the learned query is installed into a serving engine
 // over the same graph and the pqserve HTTP API comes up on ADDR: the
-// printed query answers /select from the warmed caches immediately, and
-// /learn accepts further samples — learn→serve parity with cmd/pqserve in
-// one process.
+// printed query answers POST /v1/query from the warmed caches
+// immediately, and /learn accepts further samples — learn→serve parity
+// with cmd/pqserve in one process.
 package main
 
 import (
@@ -116,7 +116,7 @@ func main() {
 			log.Fatal(err)
 		}
 		log.Printf("serving on %s: epoch %d, learned query %q installed (selects %d nodes)",
-			*serveAddr, lr.Epoch, lr.Source, lr.Selection.Count())
+			*serveAddr, lr.Epoch, lr.Source, lr.Selection.Count)
 		log.Fatal(http.ListenAndServe(*serveAddr, pathquery.NewEngineHandler(eng)))
 	}
 }

@@ -100,8 +100,7 @@ var (
 // bounded).
 func instrument(reg *telemetry.Registry, next http.Handler) http.Handler {
 	ops := map[string]string{
-		"/v1/query": "query", "/select": "query", "/selectPairs": "query",
-		"/v1/batch": "batch", "/batch": "batch",
+		"/v1/query": "query", "/v1/batch": "batch",
 		"/mutate": "mutate", "/learn": "learn",
 		"/stats": "stats", "/plans": "plans",
 	}

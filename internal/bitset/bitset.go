@@ -1,8 +1,8 @@
 // Package bitset provides dense []uint64 bitsets for the product
 // constructions in internal/graph: visited sets over the |V|·|Q| product
 // space, per-call successor dedup in Step, and the frontier marking of the
-// parallel backward propagation in SelectMonadic. The representation is a
-// plain word slice so callers can pool and resize scratch without
+// parallel backward propagation in SelectMonadicPlan. The representation
+// is a plain word slice so callers can pool and resize scratch without
 // indirection; the atomic variant supports concurrent marking from worker
 // shards with exactly-once enqueue semantics.
 package bitset

@@ -6,8 +6,8 @@
 // Request) serves every result shape — monadic nodes, binary pairs,
 // witness paths, accepting-length counts, shortest witnesses — selected
 // by Request.Semantics, with the context canceling the underlying product
-// traversal. The pre-unified verbs (Select, SelectPairsFrom, SelectBatch)
-// survive as deprecated shims over it.
+// traversal. EvaluateBatch is its many-requests-one-epoch form; there is
+// no other way to evaluate a query.
 //
 // Four mechanisms make serving safe and fast (see DESIGN.md):
 //
@@ -95,9 +95,9 @@ type Engine struct {
 	// evalHist[s] is the end-to-end Evaluate latency under semantics s
 	// (per batch member in EvaluateBatch); mutateHist is the Mutate
 	// latency including the group-commit queue wait, WAL append, and
-	// epoch publication. The deprecated Select path is deliberately not
-	// timed: it is the cached-hit nanosecond benchmark, and two time.Now
-	// calls would be a measurable fraction of it.
+	// epoch publication. Learn's selection of the learned query is part
+	// of the learn call, so it is neither timed here nor counted in
+	// queries.
 	evalHist   [query.NumSemantics]telemetry.Histogram
 	mutateHist telemetry.Histogram
 	// Per-stage publish latency: building the new epoch's adjacency,
@@ -171,103 +171,6 @@ func (e *Engine) Graph() *graph.Graph { return e.g }
 
 // Epoch returns the currently served epoch.
 func (e *Engine) Epoch() uint64 { return e.g.Current().Epoch() }
-
-// Result is the outcome of one selection, pinned to the epoch it was
-// evaluated (or cached) on.
-type Result struct {
-	// Epoch is the snapshot the result is valid for.
-	Epoch uint64
-	// Nodes are the selected node ids in increasing order. The slice is
-	// shared with the result cache and must not be modified.
-	Nodes []graph.NodeID
-	// Cached reports whether the result came from the result cache (or an
-	// in-flight computation shared via single-flight) rather than a fresh
-	// product pass.
-	Cached bool
-
-	snap *graph.Snapshot
-}
-
-// Count returns the number of selected nodes.
-func (r Result) Count() int { return len(r.Nodes) }
-
-// Names resolves the selected nodes to names, as of the result's epoch.
-func (r Result) Names() []string {
-	out := make([]string, len(r.Nodes))
-	for i, v := range r.Nodes {
-		out[i] = r.snap.NodeName(v)
-	}
-	return out
-}
-
-// result converts an Answer carrying a node selection into the legacy
-// Result shape the deprecated verbs return.
-func (a Answer) result() Result {
-	return Result{Epoch: a.Epoch, Nodes: a.Nodes, Cached: a.Cached, snap: a.snap}
-}
-
-// Select evaluates src under monadic semantics on the current epoch. It
-// is equivalent to Evaluate with the default (nodes) semantics, skipping
-// only the wire-level request decoding it has no arguments for.
-//
-// Deprecated: use Evaluate; Select cannot be canceled and returns only
-// the node shape.
-func (e *Engine) Select(src string) (Result, error) {
-	p, err := e.plans.get(src)
-	if err != nil {
-		return Result{}, badRequest("parse_error", "%v", err)
-	}
-	e.queries.Add(1)
-	return e.selectNodesOn(e.g.Current(), p)
-}
-
-// selectOn answers one monadic selection against a pinned snapshot,
-// through the single-flight result cache — the warm-the-caches path of
-// Engine.Learn.
-func (e *Engine) selectOn(snap *graph.Snapshot, p *cachedPlan) Result {
-	r, _ := e.selectNodesOn(snap, p)
-	return r
-}
-
-// SelectPairsFrom evaluates src under binary semantics from the named
-// node: all v with (from, v) selected, on the current epoch. A node
-// created after the served epoch was published is not visible yet.
-//
-// Deprecated: use Evaluate with pairsFrom semantics.
-func (e *Engine) SelectPairsFrom(src, from string) (Result, error) {
-	ans, err := e.Evaluate(context.Background(), Request{
-		Query:     src,
-		Semantics: query.SemanticsPairsFrom.String(),
-		From:      from,
-	})
-	if err != nil {
-		return Result{}, err
-	}
-	return ans.result(), nil
-}
-
-// SelectBatch evaluates every query in srcs against one pinned snapshot,
-// so all results share an epoch. Cache misses run concurrently through the
-// product engine (bounded by GOMAXPROCS); duplicate queries inside the
-// batch collapse into one pass via the single-flight result cache. The
-// whole batch fails on the first parse error.
-//
-// Deprecated: use EvaluateBatch, which also returns the shared epoch.
-func (e *Engine) SelectBatch(srcs []string) ([]Result, error) {
-	reqs := make([]Request, len(srcs))
-	for i, src := range srcs {
-		reqs[i] = Request{Query: src}
-	}
-	_, answers, err := e.EvaluateBatch(context.Background(), reqs)
-	if err != nil {
-		return nil, err
-	}
-	results := make([]Result, len(answers))
-	for i, ans := range answers {
-		results[i] = ans.result()
-	}
-	return results, nil
-}
 
 // EdgeSpec names one edge to add.
 type EdgeSpec struct {
@@ -496,8 +399,8 @@ type LearnResult struct {
 	Epoch uint64
 	// Query is the learned path query.
 	Query *query.Query
-	// Source is the query's rendered expression; issuing it to Select hits
-	// the plan entry installed by this call.
+	// Source is the query's rendered expression; issuing it to Evaluate
+	// hits the plan entry installed by this call.
 	Source string
 	// Key is the canonical plan-cache key the query was installed under.
 	Key string
@@ -505,10 +408,10 @@ type LearnResult struct {
 	// consistent paths the query was generalized from, in input order.
 	K    int
 	SCPs []words.Word
-	// Selection is the learned query's selection on the pinned epoch,
-	// computed through (and therefore warming) the result cache: a Select
-	// of Source at the same epoch is a cache hit.
-	Selection Result
+	// Selection is the learned query's nodes-semantics answer on the
+	// pinned epoch, computed through (and therefore warming) the result
+	// cache: an Evaluate of Source at the same epoch is a cache hit.
+	Selection Answer
 }
 
 // Learn runs the paper's Algorithm 1 against the currently served epoch
@@ -539,7 +442,8 @@ func (e *Engine) LearnNamed(pos, neg []string, opt core.Options) (LearnResult, e
 }
 
 // resolve maps node names to ids visible in snap, under one read-lock so
-// the whole request sees one build-side name table.
+// the whole request sees one build-side name table. A name not visible in
+// snap is the same 404 unknown_node error /v1/query answers.
 func (e *Engine) resolve(snap *graph.Snapshot, names []string) ([]graph.NodeID, error) {
 	out := make([]graph.NodeID, 0, len(names))
 	e.mu.RLock()
@@ -547,7 +451,7 @@ func (e *Engine) resolve(snap *graph.Snapshot, names []string) ([]graph.NodeID, 
 	for _, name := range names {
 		id, ok := e.g.NodeByName(name)
 		if !ok || int(id) >= snap.NumNodes() {
-			return nil, fmt.Errorf("engine: no node %q in epoch %d", name, snap.Epoch())
+			return nil, unknownNode(snap, name)
 		}
 		out = append(out, id)
 	}
@@ -562,6 +466,10 @@ func (e *Engine) learnOn(snap *graph.Snapshot, s core.Sample, opt core.Options) 
 	}
 	e.learns.Add(1)
 	p := e.plans.install(res.Query)
+	sel, err := e.evaluateOn(context.Background(), snap, p, query.Req{Semantics: query.SemanticsNodes})
+	if err != nil {
+		return LearnResult{}, err
+	}
 	return LearnResult{
 		Epoch:     snap.Epoch(),
 		Query:     p.q,
@@ -569,7 +477,7 @@ func (e *Engine) learnOn(snap *graph.Snapshot, s core.Sample, opt core.Options) 
 		Key:       p.key,
 		K:         res.K,
 		SCPs:      res.SCPs,
-		Selection: e.selectOn(snap, p),
+		Selection: sel,
 	}, nil
 }
 

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -21,14 +22,20 @@ func buildFixture() *graph.Graph {
 	return g
 }
 
-func names(t *testing.T, r Result) []string {
+// evalNodes evaluates src under the default nodes semantics on the
+// served epoch.
+func evalNodes(e *Engine, src string) (Answer, error) {
+	return e.Evaluate(context.Background(), Request{Query: src})
+}
+
+func names(t *testing.T, a Answer) []string {
 	t.Helper()
-	return r.Names()
+	return a.Names()
 }
 
 func TestEngineSelectBasic(t *testing.T) {
 	e := New(buildFixture(), Options{})
-	res, err := e.Select("tram·cinema")
+	res, err := evalNodes(e, "tram·cinema")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +45,7 @@ func TestEngineSelectBasic(t *testing.T) {
 	if res.Cached {
 		t.Error("first select reported cached")
 	}
-	res2, err := e.Select("tram·cinema")
+	res2, err := evalNodes(e, "tram·cinema")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,19 +55,19 @@ func TestEngineSelectBasic(t *testing.T) {
 	if res2.Epoch != res.Epoch {
 		t.Errorf("epoch moved without mutation: %d -> %d", res.Epoch, res2.Epoch)
 	}
-	if _, err := e.Select("tram·("); err == nil {
+	if _, err := evalNodes(e, "tram·("); err == nil {
 		t.Error("parse error not surfaced")
 	}
 }
 
 func TestEnginePlanCacheDedupesVariants(t *testing.T) {
 	e := New(buildFixture(), Options{})
-	if _, err := e.Select("tram·cinema"); err != nil {
+	if _, err := evalNodes(e, "tram·cinema"); err != nil {
 		t.Fatal(err)
 	}
 	// Same language, different syntax: shares the plan and therefore the
 	// cached result.
-	res, err := e.Select("tram.cinema")
+	res, err := evalNodes(e, "tram.cinema")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,21 +85,31 @@ func TestEnginePlanCacheDedupesVariants(t *testing.T) {
 
 func TestEngineMutateAdvancesEpoch(t *testing.T) {
 	e := New(buildFixture(), Options{})
-	before, err := e.Select("bus·cinema")
+	before, err := evalNodes(e, "bus·cinema")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := names(t, before); len(got) != 1 || got[0] != "N2" {
 		t.Fatalf("bus·cinema selected %v, want [N2]", got)
 	}
+	// A node is addressable as an anchor exactly once an epoch serving it
+	// is published.
+	fromC2 := Request{Query: "cinema", Semantics: "pairsFrom", From: "C2"}
+	var ae *APIError
+	if _, err := e.Evaluate(context.Background(), fromC2); !errors.As(err, &ae) || ae.Code != "unknown_node" {
+		t.Fatalf("anchor at a not-yet-created node: err %v, want unknown_node", err)
+	}
 	m, _ := e.Mutate([]EdgeSpec{{From: "N5", Label: "cinema", To: "C2"}})
 	if m.Epoch != before.Epoch+1 {
 		t.Fatalf("mutation published epoch %d, want %d", m.Epoch, before.Epoch+1)
 	}
+	if _, err := e.Evaluate(context.Background(), fromC2); err != nil {
+		t.Fatalf("anchor at a node created by the served epoch: %v", err)
+	}
 	// Maintenance is async; wait for the regrow so the next select is
 	// deterministically a hit.
 	e.FlushMaintenance()
-	after, err := e.Select("bus·cinema")
+	after, err := evalNodes(e, "bus·cinema")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,54 +131,6 @@ func TestEngineMutateAdvancesEpoch(t *testing.T) {
 	}
 }
 
-func TestEngineSelectPairsFrom(t *testing.T) {
-	e := New(buildFixture(), Options{})
-	res, err := e.SelectPairsFrom("tram·cinema", "N1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := names(t, res); len(got) != 1 || got[0] != "C1" {
-		t.Fatalf("pairs from N1 = %v, want [C1]", got)
-	}
-	if _, err := e.SelectPairsFrom("tram", "nope"); err == nil {
-		t.Error("unknown source node not rejected")
-	}
-	// A node created by a mutation is only addressable once its epoch is
-	// served — and then immediately is.
-	e.Mutate([]EdgeSpec{{From: "X1", Label: "tram", To: "N4"}})
-	res, err = e.SelectPairsFrom("tram·cinema", "X1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := names(t, res); len(got) != 1 || got[0] != "C1" {
-		t.Fatalf("pairs from X1 = %v, want [C1]", got)
-	}
-}
-
-func TestEngineSelectBatchSharesEpoch(t *testing.T) {
-	e := New(buildFixture(), Options{})
-	queries := []string{"tram·cinema", "bus·cinema", "tram·cinema", "tram"}
-	results, err := e.SelectBatch(queries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != len(queries) {
-		t.Fatalf("got %d results for %d queries", len(results), len(queries))
-	}
-	for i, r := range results {
-		if r.Epoch != results[0].Epoch {
-			t.Fatalf("batch result %d on epoch %d, others on %d", i, r.Epoch, results[0].Epoch)
-		}
-	}
-	// Duplicates inside the batch collapse onto one product pass.
-	if st := e.Stats(); st.ResultMisses != 3 {
-		t.Errorf("ResultMisses = %d, want 3 (duplicate collapsed)", st.ResultMisses)
-	}
-	if _, err := e.SelectBatch([]string{"tram", "("}); err == nil {
-		t.Error("batch with a parse error did not fail")
-	}
-}
-
 func TestEngineSingleFlight(t *testing.T) {
 	// Fresh engine, k concurrent identical requests: exactly one product
 	// pass; everyone else hits the cache or shares the in-flight call.
@@ -170,12 +139,12 @@ func TestEngineSingleFlight(t *testing.T) {
 	var start, done sync.WaitGroup
 	start.Add(1)
 	done.Add(k)
-	results := make([]Result, k)
+	results := make([]Answer, k)
 	for i := 0; i < k; i++ {
 		go func(i int) {
 			defer done.Done()
 			start.Wait()
-			r, err := e.Select("tram·cinema")
+			r, err := evalNodes(e, "tram·cinema")
 			if err != nil {
 				t.Error(err)
 				return
@@ -217,9 +186,10 @@ func randomEdge(rng *rand.Rand) EdgeSpec {
 
 // TestEnginePropertyCachedVsUncached cross-checks the serving engine
 // against the uncached library over randomized mutate/select
-// interleavings: after every step, a select through the engine (plan
-// cache, result cache, epochs) must agree with a fresh Query.Select on an
-// identically-built mirror graph. Run under -race in CI.
+// interleavings: after every step, an Evaluate or EvaluateBatch through
+// the engine (plan cache, result cache, epochs) must agree with a fresh
+// Query.SelectNodes on an identically-built mirror graph. Run under
+// -race in CI.
 func TestEnginePropertyCachedVsUncached(t *testing.T) {
 	for trial := 0; trial < 5; trial++ {
 		rng := rand.New(rand.NewSource(int64(100 + trial)))
@@ -241,20 +211,20 @@ func TestEnginePropertyCachedVsUncached(t *testing.T) {
 				}
 			case rng.Intn(4) == 0: // batch select
 				k := 1 + rng.Intn(4)
-				srcs := make([]string, k)
-				for i := range srcs {
-					srcs[i] = queryPool[rng.Intn(len(queryPool))]
+				reqs := make([]Request, k)
+				for i := range reqs {
+					reqs[i] = Request{Query: queryPool[rng.Intn(len(queryPool))]}
 				}
-				results, err := e.SelectBatch(srcs)
+				_, answers, err := e.EvaluateBatch(context.Background(), reqs)
 				if err != nil {
 					t.Fatal(err)
 				}
-				for i, r := range results {
-					checkAgainstMirror(t, trial, step, srcs[i], edges, r)
+				for i, a := range answers {
+					checkAgainstMirror(t, trial, step, reqs[i].Query, edges, a)
 				}
 			default: // single select
 				src := queryPool[rng.Intn(len(queryPool))]
-				r, err := e.Select(src)
+				r, err := evalNodes(e, src)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -266,7 +236,7 @@ func TestEnginePropertyCachedVsUncached(t *testing.T) {
 
 // checkAgainstMirror compares an engine result with an uncached evaluation
 // on a freshly built graph with the same edges.
-func checkAgainstMirror(t *testing.T, trial, step int, src string, edges []EdgeSpec, r Result) {
+func checkAgainstMirror(t *testing.T, trial, step int, src string, edges []EdgeSpec, r Answer) {
 	t.Helper()
 	mirror := graph.New(nil)
 	for _, ed := range edges {
@@ -338,19 +308,19 @@ func TestEngineConcurrentMutateSelect(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(w)))
 			lastEpoch := uint64(0)
 			for i := 0; i < selects; i++ {
-				var r Result
+				var r Answer
 				var err error
 				if rng.Intn(5) == 0 {
-					var rs []Result
-					rs, err = e.SelectBatch([]string{
-						queryPool[rng.Intn(len(queryPool))],
-						queryPool[rng.Intn(len(queryPool))],
+					var rs []Answer
+					_, rs, err = e.EvaluateBatch(context.Background(), []Request{
+						{Query: queryPool[rng.Intn(len(queryPool))]},
+						{Query: queryPool[rng.Intn(len(queryPool))]},
 					})
 					if err == nil {
 						r = rs[0]
 					}
 				} else {
-					r, err = e.Select(queryPool[rng.Intn(len(queryPool))])
+					r, err = evalNodes(e, queryPool[rng.Intn(len(queryPool))])
 				}
 				if err != nil {
 					t.Error(err)
@@ -370,7 +340,7 @@ func TestEngineConcurrentMutateSelect(t *testing.T) {
 	// Quiesced: the engine must agree with an uncached mirror of the final
 	// edge list.
 	for _, src := range queryPool {
-		r, err := e.Select(src)
+		r, err := evalNodes(e, src)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -432,7 +402,7 @@ func TestResultCachePanicRetries(t *testing.T) {
 func TestEngineResultCacheEviction(t *testing.T) {
 	e := New(buildFixture(), Options{ResultCacheCap: 2})
 	for i, src := range []string{"tram", "bus", "cinema", "tram·cinema"} {
-		if _, err := e.Select(src); err != nil {
+		if _, err := evalNodes(e, src); err != nil {
 			t.Fatalf("select %d: %v", i, err)
 		}
 	}

@@ -113,14 +113,22 @@ func badRequest(code, format string, args ...any) *APIError {
 	return &APIError{Code: code, Status: http.StatusBadRequest, Message: fmt.Sprintf(format, args...)}
 }
 
+// unknownNode is the 404 for a node name not visible in snap.
+func unknownNode(snap *graph.Snapshot, name string) *APIError {
+	return &APIError{
+		Code:    "unknown_node",
+		Status:  http.StatusNotFound,
+		Message: fmt.Sprintf("engine: no node %q in epoch %d", name, snap.Epoch()),
+	}
+}
+
 // Evaluate runs one evaluation against the currently served epoch: the
 // snapshot is pinned with one atomic load, the query is interned through
 // the plan cache, and the answer flows through the single-flight result
 // cache keyed by (epoch, semantics, args, plan). ctx cancels the
 // underlying product traversal — a canceled or deadline-exceeded request
-// returns ctx.Err() promptly and caches nothing. This is the single
-// evaluation entry point; Select, SelectPairsFrom and SelectBatch are
-// deprecated shims over it.
+// returns ctx.Err() promptly and caches nothing. This and EvaluateBatch
+// are the engine's only evaluation entry points.
 func (e *Engine) Evaluate(ctx context.Context, req Request) (Answer, error) {
 	start := time.Now()
 	sem, err := query.ParseSemantics(req.Semantics)
@@ -171,11 +179,7 @@ func (e *Engine) buildReq(snap *graph.Snapshot, p *cachedPlan, sem query.Semanti
 			u, ok := e.g.NodeByName(req.From)
 			e.mu.RUnlock()
 			if !ok || int(u) >= snap.NumNodes() {
-				return query.Req{}, &APIError{
-					Code:    "unknown_node",
-					Status:  http.StatusNotFound,
-					Message: fmt.Sprintf("engine: no node %q in epoch %d", req.From, snap.Epoch()),
-				}
+				return query.Req{}, unknownNode(snap, req.From)
 			}
 			qreq.From, qreq.HasFrom = u, true
 		}
@@ -215,11 +219,9 @@ func (e *Engine) buildReq(snap *graph.Snapshot, p *cachedPlan, sem query.Semanti
 	return qreq, nil
 }
 
-// evaluateRaw answers one evaluation against a pinned snapshot through
-// the single-flight result cache, returning the cache's answer without
-// re-wrapping it — the shared core under evaluateOn and the legacy-shape
-// shims. The returned answer is cache-owned and immutable.
-func (e *Engine) evaluateRaw(ctx context.Context, snap *graph.Snapshot, p *cachedPlan, qreq query.Req) (*query.Answer, bool, error) {
+// evaluateOn answers one evaluation against a pinned snapshot, through the
+// single-flight result cache.
+func (e *Engine) evaluateOn(ctx context.Context, snap *graph.Snapshot, p *cachedPlan, qreq query.Req) (Answer, error) {
 	key := resultKey{
 		epoch:  snap.Epoch(),
 		sem:    qreq.Semantics,
@@ -232,31 +234,26 @@ func (e *Engine) evaluateRaw(ctx context.Context, snap *graph.Snapshot, p *cache
 		key.from = -1
 	}
 	// TraceFrom on an untraced context is one nil map-free Value lookup
-	// and the nil-trace span ends are no-ops, so the cached-hit hot path
-	// (Select → selectNodesOn, context.Background()) pays no timing.
+	// and the nil-trace span ends are no-ops, so an untraced cached hit
+	// pays no span timing.
 	tr := telemetry.TraceFrom(ctx)
 	endLookup := tr.StartSpan("cache_lookup")
-	if ans, ok := e.results.lookup(key); ok {
-		endLookup()
-		return ans, true, nil
-	}
+	ans, cached := e.results.lookup(key)
 	endLookup()
-	defer tr.StartSpan("traverse")()
-	return e.results.do(ctx, key, p.q, func() (query.Answer, []uint64, error) {
-		// The state-capturing variant: for maintainable (semantics,
-		// layout) pairs it also returns the product fixpoint, which the
-		// cache keeps so a later publish can retain or regrow this entry
-		// instead of dropping it (maintain.go).
-		return p.q.EvaluateReqState(ctx, snap, qreq)
-	})
-}
-
-// evaluateOn answers one evaluation against a pinned snapshot, through the
-// single-flight result cache.
-func (e *Engine) evaluateOn(ctx context.Context, snap *graph.Snapshot, p *cachedPlan, qreq query.Req) (Answer, error) {
-	ans, cached, err := e.evaluateRaw(ctx, snap, p, qreq)
-	if err != nil {
-		return Answer{}, err
+	if !cached {
+		endTraverse := tr.StartSpan("traverse")
+		var err error
+		ans, cached, err = e.results.do(ctx, key, p.q, func() (query.Answer, []uint64, error) {
+			// The state-capturing variant: for maintainable (semantics,
+			// layout) pairs it also returns the product fixpoint, which the
+			// cache keeps so a later publish can retain or regrow this entry
+			// instead of dropping it (maintain.go).
+			return p.q.EvaluateReqState(ctx, snap, qreq)
+		})
+		endTraverse()
+		if err != nil {
+			return Answer{}, err
+		}
 	}
 	return Answer{
 		Epoch:     snap.Epoch(),
@@ -270,21 +267,8 @@ func (e *Engine) evaluateOn(ctx context.Context, snap *graph.Snapshot, p *cached
 	}, nil
 }
 
-// selectNodesOn is the hot serving path for the default semantics in the
-// legacy Result shape: the canonical zero-argument query.Req needs no
-// validation, and the answer converts straight to a Result without the
-// intermediate Answer.
-func (e *Engine) selectNodesOn(snap *graph.Snapshot, p *cachedPlan) (Result, error) {
-	ans, cached, err := e.evaluateRaw(context.Background(), snap, p, query.Req{Semantics: query.SemanticsNodes})
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{Epoch: snap.Epoch(), Nodes: ans.Nodes, Cached: cached, snap: snap}, nil
-}
-
 // EvaluateBatch evaluates every request against one pinned snapshot, so
-// all answers share an epoch (returned alongside them, fixing the
-// per-result epoch churn of the old /batch assembly). Plans are compiled
+// all answers share an epoch (returned alongside them). Plans are compiled
 // and arguments validated up front — the whole batch fails on the first
 // bad request — then cache misses fan out over workers bounded by
 // GOMAXPROCS, with duplicate requests inside the batch collapsing into one

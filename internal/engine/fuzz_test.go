@@ -31,6 +31,8 @@ func FuzzV1Query(f *testing.F) {
 		``,
 		`[]`,
 		`{"query":"tram","semantics":"count","maxLen":-3}`,
+		`{"query":"tram"} garbage`,
+		`{"query":"tram"}{"query":"(("}`,
 	}
 	for _, s := range seeds {
 		f.Add(s)

@@ -60,7 +60,7 @@ func TestGroupCommitConcurrentWriters(t *testing.T) {
 
 	queries := []string{"tram·cinema", "bus*", "(tram+bus)·cinema"}
 	for _, q := range queries {
-		if _, err := e.Select(q); err != nil {
+		if _, err := evalNodes(e, q); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -78,7 +78,7 @@ func TestGroupCommitConcurrentWriters(t *testing.T) {
 					return
 				default:
 				}
-				if _, err := e.Select(queries[rng.Intn(len(queries))]); err != nil {
+				if _, err := evalNodes(e, queries[rng.Intn(len(queries))]); err != nil {
 					t.Error(err)
 					return
 				}
@@ -159,11 +159,11 @@ func TestGroupCommitConcurrentWriters(t *testing.T) {
 		}
 	}
 	for _, q := range queries {
-		got, err := e.Select(q)
+		got, err := evalNodes(e, q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := ref.Select(q)
+		want, err := evalNodes(ref, q)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"time"
@@ -54,18 +55,8 @@ type HandlerOptions struct {
 //
 // whose stable codes include bad_body, parse_error, unknown_semantics,
 // unknown_node, missing_from, unexpected_from, max_len_too_large,
-// abstain, canceled and deadline_exceeded.
-//
-// The pre-v1 endpoints remain as thin shims over the same Evaluate path
-// and answer their historical success shapes; their error responses now
-// use the v1 envelope above (previously a flat {"error": "msg"} string),
-// and an unknown "from" node on /selectPairs answers 404 instead of 400:
-//
-//	deprecated             replacement
-//	---------------------  -------------------------------------------
-//	POST /select           POST /v1/query (semantics omitted or "nodes")
-//	POST /selectPairs      POST /v1/query {"semantics": "pairsFrom"}
-//	POST /batch            POST /v1/batch
+// abstain, canceled and deadline_exceeded. A body must hold exactly one
+// JSON object; anything but whitespace after it is bad_body.
 //
 // Mutation, learning and introspection are unversioned:
 //
@@ -77,9 +68,11 @@ type HandlerOptions struct {
 //
 // /learn runs Algorithm 1 on the served epoch and installs the learned
 // query as a serving plan; the response's "query" string immediately
-// serves from the caches via /v1/query. Insufficient examples (the
-// paper's abstain) answer 422 with code "abstain"; "k" fixes the SCP
-// bound (0 = dynamic schedule up to "maxk").
+// serves from the caches via /v1/query, and its "selection" is that
+// query's nodes answer in the /v1/query shape. Insufficient examples
+// (the paper's abstain) answer 422 with code "abstain", an example name
+// not in the served epoch 404 unknown_node; "k" fixes the SCP bound
+// (0 = dynamic schedule up to "maxk").
 //
 // Diagnostics: POST /v1/query?trace=1 adds a "trace" field to the
 // answer — {"total_ns", "spans": [{"name", "ns"}]} — breaking the
@@ -146,65 +139,6 @@ func NewHandlerWith(e *Engine, opt HandlerOptions) http.Handler {
 		writeJSON(w, out)
 	})
 
-	// Deprecated shims (see the migration table above): the old verbs,
-	// answered through Evaluate in their historical response shapes.
-	mux.HandleFunc("POST /select", func(w http.ResponseWriter, r *http.Request) {
-		var req selectRequest
-		if !decode(w, r, &req) {
-			return
-		}
-		ans, err := e.Evaluate(r.Context(), Request{Query: req.Query})
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		writeJSON(w, newSelectionResponse(ans, req.Limit))
-	})
-	mux.HandleFunc("POST /selectPairs", func(w http.ResponseWriter, r *http.Request) {
-		var req selectRequest
-		if !decode(w, r, &req) {
-			return
-		}
-		ans, err := e.Evaluate(r.Context(), Request{
-			Query:     req.Query,
-			Semantics: query.SemanticsPairsFrom.String(),
-			From:      req.From,
-		})
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		writeJSON(w, newSelectionResponse(ans, req.Limit))
-	})
-	mux.HandleFunc("POST /batch", func(w http.ResponseWriter, r *http.Request) {
-		var req struct {
-			Queries []string `json:"queries"`
-			Limit   int      `json:"limit"`
-		}
-		if !decode(w, r, &req) {
-			return
-		}
-		reqs := make([]Request, len(req.Queries))
-		for i, src := range req.Queries {
-			reqs[i] = Request{Query: src}
-		}
-		epoch, answers, err := e.EvaluateBatch(r.Context(), reqs)
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		// The epoch is set once from the snapshot the whole batch pinned —
-		// every answer shares it by construction.
-		out := struct {
-			Epoch   uint64              `json:"epoch"`
-			Results []selectionResponse `json:"results"`
-		}{Epoch: epoch, Results: make([]selectionResponse, len(answers))}
-		for i, ans := range answers {
-			out.Results[i] = newSelectionResponse(ans, req.Limit)
-		}
-		writeJSON(w, out)
-	})
-
 	mux.HandleFunc("POST /mutate", func(w http.ResponseWriter, r *http.Request) {
 		var req struct {
 			Edges []EdgeSpec `json:"edges"`
@@ -252,14 +186,13 @@ func NewHandlerWith(e *Engine, opt HandlerOptions) http.Handler {
 			scps[i] = words.String(p, alpha)
 		}
 		writeJSON(w, struct {
-			Epoch     uint64            `json:"epoch"`
-			Query     string            `json:"query"`
-			Key       string            `json:"key"`
-			K         int               `json:"k"`
-			SCPs      []string          `json:"scps"`
-			Selection selectionResponse `json:"selection"`
-		}{lr.Epoch, lr.Source, lr.Key, lr.K, scps,
-			newSelectionResponse(answerOfResult(lr.Selection), req.Limit)})
+			Epoch     uint64         `json:"epoch"`
+			Query     string         `json:"query"`
+			Key       string         `json:"key"`
+			K         int            `json:"k"`
+			SCPs      []string       `json:"scps"`
+			Selection answerResponse `json:"selection"`
+		}{lr.Epoch, lr.Source, lr.Key, lr.K, scps, newAnswerResponse(lr.Selection, req.Limit)})
 	})
 	mux.HandleFunc("GET /stats", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, e.Stats())
@@ -273,12 +206,6 @@ func NewHandlerWith(e *Engine, opt HandlerOptions) http.Handler {
 		fmt.Fprintln(w, "ok")
 	})
 	return mux
-}
-
-type selectRequest struct {
-	Query string `json:"query"`
-	From  string `json:"from"`
-	Limit int    `json:"limit"`
 }
 
 // tracedAnswerResponse is the /v1/query answer plus the optional
@@ -431,37 +358,6 @@ func newAnswerResponse(ans Answer, limit int) answerResponse {
 	return out
 }
 
-// selectionResponse is the historical selection shape the deprecated
-// endpoints answer.
-type selectionResponse struct {
-	Epoch  uint64   `json:"epoch"`
-	Count  int      `json:"count"`
-	Cached bool     `json:"cached"`
-	Nodes  []string `json:"nodes"`
-}
-
-// answerOfResult lifts a legacy Result into an Answer for rendering.
-func answerOfResult(r Result) Answer {
-	return Answer{Epoch: r.Epoch, Count: len(r.Nodes), Cached: r.Cached, Nodes: r.Nodes, snap: r.snap}
-}
-
-func newSelectionResponse(ans Answer, limit int) selectionResponse {
-	nodes := ans.Nodes
-	if limit > 0 && len(nodes) > limit {
-		nodes = nodes[:limit]
-	}
-	names := make([]string, len(nodes))
-	for i, v := range nodes {
-		names[i] = ans.NodeName(v)
-	}
-	return selectionResponse{
-		Epoch:  ans.Epoch,
-		Count:  ans.Count,
-		Cached: ans.Cached,
-		Nodes:  names,
-	}
-}
-
 // MaxBodyBytes bounds every request body the handler reads (8 MiB). A
 // mutation body this size encodes to a WAL record comfortably under
 // store.MaxRecordLen (the binary framing is tighter than the JSON it
@@ -469,11 +365,31 @@ func newSelectionResponse(ans Answer, limit int) selectionResponse {
 // would have to reject after the fact.
 const MaxBodyBytes = 8 << 20
 
-func decode(w http.ResponseWriter, r *http.Request, into any) bool {
-	r.Body = http.MaxBytesReader(w, r.Body, MaxBodyBytes)
-	dec := json.NewDecoder(r.Body)
+// DecodeBody decodes a request body holding exactly one JSON value into
+// into. Unknown fields are rejected, and so is anything but whitespace
+// after the value: a second request concatenated onto the first must
+// not be answered as if the body were the first alone. The multi-tenant
+// server's creating-mutation gate decodes with it too, so the two reject
+// the same bodies.
+func DecodeBody(r io.Reader, into any) error {
+	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(into); err != nil {
+		return err
+	}
+	switch _, err := dec.Token(); {
+	case err == io.EOF:
+		return nil
+	case errors.As(err, new(*http.MaxBytesError)):
+		return err
+	default:
+		return errors.New("trailing data after the JSON value")
+	}
+}
+
+func decode(w http.ResponseWriter, r *http.Request, into any) bool {
+	r.Body = http.MaxBytesReader(w, r.Body, MaxBodyBytes)
+	if err := DecodeBody(r.Body, into); err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
 			writeError(w, &APIError{

@@ -27,30 +27,45 @@ func TestHTTPHandler(t *testing.T) {
 		return resp.StatusCode, out
 	}
 
-	code, out := post("/select", `{"query":"tram·cinema"}`)
+	code, out := post("/v1/query", `{"query":"tram·cinema"}`)
 	if code != http.StatusOK {
-		t.Fatalf("/select: status %d (%v)", code, out)
+		t.Fatalf("/v1/query: status %d (%v)", code, out)
 	}
-	if out["count"].(float64) != 1 || out["nodes"].([]any)[0] != "N1" {
-		t.Fatalf("/select: %v", out)
+	if out["count"].(float64) != 1 || out["nodes"].([]any)[0] != "N1" || out["cached"] != false {
+		t.Fatalf("/v1/query: %v", out)
 	}
 	epoch0 := out["epoch"].(float64)
-
-	if code, out = post("/select", `{"query":"tram·("}`); code != http.StatusBadRequest {
-		t.Fatalf("/select bad query: status %d (%v)", code, out)
-	}
-	if code, out = post("/select", `{"quer":"tram"}`); code != http.StatusBadRequest {
-		t.Fatalf("/select unknown field: status %d (%v)", code, out)
+	if code, out = post("/v1/query", `{"query":"tram·cinema"}`); code != http.StatusOK || out["cached"] != true {
+		t.Fatalf("/v1/query repeat: status %d (%v), want a cache hit", code, out)
 	}
 
-	code, out = post("/selectPairs", `{"query":"tram·cinema","from":"N1"}`)
+	if code, out = post("/v1/query", `{"query":"tram·("}`); code != http.StatusBadRequest {
+		t.Fatalf("/v1/query bad query: status %d (%v)", code, out)
+	}
+	if code, out = post("/v1/query", `{"quer":"tram"}`); code != http.StatusBadRequest {
+		t.Fatalf("/v1/query unknown field: status %d (%v)", code, out)
+	}
+
+	code, out = post("/v1/query", `{"query":"tram·cinema","semantics":"pairsFrom","from":"N1"}`)
 	if code != http.StatusOK || out["nodes"].([]any)[0] != "C1" {
-		t.Fatalf("/selectPairs: status %d %v", code, out)
+		t.Fatalf("/v1/query pairsFrom: status %d %v", code, out)
 	}
 
-	code, out = post("/batch", `{"queries":["tram","bus"],"limit":1}`)
-	if code != http.StatusOK || len(out["results"].([]any)) != 2 {
-		t.Fatalf("/batch: status %d %v", code, out)
+	code, out = post("/v1/batch", `{"requests":[{"query":"tram","limit":1},{"query":"bus"}]}`)
+	if code != http.StatusOK || len(out["answers"].([]any)) != 2 {
+		t.Fatalf("/v1/batch: status %d %v", code, out)
+	}
+
+	// The pre-v1 routes are gone.
+	for _, path := range []string{"/select", "/selectPairs", "/batch"} {
+		resp, err := http.Post(srv.URL+path, "application/json", strings.NewReader(`{"query":"tram"}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("POST %s: status %d, want 404", path, resp.StatusCode)
+		}
 	}
 
 	code, out = post("/mutate", `{"edges":[{"from":"N9","label":"tram","to":"N4"}]}`)
@@ -94,8 +109,9 @@ func TestHTTPHandler(t *testing.T) {
 	if len(plans.Plans) != st.Plans {
 		t.Fatalf("/plans listed %d plans, /stats says %d", len(plans.Plans), st.Plans)
 	}
-	// "tram·cinema" was served twice (select + selectPairs) and must lead
-	// the hit-ordered listing with its compile metadata filled in.
+	// "tram·cinema" was served three times (nodes, its repeat, pairsFrom)
+	// and must lead the hit-ordered listing with its compile metadata
+	// filled in.
 	top := plans.Plans[0]
 	if top.Source != "tram·cinema" || top.Hits < 2 {
 		t.Fatalf("/plans top entry: %+v", top)

@@ -61,19 +61,20 @@ func TestEngineLearnInstallsAndServes(t *testing.T) {
 	}
 	// Learn→serve: the rendered source must parse back onto the installed
 	// plan and hit the warmed result cache at the same epoch.
-	res, err := e.Select(lr.Source)
+	res, err := evalNodes(e, lr.Source)
 	if err != nil {
 		t.Fatalf("re-issuing learned query %q: %v", lr.Source, err)
 	}
 	if !res.Cached {
-		t.Fatalf("select of learned query %q missed the warmed cache", lr.Source)
+		t.Fatalf("evaluation of learned query %q missed the warmed cache", lr.Source)
 	}
 	if res.Epoch != lr.Epoch || fmt.Sprint(names(t, res)) != fmt.Sprint(sel) {
 		t.Fatalf("served %v@%d, learned %v@%d", names(t, res), res.Epoch, sel, lr.Epoch)
 	}
+	// The warm-up selection is part of the learn call, not a served query.
 	st := e.Stats()
-	if st.Learns != 1 {
-		t.Fatalf("Learns = %d", st.Learns)
+	if st.Learns != 1 || st.Queries != 1 {
+		t.Fatalf("Learns = %d, Queries = %d; want 1 and 1 (the re-issue only)", st.Learns, st.Queries)
 	}
 }
 
@@ -155,7 +156,7 @@ func TestEngineLearnConcurrentWithMutate(t *testing.T) {
 	go func() { // reader sharing the caches with the learners
 		defer workWg.Done()
 		for i := 0; i < 4*rounds; i++ {
-			if _, err := e.Select("tram·cinema"); err != nil {
+			if _, err := evalNodes(e, "tram·cinema"); err != nil {
 				errs <- err
 				return
 			}
@@ -213,18 +214,21 @@ func TestHTTPLearnThenSelect(t *testing.T) {
 
 	// The printed query serves immediately — and from the warmed cache.
 	body, _ := json.Marshal(map[string]any{"query": learned})
-	code, out = post("/select", string(body))
+	code, out = post("/v1/query", string(body))
 	if code != http.StatusOK {
-		t.Fatalf("/select learned: status %d (%v)", code, out)
+		t.Fatalf("/v1/query learned: status %d (%v)", code, out)
 	}
-	if out["cached"] != true {
-		t.Fatalf("/select learned missed the cache: %v", out)
+	if out["cached"] != true || out["count"] != selection["count"] {
+		t.Fatalf("/v1/query learned missed the cache or disagrees with /learn's selection: %v", out)
 	}
 
 	if code, out = post("/learn", `{"pos":[],"neg":["N1"]}`); code != http.StatusUnprocessableEntity {
 		t.Fatalf("/learn abstain: status %d (%v)", code, out)
 	}
-	if code, out = post("/learn", `{"pos":["ghost"]}`); code != http.StatusBadRequest {
+	// An unknown example node is the same 404 unknown_node as an unknown
+	// anchor on /v1/query.
+	code, out = post("/learn", `{"pos":["ghost"]}`)
+	if errObj, _ := out["error"].(map[string]any); code != http.StatusNotFound || errObj["code"] != "unknown_node" {
 		t.Fatalf("/learn unknown node: status %d (%v)", code, out)
 	}
 }

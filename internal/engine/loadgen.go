@@ -12,8 +12,9 @@ import (
 
 // Closed-loop load driver: a fixed number of client goroutines issue
 // requests back-to-back (each client waits for its response before
-// sending the next — closed loop), drawing queries from a weighted-free
-// uniform mix with an optional mutation every n-th request. Used by
+// sending the next — closed loop) through Engine.Evaluate, drawing
+// queries uniformly, by per-query weight, or from a recorded replay
+// workload, with optional mutations at a fixed period or rate. Used by
 // `pqbench -serve` and by BenchmarkEngineServe/closedloop, which records
 // throughput and tail latency into the BENCH_<date>.json snapshots.
 
@@ -50,8 +51,8 @@ type LoadConfig struct {
 	// MutateEdges generates the edges of the i-th mutation; nil uses a
 	// default that links fresh load-generated nodes into the graph.
 	MutateEdges func(i int) []EdgeSpec
-	// BatchSize > 1 issues SelectBatch requests of that many queries
-	// instead of single Selects.
+	// BatchSize > 1 issues EvaluateBatch requests of that many queries
+	// instead of single Evaluates.
 	BatchSize int
 	// Writers adds that many dedicated mutator lanes: free-running
 	// goroutines issuing back-to-back mutations for the whole run, on
@@ -250,17 +251,17 @@ func RunLoad(e *Engine, cfg LoadConfig) (LoadReport, error) {
 						uncachedLat.Observe(d)
 					}
 				} else if cfg.BatchSize > 1 {
-					batch := make([]string, cfg.BatchSize)
+					batch := make([]Request, cfg.BatchSize)
 					for i := range batch {
-						batch[i] = pickQuery()
+						batch[i] = Request{Query: pickQuery()}
 					}
-					if _, err := e.SelectBatch(batch); err != nil {
+					if _, _, err := e.EvaluateBatch(context.Background(), batch); err != nil {
 						panic(err) // queries were verified above
 					}
 					st.selects++
 					selectLat.Observe(time.Since(t0))
 				} else {
-					r, err := e.Select(pickQuery())
+					r, err := e.Evaluate(context.Background(), Request{Query: pickQuery()})
 					if err != nil {
 						panic(err)
 					}

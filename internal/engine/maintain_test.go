@@ -158,7 +158,7 @@ func TestMaintainConcurrentStress(t *testing.T) {
 	e := New(g, Options{})
 	queries := []string{"a·b", "a*", "(a+b)·c*", "b·c·d"}
 	for _, src := range queries {
-		if _, err := e.Select(src); err != nil {
+		if _, err := evalNodes(e, src); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -172,7 +172,7 @@ func TestMaintainConcurrentStress(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed))
 			for i := 0; i < iters; i++ {
-				if _, err := e.Select(queries[rng.Intn(len(queries))]); err != nil {
+				if _, err := evalNodes(e, queries[rng.Intn(len(queries))]); err != nil {
 					errs <- err
 					return
 				}

@@ -58,13 +58,13 @@ func TestRunLoadWeightedQueries(t *testing.T) {
 	if report.Selects != 100 {
 		t.Fatalf("selects %d, want 100", report.Selects)
 	}
-	// The zero-weight query must never have executed: its first Select
-	// after the run is a result-cache miss, while the weighted query is
-	// already cached from the run itself.
-	if r, err := e.Select("bus·cinema"); err != nil || r.Cached {
+	// The zero-weight query must never have executed: its first
+	// evaluation after the run is a result-cache miss, while the weighted
+	// query is already cached from the run itself.
+	if r, err := evalNodes(e, "bus·cinema"); err != nil || r.Cached {
 		t.Fatalf("zero-weight query was executed during the run (cached=%v, err=%v)", r.Cached, err)
 	}
-	if r, err := e.Select("tram·cinema"); err != nil || !r.Cached {
+	if r, err := evalNodes(e, "tram·cinema"); err != nil || !r.Cached {
 		t.Fatalf("weighted query not served from the run's cache (cached=%v, err=%v)", r.Cached, err)
 	}
 	if _, err := RunLoad(e, LoadConfig{

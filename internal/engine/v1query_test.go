@@ -103,6 +103,8 @@ func TestV1QueryErrorEnvelope(t *testing.T) {
 		{"maxLen too large", "/v1/query", `{"query":"tram","semantics":"count","maxLen":1000000}`, 400, "max_len_too_large"},
 		{"bad body", "/v1/query", `{"quer":"tram"}`, 400, "bad_body"},
 		{"malformed json", "/v1/query", `{"query":`, 400, "bad_body"},
+		{"trailing garbage", "/v1/query", `{"query":"tram"} garbage`, 400, "bad_body"},
+		{"second request appended", "/v1/query", `{"query":"tram"}{"query":"(("}`, 400, "bad_body"},
 		{"abstain", "/learn", `{"pos":[],"neg":["N1"]}`, 422, "abstain"},
 		{"batch member error", "/v1/batch", `{"requests":[{"query":"tram"},{"query":"(("}]}`, 400, "parse_error"},
 		{"batch member unknown node", "/v1/batch", `{"requests":[{"query":"tram"},{"query":"tram","semantics":"pairsFrom","from":"NOPE"}]}`, 404, "unknown_node"},
@@ -129,13 +131,14 @@ func TestV1QueryErrorEnvelope(t *testing.T) {
 }
 
 // TestV1BatchSharedEpoch: a batch answers every request from one pinned
-// snapshot and reports that epoch exactly once.
+// snapshot and reports that epoch exactly once; duplicate members share
+// one evaluation.
 func TestV1BatchSharedEpoch(t *testing.T) {
 	e := New(buildFixture(), Options{})
 	h := NewHandler(e)
 	rr := httptest.NewRecorder()
 	h.ServeHTTP(rr, httptest.NewRequest("POST", "/v1/batch", strings.NewReader(
-		`{"requests":[{"query":"tram"},{"query":"bus","semantics":"witness"},{"query":"tram·cinema","semantics":"count"}]}`)))
+		`{"requests":[{"query":"tram"},{"query":"bus","semantics":"witness"},{"query":"tram·cinema","semantics":"count"},{"query":"tram"}]}`)))
 	if rr.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", rr.Code, rr.Body.String())
 	}
@@ -149,8 +152,11 @@ func TestV1BatchSharedEpoch(t *testing.T) {
 	if err := json.Unmarshal(rr.Body.Bytes(), &out); err != nil {
 		t.Fatal(err)
 	}
-	if out.Epoch != 1 || len(out.Answers) != 3 {
+	if out.Epoch != 1 || len(out.Answers) != 4 {
 		t.Fatalf("batch: %+v", out)
+	}
+	if st := e.Stats(); st.ResultMisses != 3 {
+		t.Errorf("ResultMisses = %d, want 3 (the duplicate shares one evaluation)", st.ResultMisses)
 	}
 	for i, ans := range out.Answers {
 		if ans.Epoch != out.Epoch {
@@ -287,10 +293,10 @@ func TestEvaluateCacheKeyedBySemanticsAndArgs(t *testing.T) {
 	if a, _ := e.Evaluate(ctx, Request{Query: "tram·cinema", Semantics: "pairsFrom", From: "N2"}); a.Cached {
 		t.Fatal("pairsFrom N2 served from the N1 entry")
 	}
-	// The deprecated verbs share the unified cache: Select after Evaluate
-	// (nodes) is a hit, and syntactic variants share the plan key.
-	if r, err := e.Select("tram·cinema"); err != nil || !r.Cached {
-		t.Fatalf("Select after Evaluate: cached %v err %v", r.Cached, err)
+	// An explicit "nodes" shares the default-semantics entry, and
+	// syntactic variants share the plan key.
+	if a, err := e.Evaluate(ctx, Request{Query: "tram·cinema", Semantics: "nodes"}); err != nil || !a.Cached {
+		t.Fatalf("explicit nodes after default: cached %v err %v", a.Cached, err)
 	}
 	if a, _ := e.Evaluate(ctx, Request{Query: "tram.cinema"}); !a.Cached {
 		t.Fatal("syntactic variant missed the language-keyed cache")

@@ -7,6 +7,7 @@ import (
 	"pathquery/internal/alphabet"
 	"pathquery/internal/automata"
 	"pathquery/internal/graph"
+	"pathquery/internal/plan"
 	"pathquery/internal/regex"
 )
 
@@ -24,7 +25,7 @@ func TestConcurrentReadsAfterBuild(t *testing.T) {
 	for i := 0; i < 600; i++ {
 		g.AddEdge(graph.NodeID(i%100), alphabet.Symbol(i%3), graph.NodeID((i*7)%100))
 	}
-	d := automata.CompileRegex(regex.MustParse(alpha, "a·b*·c"), alpha.Size())
+	p := plan.FromDFA(automata.CompileRegex(regex.MustParse(alpha, "a·b*·c"), alpha.Size()))
 
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
@@ -34,7 +35,7 @@ func TestConcurrentReadsAfterBuild(t *testing.T) {
 			for v := w; v < 100; v += 8 {
 				g.OutEdges(graph.NodeID(v))
 				g.InEdges(graph.NodeID(v))
-				g.Covers(d, graph.NodeID(v))
+				g.Snapshot().CoversPlan(p, graph.NodeID(v))
 				g.PathsUpTo(graph.NodeID(v), 3, 10)
 			}
 		}(w)
@@ -42,9 +43,10 @@ func TestConcurrentReadsAfterBuild(t *testing.T) {
 	wg.Wait()
 
 	// Reads from all workers must agree with a fresh sequential pass.
-	sel := g.SelectMonadic(d)
+	snap := g.Snapshot()
+	sel := snap.SelectMonadicPlan(p)
 	for v := 0; v < 100; v++ {
-		if got := g.Covers(d, graph.NodeID(v)); got != sel[v] {
+		if got := snap.CoversPlan(p, graph.NodeID(v)); got != sel[v] {
 			t.Fatalf("node %d: concurrent warm-up corrupted state", v)
 		}
 	}

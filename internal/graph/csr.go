@@ -326,7 +326,7 @@ type productScratch struct {
 	stack   []uint64
 	next    []uint64   // second frontier for level-synchronous BFS
 	touched []uint64   // set-bit indices, for sparse clearing
-	shards  [][]uint64 // per-worker frontier buffers, parallel SelectMonadic
+	shards  [][]uint64 // per-worker frontier buffers, parallel SelectMonadicPlan
 	// Second visited set + frontiers for the direction-optimizing
 	// bidirectional searches (forward side uses bits/stack/next, backward
 	// side bits2/stack2/next2). Same pool discipline: bits2 all zero while
@@ -335,7 +335,7 @@ type productScratch struct {
 	stack2   []uint64
 	next2    []uint64
 	touched2 []uint64
-	// Per-node pending-state masks for the |Q| ≤ 64 SelectMonadic fast
+	// Per-node pending-state masks for the |Q| ≤ 64 SelectMonadicPlan fast
 	// path; all-zero between uses (each level consumes its own array).
 	maskCur  bitset.Bits
 	maskNext bitset.Bits

@@ -7,6 +7,7 @@ import (
 	"pathquery/internal/alphabet"
 	"pathquery/internal/automata"
 	"pathquery/internal/graph"
+	"pathquery/internal/plan"
 	"pathquery/internal/regex"
 )
 
@@ -55,13 +56,13 @@ func TestSnapshotImmutableUnderMutation(t *testing.T) {
 	g := graph.New(alpha)
 	g.AddEdgeByName("A", "x", "B")
 	s1 := g.Snapshot()
-	d := automata.CompileRegex(regex.MustParse(alpha, "x·y"), alpha.Size())
+	p := plan.FromDFA(automata.CompileRegex(regex.MustParse(alpha, "x·y"), alpha.Size()))
 
-	before := s1.SelectMonadic(d)
+	before := s1.SelectMonadicPlan(p)
 	g.AddEdgeByName("B", "y", "C")
 	s2 := g.Snapshot()
 
-	after := s1.SelectMonadic(d)
+	after := s1.SelectMonadicPlan(p)
 	for v := range before {
 		if before[v] != after[v] {
 			t.Fatalf("node %d: pinned epoch changed under mutation", v)
@@ -71,12 +72,8 @@ func TestSnapshotImmutableUnderMutation(t *testing.T) {
 	if after[a] {
 		t.Error("epoch 1 sees the x·y path that only exists in epoch 2")
 	}
-	if sel := s2.SelectMonadic(d); !sel[a] {
+	if sel := s2.SelectMonadicPlan(p); !sel[a] {
 		t.Error("epoch 2 misses the published x·y path")
-	}
-	// Graph-level reads take the read-your-writes path.
-	if sel := g.SelectMonadic(d); !sel[a] {
-		t.Error("graph-level read missed its own write")
 	}
 }
 
@@ -91,7 +88,7 @@ func TestConcurrentReadersDuringMutation(t *testing.T) {
 		g.AddEdge(g.AddNode(nodeName(i)), alphabet.Symbol(i%3), g.AddNode(nodeName((i+1)%base)))
 	}
 	g.Snapshot()
-	d := automata.CompileRegex(regex.MustParse(alpha, "a·b*·c"), alpha.Size())
+	p := plan.FromDFA(automata.CompileRegex(regex.MustParse(alpha, "a·b*·c"), alpha.Size()))
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -116,14 +113,14 @@ func TestConcurrentReadersDuringMutation(t *testing.T) {
 			defer wg.Done()
 			for {
 				s := g.Current()
-				sel := s.SelectMonadic(d)
+				sel := s.SelectMonadicPlan(p)
 				if len(sel) != s.NumNodes() {
 					t.Errorf("reader %d: |sel| %d != epoch nodes %d", w, len(sel), s.NumNodes())
 					return
 				}
 				// Name resolution against the pinned epoch must be in range.
 				_ = s.NodeName(graph.NodeID(s.NumNodes() - 1))
-				s.CoversAny(d, []graph.NodeID{graph.NodeID(w)})
+				s.CoversAnyPlan(p, []graph.NodeID{graph.NodeID(w)})
 				select {
 				case <-stop:
 					return

@@ -10,6 +10,7 @@ import (
 	"pathquery/internal/automata"
 	"pathquery/internal/graph"
 	"pathquery/internal/paperfix"
+	"pathquery/internal/plan"
 	"pathquery/internal/regex"
 	"pathquery/internal/words"
 )
@@ -36,13 +37,14 @@ func wordOf(t *testing.T, g *graph.Graph, labels ...string) words.Word {
 	return w
 }
 
-func compileOn(t *testing.T, g *graph.Graph, src string) *automata.DFA {
+// compileOn parses src over g's alphabet into a shape-preserving plan.
+func compileOn(t *testing.T, g *graph.Graph, src string) *plan.Plan {
 	t.Helper()
 	n, err := regex.Parse(g.Alphabet(), src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return automata.CompileRegex(n, g.Alphabet().Size())
+	return plan.FromDFA(automata.CompileRegex(n, g.Alphabet().Size()))
 }
 
 func TestAddNodeIdempotent(t *testing.T) {
@@ -105,8 +107,9 @@ func TestPaperG0PathClaims(t *testing.T) {
 
 func TestPaperG0QuerySemantics(t *testing.T) {
 	g, _ := paperfix.G0()
+	snap := g.Snapshot()
 	// "the query a selects all nodes except ν4".
-	sel := g.SelectMonadic(compileOn(t, g, "a"))
+	sel := snap.SelectMonadicPlan(compileOn(t, g, "a"))
 	for v := 0; v < g.NumNodes(); v++ {
 		want := g.NodeName(graph.NodeID(v)) != "v4"
 		if sel[v] != want {
@@ -114,7 +117,7 @@ func TestPaperG0QuerySemantics(t *testing.T) {
 		}
 	}
 	// "the query (a·b)*·c selects the nodes ν1 and ν3".
-	sel = g.SelectMonadic(compileOn(t, g, "(a·b)*·c"))
+	sel = snap.SelectMonadicPlan(compileOn(t, g, "(a·b)*·c"))
 	for v := 0; v < g.NumNodes(); v++ {
 		name := g.NodeName(graph.NodeID(v))
 		want := name == "v1" || name == "v3"
@@ -123,7 +126,7 @@ func TestPaperG0QuerySemantics(t *testing.T) {
 		}
 	}
 	// "the query b·b·c·c selects no node".
-	sel = g.SelectMonadic(compileOn(t, g, "b·b·c·c"))
+	sel = snap.SelectMonadicPlan(compileOn(t, g, "b·b·c·c"))
 	for v, s := range sel {
 		if s {
 			t.Errorf("b·b·c·c selects %s", g.NodeName(graph.NodeID(v)))
@@ -133,7 +136,7 @@ func TestPaperG0QuerySemantics(t *testing.T) {
 
 func TestFigure1QuerySemantics(t *testing.T) {
 	g, s := paperfix.Figure1()
-	sel := g.SelectMonadic(compileOn(t, g, "(tram+bus)*·cinema"))
+	sel := g.Snapshot().SelectMonadicPlan(compileOn(t, g, "(tram+bus)*·cinema"))
 	want := map[string]bool{"N1": true, "N2": true, "N4": true, "N6": true}
 	for v := 0; v < g.NumNodes(); v++ {
 		name := g.NodeName(graph.NodeID(v))
@@ -155,17 +158,18 @@ func TestFigure1QuerySemantics(t *testing.T) {
 }
 
 func TestCoversMatchesSelectMonadic(t *testing.T) {
-	// Covers (single-node forward check) must agree with SelectMonadic
-	// (all-nodes backward pass) on random graphs and queries.
+	// CoversPlan (single-node forward check) must agree with
+	// SelectMonadicPlan (all-nodes backward pass) on random graphs and
+	// queries.
 	rng := rand.New(rand.NewSource(5))
 	alpha := alphabet.NewSorted("a", "b", "c")
 	for iter := 0; iter < 50; iter++ {
-		g := randomGraph(rng, alpha, 12, 30)
-		d := automata.RandomNonEmptyDFA(rng, 5, alpha.Size(), 0.6)
-		sel := g.SelectMonadic(d)
-		for v := 0; v < g.NumNodes(); v++ {
-			if got := g.Covers(d, graph.NodeID(v)); got != sel[v] {
-				t.Fatalf("iter %d: Covers(%d) = %v, SelectMonadic = %v", iter, v, got, sel[v])
+		snap := randomGraph(rng, alpha, 12, 30).Snapshot()
+		p := plan.FromDFA(automata.RandomNonEmptyDFA(rng, 5, alpha.Size(), 0.6))
+		sel := snap.SelectMonadicPlan(p)
+		for v := 0; v < snap.NumNodes(); v++ {
+			if got := snap.CoversPlan(p, graph.NodeID(v)); got != sel[v] {
+				t.Fatalf("iter %d: CoversPlan(%d) = %v, SelectMonadicPlan = %v", iter, v, got, sel[v])
 			}
 		}
 	}
@@ -207,7 +211,7 @@ func TestSelectMonadicAgainstPathEnumeration(t *testing.T) {
 			g.AddEdge(graph.NodeID(from), alphabet.Symbol(rng.Intn(2)), graph.NodeID(to))
 		}
 		d := automata.RandomNonEmptyDFA(rng, 4, 2, 0.7)
-		sel := g.SelectMonadic(d)
+		sel := g.Snapshot().SelectMonadicPlan(plan.FromDFA(d))
 		for v := 0; v < n; v++ {
 			brute := false
 			for _, w := range g.PathsUpTo(graph.NodeID(v), n, 0) {
@@ -225,14 +229,15 @@ func TestSelectMonadicAgainstPathEnumeration(t *testing.T) {
 
 func TestCoversAnyIsUnionOfCovers(t *testing.T) {
 	g, s := paperfix.G0()
-	d := compileOn(t, g, "(a·b)*·c")
-	if g.CoversAny(d, s.Neg) {
+	snap := g.Snapshot()
+	p := compileOn(t, g, "(a·b)*·c")
+	if snap.CoversAnyPlan(p, s.Neg) {
 		t.Fatal("(a·b)*·c should not cover any negative")
 	}
-	if !g.CoversAny(d, s.Pos) {
+	if !snap.CoversAnyPlan(p, s.Pos) {
 		t.Fatal("(a·b)*·c should cover positives")
 	}
-	if g.CoversAny(d, nil) {
+	if snap.CoversAnyPlan(p, nil) {
 		t.Fatal("empty set covers nothing")
 	}
 }
@@ -242,19 +247,20 @@ func TestCoversPairBinarySemantics(t *testing.T) {
 	n2 := mustNode(t, g, "N2")
 	c1 := mustNode(t, g, "C1")
 	c2 := mustNode(t, g, "C2")
-	d := compileOn(t, g, "(tram+bus)*·cinema")
-	if !g.CoversPair(d, n2, c1) {
+	snap := g.Snapshot()
+	p := compileOn(t, g, "(tram+bus)*·cinema")
+	if !snap.CoversPairPlan(p, n2, c1) {
 		t.Fatal("N2 reaches C1 via bus·tram·cinema")
 	}
-	if g.CoversPair(d, n2, c2) {
+	if snap.CoversPairPlan(p, n2, c2) {
 		t.Fatal("N2 cannot reach C2")
 	}
 	// ε only relates a node to itself when the query accepts ε.
 	eps := compileOn(t, g, "ε")
-	if !g.CoversPair(eps, n2, n2) {
+	if !snap.CoversPairPlan(eps, n2, n2) {
 		t.Fatal("ε should relate N2 to itself")
 	}
-	if g.CoversPair(eps, n2, c1) {
+	if snap.CoversPairPlan(eps, n2, c1) {
 		t.Fatal("ε should not relate distinct nodes")
 	}
 }
@@ -262,15 +268,14 @@ func TestCoversPairBinarySemantics(t *testing.T) {
 func TestSelectBinaryFrom(t *testing.T) {
 	g, _ := paperfix.Figure1()
 	n2 := mustNode(t, g, "N2")
-	d := compileOn(t, g, "(tram+bus)*·cinema")
-	got := g.SelectBinaryFrom(d, n2)
+	got := g.Snapshot().SelectBinaryFromPlan(compileOn(t, g, "(tram+bus)*·cinema"), n2)
 	var names []string
 	for _, v := range got {
 		names = append(names, g.NodeName(v))
 	}
 	sort.Strings(names)
 	if len(names) != 1 || names[0] != "C1" {
-		t.Fatalf("SelectBinaryFrom(N2) = %v, want [C1]", names)
+		t.Fatalf("SelectBinaryFromPlan(N2) = %v, want [C1]", names)
 	}
 }
 
@@ -414,9 +419,8 @@ func TestTSVRoundTrip(t *testing.T) {
 			back.NumNodes(), g.NumNodes(), back.NumEdges(), g.NumEdges())
 	}
 	// Same selection behavior after round trip.
-	d1 := compileOn(t, g, "(a·b)*·c")
-	d2 := compileOn(t, back, "(a·b)*·c")
-	s1, s2 := g.SelectMonadic(d1), back.SelectMonadic(d2)
+	s1 := g.Snapshot().SelectMonadicPlan(compileOn(t, g, "(a·b)*·c"))
+	s2 := back.Snapshot().SelectMonadicPlan(compileOn(t, back, "(a·b)*·c"))
 	for v := range s1 {
 		if s1[v] != s2[v] {
 			t.Fatalf("selection differs after round trip at node %d", v)

@@ -1,8 +1,8 @@
 package graph
 
-// White-box tests forcing SelectMonadic through its parallel worker-shard
-// paths (masked and generic) regardless of the host's CPU count, by
-// raising GOMAXPROCS and dropping the engagement thresholds.
+// White-box tests forcing SelectMonadicPlan through its parallel
+// worker-shard paths (masked and generic) regardless of the host's CPU
+// count, by raising GOMAXPROCS and dropping the engagement thresholds.
 
 import (
 	"math/rand"
@@ -11,6 +11,7 @@ import (
 
 	"pathquery/internal/alphabet"
 	"pathquery/internal/automata"
+	"pathquery/internal/plan"
 )
 
 func forceParallel(t *testing.T) {
@@ -37,8 +38,8 @@ func buildRandom(rng *rand.Rand, alpha *alphabet.Alphabet, nodes, edges int) *Gr
 
 // coversSerial recomputes one node's verdict with the forward search,
 // which has no parallel path — an independent in-package oracle.
-func coversSerial(g *Graph, d *automata.DFA, v NodeID) bool {
-	return g.Covers(d, v)
+func coversSerial(g *Graph, p *plan.Plan, v NodeID) bool {
+	return g.reader().CoversPlan(p, v)
 }
 
 func TestSelectMonadicParallelMasked(t *testing.T) {
@@ -52,10 +53,11 @@ func TestSelectMonadicParallelMasked(t *testing.T) {
 		if d.NumStates() > 64 {
 			t.Fatalf("iter %d: DFA unexpectedly large (%d states)", iter, d.NumStates())
 		}
-		sel := g.SelectMonadic(d)
+		p := plan.FromDFA(d)
+		sel := g.reader().SelectMonadicPlan(p)
 		for v := 0; v < nodes; v++ {
-			if want := coversSerial(g, d, NodeID(v)); sel[v] != want {
-				t.Fatalf("iter %d: parallel masked SelectMonadic[%d] = %v, Covers = %v",
+			if want := coversSerial(g, p, NodeID(v)); sel[v] != want {
+				t.Fatalf("iter %d: parallel masked SelectMonadicPlan[%d] = %v, CoversPlan = %v",
 					iter, v, sel[v], want)
 			}
 		}
@@ -75,10 +77,11 @@ func TestSelectMonadicParallelGeneric(t *testing.T) {
 		for d.NumStates() <= 64 {
 			d.AddState()
 		}
-		sel := g.SelectMonadic(d)
+		p := plan.FromDFA(d)
+		sel := g.reader().SelectMonadicPlan(p)
 		for v := 0; v < nodes; v++ {
-			if want := coversSerial(g, d, NodeID(v)); sel[v] != want {
-				t.Fatalf("iter %d: parallel generic SelectMonadic[%d] = %v, Covers = %v",
+			if want := coversSerial(g, p, NodeID(v)); sel[v] != want {
+				t.Fatalf("iter %d: parallel generic SelectMonadicPlan[%d] = %v, CoversPlan = %v",
 					iter, v, sel[v], want)
 			}
 		}
@@ -94,13 +97,14 @@ func TestScratchPoolCleanliness(t *testing.T) {
 	g := buildRandom(rng, alpha, 30, 90)
 	d1 := automata.RandomNonEmptyDFA(rng, 4, alpha.Size(), 0.6)
 	d2 := automata.RandomNonEmptyDFA(rng, 7, alpha.Size(), 0.4)
-	want1 := g.SelectMonadic(d1)
-	want2 := g.SelectMonadic(d2)
+	snap, p1, p2 := g.reader(), plan.FromDFA(d1), plan.FromDFA(d2)
+	want1 := snap.SelectMonadicPlan(p1)
+	want2 := snap.SelectMonadicPlan(p2)
 	for round := 0; round < 20; round++ {
-		g.CoversAny(d2, []NodeID{NodeID(rng.Intn(30))})
-		got1 := g.SelectMonadic(d1)
-		g.CoversPair(d1, NodeID(rng.Intn(30)), NodeID(rng.Intn(30)))
-		got2 := g.SelectMonadic(d2)
+		snap.CoversAnyPlan(p2, []NodeID{NodeID(rng.Intn(30))})
+		got1 := snap.SelectMonadicPlan(p1)
+		snap.CoversPairPlan(p1, NodeID(rng.Intn(30)), NodeID(rng.Intn(30)))
+		got2 := snap.SelectMonadicPlan(p2)
 		for v := range want1 {
 			if got1[v] != want1[v] || got2[v] != want2[v] {
 				t.Fatalf("round %d: pooled scratch leaked state at node %d", round, v)

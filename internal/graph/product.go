@@ -49,11 +49,11 @@ import (
 // The product space is the dense index v·|Q|+q over (node, DFA state)
 // pairs; visited sets are pooled bitsets over it (see csr.go). Every
 // search runs against one immutable epoch Snapshot, so concurrent queries
-// and mutations never interfere. The *automata.DFA entry points remain as
-// compatibility wrappers that compile a shape-preserving plan on the fly
-// (plan.FromDFA); steady-state callers hold a compiled plan.
+// and mutations never interfere. Every entry point takes a compiled plan;
+// a raw *automata.DFA compiles to one with plan.Compile or, keeping its
+// state numbering, plan.FromDFA.
 
-// Parallelization gates for SelectMonadic, tunable by white-box tests:
+// Parallelization gates for SelectMonadicPlan, tunable by white-box tests:
 // shards engage only when the product space and the current frontier are
 // both large enough that atomic marking beats a single-threaded pass.
 var (
@@ -83,19 +83,6 @@ func orWord(p *uint64, mask uint64) uint64 {
 			return old
 		}
 	}
-}
-
-// SelectMonadic returns the per-node selection vector of the query DFA d
-// under monadic semantics: selected[ν] iff L(d) ∩ paths_G(ν) ≠ ∅.
-func (g *Graph) SelectMonadic(d *automata.DFA) []bool {
-	return g.reader().SelectMonadic(d)
-}
-
-// SelectMonadic is the compatibility form of SelectMonadicPlan for a raw
-// DFA: the plan is compiled per call (shape-preserving). Hot paths hold a
-// *plan.Plan instead.
-func (s *Snapshot) SelectMonadic(d *automata.DFA) []bool {
-	return s.SelectMonadicPlan(plan.FromDFA(d))
 }
 
 // SelectMonadicPlan returns the per-node selection vector of the compiled
@@ -461,31 +448,10 @@ func (s *Snapshot) relaxMasked(p *plan.Plan, nq int, good, curNew, nextNew bitse
 	return next
 }
 
-// Covers reports whether L(d) ∩ paths_G(ν) ≠ ∅ for a single node.
-func (g *Graph) Covers(d *automata.DFA, nu NodeID) bool {
-	return g.reader().CoversAny(d, []NodeID{nu})
-}
-
-// Covers is the compatibility form of CoversPlan for a raw DFA.
-func (s *Snapshot) Covers(d *automata.DFA, nu NodeID) bool {
-	return s.CoversAny(d, []NodeID{nu})
-}
-
 // CoversPlan reports whether L(p) ∩ paths_G(ν) ≠ ∅ for a single node,
 // with an early-exit forward search from (ν, p.Start).
 func (s *Snapshot) CoversPlan(p *plan.Plan, nu NodeID) bool {
 	return s.CoversAnyPlan(p, []NodeID{nu})
-}
-
-// CoversAny reports whether L(d) ∩ paths_G(X) ≠ ∅: some node of X has a
-// path in L(d).
-func (g *Graph) CoversAny(d *automata.DFA, set []NodeID) bool {
-	return g.reader().CoversAny(d, set)
-}
-
-// CoversAny is the compatibility form of CoversAnyPlan for a raw DFA.
-func (s *Snapshot) CoversAny(d *automata.DFA, set []NodeID) bool {
-	return s.CoversAnyPlan(plan.FromDFA(d), set)
 }
 
 // CoversAnyPlan reports whether L(p) ∩ paths_G(X) ≠ ∅: some node of X has
@@ -571,16 +537,6 @@ func (s *Snapshot) expandForwardPlan(p *plan.Plan, co *adj, v NodeID, q int32, n
 	return stack
 }
 
-// CoversPair reports whether some path from u to v spells a word of L(d).
-func (g *Graph) CoversPair(d *automata.DFA, u, v NodeID) bool {
-	return g.reader().CoversPair(d, u, v)
-}
-
-// CoversPair is the compatibility form of CoversPairPlan for a raw DFA.
-func (s *Snapshot) CoversPair(d *automata.DFA, u, v NodeID) bool {
-	return s.CoversPairPlan(plan.FromDFA(d), u, v)
-}
-
 // CoversPairPlan reports whether some path from u to v spells a word of
 // L(p) — the binary semantics of Appendix B: paths2_G(u,v) ∩ L(p) ≠ ∅.
 // The accepting condition requires landing exactly on v in a final DFA
@@ -656,10 +612,10 @@ func (s *Snapshot) CoversPairPlan(p *plan.Plan, u, v NodeID) bool {
 // the plan's flat Delta with Live pruning. Newly marked pairs accumulate
 // into next along with the degree sum of their nodes (the cost of
 // expanding the next level). When mk is non-nil, nodes discovered in a
-// final state are collected into it (SelectBinaryFrom). When restrict is
+// final state are collected into it (SelectBinaryFromPlan). When restrict is
 // true, only pairs in the completed backward set (or accepting pairs) are
 // entered — the pruned tail of the direction-optimizing evaluation. The
-// found result reports a forward/backward frontier meeting (CoversPair;
+// found result reports a forward/backward frontier meeting (CoversPairPlan;
 // only when mk is nil).
 func (s *Snapshot) relaxPlanForward(p *plan.Plan, nq int, sc *productScratch, frontier, next []uint64, mk *bitset.Marker, restrict bool) ([]uint64, int, bool) {
 	co := &s.out
@@ -707,7 +663,7 @@ func (s *Snapshot) relaxPlanForward(p *plan.Plan, nq int, sc *productScratch, fr
 // through the plan's packed reverse DFA with Reach pruning: for each pair
 // (v, q), every in-edge (u, sym, v) combines with every reverse transition
 // q --sym--> p into the predecessor pair (u, p). With meet=true a pair
-// already in the forward visited set settles the search (CoversPair).
+// already in the forward visited set settles the search (CoversPairPlan).
 func (s *Snapshot) relaxPlanBackward(p *plan.Plan, nq int, sc *productScratch, frontier, next []uint64, meet bool) ([]uint64, int, bool) {
 	ci := &s.in
 	cost := 0
@@ -748,18 +704,6 @@ func (s *Snapshot) relaxPlanBackward(p *plan.Plan, nq int, sc *productScratch, f
 	return next, cost, false
 }
 
-// SelectBinaryFrom returns all v such that (u, v) is selected by d under
-// binary semantics, in increasing id order.
-func (g *Graph) SelectBinaryFrom(d *automata.DFA, u NodeID) []NodeID {
-	return g.reader().SelectBinaryFrom(d, u)
-}
-
-// SelectBinaryFrom is the compatibility form of SelectBinaryFromPlan for a
-// raw DFA.
-func (s *Snapshot) SelectBinaryFrom(d *automata.DFA, u NodeID) []NodeID {
-	return s.SelectBinaryFromPlan(plan.FromDFA(d), u)
-}
-
 // SelectBinaryFromPlan returns all v such that (u, v) is selected by p
 // under binary semantics, in increasing id order.
 //
@@ -784,15 +728,9 @@ func (s *Snapshot) SelectBinaryFromPlanCtx(ctx context.Context, p *plan.Plan, u 
 	return s.selectBinaryFrom(ctx, p, u, true)
 }
 
-// SelectBinaryFromForward is SelectBinaryFromPlan with the backward side
-// disabled — the forward-only evaluation every level-synchronous RPQ
-// engine runs. Exposed as the baseline the direction-optimizing benchmark
-// and tests compare against; production callers use SelectBinaryFromPlan.
-func (s *Snapshot) SelectBinaryFromForward(p *plan.Plan, u NodeID) []NodeID {
-	nodes, _ := s.selectBinaryFrom(context.Background(), p, u, false)
-	return nodes
-}
-
+// selectBinaryFrom evaluates binary semantics from u; directional=false
+// disables the backward side, leaving the forward-only evaluation the
+// tests and benchmarks compare the direction optimization against.
 func (s *Snapshot) selectBinaryFrom(ctx context.Context, p *plan.Plan, u NodeID, directional bool) ([]NodeID, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err

@@ -13,6 +13,7 @@ import (
 	"pathquery/internal/alphabet"
 	"pathquery/internal/automata"
 	"pathquery/internal/graph"
+	"pathquery/internal/plan"
 	"pathquery/internal/words"
 )
 
@@ -46,11 +47,11 @@ func TestSelectMonadicMatchesNFAReference(t *testing.T) {
 		nodes := 2 + rng.Intn(10)
 		g := randomGraph(rng, alpha, nodes, rng.Intn(3*nodes))
 		d := randomDFA(rng, alpha.Size())
-		sel := g.SelectMonadic(d)
+		sel := g.Snapshot().SelectMonadicPlan(plan.FromDFA(d))
 		for v := 0; v < nodes; v++ {
 			want := refCovers(g, d, []graph.NodeID{graph.NodeID(v)})
 			if sel[v] != want {
-				t.Fatalf("iter %d: SelectMonadic[%d] = %v, NFA reference = %v",
+				t.Fatalf("iter %d: SelectMonadicPlan[%d] = %v, NFA reference = %v",
 					iter, v, sel[v], want)
 			}
 		}
@@ -70,8 +71,8 @@ func TestCoversAnyMatchesNFAReference(t *testing.T) {
 				set = append(set, graph.NodeID(v))
 			}
 		}
-		if got, want := g.CoversAny(d, set), refCovers(g, d, set); got != want {
-			t.Fatalf("iter %d: CoversAny(%v) = %v, NFA reference = %v", iter, set, got, want)
+		if got, want := g.Snapshot().CoversAnyPlan(plan.FromDFA(d), set), refCovers(g, d, set); got != want {
+			t.Fatalf("iter %d: CoversAnyPlan(%v) = %v, NFA reference = %v", iter, set, got, want)
 		}
 	}
 }
@@ -83,23 +84,24 @@ func TestCoversPairMatchesNFAReference(t *testing.T) {
 		nodes := 2 + rng.Intn(8)
 		g := randomGraph(rng, alpha, nodes, rng.Intn(3*nodes))
 		d := randomDFA(rng, alpha.Size())
+		snap, p := g.Snapshot(), plan.FromDFA(d)
 		u := graph.NodeID(rng.Intn(nodes))
 		v := graph.NodeID(rng.Intn(nodes))
-		if got, want := g.CoversPair(d, u, v), refCoversPair(g, d, u, v); got != want {
-			t.Fatalf("iter %d: CoversPair(%d,%d) = %v, NFA reference = %v", iter, u, v, got, want)
+		if got, want := snap.CoversPairPlan(p, u, v), refCoversPair(g, d, u, v); got != want {
+			t.Fatalf("iter %d: CoversPairPlan(%d,%d) = %v, NFA reference = %v", iter, u, v, got, want)
 		}
-		// SelectBinaryFrom must agree with CoversPair pointwise.
-		sel := g.SelectBinaryFrom(d, u)
+		// SelectBinaryFromPlan must agree with CoversPairPlan pointwise.
+		sel := snap.SelectBinaryFromPlan(p, u)
 		hit := make(map[graph.NodeID]bool, len(sel))
 		for i, x := range sel {
 			hit[x] = true
 			if i > 0 && sel[i-1] >= x {
-				t.Fatalf("iter %d: SelectBinaryFrom not strictly increasing: %v", iter, sel)
+				t.Fatalf("iter %d: SelectBinaryFromPlan not strictly increasing: %v", iter, sel)
 			}
 		}
 		for x := 0; x < nodes; x++ {
 			if hit[graph.NodeID(x)] != refCoversPair(g, d, u, graph.NodeID(x)) {
-				t.Fatalf("iter %d: SelectBinaryFrom disagrees with reference at %d", iter, x)
+				t.Fatalf("iter %d: SelectBinaryFromPlan disagrees with reference at %d", iter, x)
 			}
 		}
 	}

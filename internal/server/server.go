@@ -534,9 +534,10 @@ func (s *Server) dispatch(w http.ResponseWriter, r *http.Request) {
 
 // admitCreatingMutation decodes and validates a mutation aimed at a
 // graph that does not exist yet, enforcing the global tenant cap. It
-// mirrors the engine handler's own decoding (same field rules, same
-// error codes) so a request rejected here would have been rejected
-// there too — just before any durable state exists instead of after.
+// decodes with the engine handler's own engine.DecodeBody and mirrors
+// its validation (same error codes), so a request rejected here would
+// have been rejected there too — just before any durable state exists
+// instead of after.
 // It returns the consumed body for replay and whether to proceed.
 func (s *Server) admitCreatingMutation(w http.ResponseWriter, r *http.Request, name string) ([]byte, bool) {
 	if s.opt.MaxTenants > 0 {
@@ -564,9 +565,7 @@ func (s *Server) admitCreatingMutation(w http.ResponseWriter, r *http.Request, n
 	var req struct {
 		Edges []engine.EdgeSpec `json:"edges"`
 	}
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if err := engine.DecodeBody(bytes.NewReader(body), &req); err != nil {
 		writeErr(w, http.StatusBadRequest, "bad_body",
 			fmt.Sprintf("bad request body: %v", err), 0)
 		return nil, false

@@ -235,6 +235,9 @@ func TestInvalidMutateDoesNotCreateTenant(t *testing.T) {
 		{`{"nope":1}`, http.StatusBadRequest, "bad_body"},
 		{`{"edges":[]}`, http.StatusBadRequest, "empty_mutation"},
 		{`{"edges":[{"from":"u","to":"v"}]}`, http.StatusBadRequest, "bad_edge"},
+		// A valid mutation followed by anything but whitespace is not a
+		// mutation: it must not create the tenant either.
+		{`{"edges":[{"from":"u","label":"x","to":"v"}]} trailing`, http.StatusBadRequest, "bad_body"},
 	}
 	for _, c := range cases {
 		rec := do(t, h, "POST", "/v1/graphs/ghost/mutate", c.body)

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -35,9 +36,9 @@ func answers(t *testing.T, e *engine.Engine) map[string][]string {
 	t.Helper()
 	out := make(map[string][]string, len(scriptQueries))
 	for _, q := range scriptQueries {
-		res, err := e.Select(q)
+		res, err := e.Evaluate(context.Background(), engine.Request{Query: q})
 		if err != nil {
-			t.Fatalf("select %q: %v", q, err)
+			t.Fatalf("evaluate %q: %v", q, err)
 		}
 		out[q] = res.Names()
 	}

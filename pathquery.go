@@ -46,8 +46,8 @@
 //	})
 //
 // The same surface is the wire protocol: NewEngineHandler serves it as
-// POST /v1/query (see internal/engine.NewHandler for the format and the
-// deprecated-endpoint migration table).
+// POST /v1/query and POST /v1/batch (see internal/engine.NewHandler for
+// the format); there is no other evaluation endpoint.
 //
 // The subpackages under internal implement the substrates: automata
 // (NFA/DFA/RPNI machinery), graph (storage and product constructions),
@@ -172,7 +172,7 @@ func NewEngine(g *Graph, opt EngineOptions) *Engine { return engine.New(g, opt) 
 // NewEngineHandler exposes e as a JSON-over-HTTP API — the handler behind
 // cmd/pqserve: the versioned unified protocol (POST /v1/query and
 // /v1/batch serving every semantics with a structured error envelope),
-// mutate, learn, stats, plans, plus the deprecated pre-v1 shims.
+// plus mutate, learn, stats and plans.
 func NewEngineHandler(e *Engine) http.Handler { return engine.NewHandler(e) }
 
 // NewAlphabet returns an empty label table.
