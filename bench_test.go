@@ -410,17 +410,15 @@ func BenchmarkReplayMixed(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineMaintain measures publish-time result-cache maintenance
-// (the delta-epoch pipeline). "retainedhit" verifies the core promise of
-// maintenance: after a mutation whose label is disjoint from the cached
-// query's alphabet, the cached entry is retained at the new epoch and the
-// repeat Evaluate stays on the cached-hit path — no product traversal is
+// BenchmarkEngineMaintain measures read-time result-cache revalidation
+// (the delta-epoch pipeline). "retainedhit" verifies the core promise:
+// after a mutation whose label is disjoint from the cached query's
+// alphabet, the first read at the new epoch retains the cached entry and
+// repeat Evaluates stay on the cached-hit path — no product traversal is
 // re-run. "regrow" measures the full mutate→publish→regrow round trip
-// when the mutated label overlaps the plan alphabet. The "closedloop"
-// pair drives the same concurrent mixed workload (2% mutation rate) with
-// incremental maintenance on and off (RegrowBudget: -1 is the old
-// prune-everything behavior); the acceptance criterion is ≥5× sustained
-// req/s for the incremental configuration.
+// when the mutated label overlaps the plan alphabet. "closedloop" drives
+// a concurrent mixed workload (2% mutation rate), and "sustained" free
+// running readers against a paced writer.
 func BenchmarkEngineMaintain(b *testing.B) {
 	_, qs := synthetic()
 	src := qs[1].Expr
@@ -436,7 +434,6 @@ func BenchmarkEngineMaintain(b *testing.B) {
 		if _, err := e.Mutate([]engine.EdgeSpec{{From: "mx0", Label: "zz", To: "mx1"}}); err != nil {
 			b.Fatal(err)
 		}
-		e.FlushMaintenance() // maintenance is async; wait for the retain
 		res, err := evalNodes(e, src)
 		if err != nil {
 			b.Fatal(err)
@@ -477,7 +474,6 @@ func BenchmarkEngineMaintain(b *testing.B) {
 			}}); err != nil {
 				b.Fatal(err)
 			}
-			e.FlushMaintenance() // include the async regrow in the round trip
 			res, err := evalNodes(e, src)
 			if err != nil {
 				b.Fatal(err)
@@ -492,7 +488,7 @@ func BenchmarkEngineMaintain(b *testing.B) {
 		b.ReportMetric(float64(st.ResultDropped), "dropped")
 	})
 
-	closedloop := func(b *testing.B, budget int) engine.LoadReport {
+	b.Run("closedloop", func(b *testing.B) {
 		queries := make([]string, len(qs))
 		for i, nq := range qs {
 			queries[i] = nq.Expr
@@ -500,7 +496,7 @@ func BenchmarkEngineMaintain(b *testing.B) {
 		var report engine.LoadReport
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
-			e := engine.New(datasets.Synthetic(5000, 11), engine.Options{RegrowBudget: budget})
+			e := engine.New(datasets.Synthetic(5000, 11), engine.Options{})
 			b.StartTimer()
 			var err error
 			report, err = engine.RunLoad(e, engine.LoadConfig{
@@ -520,23 +516,15 @@ func BenchmarkEngineMaintain(b *testing.B) {
 		b.ReportMetric(float64(report.Retained), "retained")
 		b.ReportMetric(float64(report.Regrown), "regrown")
 		b.ReportMetric(float64(report.Dropped), "dropped")
-		return report
-	}
+	})
 
-	b.Run("closedloop", func(b *testing.B) { closedloop(b, 0) })
-	b.Run("closedloop-baseline", func(b *testing.B) { closedloop(b, -1) })
-
-	// The mixed closed loop above is publish-serialization-bound: one
-	// CSR rebuild costs ~ms, so at a 2% mutation share both
-	// configurations converge on the write lane's capacity and the
-	// maintenance win is invisible in req/s. "sustained" measures the
-	// regime maintenance exists for — readers free-running over a
-	// working set of queries while one writer publishes back-to-back —
-	// where prune-everything keeps the whole working set cold (re-warm
-	// cost exceeds the publish interval) and incremental maintenance
-	// keeps every reader on the cached path. The acceptance criterion
-	// is sustained ≥ 5× sustained-baseline select throughput.
-	sustained := func(b *testing.B, budget int) {
+	// "sustained" measures the regime revalidation exists for — readers
+	// free-running over a working set of queries while one writer
+	// publishes every millisecond — where dropping entries on every
+	// publish would keep the whole working set cold (re-warm cost
+	// exceeds the publish interval) and retain/regrow keep every reader
+	// on the cached path.
+	b.Run("sustained", func(b *testing.B) {
 		g := datasets.Synthetic(10000, 10000)
 		// A working set wide enough that re-warming it from scratch
 		// outlasts one publish interval even spread over all readers:
@@ -549,7 +537,7 @@ func BenchmarkEngineMaintain(b *testing.B) {
 				}
 			}
 		}
-		e := engine.New(g, engine.Options{RegrowBudget: budget})
+		e := engine.New(g, engine.Options{})
 		for _, src := range queries {
 			if _, err := evalNodes(e, src); err != nil {
 				b.Fatal(err)
@@ -617,13 +605,10 @@ func BenchmarkEngineMaintain(b *testing.B) {
 		wall := 300 * time.Millisecond * time.Duration(b.N)
 		b.ReportMetric(float64(selects)/wall.Seconds(), "req/s")
 		b.ReportMetric(100*float64(cached)/float64(selects), "cached-%")
-		e.FlushMaintenance()
 		st := e.Stats()
 		b.ReportMetric(float64(st.ResultRetained), "retained")
 		b.ReportMetric(float64(st.ResultRegrown), "regrown")
-	}
-	b.Run("sustained", func(b *testing.B) { sustained(b, 0) })
-	b.Run("sustained-baseline", func(b *testing.B) { sustained(b, -1) })
+	})
 }
 
 // BenchmarkWALAppend measures the durable-mutation floor: each iteration

@@ -77,7 +77,6 @@ var (
 	serveMutateRate  = flag.Float64("serve-mutate-rate", 0, "probability each request mutates (0..1) — the closed-loop mutation-rate axis; composes with -serve-mutate-every")
 	serveBatch       = flag.Int("serve-batch", 0, "issue EvaluateBatch requests of this size instead of single evaluations")
 	serveWriters     = flag.Int("serve-writers", 0, "dedicated free-running mutator lanes on top of the client mix (group-commit saturation)")
-	serveBaseline    = flag.Bool("serve-baseline", false, "disable incremental result maintenance (prune-everything on each publish) for comparison")
 )
 
 func main() {

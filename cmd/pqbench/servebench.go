@@ -22,18 +22,10 @@ func runServeBench() error {
 	for i, nq := range qs {
 		queries[i] = nq.Expr
 	}
-	opt := engine.Options{}
-	if *serveBaseline {
-		opt.RegrowBudget = -1
-	}
-	e := engine.New(g, opt)
+	e := engine.New(g, engine.Options{})
 
-	mode := "incremental maintenance"
-	if *serveBaseline {
-		mode = "prune-everything baseline"
-	}
-	section(fmt.Sprintf("Serving benchmark — %d nodes, %d clients, %d writer lanes, %v, mutate every %d requests, rate %.2g (%s)",
-		*serveSyn, *serveClients, *serveWriters, *serveDuration, *serveMutateEvery, *serveMutateRate, mode))
+	section(fmt.Sprintf("Serving benchmark — %d nodes, %d clients, %d writer lanes, %v, mutate every %d requests, rate %.2g",
+		*serveSyn, *serveClients, *serveWriters, *serveDuration, *serveMutateEvery, *serveMutateRate))
 	for _, q := range queries {
 		fmt.Printf("query: %s\n", q)
 	}
@@ -69,7 +61,7 @@ func runServeBench() error {
 			100*float64(st.ResultHits+st.ResultShared)/float64(total),
 			st.ResultHits+st.ResultShared)
 	}
-	fmt.Printf("maintenance outcomes: retained %d, regrown %d, dropped %d\n",
+	fmt.Printf("revalidation outcomes: retained %d, regrown %d, dropped %d\n",
 		st.ResultRetained, st.ResultRegrown, st.ResultDropped)
 	return nil
 }

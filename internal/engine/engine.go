@@ -18,11 +18,14 @@
 //     determinize → minimize happens once per distinct query), deduplicated
 //     across syntactic variants by the canonical language key
 //     (query.CacheKey).
-//   - A result cache keyed by (epoch, semantics, args, plan) with
-//     single-flight deduplication: concurrent identical requests share one
-//     product-engine pass, and a new epoch implicitly invalidates every
-//     older entry. Canceled evaluations are never cached; their
-//     single-flight waiters retry under their own contexts.
+//   - A result cache keyed by (semantics, args, plan) with single-flight
+//     deduplication: concurrent identical requests share one
+//     product-engine pass. Each entry records the epochs its answer is
+//     valid for; a read at a newer epoch revalidates it on the spot —
+//     retained untouched when the plan's alphabet was not written since,
+//     regrown from the epoch delta, or recomputed. Canceled evaluations
+//     are never cached; their single-flight waiters retry under their
+//     own contexts.
 //   - Batched evaluation: EvaluateBatch runs many requests against one
 //     pinned snapshot through the worker-shard product engine, amortizing
 //     the pooled bitset scratch across queries.
@@ -52,18 +55,13 @@ import (
 // Options tunes an Engine.
 type Options struct {
 	// ResultCacheCap bounds the number of cached result entries
-	// (default 4096). Stale-epoch entries are evicted first.
+	// (default 4096). Entries validated longest ago are evicted first.
 	ResultCacheCap int
 	// Log, if set, makes the engine durable: every Mutate appends its
 	// edges to the log — under the write lock, before they are applied —
 	// and a log failure aborts the mutation with the graph untouched.
 	// internal/store.GraphStore is the WAL-backed implementation.
 	Log MutationLog
-	// RegrowBudget bounds the edge relaxations one publication may spend
-	// incrementally regrowing cached results (maintain.go). Zero selects
-	// the default (1<<20); a negative value disables maintenance
-	// entirely, restoring the prune-every-entry behavior.
-	RegrowBudget int
 }
 
 // MutationLog is the engine's write-ahead hook (implemented by
@@ -81,11 +79,28 @@ type MutationLog interface {
 // Engine serves path queries over a mutable graph. All methods are safe
 // for concurrent use; mutations are serialized internally.
 type Engine struct {
+	// The fields every request reads come first, and the publishers'
+	// locks next: the per-request counters below then start on another
+	// cache line, so incrementing them does not evict these fields from
+	// the other cores' caches.
 	g       *graph.Graph
-	log     MutationLog  // write-ahead hook; nil = volatile engine
-	mu      sync.RWMutex // write: mutate+publish; read: build-side name lookups
+	log     MutationLog // write-ahead hook; nil = volatile engine
 	plans   *planCache
 	results *resultCache
+	// regrowBudget bounds the edge relaxations of one cached-result regrow
+	// (maintain.go).
+	regrowBudget int
+
+	mu sync.Mutex // held by publishers: mutate+publish
+	// Group commit (combining lock): concurrent Mutate callers enqueue
+	// on commitQ under commitMu; the first to find no committer in
+	// flight becomes the leader and drains the queue in byte-capped
+	// batches — one WAL append (one fsync), one applied delta, one
+	// published epoch per batch — fanning results back to the waiters.
+	commitMu   sync.Mutex
+	commitCond *sync.Cond
+	commitQ    []*pendingMutation
+	committing bool
 
 	queries   atomic.Uint64
 	batches   atomic.Uint64
@@ -109,25 +124,6 @@ type Engine struct {
 	walBatchHist     telemetry.ValueHistogram
 	walBatches       atomic.Uint64
 	walBatchedMuts   atomic.Uint64
-
-	// Group commit (combining lock): concurrent Mutate callers enqueue
-	// on commitQ under commitMu; the first to find no committer in
-	// flight becomes the leader and drains the queue in byte-capped
-	// batches — one WAL append (one fsync), one applied delta, one
-	// published epoch per batch — fanning results back to the waiters.
-	commitMu   sync.Mutex
-	commitCond *sync.Cond
-	commitQ    []*pendingMutation
-	committing bool
-
-	// regrowHist is the per-entry incremental regrow latency; maintMu
-	// serializes cache maintenance passes (maintain.go); maint is the
-	// async maintainer's mailbox — publications enqueue their snapshot
-	// there and return without waiting for classification.
-	regrowHist   telemetry.Histogram
-	maintMu      sync.Mutex
-	maint        maintState
-	regrowBudget int
 }
 
 // pendingMutation is one Mutate call waiting in the group-commit queue.
@@ -145,25 +141,27 @@ func New(g *graph.Graph, opt Options) *Engine {
 	if opt.ResultCacheCap <= 0 {
 		opt.ResultCacheCap = 4096
 	}
-	if opt.RegrowBudget == 0 {
-		opt.RegrowBudget = defaultRegrowBudget
-	}
 	e := &Engine{
 		g:            g,
 		log:          opt.Log,
 		plans:        newPlanCache(g.Alphabet()),
 		results:      newResultCache(opt.ResultCacheCap),
-		regrowBudget: opt.RegrowBudget,
+		regrowBudget: defaultRegrowBudget,
 	}
 	e.commitCond = sync.NewCond(&e.commitMu)
-	snap := g.Snapshot()
-	e.maint.workCond = sync.NewCond(&e.maint.mu)
-	e.maint.doneCond = sync.NewCond(&e.maint.mu)
-	e.maint.doneEpoch = snap.Epoch()
-	e.maint.exited = make(chan struct{})
-	go e.maintainLoop()
+	g.Snapshot()
 	return e
 }
+
+// FlushMaintenance returns at once: cached answers are revalidated when
+// they are read, so no background work trails a publication. It is kept
+// for callers written against the former asynchronous maintainer.
+func (e *Engine) FlushMaintenance() {}
+
+// Close returns at once: the engine keeps no background goroutine to
+// stop. It is kept so owners (server shutdown) can keep closing engines,
+// which go on serving reads and mutations afterwards.
+func (e *Engine) Close() {}
 
 // Graph returns the underlying graph. Mutating it directly bypasses the
 // engine's write serialization; use Mutate/Update instead.
@@ -345,7 +343,6 @@ func (e *Engine) commitBatch(batch []*pendingMutation) {
 		if e.log != nil {
 			e.log.Committed(snap)
 		}
-		e.scheduleMaintain(snap)
 	}
 	e.commitMu.Lock()
 	for _, pm := range batch {
@@ -357,11 +354,9 @@ func (e *Engine) commitBatch(batch []*pendingMutation) {
 
 // publish is the single path every non-batched epoch publisher goes
 // through: fn runs under the write lock (an error aborts with the graph
-// untouched), the new epoch is published, and the snapshot is handed to
-// the async maintainer (maintain.go) — so no future publisher can forget
-// maintenance. Neither readers nor the publisher wait on maintenance:
-// readers pin epochs via one atomic load, and classification happens on
-// the maintainer goroutine.
+// untouched) and the new epoch is published. Readers pin epochs via one
+// atomic load and revalidate cached answers against them (maintain.go),
+// so a publication leaves no cache work behind.
 func (e *Engine) publish(fn func() error) (*graph.Snapshot, error) {
 	e.mu.Lock()
 	if err := fn(); err != nil {
@@ -371,7 +366,6 @@ func (e *Engine) publish(fn func() error) (*graph.Snapshot, error) {
 	snap := e.g.Snapshot()
 	e.mu.Unlock()
 	e.mutations.Add(1)
-	e.scheduleMaintain(snap)
 	return snap, nil
 }
 
@@ -441,13 +435,11 @@ func (e *Engine) LearnNamed(pos, neg []string, opt core.Options) (LearnResult, e
 	return e.learnOn(snap, sample, opt)
 }
 
-// resolve maps node names to ids visible in snap, under one read-lock so
-// the whole request sees one build-side name table. A name not visible in
-// snap is the same 404 unknown_node error /v1/query answers.
+// resolve maps node names to ids visible in snap. A name not visible in
+// snap — unknown, or added by a later epoch — is the same 404
+// unknown_node error /v1/query answers.
 func (e *Engine) resolve(snap *graph.Snapshot, names []string) ([]graph.NodeID, error) {
 	out := make([]graph.NodeID, 0, len(names))
-	e.mu.RLock()
-	defer e.mu.RUnlock()
 	for _, name := range names {
 		id, ok := e.g.NodeByName(name)
 		if !ok || int(id) >= snap.NumNodes() {
@@ -506,21 +498,20 @@ type Stats struct {
 	ResultShared  uint64 `json:"result_shared"` // single-flight waiters
 	ResultEntries int    `json:"result_entries"`
 
-	// Publish-time maintenance outcomes (maintain.go): cached results
-	// re-stamped to the new epoch untouched (the delta's symbols are
-	// disjoint from the plan's alphabet), incrementally regrown from the
-	// epoch delta, and dropped (unmaintainable semantics, budget
-	// exceeded, or a delta-chain gap).
+	// Revalidation outcomes of reads at a newer epoch (maintain.go):
+	// cached results carried forward untouched (no write on the plan's
+	// alphabet since), incrementally regrown from the epoch delta, and
+	// dropped for a scratch recompute (unregrowable semantics, budget
+	// exceeded, or a delta-chain gap). Only scratch passes count as
+	// misses.
 	ResultRetained uint64 `json:"result_retained"`
 	ResultRegrown  uint64 `json:"result_regrown"`
 	ResultDropped  uint64 `json:"result_dropped"`
 
-	// Group-commit write path: batches published, mutations carried by
-	// them (batched/batches is the mean coalescing factor), and the
-	// publications not yet processed by the async cache maintainer.
+	// Group-commit write path: batches published and mutations carried
+	// by them (batched/batches is the mean coalescing factor).
 	WalBatches          uint64 `json:"wal_batches"`
 	WalBatchedMutations uint64 `json:"wal_batched_mutations"`
-	MaintainQueueDepth  uint64 `json:"maintain_queue_depth"`
 }
 
 // Plans lists every cached compiled plan — source, canonical key, state
@@ -556,9 +547,6 @@ func (e *Engine) RegisterMetrics(reg *telemetry.Registry, labels ...telemetry.La
 		"Mutations coalesced per group-commit batch.", &e.walBatchHist, labels...)
 	reg.CounterFunc("pathquery_wal_batches_total",
 		"Group-commit batches published.", e.walBatches.Load, labels...)
-	reg.GaugeFunc("pathquery_maintain_queue_depth",
-		"Published epochs not yet processed by the async cache maintainer.",
-		func() float64 { return float64(e.maintainLag()) }, labels...)
 	reg.CounterFunc("pathquery_engine_queries_total",
 		"Queries evaluated, batch members included.", e.queries.Load, labels...)
 	reg.CounterFunc("pathquery_engine_batches_total",
@@ -578,13 +566,13 @@ func (e *Engine) RegisterMetrics(reg *telemetry.Registry, labels ...telemetry.La
 	reg.CounterFunc("pathquery_result_cache_shared_total",
 		"Evaluations shared with an in-flight identical request (single-flight).", e.results.shared.Load, labels...)
 	reg.CounterFunc("pathquery_result_cache_retained_total",
-		"Cached results re-stamped to a new epoch untouched (alphabet-disjoint delta).", e.results.retained.Load, labels...)
+		"Cached results carried forward to a newer epoch untouched when read (no write on the plan's alphabet since).", e.results.retained.Load, labels...)
 	reg.CounterFunc("pathquery_result_cache_regrown_total",
-		"Cached results incrementally regrown from an epoch delta.", e.results.regrown.Load, labels...)
+		"Cached results incrementally regrown from an epoch delta when read.", e.results.regrown.Load, labels...)
 	reg.CounterFunc("pathquery_result_cache_dropped_total",
-		"Cached results dropped at publish (unmaintainable semantics, budget, or chain gap).", e.results.dropped.Load, labels...)
+		"Cached results recomputed from scratch when read at a newer epoch (unregrowable semantics, budget, or chain gap).", e.results.dropped.Load, labels...)
 	reg.RegisterHistogram("pathquery_result_cache_regrow_seconds",
-		"Per-entry incremental regrow latency at publish.", &e.regrowHist, labels...)
+		"Per-entry incremental regrow latency when read.", &e.results.regrowHist, labels...)
 	reg.GaugeFunc("pathquery_result_cache_entries",
 		"Cached result entries.", func() float64 { return float64(e.results.size()) }, labels...)
 	reg.GaugeFunc("pathquery_epoch",
@@ -616,7 +604,6 @@ func (e *Engine) Stats() Stats {
 		Learns:              e.learns.Load(),
 		WalBatches:          e.walBatches.Load(),
 		WalBatchedMutations: e.walBatchedMuts.Load(),
-		MaintainQueueDepth:  e.maintainLag(),
 	}
 	e.plans.fill(&s)
 	e.results.fill(&s)

@@ -106,16 +106,13 @@ func TestEngineMutateAdvancesEpoch(t *testing.T) {
 	if _, err := e.Evaluate(context.Background(), fromC2); err != nil {
 		t.Fatalf("anchor at a node created by the served epoch: %v", err)
 	}
-	// Maintenance is async; wait for the regrow so the next select is
-	// deterministically a hit.
-	e.FlushMaintenance()
 	after, err := evalNodes(e, "bus·cinema")
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The mutation touches the plan's alphabet ("cinema"), so the cached
-	// entry is incrementally regrown at publish: the post-mutation select
-	// is a cache hit at the new epoch and already includes the new edge.
+	// The mutation touches the plan's alphabet ("cinema"), so the first
+	// read at the new epoch regrows the cached entry incrementally: it is
+	// served as cached and already includes the new edge.
 	if !after.Cached {
 		t.Error("post-mutation select missed the regrown cache entry")
 	}
@@ -353,11 +350,12 @@ func TestEngineConcurrentMutateSelect(t *testing.T) {
 // wipe the warm current-epoch entries.
 func TestResultCacheStaleRequestKeepsFreshEntries(t *testing.T) {
 	c := newResultCache(3)
+	snaps := epochSnaps(2)
 	for _, p := range []string{"a", "b", "c"} {
-		c.do(context.Background(), resultKey{epoch: 2, plan: p}, nil, func() (query.Answer, []uint64, error) { return query.Answer{}, nil, nil })
+		c.do(context.Background(), resultKey{plan: p}, snaps[1], nil, 0, func() (query.Answer, []uint64, error) { return query.Answer{}, nil, nil })
 	}
 	computed := false
-	c.do(context.Background(), resultKey{epoch: 1, plan: "stale"}, nil, func() (query.Answer, []uint64, error) {
+	c.do(context.Background(), resultKey{plan: "stale"}, snaps[0], nil, 0, func() (query.Answer, []uint64, error) {
 		computed = true
 		return query.Answer{}, nil, nil
 	})
@@ -366,7 +364,7 @@ func TestResultCacheStaleRequestKeepsFreshEntries(t *testing.T) {
 	}
 	fresh := 0
 	for _, p := range []string{"a", "b", "c"} {
-		if _, cached, _ := c.do(context.Background(), resultKey{epoch: 2, plan: p}, nil, func() (query.Answer, []uint64, error) { return query.Answer{}, nil, nil }); cached {
+		if _, cached, _ := c.do(context.Background(), resultKey{plan: p}, snaps[1], nil, 0, func() (query.Answer, []uint64, error) { return query.Answer{}, nil, nil }); cached {
 			fresh++
 		}
 	}
@@ -382,16 +380,17 @@ func TestResultCacheStaleRequestKeepsFreshEntries(t *testing.T) {
 // served to anyone as an empty cached result.
 func TestResultCachePanicRetries(t *testing.T) {
 	c := newResultCache(8)
-	key := resultKey{epoch: 1, plan: "boom"}
+	snap := epochSnaps(1)[0]
+	key := resultKey{plan: "boom"}
 	func() {
 		defer func() {
 			if recover() == nil {
 				t.Fatal("compute panic did not propagate")
 			}
 		}()
-		c.do(context.Background(), key, nil, func() (query.Answer, []uint64, error) { panic("product engine bug") })
+		c.do(context.Background(), key, snap, nil, 0, func() (query.Answer, []uint64, error) { panic("product engine bug") })
 	}()
-	ans, cached, err := c.do(context.Background(), key, nil, func() (query.Answer, []uint64, error) {
+	ans, cached, err := c.do(context.Background(), key, snap, nil, 0, func() (query.Answer, []uint64, error) {
 		return query.Answer{Nodes: []graph.NodeID{7}, Count: 1}, nil, nil
 	})
 	if err != nil || cached || len(ans.Nodes) != 1 || ans.Nodes[0] != 7 {

@@ -125,10 +125,11 @@ func unknownNode(snap *graph.Snapshot, name string) *APIError {
 // Evaluate runs one evaluation against the currently served epoch: the
 // snapshot is pinned with one atomic load, the query is interned through
 // the plan cache, and the answer flows through the single-flight result
-// cache keyed by (epoch, semantics, args, plan). ctx cancels the
-// underlying product traversal — a canceled or deadline-exceeded request
-// returns ctx.Err() promptly and caches nothing. This and EvaluateBatch
-// are the engine's only evaluation entry points.
+// cache keyed by (semantics, args, plan) and revalidated against the
+// pinned epoch. ctx cancels the underlying product traversal — a
+// canceled or deadline-exceeded request returns ctx.Err() promptly and
+// caches nothing. This and EvaluateBatch are the engine's only
+// evaluation entry points.
 func (e *Engine) Evaluate(ctx context.Context, req Request) (Answer, error) {
 	start := time.Now()
 	sem, err := query.ParseSemantics(req.Semantics)
@@ -175,9 +176,7 @@ func (e *Engine) buildReq(snap *graph.Snapshot, p *cachedPlan, sem query.Semanti
 				return query.Req{}, badRequest("missing_from", "engine: pairsFrom semantics requires a from node")
 			}
 		} else {
-			e.mu.RLock()
 			u, ok := e.g.NodeByName(req.From)
-			e.mu.RUnlock()
 			if !ok || int(u) >= snap.NumNodes() {
 				return query.Req{}, unknownNode(snap, req.From)
 			}
@@ -223,7 +222,6 @@ func (e *Engine) buildReq(snap *graph.Snapshot, p *cachedPlan, sem query.Semanti
 // single-flight result cache.
 func (e *Engine) evaluateOn(ctx context.Context, snap *graph.Snapshot, p *cachedPlan, qreq query.Req) (Answer, error) {
 	key := resultKey{
-		epoch:  snap.Epoch(),
 		sem:    qreq.Semantics,
 		from:   qreq.From,
 		limit:  int32(qreq.Limit),
@@ -238,16 +236,17 @@ func (e *Engine) evaluateOn(ctx context.Context, snap *graph.Snapshot, p *cached
 	// pays no span timing.
 	tr := telemetry.TraceFrom(ctx)
 	endLookup := tr.StartSpan("cache_lookup")
-	ans, cached := e.results.lookup(key)
+	ans, cached := e.results.lookup(key, snap)
 	endLookup()
 	if !cached {
+		// A regrow of a stale entry runs under this span too.
 		endTraverse := tr.StartSpan("traverse")
 		var err error
-		ans, cached, err = e.results.do(ctx, key, p.q, func() (query.Answer, []uint64, error) {
-			// The state-capturing variant: for maintainable (semantics,
+		ans, cached, err = e.results.do(ctx, key, snap, p.q, e.regrowBudget, func() (query.Answer, []uint64, error) {
+			// The state-capturing variant: for regrowable (semantics,
 			// layout) pairs it also returns the product fixpoint, which the
-			// cache keeps so a later publish can retain or regrow this entry
-			// instead of dropping it (maintain.go).
+			// cache keeps so a read at a later epoch can regrow this entry
+			// instead of recomputing it (maintain.go).
 			return p.q.EvaluateReqState(ctx, snap, qreq)
 		})
 		endTraverse()

@@ -5,8 +5,8 @@ package engine
 // waiter acked with that epoch — without changing what the engine
 // serves. The slowLog stands in for a real fsyncing WAL so the leader
 // predictably accumulates followers; the concurrent-writers test is the
-// -race stress for the combining lock plus the async maintainer running
-// underneath saturated writers.
+// -race stress for the combining lock plus read-time cache revalidation
+// racing saturated writers.
 
 import (
 	"fmt"
@@ -50,8 +50,8 @@ func (l *slowLog) Committed(*graph.Snapshot) {}
 // with the epoch of the batch that carried it; batches coalesce (fewer
 // WAL appends than mutations); epochs advance by exactly one per batch;
 // and the final answers are identical to a from-scratch engine given the
-// same edge multiset. Run under -race: the readers exercise the result
-// cache while the async maintainer chases the writer lanes.
+// same edge multiset. Run under -race: the readers revalidate cached
+// answers while the writer lanes publish.
 func TestGroupCommitConcurrentWriters(t *testing.T) {
 	const writers, perWriter, readers = 8, 25, 4
 	log := &slowLog{}
@@ -115,7 +115,6 @@ func TestGroupCommitConcurrentWriters(t *testing.T) {
 		t.FailNow()
 	}
 
-	e.FlushMaintenance()
 	st := e.Stats()
 	const total = writers * perWriter
 	if st.WalBatchedMutations != total {

@@ -97,7 +97,7 @@ type LoadReport struct {
 	// requests mix outcomes per member and stay in SelectLatency.
 	CachedLatency, UncachedLatency telemetry.HistogramSnapshot
 	// Retained, Regrown, Dropped are the engine's result-cache
-	// maintenance outcome deltas over the run.
+	// revalidation outcome deltas over the run.
 	Retained, Regrown, Dropped uint64
 	// Batches and BatchedMutations are the group-commit deltas over the
 	// run: BatchedMutations/Batches is the mean coalescing factor.
@@ -310,7 +310,6 @@ func RunLoad(e *Engine, cfg LoadConfig) (LoadReport, error) {
 	}
 	report.CachedLatency = cachedLat.Snapshot()
 	report.UncachedLatency = uncachedLat.Snapshot()
-	e.FlushMaintenance() // settle async maintenance so the counter deltas are complete
 	after := e.Stats()
 	report.Retained = after.ResultRetained - before.ResultRetained
 	report.Regrown = after.ResultRegrown - before.ResultRegrown

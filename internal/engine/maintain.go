@@ -1,348 +1,101 @@
 package engine
 
 import (
-	"sync"
 	"time"
 
 	"pathquery/internal/graph"
 	"pathquery/internal/query"
-	"pathquery/internal/telemetry"
 )
 
-// Publish-time result-cache maintenance: instead of pruning every cached
-// answer when a mutation publishes a new epoch, each completed entry is
-// classified against the epoch delta (graph.DeltaSince) into one of three
-// outcomes:
+// Result-cache revalidation: a cached answer is checked against the
+// snapshot a request pinned at the moment it is read, never in a
+// background pass. An entry is valid for the epochs [validFrom, validTo];
+// a lookup at a newer epoch has three outcomes:
 //
-//   - retain — the delta's symbol mask does not intersect the plan's
-//     alphabet mask (one AND), so no added edge can lie on any accepting
-//     run: the entry is re-keyed to the new epoch untouched and the
-//     ~150ns cached-hit path survives the write. The ε caveat: a plan
-//     accepting ε selects every node under monadic semantics, so node
-//     growth alone grows the answer — such entries are not retained
-//     unless anchored (from ≥ 0, where new nodes cannot equal the
-//     anchor... they can only be selected through new edges, which the
-//     disjointness test already covers).
+//   - retain — no edge on the plan's alphabet was added since validTo
+//     (Snapshot.SymEpoch over the plan's AlphaMask: a max over its symbol
+//     bits, no delta-chain walk), so no added edge can lie on any
+//     accepting run: validTo advances in place and the lookup stays on
+//     the cached-hit path. The ε caveat: a plan accepting ε selects every
+//     node under unanchored semantics, so node growth alone grows the
+//     answer — such entries are retained only while the node count holds
+//     (anchored ones can reach new nodes only through new edges, which
+//     the alphabet test already covers). The empty language is retained
+//     on any write.
 //   - regrow — nodes or anchored pairsFrom semantics whose entry carries
 //     the product fixpoint masks: the worklist propagation is re-entered
-//     from the delta edges alone against the cached fixpoint, under a
-//     per-publish budget of edge relaxations shared by all regrown
-//     entries. The result is bit-for-bit the from-scratch fixpoint.
-//   - drop — everything else: witness/count/shortest (minimality and
+//     from the edges of DeltaSince(validTo) alone against the cached
+//     fixpoint, under defaultRegrowBudget edge relaxations, inside the
+//     single flight that replaces the entry. The result is bit-for-bit
+//     the from-scratch fixpoint.
+//   - recompute — everything else: witness/count/shortest (minimality and
 //     counts are not monotone under edge inserts), packed-layout plans,
-//     entries staler than the delta chain reaches, and regrows whose
-//     cost would exceed the remaining budget. This is exactly the old
-//     prune behavior.
-//
-// Maintenance runs asynchronously: every publication hands its snapshot
-// to a background maintainer goroutine through a one-slot, max-epoch
-// coalescing mailbox (maintState), so classification and regrowth are
-// off the publish path entirely — the mutator returns as soon as the
-// epoch is swapped in. Correctness does not depend on the maintainer
-// keeping up: an entry the maintainer has not reached yet simply misses
-// at the new epoch and is computed from scratch. Coalescing is sound
-// because maintain classifies every entry against DeltaSince(entry
-// epoch → newest epoch), so maintaining only the newest pending
-// snapshot subsumes the skipped intermediates. Engine.maintMu still
-// serializes the maintainer against post-Close synchronous maintenance,
-// so two classification passes never interleave.
+//     spans the fenced delta chain no longer reaches, and regrows whose
+//     cost would exceed the budget. The entry is dropped and the flight
+//     evaluates from scratch.
 
-// defaultRegrowBudget is the per-publish edge-relaxation budget when
-// Options.RegrowBudget is zero. A relaxation is a few nanoseconds, so
-// the worst-case maintenance cost per publish stays in the low
-// milliseconds.
+// defaultRegrowBudget bounds the edge relaxations one regrow may spend
+// before it gives up for a scratch recompute. A relaxation is a few
+// nanoseconds, so a regrow stays in the low milliseconds at worst.
 const defaultRegrowBudget = 1 << 20
 
-// closedDone is the pre-closed completion channel regrown entries are
-// born with: they are complete by construction and must never be
-// mistaken for in-flight.
-var closedDone = func() chan struct{} {
-	ch := make(chan struct{})
-	close(ch)
-	return ch
-}()
-
-// maintState is the maintainer goroutine's mailbox and progress ledger.
-// pending is a one-slot queue holding the newest unmaintained snapshot
-// (publishers overwrite it with any later epoch — see the coalescing
-// argument above); doneEpoch is the highest epoch whose maintenance has
-// completed. All fields are guarded by mu.
-type maintState struct {
-	mu       sync.Mutex
-	workCond *sync.Cond // pending set, or closed
-	doneCond *sync.Cond // doneEpoch advanced, or maintainer stopped
-	pending  *graph.Snapshot
-	// doneEpoch starts at the engine's first published epoch (which has
-	// no delta to maintain against) so FlushMaintenance on an unmutated
-	// engine returns immediately.
-	doneEpoch uint64
-	closed    bool // Close called: drain pending, then stop
-	stopped   bool // maintainer has drained and exited its loop
-	exited    chan struct{}
+// current reports whether the completed entry e answers for snap,
+// retaining it — advancing validTo to snap's epoch — when snap is newer
+// but nothing e's answer depends on has changed since validTo. Each
+// retain that moves validTo counts once in retained.
+func (c *resultCache) current(e *resultEntry, key resultKey, snap *graph.Snapshot) bool {
+	epoch := snap.Epoch()
+	if epoch < e.validFrom {
+		return false
+	}
+	to := e.validTo.Load()
+	if epoch <= to {
+		return true
+	}
+	if e.q == nil {
+		return false
+	}
+	if p := e.q.Plan(); !p.Empty() {
+		if snap.SymEpoch(p.AlphaMask) > to {
+			return false
+		}
+		if key.from < 0 && p.AcceptsEpsilon() && snap.NumNodes() > e.nv {
+			return false
+		}
+	}
+	// No write on the alphabet in (to, epoch] also means none in any
+	// shorter span, so racing retains may each advance validTo.
+	for to < epoch {
+		if e.validTo.CompareAndSwap(to, epoch) {
+			c.retained.Add(1)
+			break
+		}
+		to = e.validTo.Load()
+	}
+	return true
 }
 
-// maxMaintainLag bounds how many epochs the maintainer may trail the
-// published graph before the publisher pitches in and maintains the
-// pending snapshot on its own goroutine. Unbounded lag is correct
-// (unmaintained entries just miss) but lets a starved maintainer — on a
-// loaded single-P runtime, free-spinning readers can keep it off the
-// scheduler for tens of milliseconds — leave the whole working set
-// stale across many publishes, turning every cached hit back into a
-// product pass. The bound keeps staleness proportional to one
-// classification pass; below it the mailbox coalesces as usual.
-const maxMaintainLag = 8
-
-// scheduleMaintain hands a just-published snapshot to the maintainer.
-// After Close the maintainer is gone, so maintenance degrades to the old
-// synchronous behavior — late publishers still keep the cache coherent.
-func (e *Engine) scheduleMaintain(snap *graph.Snapshot) {
-	m := &e.maint
-	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
-		e.maintainResults(snap)
-		m.mu.Lock()
-		if ep := snap.Epoch(); ep > m.doneEpoch {
-			m.doneEpoch = ep
-		}
-		m.doneCond.Broadcast()
-		m.mu.Unlock()
-		return
+// regrow fills the flight e, which replaces the stale entry prev at snap's
+// epoch, by folding the delta since prev.validTo into prev's cached
+// fixpoint. It reports false, leaving e for a scratch compute, when prev
+// keeps no fixpoint, the delta chain does not reach back to validTo, or
+// the regrow would exceed budget edge relaxations.
+func (c *resultCache) regrow(e, prev *resultEntry, sem query.Semantics, snap *graph.Snapshot, budget int) bool {
+	if prev.masks == nil {
+		return false
 	}
-	if m.pending == nil || snap.Epoch() > m.pending.Epoch() {
-		m.pending = snap
+	span, ok := snap.DeltaSince(prev.validTo.Load())
+	if !ok {
+		return false
 	}
-	if m.pending != nil && snap.Epoch() > m.doneEpoch+maxMaintainLag {
-		// Bounded staleness: claim the pending snapshot ourselves rather
-		// than signal a maintainer that evidently is not getting CPU.
-		p := m.pending
-		m.pending = nil
-		m.mu.Unlock()
-		e.maintainResults(p)
-		m.mu.Lock()
-		if ep := p.Epoch(); ep > m.doneEpoch {
-			m.doneEpoch = ep
-		}
-		m.doneCond.Broadcast()
-		m.mu.Unlock()
-		return
-	}
-	m.workCond.Signal()
-	m.mu.Unlock()
-}
-
-// maintainLoop is the maintainer goroutine: take the newest pending
-// snapshot, maintain against it, record progress, repeat. On Close it
-// drains the slot before exiting, so FlushMaintenance-then-Close never
-// strands work.
-func (e *Engine) maintainLoop() {
-	m := &e.maint
-	m.mu.Lock()
-	for {
-		for m.pending == nil && !m.closed {
-			m.workCond.Wait()
-		}
-		if m.pending == nil {
-			break // closed and drained
-		}
-		snap := m.pending
-		m.pending = nil
-		m.mu.Unlock()
-		e.maintainResults(snap)
-		m.mu.Lock()
-		if ep := snap.Epoch(); ep > m.doneEpoch {
-			m.doneEpoch = ep
-		}
-		m.doneCond.Broadcast()
-	}
-	m.stopped = true
-	m.doneCond.Broadcast()
-	m.mu.Unlock()
-	close(m.exited)
-}
-
-// FlushMaintenance blocks until the maintainer has processed every epoch
-// published before the call — after it returns, Stats' retained/regrown/
-// dropped counters account for all those publications. It is the
-// test-and-benchmark barrier; serving code never needs it (an
-// unmaintained entry just misses).
-func (e *Engine) FlushMaintenance() {
-	target := e.g.Current().Epoch()
-	m := &e.maint
-	m.mu.Lock()
-	for m.doneEpoch < target && !m.stopped {
-		m.doneCond.Wait()
-	}
-	m.mu.Unlock()
-}
-
-// Close stops the maintainer after it drains any pending work. Close is
-// idempotent and safe to call concurrently; it returns once the
-// maintainer has exited. The engine still serves reads and mutations
-// after Close — only maintenance reverts to running synchronously on the
-// publishing goroutine.
-func (e *Engine) Close() {
-	m := &e.maint
-	m.mu.Lock()
-	if !m.closed {
-		m.closed = true
-		m.workCond.Signal()
-	}
-	m.mu.Unlock()
-	<-m.exited
-}
-
-// maintainLag is the maintain_queue_depth gauge: how many published
-// epochs the maintainer has not yet processed. Zero when idle; under a
-// saturating writer it hovers near the coalescing depth.
-func (e *Engine) maintainLag() uint64 {
-	cur := e.g.Current().Epoch()
-	m := &e.maint
-	m.mu.Lock()
-	done := m.doneEpoch
-	m.mu.Unlock()
-	if cur > done {
-		return cur - done
-	}
-	return 0
-}
-
-// maintainResults classifies the result cache against the just-published
-// snapshot. A negative budget disables maintenance entirely — the
-// prune-everything baseline.
-func (e *Engine) maintainResults(snap *graph.Snapshot) {
-	if e.regrowBudget < 0 {
-		e.results.prune(snap.Epoch())
-		return
-	}
-	e.maintMu.Lock()
-	defer e.maintMu.Unlock()
-	e.results.maintain(snap, e.regrowBudget, &e.regrowHist)
-}
-
-// regrowCand is one entry pulled out of the locked classification pass
-// for regrowth outside the cache lock.
-type regrowCand struct {
-	key  resultKey
-	ent  *resultEntry
-	span graph.DeltaSpan
-}
-
-// maintain applies the retain/regrow/drop taxonomy to every completed
-// entry older than snap's epoch. Classification and retain re-keying run
-// under the cache lock; regrows (the only traversal work) run outside it
-// so concurrent lookups at the new epoch are never blocked behind a
-// traversal.
-func (c *resultCache) maintain(snap *graph.Snapshot, budget int, hist *telemetry.Histogram) {
-	cur := snap.Epoch()
-	var cands []regrowCand
-	c.mu.Lock()
-	if cur > c.latest {
-		c.latest = cur
-	}
-	for k, en := range c.entries {
-		if k.epoch >= cur {
-			continue
-		}
-		select {
-		case <-en.done:
-		default:
-			// In flight at an older epoch: it finishes for its own
-			// pinned-epoch waiters and is reclaimed by eviction later.
-			continue
-		}
-		if en.q == nil {
-			delete(c.entries, k)
-			c.dropped.Add(1)
-			continue
-		}
-		p := en.q.Plan()
-		span, ok := snap.DeltaSince(k.epoch)
-		if p.Empty() {
-			// The empty language selects nothing on any graph; the span
-			// (even an unreachable one) is irrelevant.
-			c.rekeyLocked(k, en, cur)
-			continue
-		}
-		if !ok {
-			delete(c.entries, k)
-			c.dropped.Add(1)
-			continue
-		}
-		disjoint := span.SymMask&p.AlphaMask == 0
-		epsGrow := span.NewNodes > 0 && k.from < 0 && p.AcceptsEpsilon()
-		if disjoint && !epsGrow {
-			c.rekeyLocked(k, en, cur)
-			continue
-		}
-		if en.masks != nil && (k.sem == query.SemanticsNodes || k.sem == query.SemanticsPairsFrom) {
-			delete(c.entries, k)
-			cands = append(cands, regrowCand{key: k, ent: en, span: span})
-			continue
-		}
-		delete(c.entries, k)
-		c.dropped.Add(1)
-	}
-	c.mu.Unlock()
-
-	remaining := budget
-	for i := range cands {
-		cand := &cands[i]
-		if remaining <= 0 {
-			c.dropped.Add(1)
-			continue
-		}
-		start := time.Now()
-		ne, cost, ok := regrowEntry(snap, cand, remaining)
-		remaining -= cost
-		if !ok {
-			c.dropped.Add(1)
-			continue
-		}
-		hist.Observe(time.Since(start))
-		nk := cand.key
-		nk.epoch = cur
-		c.mu.Lock()
-		if len(c.entries) >= c.cap {
-			c.evictLocked()
-		}
-		if _, exists := c.entries[nk]; !exists && len(c.entries) < c.cap {
-			// A fresh compute raced us to the new key (or the cache is
-			// full of in-flight entries): their answer is identical —
-			// keep whichever landed first.
-			c.entries[nk] = ne
-		}
-		c.mu.Unlock()
-		c.regrown.Add(1)
-	}
-}
-
-// rekeyLocked retains en at the new epoch: same entry pointer, new key.
-// If a fresh compute already produced the new-epoch entry (it raced the
-// maintenance pass), the computed one wins — the answers are identical.
-func (c *resultCache) rekeyLocked(k resultKey, en *resultEntry, cur uint64) {
-	nk := k
-	nk.epoch = cur
-	if _, exists := c.entries[nk]; !exists {
-		c.entries[nk] = en
-	}
-	delete(c.entries, k)
-	c.retained.Add(1)
-}
-
-// regrowEntry folds cand's delta span into its cached fixpoint and
-// builds the new-epoch entry. cost counts edge relaxations regardless of
-// success; ok is false when the budget was exceeded (the caller drops).
-func regrowEntry(snap *graph.Snapshot, cand *regrowCand, budget int) (*resultEntry, int, bool) {
-	p := cand.ent.q.Plan()
-	old := cand.ent.masks
+	start := time.Now()
+	p := prev.q.Plan()
+	old := prev.masks
 	nv := snap.NumNodes()
 	masks := make([]uint64, nv)
 	copy(masks, old)
 	var newly, extra []graph.NodeID
-	var cost int
-	var ok bool
-	switch cand.key.sem {
+	switch sem {
 	case query.SemanticsNodes:
 		// New nodes start at the trivial backward fixpoint: every (v,
 		// final) pair is good. Under ε every new node is immediately
@@ -355,19 +108,22 @@ func regrowEntry(snap *graph.Snapshot, cand *regrowCand, budget int) (*resultEnt
 				extra = append(extra, graph.NodeID(v))
 			}
 		}
-		newly, cost, ok = snap.RegrowMonadicMasked(p, masks, &cand.span, budget)
+		newly, _, ok = snap.RegrowMonadicMasked(p, masks, &span, budget)
 	case query.SemanticsPairsFrom:
 		// New nodes start unreached (zero mask) in the forward fixpoint.
-		newly, cost, ok = snap.RegrowBinaryFromMasked(p, masks, &cand.span, budget)
+		newly, _, ok = snap.RegrowBinaryFromMasked(p, masks, &span, budget)
 	default:
-		return nil, 0, false
+		return false
 	}
 	if !ok {
-		return nil, cost, false
+		return false
 	}
-	nodes := mergeNodes(cand.ent.ans.Nodes, newly, extra)
-	ans := query.Answer{Semantics: cand.ent.ans.Semantics, Count: len(nodes), Nodes: nodes}
-	return &resultEntry{done: closedDone, ans: ans, q: cand.ent.q, masks: masks}, cost, true
+	nodes := mergeNodes(prev.ans.Nodes, newly, extra)
+	e.ans = query.Answer{Semantics: prev.ans.Semantics, Count: len(nodes), Nodes: nodes}
+	e.q, e.masks = prev.q, masks
+	c.regrowHist.Observe(time.Since(start))
+	c.regrown.Add(1)
+	return true
 }
 
 // mergeNodes merges up to three sorted id lists into one sorted

@@ -1,18 +1,24 @@
 package engine
 
-// Tests for publish-time result-cache maintenance (maintain.go): a
+// Tests for read-time result-cache revalidation (maintain.go): a
 // randomized mutate/query interleaving property — every answer the
 // engine serves across retained and regrown entries must equal a
-// from-scratch evaluation on the same snapshot — plus a concurrent
+// from-scratch evaluation on the same snapshot, including after bursts
+// of publishes longer than the delta chain reaches — plus a concurrent
 // stress mixing readers with mutating publishers, meant to run under
-// -race (readers hit retained entries while the maintenance pass
-// re-keys and regrows them).
+// -race (readers retain and regrow entries while others read them), and
+// the revalidation edge cases: many disjoint publishes, the first read
+// after one, and a reader pinned below an entry's epochs.
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"pathquery/internal/alphabet"
@@ -64,7 +70,7 @@ func TestMaintainIncrementalMatchesFromScratch(t *testing.T) {
 	ctx := context.Background()
 
 	const runs, steps = 10, 120 // 1200 interleaving steps total
-	var retained, regrown uint64
+	var retained, regrown, bursts uint64
 	for run := 0; run < runs; run++ {
 		rng := rand.New(rand.NewSource(int64(1000 + run)))
 		g, n := seedMaintainGraph(rng)
@@ -75,28 +81,42 @@ func TestMaintainIncrementalMatchesFromScratch(t *testing.T) {
 			e.regrowBudget = 8
 		}
 
+		// mutate publishes 1–3 edges over labels, sometimes adding a node.
+		mutate := func(labels []string) {
+			var edges []EdgeSpec
+			for i := 1 + rng.Intn(3); i > 0; i-- {
+				to := rng.Intn(n + 1)
+				if to == n {
+					n++
+				}
+				edges = append(edges, EdgeSpec{
+					From:  fmt.Sprintf("n%d", rng.Intn(n)),
+					Label: labels[rng.Intn(len(labels))],
+					To:    fmt.Sprintf("n%d", to),
+				})
+			}
+			if _, err := e.Mutate(edges); err != nil {
+				t.Fatal(err)
+			}
+		}
 		for step := 0; step < steps; step++ {
-			if rng.Intn(3) == 0 { // mutate: 1–3 edges, sometimes disjoint, sometimes a new node
+			if rng.Intn(40) == 0 {
+				// A burst of 65–100 publishes between two reads outruns
+				// the 64-link delta chain: disjoint-only bursts must
+				// still retain, mixed ones regrow where the chain
+				// reaches and recompute past it.
 				labels := []string{"a", "b", "c", "d", "x", "x"}
-				var edges []EdgeSpec
-				for i := 1 + rng.Intn(3); i > 0; i-- {
-					to := rng.Intn(n + 1)
-					if to == n {
-						n++
-					}
-					edges = append(edges, EdgeSpec{
-						From:  fmt.Sprintf("n%d", rng.Intn(n)),
-						Label: labels[rng.Intn(len(labels))],
-						To:    fmt.Sprintf("n%d", to),
-					})
+				if rng.Intn(2) == 0 {
+					labels = []string{"x"}
 				}
-				if _, err := e.Mutate(edges); err != nil {
-					t.Fatal(err)
+				for i := 65 + rng.Intn(36); i > 0; i-- {
+					mutate(labels)
 				}
-				// Force the async maintainer to classify this publish so
-				// the retain/regrow paths (not just cache misses) are what
-				// the equality assertions below exercise.
-				e.FlushMaintenance()
+				bursts++
+				continue
+			}
+			if rng.Intn(3) == 0 { // mutate: sometimes disjoint, sometimes a new node
+				mutate([]string{"a", "b", "c", "d", "x", "x"})
 				continue
 			}
 			qi := rng.Intn(len(maintainQueries))
@@ -142,16 +162,18 @@ func TestMaintainIncrementalMatchesFromScratch(t *testing.T) {
 	}
 	// The interleavings must actually exercise the incremental paths,
 	// not fall through to drop-everything.
-	if retained == 0 || regrown == 0 {
-		t.Fatalf("maintenance outcomes never exercised: retained %d, regrown %d", retained, regrown)
+	if retained == 0 || regrown == 0 || bursts == 0 {
+		t.Fatalf("revalidation outcomes never exercised: retained %d, regrown %d, bursts %d", retained, regrown, bursts)
 	}
 }
 
 // TestMaintainConcurrentStress runs readers against mutating publishers:
-// retained entries move between keys and regrown entries are inserted
-// while lookups race them. Run with -race; answer correctness is the
-// property test's job — here we assert error-freedom under contention
-// and that the incremental outcomes actually fire.
+// readers advance retained entries' validity and replace stale entries
+// with regrown ones while other lookups race them, and resolve anchors
+// by name while the publishers add the nodes they name. Run with -race;
+// answer correctness is the property test's job — here we assert
+// error-freedom under contention and that the incremental outcomes
+// actually fire.
 func TestMaintainConcurrentStress(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	g, n := seedMaintainGraph(rng)
@@ -164,52 +186,194 @@ func TestMaintainConcurrentStress(t *testing.T) {
 	}
 
 	const readers, mutators, iters = 4, 2, 400
-	var wg sync.WaitGroup
+	var rwg, mwg sync.WaitGroup
 	errs := make(chan error, readers+mutators)
+	// Entries are revalidated only when read, so readers keep reading
+	// until the last publish, and each publisher waits for a few reads
+	// after each of its publishes: otherwise the scheduler may run more
+	// publishes between two reads than the delta chain reaches, and the
+	// readers race only scratch recomputes.
+	published := make(chan struct{})
+	var reads atomic.Int64
+	readerFailed := make(chan struct{})
+	var failOnce sync.Once
+	fail := func(err error) {
+		errs <- err
+		failOnce.Do(func() { close(readerFailed) })
+	}
 	for r := 0; r < readers; r++ {
-		wg.Add(1)
+		rwg.Add(1)
 		go func(seed int64) {
-			defer wg.Done()
+			defer rwg.Done()
 			rng := rand.New(rand.NewSource(seed))
-			for i := 0; i < iters; i++ {
-				if _, err := evalNodes(e, queries[rng.Intn(len(queries))]); err != nil {
-					errs <- err
+			for i := 0; ; i++ {
+				if i >= iters {
+					select {
+					case <-published:
+						return
+					default:
+					}
+				}
+				if i%4 == 0 {
+					// Half the anchors name nodes a publisher may be adding.
+					_, err := e.Evaluate(context.Background(), Request{
+						Query: "a·b*·c", Semantics: "pairsFrom", From: fmt.Sprintf("n%d", rng.Intn(2*n)),
+					})
+					var ae *APIError
+					if err != nil && !(errors.As(err, &ae) && ae.Code == "unknown_node") {
+						fail(err)
+						return
+					}
+				} else if _, err := evalNodes(e, queries[rng.Intn(len(queries))]); err != nil {
+					fail(err)
 					return
 				}
+				reads.Add(1)
 			}
 		}(int64(r))
 	}
 	labels := []string{"a", "b", "x", "x"} // half the publishes are alphabet-disjoint
 	for m := 0; m < mutators; m++ {
-		wg.Add(1)
+		mwg.Add(1)
 		go func(seed int64) {
-			defer wg.Done()
+			defer mwg.Done()
 			rng := rand.New(rand.NewSource(100 + seed))
 			for i := 0; i < iters/4; i++ {
 				_, err := e.Mutate([]EdgeSpec{{
 					From:  fmt.Sprintf("n%d", rng.Intn(n)),
 					Label: labels[rng.Intn(len(labels))],
-					To:    fmt.Sprintf("n%d", rng.Intn(n)),
+					To:    fmt.Sprintf("n%d", rng.Intn(2*n)),
 				}})
 				if err != nil {
 					errs <- err
 					return
 				}
-				// Pace the writer to maintenance completion: without this
-				// the (now-async) publishes coalesce into one terminal
-				// classification pass and readers never race a re-key.
-				e.FlushMaintenance()
+				for target := reads.Load() + readers; reads.Load() < target; {
+					select {
+					case <-readerFailed:
+						return
+					default:
+						runtime.Gosched()
+					}
+				}
 			}
 		}(int64(m))
 	}
-	wg.Wait()
+	mwg.Wait()
+	close(published)
+	rwg.Wait()
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
 	}
-	e.FlushMaintenance()
 	st := e.Stats()
 	if st.ResultRetained+st.ResultRegrown == 0 {
 		t.Fatalf("stress run never retained or regrew: %+v", st)
+	}
+}
+
+// TestRetainAcrossManyDisjointPublishes: a cached answer survives 100
+// publishes on a label outside its alphabet — more than the 64-link
+// delta chain reaches — and the next read is cached with no barrier.
+func TestRetainAcrossManyDisjointPublishes(t *testing.T) {
+	e := New(buildFixture(), Options{})
+	first, err := evalNodes(e, "tram·cinema")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 100; i++ {
+		if _, err := e.Mutate([]EdgeSpec{{From: fmt.Sprintf("d%d", i), Label: "walk", To: fmt.Sprintf("d%d", i+1)}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, err := evalNodes(e, "tram·cinema")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.Cached || got.Epoch != first.Epoch+100 {
+		t.Fatalf("read after 100 disjoint publishes: cached %v at epoch %d, want cached at %d", got.Cached, got.Epoch, first.Epoch+100)
+	}
+	if !slices.Equal(got.Nodes, first.Nodes) {
+		t.Fatalf("retained nodes %v, first read %v", got.Nodes, first.Nodes)
+	}
+	if st := e.Stats(); st.ResultMisses != 1 || st.ResultRetained != 1 {
+		t.Fatalf("misses %d retained %d, want 1 and 1", st.ResultMisses, st.ResultRetained)
+	}
+}
+
+// TestFirstReadAfterDisjointPublishIsCached: right after a publish on a
+// label outside the plan's alphabet, the first read of every semantics is
+// served from the cache at the new epoch; nothing waits for maintenance.
+func TestFirstReadAfterDisjointPublishIsCached(t *testing.T) {
+	e := New(buildFixture(), Options{})
+	reqs := []Request{
+		{Query: "tram·cinema"},
+		{Query: "tram·cinema", Semantics: "witness"},
+		{Query: "tram·cinema", Semantics: "count"},
+		{Query: "tram", Semantics: "pairsFrom", From: "N1"},
+	}
+	ctx := context.Background()
+	var before []Answer
+	for _, req := range reqs {
+		a, err := e.Evaluate(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before = append(before, a)
+	}
+	m, err := e.Mutate([]EdgeSpec{{From: "N1", Label: "walk", To: "W1"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, req := range reqs {
+		a, err := e.Evaluate(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !a.Cached || a.Epoch != m.Epoch {
+			t.Fatalf("%+v: cached %v at epoch %d, want cached at %d", req, a.Cached, a.Epoch, m.Epoch)
+		}
+		if a.Count != before[i].Count {
+			t.Fatalf("%+v: count %d, before the publish %d", req, a.Count, before[i].Count)
+		}
+	}
+	if st := e.Stats(); st.ResultMisses != uint64(len(reqs)) || st.ResultRetained != uint64(len(reqs)) {
+		t.Fatalf("misses %d retained %d, want %d each", st.ResultMisses, st.ResultRetained, len(reqs))
+	}
+}
+
+// TestReaderBelowValidFromKeepsNewerEntry: a reader pinned to an epoch
+// older than the cached entry's gets its own epoch's answer, computed
+// uncached, and the newer entry stays cached.
+func TestReaderBelowValidFromKeepsNewerEntry(t *testing.T) {
+	e := New(buildFixture(), Options{})
+	old := e.Graph().Current()
+	if _, err := e.Mutate([]EdgeSpec{{From: "N5", Label: "cinema", To: "C2"}}); err != nil {
+		t.Fatal(err)
+	}
+	newer, err := evalNodes(e, "bus·cinema")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := e.plans.get("bus·cinema")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pinned, err := e.evaluateOn(context.Background(), old, p, query.Req{Semantics: query.SemanticsNodes})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := pinned.Names(); pinned.Cached || pinned.Epoch != old.Epoch() || !slices.Equal(got, []string{"N2"}) {
+		t.Fatalf("pinned reader: %v cached %v at epoch %d, want [N2] uncached at %d", got, pinned.Cached, pinned.Epoch, old.Epoch())
+	}
+	again, err := evalNodes(e, "bus·cinema")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := again.Names(); !again.Cached || again.Epoch != newer.Epoch || !slices.Equal(got, []string{"N2", "N5"}) {
+		t.Fatalf("newer entry after the pinned read: %v cached %v at epoch %d, want [N2 N5] cached at %d", got, again.Cached, again.Epoch, newer.Epoch)
+	}
+	if st := e.Stats(); st.ResultMisses != 2 || st.ResultDropped != 0 {
+		t.Fatalf("misses %d dropped %d, want 2 and 0", st.ResultMisses, st.ResultDropped)
 	}
 }

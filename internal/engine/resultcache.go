@@ -7,17 +7,17 @@ import (
 
 	"pathquery/internal/graph"
 	"pathquery/internal/query"
+	"pathquery/internal/telemetry"
 )
 
-// resultKey identifies one cached evaluation: the epoch it ran on, the
-// semantics, the semantics arguments (from for pairsFrom/shortest, the
-// witness-path limit, the count length bound — zero when the semantics
-// ignores them, so equivalent requests share an entry), and the plan's
-// canonical language key. Because the epoch is part of the key, publishing
-// a new epoch invalidates every older entry implicitly; prune reclaims
-// their memory.
+// resultKey identifies one cached evaluation: the semantics, the
+// semantics arguments (from for pairsFrom/shortest, the witness-path
+// limit, the count length bound — zero when the semantics ignores them,
+// so equivalent requests share an entry), and the plan's canonical
+// language key. The key holds no epoch: an entry records the range of
+// epochs its answer is valid for, and a lookup at a newer epoch
+// revalidates it (maintain.go) instead of missing.
 type resultKey struct {
-	epoch  uint64
 	sem    query.Semantics
 	from   graph.NodeID
 	limit  int32
@@ -34,14 +34,31 @@ type resultEntry struct {
 	done   chan struct{}
 	ans    query.Answer
 	failed bool
-	// q and masks make the entry maintainable across epochs (maintain.go):
-	// q reaches the plan's alphabet mask and ε/emptiness flags, and masks
-	// is the product fixpoint EvaluateReqState captured alongside the
-	// answer — nil when the (semantics, layout) pair is not regrowable,
-	// in which case a delta overlapping the plan's alphabet drops the
-	// entry.
+	// ans is the answer at every epoch in [validFrom, validTo]. validFrom
+	// is the epoch it was computed or regrown on; lookups at newer epochs
+	// advance validTo when nothing the answer depends on changed.
+	validFrom uint64
+	validTo   atomic.Uint64
+	// nv is the node count at validFrom: an unanchored ε-accepting plan
+	// selects every node, so node growth alone changes its answer.
+	nv int
+	// q and masks make the entry revalidatable (maintain.go): q reaches
+	// the plan's alphabet mask and ε/emptiness flags, and masks is the
+	// product fixpoint EvaluateReqState captured alongside the answer —
+	// nil when the (semantics, layout) pair is not regrowable, in which
+	// case a write on the plan's alphabet forces a scratch recompute.
 	q     *query.Query
 	masks []uint64
+}
+
+// completed reports whether e finished successfully.
+func (e *resultEntry) completed() bool {
+	select {
+	case <-e.done:
+		return !e.failed
+	default:
+		return false
+	}
 }
 
 // resultCache is a bounded single-flight cache of evaluation answers.
@@ -49,117 +66,124 @@ type resultCache struct {
 	mu      sync.Mutex
 	cap     int
 	entries map[resultKey]*resultEntry
-	// latest is the newest epoch seen in any request or prune; eviction
-	// treats entries from older epochs as stale.
-	latest uint64
 
 	hits   atomic.Uint64
 	misses atomic.Uint64
 	shared atomic.Uint64
-	// uncached counts requests computed without cache residency because
-	// the cache was full of in-flight entries (the hard bound held).
+	// uncached counts scratch passes run without cache residency: the
+	// cache was full of in-flight entries, or the resident entry cannot
+	// answer for the request's pinned epoch.
 	uncached atomic.Uint64
-	// Publish-maintenance outcomes (maintain.go): entries re-stamped to
-	// the new epoch untouched, incrementally regrown from the epoch
-	// delta, and dropped.
+	// Revalidation outcomes (maintain.go): lookups that carried an entry
+	// forward to a newer epoch untouched, entries regrown from the epoch
+	// delta, and entries dropped for a scratch recompute.
 	retained atomic.Uint64
 	regrown  atomic.Uint64
 	dropped  atomic.Uint64
+	// regrowHist is the per-entry incremental regrow latency.
+	regrowHist telemetry.Histogram
 }
 
 func newResultCache(cap int) *resultCache {
 	return &resultCache{cap: cap, entries: make(map[resultKey]*resultEntry)}
 }
 
-// lookup is the closure-free fast path: it returns the completed answer
-// for key, or ok=false for a miss, an in-flight entry, or a failed flight
-// — all of which the caller routes through do (which shares, retries, or
-// computes as appropriate). Skipping the compute-closure construction and
-// the single-flight bookkeeping here keeps the steady-state cached hit at
-// a map probe plus one atomic counter.
-func (c *resultCache) lookup(key resultKey) (*query.Answer, bool) {
+// lookup is the closure-free fast path: it returns the answer of a
+// completed entry valid at snap — revalidating it when snap is newer — or
+// ok=false for a miss, an in-flight or failed entry, or an entry that
+// cannot answer for snap, all of which the caller routes through do (which
+// shares, retries, regrows or computes as appropriate). Skipping the
+// compute-closure construction and the single-flight bookkeeping here
+// keeps the steady-state cached hit at a map probe plus a few atomics.
+func (c *resultCache) lookup(key resultKey, snap *graph.Snapshot) (*query.Answer, bool) {
 	c.mu.Lock()
 	e, ok := c.entries[key]
 	c.mu.Unlock()
-	if !ok {
+	if !ok || !e.completed() || !c.current(e, key, snap) {
 		return nil, false
 	}
-	select {
-	case <-e.done:
-		if e.failed {
-			return nil, false
-		}
-		c.hits.Add(1)
-		return &e.ans, true
-	default:
-		return nil, false
-	}
+	c.hits.Add(1)
+	return &e.ans, true
 }
 
-// do returns the answer for key, computing it via compute exactly once
-// across all concurrent callers. cached reports whether the caller got a
-// stored or shared answer instead of running compute itself. ctx bounds
-// the caller's wait on someone else's in-flight computation — a waiter
-// whose context expires stops waiting and returns ctx.Err() (the flight
-// itself keeps running under its own caller's context). A compute error
-// (cancellation) is returned to its own caller only and never cached:
-// waiters sharing the failed flight retry with their own compute. The
-// returned answer points into the cache entry (never copied on the hit
-// path) — callers must treat it and its slices as immutable.
+// do returns key's answer at snap, computing it via compute at most once
+// across all concurrent callers pinned to snap's epoch. cached reports
+// whether the caller got a stored, revalidated, regrown or shared answer
+// instead of running compute itself. ctx bounds the caller's wait on
+// someone else's in-flight computation — a waiter whose context expires
+// stops waiting and returns ctx.Err() (the flight itself keeps running
+// under its own caller's context). A compute error (cancellation) is
+// returned to its own caller only and never cached: waiters sharing the
+// failed flight retry with their own compute. The returned answer points
+// into the cache entry (never copied on the hit path) — callers must treat
+// it and its slices as immutable.
 //
-// q is the query the key's plan string identifies; compute additionally
-// returns the product fixpoint masks (or nil). Both are stored on the
-// entry so publish-time maintenance can retain or regrow it.
-func (c *resultCache) do(ctx context.Context, key resultKey, q *query.Query, compute func() (query.Answer, []uint64, error)) (ans *query.Answer, cached bool, err error) {
+// A resident entry that cannot answer for snap is replaced by a flight at
+// snap's epoch, which regrows it from the epoch delta within budget edge
+// relaxations when it can (maintain.go) and runs compute otherwise. A
+// request pinned below the resident entry's epochs, or one finding a
+// flight pinned to another epoch, computes uncached and leaves the entry
+// alone. q is the query the key's plan string identifies; compute
+// additionally returns the product fixpoint masks (or nil). Both are
+// stored on the entry so later epochs can revalidate it.
+func (c *resultCache) do(ctx context.Context, key resultKey, snap *graph.Snapshot, q *query.Query, budget int, compute func() (query.Answer, []uint64, error)) (ans *query.Answer, cached bool, err error) {
+	epoch := snap.Epoch()
 	c.mu.Lock()
-	if key.epoch > c.latest {
-		c.latest = key.epoch
-	}
-	if e, ok := c.entries[key]; ok {
+	prev := c.entries[key]
+	if prev != nil {
 		c.mu.Unlock()
 		select {
-		case <-e.done:
-			if e.failed {
-				// The computing goroutine panicked or was canceled (and
-				// removed the entry); retry as a fresh flight rather than
-				// serving its zero answer.
-				return c.do(ctx, key, q, compute)
-			}
-			c.hits.Add(1)
+		case <-prev.done:
 		default:
+			if prev.validFrom != epoch {
+				return c.computeUncached(compute)
+			}
 			c.shared.Add(1)
 			select {
-			case <-e.done:
+			case <-prev.done:
 			case <-ctx.Done():
 				return nil, false, ctx.Err()
 			}
-			if e.failed {
-				return c.do(ctx, key, q, compute)
+			if !prev.failed {
+				return &prev.ans, true, nil
 			}
 		}
-		return &e.ans, true, nil
-	}
-	if len(c.entries) >= c.cap {
-		c.evictLocked()
-	}
-	if len(c.entries) >= c.cap {
-		// Eviction freed nothing: every resident entry is still in flight.
-		// Refusing to insert keeps the cache hard-bounded at cap — this
-		// request computes uncached (no single-flight sharing for its key)
-		// instead of growing the map without limit under compute storms.
-		c.mu.Unlock()
-		c.misses.Add(1)
-		c.uncached.Add(1)
-		a, _, err := compute()
-		if err != nil {
-			return nil, false, err
+		switch {
+		case prev.failed:
+			// The computing goroutine panicked or was canceled (and
+			// removed the entry); retry as a fresh flight rather than
+			// serving its zero answer.
+			return c.do(ctx, key, snap, q, budget, compute)
+		case epoch < prev.validFrom:
+			return c.computeUncached(compute)
+		case c.current(prev, key, snap):
+			c.hits.Add(1)
+			return &prev.ans, true, nil
 		}
-		return &a, false, nil
+		c.mu.Lock()
+		if c.entries[key] != prev {
+			// Another request replaced the stale entry first.
+			c.mu.Unlock()
+			return c.do(ctx, key, snap, q, budget, compute)
+		}
+	} else {
+		if len(c.entries) >= c.cap {
+			c.evictLocked()
+		}
+		if len(c.entries) >= c.cap {
+			// Eviction freed nothing: every resident entry is still in
+			// flight. Refusing to insert keeps the cache hard-bounded at
+			// cap — this request computes uncached (no single-flight
+			// sharing for its key) instead of growing the map without
+			// limit under compute storms.
+			c.mu.Unlock()
+			return c.computeUncached(compute)
+		}
 	}
-	e := &resultEntry{done: make(chan struct{}), q: q}
+	e := &resultEntry{done: make(chan struct{}), q: q, validFrom: epoch, nv: snap.NumNodes()}
+	e.validTo.Store(epoch)
 	c.entries[key] = e
 	c.mu.Unlock()
-	c.misses.Add(1)
 
 	defer func() {
 		if !e.failed {
@@ -169,62 +193,61 @@ func (c *resultCache) do(ctx context.Context, key resultKey, q *query.Query, com
 		// retried, release waiters (flagged failed), and let a panic
 		// propagate.
 		c.mu.Lock()
-		delete(c.entries, key)
+		if c.entries[key] == e {
+			delete(c.entries, key)
+		}
 		c.mu.Unlock()
 		close(e.done)
 	}()
 	e.failed = true
-	e.ans, e.masks, err = compute()
-	if err != nil {
-		return nil, false, err
+	if prev != nil && c.regrow(e, prev, key.sem, snap, budget) {
+		cached = true
+	} else {
+		if prev != nil {
+			c.dropped.Add(1)
+		}
+		c.misses.Add(1)
+		e.ans, e.masks, err = compute()
+		if err != nil {
+			return nil, false, err
+		}
 	}
 	e.failed = false
 	close(e.done)
-	return &e.ans, false, nil
+	return &e.ans, cached, nil
 }
 
-// evictLocked makes room: completed entries from epochs older than the
-// newest seen go first, then completed entries of the current epoch.
-// In-flight entries are never evicted.
+// computeUncached runs compute without cache residency.
+func (c *resultCache) computeUncached(compute func() (query.Answer, []uint64, error)) (*query.Answer, bool, error) {
+	c.misses.Add(1)
+	c.uncached.Add(1)
+	a, _, err := compute()
+	if err != nil {
+		return nil, false, err
+	}
+	return &a, false, nil
+}
+
+// evictLocked makes room for one insert: it frees completed entries,
+// oldest validTo first, until the cache is back under its cap. In-flight
+// entries are never evicted.
 func (c *resultCache) evictLocked() {
-	for k, e := range c.entries {
-		if k.epoch < c.latest {
-			select {
-			case <-e.done:
-				delete(c.entries, k)
-			default:
+	for len(c.entries) >= c.cap {
+		var victim resultKey
+		var oldest uint64
+		found := false
+		for k, e := range c.entries {
+			if !e.completed() {
+				continue
+			}
+			if to := e.validTo.Load(); !found || to < oldest {
+				victim, oldest, found = k, to, true
 			}
 		}
-	}
-	for k, e := range c.entries {
-		if len(c.entries) < c.cap {
-			break
+		if !found {
+			return
 		}
-		select {
-		case <-e.done:
-			delete(c.entries, k)
-		default:
-		}
-	}
-}
-
-// prune drops completed entries from epochs before cur — called after a
-// mutation publishes a new epoch. (Stale in-flight entries finish, serve
-// their pinned-epoch waiters, and are reclaimed by a later eviction.)
-func (c *resultCache) prune(cur uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if cur > c.latest {
-		c.latest = cur
-	}
-	for k, e := range c.entries {
-		if k.epoch < cur {
-			select {
-			case <-e.done:
-				delete(c.entries, k)
-			default:
-			}
-		}
+		delete(c.entries, victim)
 	}
 }
 

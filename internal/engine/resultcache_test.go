@@ -10,6 +10,19 @@ import (
 	"pathquery/internal/query"
 )
 
+// epochSnaps returns snapshots of one small graph at n consecutive
+// epochs, for driving the result cache directly.
+func epochSnaps(n int) []*graph.Snapshot {
+	g := graph.New(nil)
+	g.AddEdgeByName("u", "a", "v")
+	snaps := []*graph.Snapshot{g.Snapshot()}
+	for len(snaps) < n {
+		g.AddEdgeByName("u", "a", "v")
+		snaps = append(snaps, g.Snapshot())
+	}
+	return snaps
+}
+
 // TestResultCacheBoundedUnderInFlightStorm is the regression test for the
 // unbounded-growth bug: when every resident entry was in flight,
 // evictLocked freed nothing and do inserted anyway, so a storm of distinct
@@ -18,6 +31,7 @@ import (
 func TestResultCacheBoundedUnderInFlightStorm(t *testing.T) {
 	const cap, storm = 4, 24
 	c := newResultCache(cap)
+	snap := epochSnaps(1)[0]
 	release := make(chan struct{})
 	started := make(chan struct{}, storm)
 	results := make([][]graph.NodeID, storm)
@@ -26,8 +40,8 @@ func TestResultCacheBoundedUnderInFlightStorm(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			key := resultKey{epoch: 1, from: graph.NodeID(i), plan: "p"}
-			ans, _, _ := c.do(context.Background(), key, nil, func() (query.Answer, []uint64, error) {
+			key := resultKey{from: graph.NodeID(i), plan: "p"}
+			ans, _, _ := c.do(context.Background(), key, snap, nil, 0, func() (query.Answer, []uint64, error) {
 				started <- struct{}{}
 				<-release
 				return query.Answer{Nodes: []graph.NodeID{graph.NodeID(i)}}, nil, nil
@@ -68,11 +82,12 @@ func TestResultCacheBoundedUnderInFlightStorm(t *testing.T) {
 // the flight's runtime.
 func TestResultCacheWaiterHonorsContext(t *testing.T) {
 	c := newResultCache(8)
-	key := resultKey{epoch: 1, plan: "slow"}
+	snap := epochSnaps(1)[0]
+	key := resultKey{plan: "slow"}
 	started := make(chan struct{})
 	release := make(chan struct{})
 	go func() {
-		c.do(context.Background(), key, nil, func() (query.Answer, []uint64, error) {
+		c.do(context.Background(), key, snap, nil, 0, func() (query.Answer, []uint64, error) {
 			close(started)
 			<-release
 			return query.Answer{Count: 1}, nil, nil
@@ -83,7 +98,7 @@ func TestResultCacheWaiterHonorsContext(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, _, err := c.do(ctx, key, nil, func() (query.Answer, []uint64, error) {
+	_, _, err := c.do(ctx, key, snap, nil, 0, func() (query.Answer, []uint64, error) {
 		t.Error("waiter must share the in-flight computation, not start one")
 		return query.Answer{}, nil, nil
 	})
@@ -96,7 +111,7 @@ func TestResultCacheWaiterHonorsContext(t *testing.T) {
 
 	close(release)
 	// The original flight completes and serves later requests normally.
-	ans, cached, err := c.do(context.Background(), key, nil, func() (query.Answer, []uint64, error) {
+	ans, cached, err := c.do(context.Background(), key, snap, nil, 0, func() (query.Answer, []uint64, error) {
 		return query.Answer{}, nil, nil
 	})
 	if err != nil || !cached || ans.Count != 1 {

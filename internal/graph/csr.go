@@ -123,6 +123,10 @@ type Snapshot struct {
 	out   adj
 	in    adj
 	delta *Delta // what this publication added; nil at chain starts (delta.go)
+	// symEpoch[b] is the last epoch that added an edge whose label maps
+	// to plan.SymBit bit b; a publication without a delta sets every
+	// entry (delta.go, SymEpoch).
+	symEpoch [64]uint64
 	// inSymCount[sym] is the number of edges labeled sym (counted on the
 	// in-side CSR): the direction-optimizing evaluators estimate the cost
 	// of seeding a backward pass from it without touching the edges.

@@ -1,6 +1,8 @@
 package graph
 
 import (
+	"math/bits"
+
 	"pathquery/internal/alphabet"
 	"pathquery/internal/plan"
 )
@@ -9,26 +11,27 @@ import (
 // between two published snapshots. The build side accumulates the edges
 // added since the last publication; publish() freezes them into an
 // immutable Delta attached to the new Snapshot and chains it to the
-// previous snapshot's delta. The serving engine folds the chain between a
-// cached result's epoch and the current one (DeltaSince) to decide whether
-// the cached answer can be retained untouched, regrown incrementally from
-// the new edges' endpoints, or must be dropped.
+// previous snapshot's delta. Every snapshot also carries a per-symbol
+// write epoch (SymEpoch), so whether a cached answer's alphabet was
+// written since its epoch is a max over the plan's symbol bits, with no
+// chain walk. The serving engine folds the chain between a cached answer's
+// epoch and the current one (DeltaSince) only to regrow the answer
+// incrementally from the new edges' endpoints.
 //
 // The chain is deliberately bounded: every maxDeltaChain publications the
 // link to the previous delta is cut (a "fence"), so the memory reachable
 // from the current snapshot is at most the last maxDeltaChain deltas.
-// Spans that would cross a fence — cached entries more than maxDeltaChain
-// epochs stale — report !ok and the caller falls back to dropping, which
-// is exactly the pre-delta behavior.
+// Spans that would cross a fence report !ok and the caller recomputes
+// from scratch; the fence limits only regrowth, not SymEpoch.
 
 const (
 	// maxDeltaChain bounds how many epochs back DeltaSince can fold.
 	maxDeltaChain = 64
 	// maxDeltaEdges bounds the build-side accumulator. A single publish
 	// that adds more edges than this (bulk loading through a live graph)
-	// overflows the delta: the publication carries no delta and cached
-	// results are dropped — correct, and cheaper than regrowing from a
-	// seed set that large anyway.
+	// overflows the delta: the publication carries no delta, counts as
+	// writing every label, and cached results are recomputed — correct,
+	// and cheaper than regrowing from a seed set that large anyway.
 	maxDeltaEdges = 1 << 20
 )
 
@@ -82,6 +85,19 @@ type DeltaSpan struct {
 // (first epoch, accumulator overflow, or a chain fence).
 func (s *Snapshot) Delta() *Delta { return s.delta }
 
+// SymEpoch returns the last epoch, up to this snapshot's, that added an
+// edge whose label's plan.SymBit lies in mask; a publication that carried
+// no delta (the first one, or an accumulator overflow) counts as adding
+// every label. A cached answer over a plan with alphabet mask m, valid at
+// epoch e, is unaffected by every edge added since when SymEpoch(m) <= e.
+func (s *Snapshot) SymEpoch(mask uint64) uint64 {
+	var last uint64
+	for ; mask != 0; mask &= mask - 1 {
+		last = max(last, s.symEpoch[bits.TrailingZeros64(mask)])
+	}
+	return last
+}
+
 // DeltaSince folds the delta chain from this snapshot back to (but not
 // including) the given epoch. ok is false when the chain does not reach
 // that far — the caller must treat the cached state as unmaintainable.
@@ -119,18 +135,25 @@ func (g *Graph) recordDeltaEdge(from NodeID, sym alphabet.Symbol, to NodeID) {
 		return
 	}
 	if len(g.deltaEdges) >= maxDeltaEdges {
-		g.deltaOverflow = true
-		g.deltaEdges = nil
-		g.deltaSyms = 0
+		g.overflowDelta()
 		return
 	}
 	g.deltaEdges = append(g.deltaEdges, DeltaEdge{from, sym, to})
 	g.deltaSyms |= plan.SymBit(int(sym))
 }
 
+// overflowDelta abandons the build-side delta: the next publication is a
+// full rebuild and carries none.
+func (g *Graph) overflowDelta() {
+	g.deltaOverflow = true
+	g.deltaEdges = nil
+	g.deltaSyms = 0
+}
+
 // sealDelta freezes the accumulated build-side delta into the snapshot
-// being published. Called under publishMu with prev = the epoch being
-// superseded (nil for the first publication).
+// being published and stamps its per-symbol write epochs. Called under
+// publishMu with prev = the epoch being superseded (nil for the first
+// publication).
 func (g *Graph) sealDelta(s *Snapshot, prev *Snapshot) {
 	if prev != nil && !g.deltaOverflow {
 		d := &Delta{
@@ -145,6 +168,14 @@ func (g *Graph) sealDelta(s *Snapshot, prev *Snapshot) {
 			d.depth = prev.delta.depth + 1
 		}
 		s.delta = d
+		s.symEpoch = prev.symEpoch
+		for m := g.deltaSyms; m != 0; m &= m - 1 {
+			s.symEpoch[bits.TrailingZeros64(m)] = s.epoch
+		}
+	} else {
+		for b := range s.symEpoch {
+			s.symEpoch[b] = s.epoch
+		}
 	}
 	g.deltaEdges = nil
 	g.deltaSyms = 0

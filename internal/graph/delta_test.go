@@ -10,6 +10,7 @@ package graph_test
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -113,6 +114,85 @@ func TestDeltaChainFence(t *testing.T) {
 	}
 	if span, ok := cur.DeltaSince(mid.Epoch()); !ok || span.NumEdges != 9 {
 		t.Fatalf("recent span = %+v ok=%v, want 9 edges", span, ok)
+	}
+}
+
+// TestSymEpochMatchesDeltaFold is the property read-time revalidation
+// rests on: for every published snapshot s and earlier epoch e, the
+// symbol bits s.SymEpoch reports written after e are exactly the union of
+// what the publishes in (e, s] added — which is DeltaSince(e).SymMask
+// wherever the chain reaches — over random publishes on more labels than
+// SymBit has bits, node-only publishes, chain fences, and publishes whose
+// delta overflowed (they count as writing every label).
+func TestSymEpochMatchesDeltaFold(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	g := graph.New(nil)
+	labels := make([]string, 70)
+	for i := range labels {
+		labels[i] = fmt.Sprintf("l%d", i)
+	}
+	node := func() string { return fmt.Sprintf("n%d", rng.Intn(30)) }
+	g.AddEdgeByName(node(), labels[0], node())
+	snaps := []*graph.Snapshot{g.Snapshot()}
+	written := []uint64{^uint64(0)} // the first publication carries no delta
+	overflows := 0
+	for len(snaps) < 200 {
+		var mask uint64
+		switch r := rng.Intn(20); {
+		case r == 0:
+			g.AddNode(fmt.Sprintf("solo%d", len(snaps)))
+		case r == 1:
+			g.OverflowDelta()
+			g.AddEdgeByName(node(), labels[rng.Intn(len(labels))], node())
+			mask = ^uint64(0)
+			overflows++
+		default:
+			for i := 1 + rng.Intn(3); i > 0; i-- {
+				l := labels[rng.Intn(len(labels))]
+				g.AddEdgeByName(node(), l, node())
+				mask |= plan.SymBit(int(mustSym(t, g.Alphabet(), l)))
+			}
+		}
+		s := g.Snapshot()
+		if s.Epoch() != snaps[len(snaps)-1].Epoch()+1 {
+			t.Fatalf("publish %d skipped an epoch", len(snaps))
+		}
+		snaps = append(snaps, s)
+		written = append(written, mask)
+	}
+	if overflows == 0 {
+		t.Fatal("no overflowed publish drawn")
+	}
+	reached, fenced := 0, 0
+	for j, s := range snaps {
+		var want uint64 // bits written in (snaps[i], s], built up as i falls
+		for i := j - 1; i >= 0; i-- {
+			want |= written[i+1]
+			e := snaps[i].Epoch()
+			var got uint64
+			for b := 0; b < 64; b++ {
+				if s.SymEpoch(1<<b) > e {
+					got |= 1 << b
+				}
+			}
+			if got != want {
+				t.Fatalf("epoch %d since %d: SymEpoch bits %b, written %b", s.Epoch(), e, got, want)
+			}
+			if m := rng.Uint64(); (s.SymEpoch(m) > e) != (m&want != 0) {
+				t.Fatalf("epoch %d since %d: SymEpoch(%b) = %d disagrees with written %b", s.Epoch(), e, m, s.SymEpoch(m), want)
+			}
+			if span, ok := s.DeltaSince(e); ok {
+				reached++
+				if span.SymMask != got {
+					t.Fatalf("epoch %d since %d: DeltaSince mask %b, SymEpoch bits %b", s.Epoch(), e, span.SymMask, got)
+				}
+			} else {
+				fenced++
+			}
+		}
+	}
+	if reached == 0 || fenced == 0 {
+		t.Fatalf("spans reached %d, fenced %d: both cases must occur", reached, fenced)
 	}
 }
 

@@ -14,3 +14,7 @@ func (s *Snapshot) SelectBinaryFromForward(p *plan.Plan, u NodeID) []NodeID {
 	nodes, _ := s.selectBinaryFrom(context.Background(), p, u, false)
 	return nodes
 }
+
+// OverflowDelta makes the pending publication one whose delta overflowed
+// maxDeltaEdges, without adding a million edges.
+func (g *Graph) OverflowDelta() { g.overflowDelta() }

@@ -49,10 +49,13 @@ type Edge struct {
 type Graph struct {
 	alpha     *alphabet.Alphabet
 	nodeNames []string
-	nodeIDs   map[string]NodeID
-	out       [][]Edge // build-side adjacency; reads use published snapshots
-	in        [][]Edge
-	numEdges  int
+	// nodeIDs is written only by AddNode, under namesMu, so NodeByName
+	// may resolve names while a writer adds nodes.
+	namesMu  sync.RWMutex
+	nodeIDs  map[string]NodeID
+	out      [][]Edge // build-side adjacency; reads use published snapshots
+	in       [][]Edge
+	numEdges int
 
 	// Build-side epoch-delta accumulator (delta.go): the edges added
 	// since the last publication and their hashed symbol mask, frozen
@@ -110,12 +113,15 @@ func (g *Graph) SetEpochBase(base uint64) {
 // name returns the existing id. The node joins the published read view at
 // the next Snapshot().
 func (g *Graph) AddNode(name string) NodeID {
+	// Only the single writer inserts, so its own lookup needs no lock.
 	if id, ok := g.nodeIDs[name]; ok {
 		return id
 	}
 	id := NodeID(len(g.nodeNames))
 	g.nodeNames = append(g.nodeNames, name)
+	g.namesMu.Lock()
 	g.nodeIDs[name] = id
+	g.namesMu.Unlock()
 	g.out = append(g.out, nil)
 	g.in = append(g.in, nil)
 	g.dirty.Store(true)
@@ -149,9 +155,13 @@ func (g *Graph) NodeName(id NodeID) string {
 	return g.nodeNames[id]
 }
 
-// NodeByName returns the id of the named node.
+// NodeByName returns the id of the named node. It is safe to call while
+// the writer adds nodes; the id may belong to a node no published epoch
+// serves yet, so callers holding a Snapshot check it against NumNodes.
 func (g *Graph) NodeByName(name string) (NodeID, bool) {
+	g.namesMu.RLock()
 	id, ok := g.nodeIDs[name]
+	g.namesMu.RUnlock()
 	return id, ok
 }
 

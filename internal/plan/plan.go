@@ -118,9 +118,9 @@ type Plan struct {
 
 	// AlphaMask is the 64-bit hashed alphabet of the plan: SymBit(sym)
 	// OR-ed over every useful transition — one on a path from Start to a
-	// final state (Reach[p] && Live[δ(p,sym)]). The engine's incremental
-	// result maintenance tests "does this epoch delta touch this plan?"
-	// with one AND against the delta's symbol mask. The hash is
+	// final state (Reach[p] && Live[δ(p,sym)]). The engine's result
+	// cache asks "was this plan's alphabet written since epoch e?" as a
+	// max over these bits of graph.Snapshot.SymEpoch. The hash is
 	// conservative under collision (symbols 64 apart share a bit): a
 	// false intersection only forces an unnecessary regrow or drop,
 	// never a wrong retain.

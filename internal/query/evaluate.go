@@ -196,8 +196,8 @@ func (q *Query) EvaluateReq(ctx context.Context, s *graph.Snapshot, req Req) (An
 // RegrowBinaryFromMasked). Masks are returned only for the maintainable
 // combinations: nodes and anchored pairsFrom semantics under a non-empty
 // masked-layout plan. For every other combination masks is nil and the
-// answer is exactly EvaluateReq's — callers treat nil masks as "drop the
-// cached entry when a delta overlaps the plan's alphabet".
+// answer is exactly EvaluateReq's — callers treat nil masks as
+// "recompute the cached entry when its plan's alphabet is written".
 func (q *Query) EvaluateReqState(ctx context.Context, s *graph.Snapshot, req Req) (Answer, []uint64, error) {
 	p := q.Plan()
 	if p.Layout == plan.LayoutMasked && !p.Empty() {

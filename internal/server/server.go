@@ -191,9 +191,9 @@ func (s *Server) RecoverAll() {
 // Ready reports whether startup recovery has finished.
 func (s *Server) Ready() bool { return s.ready.Load() }
 
-// Close stops every tenant's engine maintainer (draining its queue) and
-// closes every tenant's store. In-flight mutations already inside the
-// engine finish against ErrClosed (a 503 to their clients).
+// Close closes every tenant's engine and store. In-flight mutations
+// already inside the engine finish against ErrClosed (a 503 to their
+// clients).
 func (s *Server) Close() error {
 	s.mu.Lock()
 	s.closed = true
@@ -378,8 +378,8 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 		// Admission rejection counters, by reason.
 		Overloaded  uint64 `json:"overloaded"`
 		RateLimited uint64 `json:"rate_limited"`
-		// Result-cache maintenance outcomes across publishes: entries
-		// retained untouched, incrementally regrown, and dropped.
+		// Result-cache revalidation outcomes of reads at newer epochs:
+		// entries retained untouched, incrementally regrown, and dropped.
 		ResultRetained uint64 `json:"result_retained"`
 		ResultRegrown  uint64 `json:"result_regrown"`
 		ResultDropped  uint64 `json:"result_dropped"`

@@ -116,7 +116,7 @@ type (
 	// EngineOptions tunes an Engine.
 	EngineOptions = engine.Options
 	// EngineStats is a point-in-time counter snapshot of an Engine,
-	// including the publish-time result-cache maintenance breakdown
+	// including the read-time result-cache revalidation breakdown
 	// (entries retained, incrementally regrown, and dropped).
 	EngineStats = engine.Stats
 	// EdgeSpec names one edge for Engine.Mutate.
