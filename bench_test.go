@@ -837,10 +837,9 @@ func BenchmarkLearnerPaperExample(b *testing.B) {
 // BenchmarkLearn measures one full Algorithm 1 run on a realistically
 // sized sample over the pinned snapshot — the learner throughput the
 // serving engine's Learn endpoint pays per request. The serial variant
-// pins Workers=1 (the pre-fan-out path); parallel lets the per-positive
-// SCP searches and the merger's negative-shard consistency checks spread
-// over GOMAXPROCS, so the pair tracks the speedup of the worker-shard
-// fan-out PR over PR.
+// pins Workers=1; parallel lets the per-positive SCP searches spread over
+// GOMAXPROCS. The merger's consistency checks run serially in both, so
+// the pair tracks what the SCP fan-out alone buys.
 func BenchmarkLearn(b *testing.B) {
 	g, qs := alibaba()
 	snap := g.Snapshot()

@@ -254,7 +254,13 @@ func (d *DFA) Equal(o *DFA) bool {
 // PrefixFree returns the canonical DFA of the unique prefix-free query
 // equivalent to d (Section 2 of the paper): remove all outgoing transitions
 // of every final state, then minimize.
-func (d *DFA) PrefixFree() *DFA {
+func (d *DFA) PrefixFree() *DFA { return Minimize(d.CutAtFinals()) }
+
+// CutAtFinals returns a copy of d without the outgoing transitions of its
+// final states: it accepts the words of L(d) that have no proper prefix in
+// L(d), the prefix-free language PrefixFree canonicalizes. Callers that
+// minimize anyway (query.FromDFA) skip PrefixFree's own minimization.
+func (d *DFA) CutAtFinals() *DFA {
 	c := d.Clone()
 	for s := range c.Delta {
 		if c.Final[s] {
@@ -263,7 +269,7 @@ func (d *DFA) PrefixFree() *DFA {
 			}
 		}
 	}
-	return Minimize(c)
+	return c
 }
 
 // IsPrefixFree reports whether L(d) is prefix-free: no word of the language

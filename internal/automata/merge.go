@@ -5,44 +5,113 @@ package automata
 // It starts as a PTA and merges states under a union-find, folding
 // recursively to restore determinism after each merge, exactly as in
 // classic RPNI (Oncina & García).
+//
+// Merges are speculative: every write to the union-find, the marks and the
+// transition table since the last commit is recorded on an undo trail, so a
+// merge that fails its fold or its consistency check is rolled back in
+// place.
 type Merger struct {
 	NumSyms int
 	parent  []int32
 	marks   []Mark
-	delta   [][]int32
+	// delta is the flat transition table: delta[s·NumSyms+sym]. Only the
+	// rows of representatives are current.
+	delta []int32
+	// trail holds the old value of every slot written since the last
+	// commit, oldest first.
+	trail []undo
+
+	// Quotient buffers, reused by every candidate the consistency
+	// predicate sees: number[s] is the quotient state of representative s
+	// (None outside quotient), order lists the representatives by quotient
+	// state, and rows/final back quot's transition table and finals.
+	number []int32
+	order  []int32
+	rows   [][]int32
+	final  []bool
+	quot   DFA
 }
+
+// undo is one trail entry: slot i of parent, marks or delta held old.
+type undo struct {
+	kind undoKind
+	i    int32
+	old  int32
+}
+
+type undoKind uint8
+
+const (
+	undoParent undoKind = iota
+	undoMark
+	undoDelta
+)
 
 // NewMerger initializes a merger from a PTA.
 func NewMerger(p *PTA) *Merger {
-	m := &Merger{NumSyms: p.NumSyms}
-	n := p.NumStates()
-	m.parent = make([]int32, n)
-	m.marks = make([]Mark, n)
-	m.delta = make([][]int32, n)
+	n, k := p.NumStates(), p.NumSyms
+	m := &Merger{
+		NumSyms: k,
+		parent:  make([]int32, n),
+		marks:   append([]Mark(nil), p.Marks...),
+		delta:   make([]int32, n*k),
+		number:  make([]int32, n),
+		order:   make([]int32, 0, n),
+		rows:    make([][]int32, n),
+		final:   make([]bool, n),
+	}
+	slab := make([]int32, n*k)
 	for s := 0; s < n; s++ {
 		m.parent[s] = int32(s)
-		m.marks[s] = p.Marks[s]
-		m.delta[s] = append([]int32(nil), p.Delta[s]...)
+		m.number[s] = None
+		copy(m.delta[s*k:(s+1)*k], p.Delta[s])
+		m.rows[s] = slab[s*k : (s+1)*k : (s+1)*k]
 	}
 	return m
 }
 
-// Clone deep-copies the merger, so speculative merges can be discarded.
-func (m *Merger) Clone() *Merger {
-	c := &Merger{NumSyms: m.NumSyms}
-	c.parent = append([]int32(nil), m.parent...)
-	c.marks = append([]Mark(nil), m.marks...)
-	c.delta = make([][]int32, len(m.delta))
-	for i, row := range m.delta {
-		c.delta[i] = append([]int32(nil), row...)
-	}
-	return c
+func (m *Merger) setParent(s, v int32) {
+	m.trail = append(m.trail, undo{undoParent, s, m.parent[s]})
+	m.parent[s] = v
 }
 
-// Find returns the representative of s.
+func (m *Merger) setMark(s int32, v Mark) {
+	m.trail = append(m.trail, undo{undoMark, s, int32(m.marks[s])})
+	m.marks[s] = v
+}
+
+func (m *Merger) setDelta(i int, v int32) {
+	m.trail = append(m.trail, undo{undoDelta, int32(i), m.delta[i]})
+	m.delta[i] = v
+}
+
+// rollback undoes every write since the last commit, newest first.
+func (m *Merger) rollback() {
+	for j := len(m.trail) - 1; j >= 0; j-- {
+		u := m.trail[j]
+		switch u.kind {
+		case undoParent:
+			m.parent[u.i] = u.old
+		case undoMark:
+			m.marks[u.i] = Mark(u.old)
+		case undoDelta:
+			m.delta[u.i] = u.old
+		}
+	}
+	m.trail = m.trail[:0]
+}
+
+// commit makes every recorded write permanent.
+func (m *Merger) commit() { m.trail = m.trail[:0] }
+
+// Find returns the representative of s. Its path-halving writes go on the
+// trail like any other: a shortcut that outlived a rolled-back union could
+// jump past it and corrupt the partition.
 func (m *Merger) Find(s int32) int32 {
 	for m.parent[s] != s {
-		m.parent[s] = m.parent[m.parent[s]] // path halving
+		if gp := m.parent[m.parent[s]]; gp != m.parent[s] {
+			m.setParent(s, gp) // path halving
+		}
 		s = m.parent[s]
 	}
 	return s
@@ -50,9 +119,21 @@ func (m *Merger) Find(s int32) int32 {
 
 // Merge merges state b into state a and folds recursively to restore
 // determinism. It reports false when folding would merge an Accepting state
-// with a Rejecting one (the classic RPNI conflict); in that case the merger
-// is left in an undefined state and must be discarded (use Clone first).
+// with a Rejecting one (the classic RPNI conflict); the merger is then
+// rolled back to its state before the call.
 func (m *Merger) Merge(a, b int32) bool {
+	m.commit()
+	ok := m.fold(a, b)
+	if !ok {
+		m.rollback()
+	}
+	m.commit()
+	return ok
+}
+
+// fold is Merge without the rollback: on a conflict the writes made so far
+// stay on the trail for the caller to undo.
+func (m *Merger) fold(a, b int32) bool {
 	a, b = m.Find(a), m.Find(b)
 	if a == b {
 		return true
@@ -60,68 +141,78 @@ func (m *Merger) Merge(a, b int32) bool {
 	// Union marks: Accepting + Rejecting conflict.
 	switch {
 	case m.marks[a] == Neutral:
-		m.marks[a] = m.marks[b]
+		if m.marks[b] != Neutral {
+			m.setMark(a, m.marks[b])
+		}
 	case m.marks[b] == Neutral || m.marks[a] == m.marks[b]:
 		// keep m.marks[a]
 	default:
 		return false
 	}
-	m.parent[b] = a
+	m.setParent(b, a)
 	// Fold successors: b's transitions move onto a's current representative;
 	// collisions merge recursively. a itself may be absorbed by a recursive
 	// merge (e.g. when b's successor is a), so the representative is
 	// re-resolved on every iteration. b's row is never written again after
 	// absorption, so reading it across iterations is safe.
-	for sym := 0; sym < m.NumSyms; sym++ {
-		tb := m.delta[b][sym]
+	k := m.NumSyms
+	for sym := 0; sym < k; sym++ {
+		tb := m.delta[int(b)*k+sym]
 		if tb == None {
 			continue
 		}
-		ra := m.Find(a)
-		ta := m.delta[ra][sym]
+		i := int(m.Find(a))*k + sym
+		ta := m.delta[i]
 		if ta == None {
-			m.delta[ra][sym] = tb
+			m.setDelta(i, tb)
 			continue
 		}
-		if !m.Merge(ta, tb) {
+		if !m.fold(ta, tb) {
 			return false
 		}
 	}
 	return true
 }
 
-// DFA materializes the current quotient as a partial DFA with canonical
-// reachable-state numbering. Rejecting marks are dropped (they only guard
-// folding); Accepting representatives become final states.
-func (m *Merger) DFA() *DFA {
+// quotient writes the current quotient into the merger's buffers as a
+// partial DFA with canonical reachable-state numbering: BFS from the root
+// taking symbols in increasing order. Rejecting marks are dropped (they
+// only guard folding); Accepting representatives become final states. The
+// result aliases the buffers and is valid until the merger next changes.
+func (m *Merger) quotient() *DFA {
+	k := m.NumSyms
 	root := m.Find(0)
-	number := make(map[int32]int32)
-	var order []int32
-	number[root] = 0
-	order = append(order, root)
-	d := NewDFA(0, m.NumSyms)
-	d.AddState()
-	d.Start = 0
-	for i := 0; i < len(order); i++ {
-		s := order[i]
-		d.Final[i] = m.marks[s] == Accepting
-		for sym := 0; sym < m.NumSyms; sym++ {
-			t := m.delta[s][sym]
-			if t == None {
-				continue
+	m.order = append(m.order[:0], root)
+	m.number[root] = 0
+	for i := 0; i < len(m.order); i++ {
+		s := m.order[i]
+		m.final[i] = m.marks[s] == Accepting
+		row := m.rows[i]
+		for sym := 0; sym < k; sym++ {
+			t := m.delta[int(s)*k+sym]
+			if t != None {
+				t = m.Find(t)
+				if m.number[t] == None {
+					m.number[t] = int32(len(m.order))
+					m.order = append(m.order, t)
+				}
+				t = m.number[t]
 			}
-			t = m.Find(t)
-			id, ok := number[t]
-			if !ok {
-				id = d.AddState()
-				number[t] = id
-				order = append(order, t)
-			}
-			d.Delta[i][sym] = id
+			row[sym] = t
 		}
 	}
-	return d
+	for _, s := range m.order {
+		m.number[s] = None
+	}
+	n := len(m.order)
+	m.quot = DFA{NumSyms: k, Final: m.final[:n], Delta: m.rows[:n]}
+	return &m.quot
 }
+
+// DFA materializes the current quotient as a freshly allocated partial DFA
+// with canonical reachable-state numbering. Rejecting marks are dropped
+// (they only guard folding); Accepting representatives become final states.
+func (m *Merger) DFA() *DFA { return m.quotient().Clone() }
 
 // Representatives returns the live representative states in increasing
 // original-id order, which is the canonical access-word order for PTAs.
@@ -140,46 +231,45 @@ func (m *Merger) Representatives() []int32 {
 // the smallest compatible "red" state, where compatibility means the fold
 // succeeds and consistent(candidate DFA) returns true. If no red state is
 // compatible the blue state is promoted to red. The consistent callback
-// receives the quotient as a DFA; pass nil to rely on fold conflicts alone
-// (classic RPNI with word negatives).
+// receives the quotient as a DFA held in the merger's reused buffers: it is
+// valid only during the call and must not be modified or retained. Pass nil
+// to rely on fold conflicts alone (classic RPNI with word negatives).
+//
+// Each candidate merge is made in place and rolled back from the undo
+// trail when its fold conflicts or the callback rejects it, so a candidate
+// costs only the writes it makes.
 //
 // This implements both RPNI's generalization (with negatives in the PTA) and
 // lines 4-5 of the paper's Algorithm 1 (with consistency checked against the
 // graph's negative path languages).
 func (m *Merger) Generalize(consistent func(*DFA) bool) {
 	red := []int32{m.Find(0)}
-	inRed := map[int32]bool{m.Find(0): true}
+	inRed := make([]bool, len(m.parent))
+	inRed[red[0]] = true
 
 	for {
 		blue := m.smallestBlue(red, inRed)
 		if blue == None {
 			return
 		}
+		m.commit()
 		merged := false
 		for _, r := range red {
-			cand := m.Clone()
-			if !cand.Merge(r, blue) {
-				continue
+			if m.fold(r, blue) && (consistent == nil || consistent(m.quotient())) {
+				merged = true
+				break
 			}
-			if consistent != nil && !consistent(cand.DFA()) {
-				continue
-			}
-			// Commit the candidate.
-			*m = *cand
-			// Representatives of red may have moved: refresh.
-			for i := range red {
-				red[i] = m.Find(red[i])
-			}
-			merged = true
-			break
+			m.rollback()
 		}
+		m.commit()
 		if !merged {
 			red = append(red, blue)
-			inRed[blue] = true
 		}
-		// Deduplicate red after refreshes.
-		inRed = make(map[int32]bool, len(red))
-		var fresh []int32
+		// Representatives of red may have moved: refresh and deduplicate.
+		for _, r := range red {
+			inRed[r] = false
+		}
+		fresh := red[:0]
 		for _, r := range red {
 			r = m.Find(r)
 			if !inRed[r] {
@@ -193,12 +283,13 @@ func (m *Merger) Generalize(consistent func(*DFA) bool) {
 
 // smallestBlue returns the smallest-id representative reachable in one step
 // from a red state that is not itself red, or None.
-func (m *Merger) smallestBlue(red []int32, inRed map[int32]bool) int32 {
+func (m *Merger) smallestBlue(red []int32, inRed []bool) int32 {
 	best := None
+	k := m.NumSyms
 	for _, r := range red {
 		r = m.Find(r)
-		for sym := 0; sym < m.NumSyms; sym++ {
-			t := m.delta[r][sym]
+		for sym := 0; sym < k; sym++ {
+			t := m.delta[int(r)*k+sym]
 			if t == None {
 				continue
 			}

@@ -1,7 +1,9 @@
 package automata
 
 import (
+	"hash/fnv"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"pathquery/internal/alphabet"
@@ -84,11 +86,19 @@ func TestPTAPanicsOnContradiction(t *testing.T) {
 
 func TestMergerFoldConflict(t *testing.T) {
 	a := abc()
-	// PTA with ε rejecting and "a" accepting: merging them must fail.
+	// PTA with ε rejecting and "a" accepting: merging them must fail, and
+	// the failed fold must leave the merger as it was.
 	p := BuildPTA(a.Size(), wordsOf(a, "a"), []words.Word{words.Epsilon})
 	m := NewMerger(p)
-	if m.Clone().Merge(0, 1) {
+	reps, d := m.Representatives(), m.DFA()
+	if m.Merge(0, 1) {
 		t.Fatal("merging accepting into rejecting should conflict")
+	}
+	if got := m.Representatives(); !slices.Equal(got, reps) {
+		t.Fatalf("representatives after conflict = %v, want %v", got, reps)
+	}
+	if got := m.DFA(); !got.Equal(d) {
+		t.Fatalf("quotient after conflict = %v, want %v", got, d)
 	}
 }
 
@@ -196,13 +206,274 @@ func TestMergerRepresentatives(t *testing.T) {
 	}
 }
 
-func TestMergerCloneIsolation(t *testing.T) {
+func TestMergerRollback(t *testing.T) {
 	a := abc()
-	p := BuildPTA(a.Size(), wordsOf(a, "ab"), nil)
+	// "c" is rejecting, so some folds conflict before the predicate runs.
+	p := BuildPTA(a.Size(), wordsOf(a, "ab", "ac", "bc", "cab"), wordsOf(a, "c"))
 	m := NewMerger(p)
-	c := m.Clone()
-	c.Merge(0, 1)
-	if len(m.Representatives()) != p.NumStates() {
-		t.Fatal("clone merge affected original")
+	reps, d := m.Representatives(), m.DFA()
+	calls := 0
+	m.Generalize(func(*DFA) bool { calls++; return false })
+	if calls == 0 {
+		t.Fatal("the predicate never saw a candidate")
+	}
+	if got := m.Representatives(); !slices.Equal(got, reps) {
+		t.Fatalf("representatives after %d rejected merges = %v, want %v", calls, got, reps)
+	}
+	if got := m.DFA(); !got.Equal(d) {
+		t.Fatalf("quotient after %d rejected merges = %v, want %v", calls, got, d)
+	}
+
+	// Accept only the first candidate: every later rejected merge must
+	// roll back to the committed one.
+	m = NewMerger(p)
+	var first *DFA
+	m.Generalize(func(c *DFA) bool {
+		if first == nil {
+			first = c.Clone()
+			return true
+		}
+		return false
+	})
+	if first == nil || !m.DFA().Equal(first) {
+		t.Fatalf("quotient = %v, want the one accepted candidate %v", m.DFA(), first)
+	}
+}
+
+// TestGeneralizeMatchesCloneReference runs the in-place merger and the
+// clone-per-candidate reference on random PTAs (with rejecting marks, so
+// folds conflict) under a random but deterministic consistency predicate:
+// a hash of the candidate language's canonical key. Both must see the same
+// candidates and end on the same quotient.
+func TestGeneralizeMatchesCloneReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for iter := 0; iter < 300; iter++ {
+		p := randomPTA(rng)
+		salt := rng.Uint32()
+		var got, want []string
+		predicate := func(seq *[]string) func(*DFA) bool {
+			return func(c *DFA) bool {
+				*seq = append(*seq, c.CanonicalKey())
+				h := fnv.New32a()
+				h.Write([]byte(Minimize(c).CanonicalKey()))
+				return (h.Sum32()^salt)%3 != 0
+			}
+		}
+		m := NewMerger(p)
+		m.Generalize(predicate(&got))
+		ref := newRefMerger(p)
+		ref.generalize(predicate(&want))
+		if !slices.Equal(got, want) {
+			t.Fatalf("iter %d: candidates %v, reference %v", iter, got, want)
+		}
+		if d, rd := m.DFA(), ref.dfa(); !d.Equal(rd) {
+			t.Fatalf("iter %d: quotient %v, reference %v", iter, d, rd)
+		}
+		if reps, rr := m.Representatives(), ref.representatives(); !slices.Equal(reps, rr) {
+			t.Fatalf("iter %d: representatives %v, reference %v", iter, reps, rr)
+		}
+	}
+}
+
+// TestMergeSequenceMatchesCloneReference applies random merges of
+// arbitrary state pairs, not just red-blue ones, so a fold can re-parent a
+// class that already has members and then conflict. Each Merge must leave
+// the quotient the reference reaches by merging on a copy and keeping it
+// only when the fold succeeds; a path-halving shortcut that escaped the
+// undo trail would survive the rollback and show here.
+func TestMergeSequenceMatchesCloneReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	for iter := 0; iter < 500; iter++ {
+		p := randomPTA(rng)
+		m, ref := NewMerger(p), newRefMerger(p)
+		for step := 0; step < 8; step++ {
+			a, b := int32(rng.Intn(p.NumStates())), int32(rng.Intn(p.NumStates()))
+			ok := m.Merge(a, b)
+			cand := ref.clone()
+			if refOK := cand.merge(a, b); ok != refOK {
+				t.Fatalf("iter %d step %d: Merge(%d, %d) = %v, reference %v", iter, step, a, b, ok, refOK)
+			} else if ok {
+				*ref = *cand
+			}
+			if d, rd := m.DFA(), ref.dfa(); !d.Equal(rd) {
+				t.Fatalf("iter %d step %d: Merge(%d, %d) = %v: quotient %v, reference %v",
+					iter, step, a, b, ok, d, rd)
+			}
+		}
+	}
+}
+
+// randomPTA builds the PTA of up to ten distinct random words of length
+// at most five over one to three symbols, about a third of them negative.
+func randomPTA(rng *rand.Rand) *PTA {
+	numSyms := 1 + rng.Intn(3)
+	var pos, neg []words.Word
+	seen := map[string]bool{}
+	for n := 1 + rng.Intn(10); n > 0; n-- {
+		w := make(words.Word, rng.Intn(6))
+		for i := range w {
+			w[i] = alphabet.Symbol(rng.Intn(numSyms))
+		}
+		if seen[words.Key(w)] {
+			continue
+		}
+		seen[words.Key(w)] = true
+		if rng.Intn(3) == 0 {
+			neg = append(neg, w)
+		} else {
+			pos = append(pos, w)
+		}
+	}
+	return BuildPTA(numSyms, pos, neg)
+}
+
+// refMerger is the clone-per-candidate merger: every candidate merge runs
+// on a deep copy, which is committed or discarded whole. It is the
+// reference the in-place Merger must match.
+type refMerger struct {
+	numSyms int
+	parent  []int32
+	marks   []Mark
+	delta   [][]int32
+}
+
+func newRefMerger(p *PTA) *refMerger {
+	m := &refMerger{numSyms: p.NumSyms, marks: append([]Mark(nil), p.Marks...)}
+	for s := range p.Delta {
+		m.parent = append(m.parent, int32(s))
+		m.delta = append(m.delta, append([]int32(nil), p.Delta[s]...))
+	}
+	return m
+}
+
+func (m *refMerger) clone() *refMerger {
+	c := &refMerger{
+		numSyms: m.numSyms,
+		parent:  append([]int32(nil), m.parent...),
+		marks:   append([]Mark(nil), m.marks...),
+	}
+	for _, row := range m.delta {
+		c.delta = append(c.delta, append([]int32(nil), row...))
+	}
+	return c
+}
+
+func (m *refMerger) find(s int32) int32 {
+	for m.parent[s] != s {
+		m.parent[s] = m.parent[m.parent[s]]
+		s = m.parent[s]
+	}
+	return s
+}
+
+func (m *refMerger) merge(a, b int32) bool {
+	a, b = m.find(a), m.find(b)
+	if a == b {
+		return true
+	}
+	switch {
+	case m.marks[a] == Neutral:
+		m.marks[a] = m.marks[b]
+	case m.marks[b] == Neutral || m.marks[a] == m.marks[b]:
+	default:
+		return false
+	}
+	m.parent[b] = a
+	for sym := 0; sym < m.numSyms; sym++ {
+		tb := m.delta[b][sym]
+		if tb == None {
+			continue
+		}
+		ra := m.find(a)
+		ta := m.delta[ra][sym]
+		if ta == None {
+			m.delta[ra][sym] = tb
+			continue
+		}
+		if !m.merge(ta, tb) {
+			return false
+		}
+	}
+	return true
+}
+
+func (m *refMerger) dfa() *DFA {
+	root := m.find(0)
+	number := map[int32]int32{root: 0}
+	order := []int32{root}
+	d := NewDFA(1, m.numSyms)
+	for i := 0; i < len(order); i++ {
+		s := order[i]
+		d.Final[i] = m.marks[s] == Accepting
+		for sym := 0; sym < m.numSyms; sym++ {
+			t := m.delta[s][sym]
+			if t == None {
+				continue
+			}
+			t = m.find(t)
+			id, ok := number[t]
+			if !ok {
+				id = d.AddState()
+				number[t] = id
+				order = append(order, t)
+			}
+			d.Delta[i][sym] = id
+		}
+	}
+	return d
+}
+
+func (m *refMerger) representatives() []int32 {
+	var out []int32
+	for s := range m.parent {
+		if m.find(int32(s)) == int32(s) {
+			out = append(out, int32(s))
+		}
+	}
+	return out
+}
+
+func (m *refMerger) generalize(consistent func(*DFA) bool) {
+	red := []int32{m.find(0)}
+	for {
+		inRed := map[int32]bool{}
+		for _, r := range red {
+			inRed[m.find(r)] = true
+		}
+		blue := None
+		for _, r := range red {
+			for _, t := range m.delta[m.find(r)] {
+				if t == None {
+					continue
+				}
+				if t = m.find(t); !inRed[t] && (blue == None || t < blue) {
+					blue = t
+				}
+			}
+		}
+		if blue == None {
+			return
+		}
+		merged := false
+		for _, r := range red {
+			cand := m.clone()
+			if cand.merge(r, blue) && consistent(cand.dfa()) {
+				*m = *cand
+				merged = true
+				break
+			}
+		}
+		if !merged {
+			red = append(red, blue)
+		}
+		var fresh []int32
+		seen := map[int32]bool{}
+		for _, r := range red {
+			if r = m.find(r); !seen[r] {
+				seen[r] = true
+				fresh = append(fresh, r)
+			}
+		}
+		red = fresh
 	}
 }

@@ -20,10 +20,12 @@
 // variants; the *graph.Graph forms are read-your-writes delegates that
 // publish the pending epoch first). Pinning a snapshot makes learning
 // safe to run concurrently with writers mutating and publishing newer
-// epochs — the serving engine's Learn service relies on this. The two hot
-// phases fan out across worker shards over the pinned snapshot: the
-// per-positive SCP searches (each worker holds its own lazily-determinized
-// coverage index) and the merger's per-negative consistency checks.
+// epochs — the serving engine's Learn service relies on this. The
+// per-positive SCP searches fan out across worker shards over the pinned
+// snapshot, each worker holding its own lazily-determinized coverage
+// index. The monadic merger checks its candidates serially and in place:
+// each candidate costs one early-exit forward search over the negatives,
+// which is cheaper than the goroutines that would share it out.
 package core
 
 import (
@@ -31,7 +33,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"pathquery/internal/automata"
 	"pathquery/internal/graph"
@@ -124,9 +125,10 @@ type Options struct {
 	// in F1 score").
 	DisableGeneralization bool
 	// Workers bounds the learner's parallelism: the per-positive SCP
-	// searches and the merger's per-negative consistency checks fan out
-	// across this many goroutines over the pinned snapshot. 0 selects
-	// GOMAXPROCS; 1 forces the serial path.
+	// searches, and the binary learner's per-negative-pair consistency
+	// checks, fan out across this many goroutines over the pinned
+	// snapshot. The monadic merger's consistency checks always run
+	// serially. 0 selects GOMAXPROCS; 1 forces the serial path.
 	Workers int
 }
 
@@ -240,20 +242,19 @@ func learnFixedK(snap *graph.Snapshot, s Sample, opt Options, k int) (*Result, e
 	pta := automata.BuildPTA(snap.Alphabet().Size(), paths, nil)
 
 	// Lines 4-5: generalize by state merging while consistent — no
-	// negative node may gain a path in the candidate language.
+	// negative node may gain a path in the candidate language. Each
+	// candidate gets only the forward tables the early-exit search reads,
+	// built into buffers shared by every candidate; its first-symbol
+	// filter prunes most negatives without touching the product space.
+	var fb plan.ForwardBuilder
 	var d *automata.DFA
 	if opt.DisableGeneralization {
 		d = pta.DFA()
 	} else {
 		m := automata.NewMerger(pta)
 		before := pta.NumStates()
-		negWorkers := opt.workersFor((len(s.Neg) + coversShardSize - 1) / coversShardSize)
 		m.Generalize(func(cand *automata.DFA) bool {
-			// One shape-preserving plan per candidate: all negative-shard
-			// checks of this candidate share its compiled tables (and its
-			// first-symbol filter prunes most negatives without touching
-			// the product space).
-			return coversNone(snap, plan.FromDFA(cand), s.Neg, negWorkers)
+			return !snap.CoversAnyPlan(fb.Build(cand), s.Neg)
 		})
 		d = m.DFA()
 		res.Merges = before - len(m.Representatives())
@@ -261,7 +262,7 @@ func learnFixedK(snap *graph.Snapshot, s Sample, opt Options, k int) (*Result, e
 
 	// Lines 6-7: the query must select every positive node — including
 	// those whose SCP was longer than k.
-	dp := plan.FromDFA(d)
+	dp := fb.Build(d)
 	for _, nu := range s.Pos {
 		if !snap.CoversPlan(dp, nu) {
 			return nil, ErrAbstain
@@ -269,7 +270,8 @@ func learnFixedK(snap *graph.Snapshot, s Sample, opt Options, k int) (*Result, e
 	}
 	// Return the prefix-free canonical representative of the learned
 	// query's equivalence class (Section 2); node selection is unchanged.
-	res.Query = query.FromDFA(snap.Alphabet(), d.PrefixFree())
+	// query.FromDFA minimizes, so the cut automaton is minimized once.
+	res.Query = query.FromDFA(snap.Alphabet(), d.CutAtFinals())
 	return res, nil
 }
 
@@ -307,50 +309,6 @@ func smallestPaths(snap *graph.Snapshot, pos, neg []graph.NodeID, k, workers int
 		}
 	}
 	return paths
-}
-
-// coversShardSize is the per-worker chunk of the negative set in the
-// parallel consistency check: below it, goroutine startup dominates the
-// product search it would offload.
-const coversShardSize = 16
-
-// coversNone reports whether no node of set has a path in L(dp) — the
-// merger's consistency predicate, evaluated through one shared compiled
-// plan. Large negative sets are sharded across workers, each running the
-// early-exit forward product search on its chunk against the shared
-// snapshot; a found cover stops the other shards at their next chunk
-// boundary.
-func coversNone(snap *graph.Snapshot, dp *plan.Plan, set []graph.NodeID, workers int) bool {
-	if workers <= 1 || len(set) <= coversShardSize {
-		return !snap.CoversAnyPlan(dp, set)
-	}
-	shards := (len(set) + coversShardSize - 1) / coversShardSize
-	if workers > shards {
-		workers = shards
-	}
-	var next atomic.Int64
-	var covered atomic.Bool
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for !covered.Load() {
-				i := int(next.Add(1)) - 1
-				if i >= shards {
-					return
-				}
-				lo := i * coversShardSize
-				hi := min(lo+coversShardSize, len(set))
-				if snap.CoversAnyPlan(dp, set[lo:hi]) {
-					covered.Store(true)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return !covered.Load()
 }
 
 // Consistent decides whether a sample is consistent (Lemma 3.1): every

@@ -51,10 +51,9 @@ func TestLearnRejectsOutOfRangeIDs(t *testing.T) {
 	}
 }
 
-// TestLearnParallelMatchesSerial cross-checks the worker-shard fan-out
-// (per-positive SCP searches, per-negative-shard consistency checks)
-// against the serial path on randomized samples: same snapshot, same
-// sample, same learned language.
+// TestLearnParallelMatchesSerial cross-checks the worker-shard fan-out of
+// the per-positive SCP searches against the serial path on randomized
+// samples: same snapshot, same sample, same learned language.
 func TestLearnParallelMatchesSerial(t *testing.T) {
 	g := datasets.Synthetic(400, 7)
 	snap := g.Snapshot()

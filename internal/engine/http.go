@@ -54,7 +54,7 @@ type HandlerOptions struct {
 //	{"error": {"code": "parse_error", "message": "..."}}
 //
 // whose stable codes include bad_body, parse_error, unknown_semantics,
-// unknown_node, missing_from, unexpected_from, max_len_too_large,
+// unknown_node, missing_from, unexpected_from, max_len_too_large, bad_k,
 // abstain, canceled and deadline_exceeded. A body must hold exactly one
 // JSON object; anything but whitespace after it is bad_body.
 //
@@ -72,7 +72,8 @@ type HandlerOptions struct {
 // query's nodes answer in the /v1/query shape. Insufficient examples
 // (the paper's abstain) answer 422 with code "abstain", an example name
 // not in the served epoch 404 unknown_node; "k" fixes the SCP bound
-// (0 = dynamic schedule up to "maxk").
+// (0 = dynamic schedule from 2 up to "maxk", default 8). A negative "k",
+// a negative "maxk" or a "maxk" of 1 answers 400 bad_k.
 //
 // Diagnostics: POST /v1/query?trace=1 adds a "trace" field to the
 // answer — {"total_ns", "spans": [{"name", "ns"}]} — breaking the
@@ -173,6 +174,13 @@ func NewHandlerWith(e *Engine, opt HandlerOptions) http.Handler {
 			Limit int      `json:"limit"`
 		}
 		if !decode(w, r, &req) {
+			return
+		}
+		// The dynamic schedule starts at k = 2, so a maxk of 1 would run
+		// no learner at all and answer a misleading abstain.
+		if req.K < 0 || req.MaxK < 0 || req.MaxK == 1 {
+			writeError(w, badRequest("bad_k",
+				"k must be at least 0 and maxk 0 or at least 2 (got k=%d, maxk=%d)", req.K, req.MaxK))
 			return
 		}
 		lr, err := e.LearnNamed(req.Pos, req.Neg, core.Options{K: req.K, MaxK: req.MaxK})

@@ -144,3 +144,33 @@ func TestRunLoadSmoke(t *testing.T) {
 		t.Error("bad load query not rejected")
 	}
 }
+
+// TestLearnRejectsBadK: an SCP bound the learner cannot run with is a bad
+// request, not the paper's abstain. The dynamic schedule starts at k = 2,
+// so maxk 1 would run no learner at all.
+func TestLearnRejectsBadK(t *testing.T) {
+	h := NewHandler(New(buildFixture(), Options{}))
+	learn := func(params string) (int, errorEnvelope) {
+		t.Helper()
+		rr := httptest.NewRecorder()
+		body := `{"pos":["N1"],"neg":["N3","N5"]` + params + `}`
+		h.ServeHTTP(rr, httptest.NewRequest("POST", "/learn", strings.NewReader(body)))
+		var env errorEnvelope
+		if rr.Code != http.StatusOK {
+			if err := json.Unmarshal(rr.Body.Bytes(), &env); err != nil {
+				t.Fatalf("%s: response is not an error envelope: %v (%s)", params, err, rr.Body.String())
+			}
+		}
+		return rr.Code, env
+	}
+	for _, params := range []string{`,"maxk":1`, `,"maxk":-1`, `,"k":-5`, `,"k":-1,"maxk":4`} {
+		if code, env := learn(params); code != http.StatusBadRequest || env.Error.Code != "bad_k" {
+			t.Errorf("%s: status %d, envelope %+v; want 400 bad_k", params, code, env)
+		}
+	}
+	for _, params := range []string{``, `,"maxk":2`, `,"k":3`} {
+		if code, env := learn(params); code != http.StatusOK {
+			t.Errorf("%s: status %d, envelope %+v; want 200", params, code, env)
+		}
+	}
+}

@@ -39,7 +39,7 @@ func buildRandom(rng *rand.Rand, alpha *alphabet.Alphabet, nodes, edges int) *Gr
 // coversSerial recomputes one node's verdict with the forward search,
 // which has no parallel path — an independent in-package oracle.
 func coversSerial(g *Graph, p *plan.Plan, v NodeID) bool {
-	return g.reader().CoversPlan(p, v)
+	return g.reader().CoversPlan(&p.Forward, v)
 }
 
 func TestSelectMonadicParallelMasked(t *testing.T) {
@@ -101,7 +101,7 @@ func TestScratchPoolCleanliness(t *testing.T) {
 	want1 := snap.SelectMonadicPlan(p1)
 	want2 := snap.SelectMonadicPlan(p2)
 	for round := 0; round < 20; round++ {
-		snap.CoversAnyPlan(p2, []NodeID{NodeID(rng.Intn(30))})
+		snap.CoversAnyPlan(&p2.Forward, []NodeID{NodeID(rng.Intn(30))})
 		got1 := snap.SelectMonadicPlan(p1)
 		snap.CoversPairPlan(p1, NodeID(rng.Intn(30)), NodeID(rng.Intn(30)))
 		got2 := snap.SelectMonadicPlan(p2)

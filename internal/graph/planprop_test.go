@@ -82,6 +82,9 @@ func TestSelectMonadicPlanPackedMatchesReference(t *testing.T) {
 func TestCoversPlanMatchesNFAReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(203))
 	alpha := alphabet.NewSorted("a", "b", "c")
+	// One builder across iterations: every Build must fully overwrite the
+	// buffers the previous automaton left behind.
+	var fb plan.ForwardBuilder
 	for iter := 0; iter < 80; iter++ {
 		nodes := 2 + rng.Intn(10)
 		g := randomGraph(rng, alpha, nodes, rng.Intn(3*nodes))
@@ -94,7 +97,12 @@ func TestCoversPlanMatchesNFAReference(t *testing.T) {
 		}
 		snap := g.Snapshot()
 		want := refCovers(g, d, set)
-		for pi, p := range plansOf(d) {
+		var forwards []*plan.Forward
+		for _, p := range plansOf(d) {
+			forwards = append(forwards, &p.Forward)
+		}
+		forwards = append(forwards, fb.Build(d))
+		for pi, p := range forwards {
 			if got := snap.CoversAnyPlan(p, set); got != want {
 				t.Fatalf("iter %d plan %d: CoversAnyPlan(%v) = %v, NFA reference = %v",
 					iter, pi, set, got, want)

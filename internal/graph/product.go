@@ -450,7 +450,7 @@ func (s *Snapshot) relaxMasked(p *plan.Plan, nq int, good, curNew, nextNew bitse
 
 // CoversPlan reports whether L(p) ∩ paths_G(ν) ≠ ∅ for a single node,
 // with an early-exit forward search from (ν, p.Start).
-func (s *Snapshot) CoversPlan(p *plan.Plan, nu NodeID) bool {
+func (s *Snapshot) CoversPlan(p *plan.Forward, nu NodeID) bool {
 	return s.CoversAnyPlan(p, []NodeID{nu})
 }
 
@@ -458,8 +458,10 @@ func (s *Snapshot) CoversPlan(p *plan.Plan, nu NodeID) bool {
 // a path in L(p). This is the learner's consistency primitive — with
 // X = S− it decides whether a candidate generalization selects a negative
 // example. Start nodes without an out-edge labeled by a viable first
-// symbol are skipped before any product pair is materialized.
-func (s *Snapshot) CoversAnyPlan(p *plan.Plan, set []NodeID) bool {
+// symbol are skipped before any product pair is materialized. The search
+// reads only the plan's forward tables, so a plan.ForwardBuilder's output
+// serves as well as a full plan's embedded Forward.
+func (s *Snapshot) CoversAnyPlan(p *plan.Forward, set []NodeID) bool {
 	if len(set) == 0 || p.Empty() {
 		return false
 	}
@@ -500,7 +502,7 @@ func (s *Snapshot) CoversAnyPlan(p *plan.Plan, set []NodeID) bool {
 // hasFirstSymEdge reports whether v has an out-edge whose symbol can start
 // an accepted word — the plan's first-symbol filter applied to the node's
 // CSR segment list (no edges are touched).
-func (s *Snapshot) hasFirstSymEdge(p *plan.Plan, v NodeID) bool {
+func (s *Snapshot) hasFirstSymEdge(p *plan.Forward, v NodeID) bool {
 	for _, sym := range s.out.segs(v).syms {
 		if int(sym) < p.NumSyms && p.FirstSym[sym] {
 			return true
@@ -513,7 +515,7 @@ func (s *Snapshot) hasFirstSymEdge(p *plan.Plan, v NodeID) bool {
 // (v, q): out-segment symbols look up the plan's flat transition table
 // once, then mark every neighbor in the contiguous segment. Transitions
 // into non-live states (no final reachable) are pruned.
-func (s *Snapshot) expandForwardPlan(p *plan.Plan, co *adj, v NodeID, q int32, nq int, sc *productScratch, stack []uint64) []uint64 {
+func (s *Snapshot) expandForwardPlan(p *plan.Forward, co *adj, v NodeID, q int32, nq int, sc *productScratch, stack []uint64) []uint64 {
 	base := int(q) * p.NumSyms
 	rs := co.segs(v)
 	for si := range rs.syms {

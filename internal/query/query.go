@@ -210,7 +210,7 @@ func (q *Query) Selects(g *graph.Graph, nu graph.NodeID) bool {
 
 // SelectsOn reports whether q selects ν on an epoch snapshot.
 func (q *Query) SelectsOn(s *graph.Snapshot, nu graph.NodeID) bool {
-	return s.CoversPlan(q.Plan(), nu)
+	return s.CoversPlan(&q.Plan().Forward, nu)
 }
 
 // Selectivity returns |q(G)| / |V|, the measure reported in Table 1.
