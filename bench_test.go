@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"pathquery/internal/alphabet"
 	"pathquery/internal/automata"
 	"pathquery/internal/charsample"
 	"pathquery/internal/core"
@@ -239,14 +240,55 @@ func BenchmarkTheorem35Verify(b *testing.B) {
 // BenchmarkSelectMonadic measures query evaluation (the product pass every
 // F1 measurement relies on) on the 10k synthetic graph, through the
 // compiled plan (the serving path: tables precompiled once per query).
+// "base" evaluates a compacted snapshot, where every row lives in the base
+// CSR; "overlay" one published with a delta just under the compaction
+// threshold, so a large share of the rows is read from the overlay.
 func BenchmarkSelectMonadic(b *testing.B) {
 	g, qs := synthetic()
-	q := qs[1].Query
-	snap := g.Snapshot()
-	q.Plan() // compile outside the loop, as the plan cache does
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		snap.SelectMonadicPlan(q.Plan())
+	run := func(b *testing.B, snap *graph.Snapshot, p *plan.Plan) {
+		for b.Loop() {
+			snap.SelectMonadicPlan(p)
+		}
+	}
+	b.Run("base", func(b *testing.B) {
+		run(b, g.Snapshot(), qs[1].Query.Plan())
+	})
+	b.Run("overlay", func(b *testing.B) {
+		// Fresh mutable graph: the shared fixture must stay immutable.
+		og := datasets.Synthetic(10000, 10000)
+		snap, st := overlayJustUnderCompaction(og)
+		if !st.Incremental || st.Compacted || st.OverlayEdges == 0 {
+			b.Fatalf("delta did not publish as an overlay: %+v", st)
+		}
+		run(b, snap, query.MustParse(og.Alphabet(), qs[1].Expr).Plan())
+	})
+}
+
+// overlayJustUnderCompaction adds seeded random edges to g, stopping
+// before the first one that would make either direction's overlay — the
+// rebuilt rows of every touched node — outgrow an eighth of the edges,
+// the publish's compaction threshold, and publishes them in one delta.
+func overlayJustUnderCompaction(g *graph.Graph) (*graph.Snapshot, graph.PublishStats) {
+	base := g.Snapshot()
+	rng := rand.New(rand.NewSource(5))
+	nv, nsym := base.NumNodes(), g.Alphabet().Size()
+	outTouched, inTouched := map[graph.NodeID]bool{}, map[graph.NodeID]bool{}
+	outRows, inRows, edges := 0, 0, base.NumEdges()
+	for {
+		f, to := graph.NodeID(rng.Intn(nv)), graph.NodeID(rng.Intn(nv))
+		out, in := outRows+1, inRows+1
+		if !outTouched[f] {
+			out += base.OutDegree(f)
+		}
+		if !inTouched[to] {
+			in += base.InDegree(to)
+		}
+		if 8*max(out, in) > edges+1 {
+			return g.SnapshotStats()
+		}
+		g.AddEdge(f, alphabet.Symbol(rng.Intn(nsym)), to)
+		outTouched[f], inTouched[to] = true, true
+		outRows, inRows, edges = out, in, edges+1
 	}
 }
 

@@ -1,16 +1,11 @@
 // Package bitset provides dense []uint64 bitsets for the product
 // constructions in internal/graph: visited sets over the |V|·|Q| product
-// space, per-call successor dedup in Step, and the frontier marking of the
-// parallel backward propagation in SelectMonadicPlan. The representation
-// is a plain word slice so callers can pool and resize scratch without
-// indirection; the atomic variant supports concurrent marking from worker
-// shards with exactly-once enqueue semantics.
+// space, per-node state masks of the masked propagation kernel, and
+// per-call successor dedup in Step. The representation is a plain word
+// slice so callers can pool and resize scratch without indirection.
 package bitset
 
-import (
-	"math/bits"
-	"sync/atomic"
-)
+import "math/bits"
 
 // Bits is a fixed-capacity bitset over indices 0..64*len(b)-1.
 type Bits []uint64
@@ -21,12 +16,13 @@ func WordsFor(n int) int { return (n + 63) >> 6 }
 // Make returns a zeroed bitset with capacity for n bits.
 func Make(n int) Bits { return make(Bits, WordsFor(n)) }
 
-// Grow returns b if it already holds n bits, else a fresh zeroed bitset.
-// The returned bitset is all-zero only if b was (pool discipline: clear
-// before reuse).
+// Grow returns b if it already holds n bits, else a fresh zeroed bitset
+// with a quarter more room, so a slowly growing n (a graph gaining nodes
+// between evaluations) reallocates only now and then. The returned bitset
+// is all-zero only if b was (pool discipline: clear before reuse).
 func (b Bits) Grow(n int) Bits {
 	if w := WordsFor(n); w > len(b) {
-		return make(Bits, w)
+		return make(Bits, w+w/4)
 	}
 	return b
 }
@@ -48,14 +44,6 @@ func (b Bits) TrySet(i int) bool {
 	}
 	b[w] |= mask
 	return true
-}
-
-// TrySetAtomic is TrySet with an atomic read-modify-write, safe for
-// concurrent marking from multiple goroutines. Exactly one caller observes
-// true per bit.
-func (b Bits) TrySetAtomic(i int) bool {
-	w, mask := i>>6, uint64(1)<<(uint(i)&63)
-	return atomic.OrUint64(&b[w], mask)&mask == 0
 }
 
 // ClearAll zeroes every word.

@@ -2,8 +2,6 @@ package bitset_test
 
 import (
 	"math/rand"
-	"runtime"
-	"sync"
 	"testing"
 
 	"pathquery/internal/bitset"
@@ -49,11 +47,16 @@ func TestGrowPreservesOrReplaces(t *testing.T) {
 		t.Fatal("Grow to same size must keep contents")
 	}
 	bigger := b.Grow(1000)
-	if len(bigger) != bitset.WordsFor(1000) {
-		t.Fatalf("Grow(1000) has %d words", len(bigger))
+	if w := bitset.WordsFor(1000); len(bigger) != w+w/4 {
+		t.Fatalf("Grow(1000) has %d words, want %d (a quarter to spare)", len(bigger), w+w/4)
 	}
 	if bigger.Count() != 0 {
 		t.Fatal("grown bitset must be zeroed")
+	}
+	// A slightly larger n fits the spare room: the same words come back.
+	bigger.Set(5)
+	if !bigger.Grow(1000 + 64).Get(5) {
+		t.Fatal("Grow within the spare room must keep contents")
 	}
 }
 
@@ -80,35 +83,5 @@ func TestForEachAscending(t *testing.T) {
 	})
 	if n != len(want) {
 		t.Fatalf("ForEach visited %d bits, want %d", n, len(want))
-	}
-}
-
-func TestTrySetAtomicExactlyOnce(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	const nBits = 1 << 12
-	b := bitset.Make(nBits)
-	var wins [8][]int
-	var wg sync.WaitGroup
-	for w := 0; w < len(wins); w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < nBits; i++ {
-				if b.TrySetAtomic(i) {
-					wins[w] = append(wins[w], i)
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	total := 0
-	for _, ws := range wins {
-		total += len(ws)
-	}
-	if total != nBits {
-		t.Fatalf("%d wins across workers, want exactly %d", total, nBits)
-	}
-	if b.Count() != nBits {
-		t.Fatalf("Count = %d, want %d", b.Count(), nBits)
 	}
 }

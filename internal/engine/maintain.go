@@ -23,11 +23,12 @@ import (
 //     the alphabet test already covers). The empty language is retained
 //     on any write.
 //   - regrow — nodes or anchored pairsFrom semantics whose entry carries
-//     the product fixpoint masks: the worklist propagation is re-entered
-//     from the edges of DeltaSince(validTo) alone against the cached
-//     fixpoint, under defaultRegrowBudget edge relaxations, inside the
-//     single flight that replaces the entry. The result is bit-for-bit
-//     the from-scratch fixpoint.
+//     the product fixpoint masks: the graph's Regrow entry points extend
+//     the cached fixpoint to the new nodes and re-enter the propagation
+//     from the edges of DeltaSince(validTo) alone, under
+//     defaultRegrowBudget edge relaxations, inside the single flight that
+//     replaces the entry. The result is bit-for-bit the from-scratch
+//     fixpoint.
 //   - recompute — everything else: witness/count/shortest (minimality and
 //     counts are not monotone under edge inserts), packed-layout plans,
 //     spans the fenced delta chain no longer reaches, and regrows whose
@@ -90,35 +91,20 @@ func (c *resultCache) regrow(e, prev *resultEntry, sem query.Semantics, snap *gr
 	}
 	start := time.Now()
 	p := prev.q.Plan()
-	old := prev.masks
-	nv := snap.NumNodes()
-	masks := make([]uint64, nv)
-	copy(masks, old)
-	var newly, extra []graph.NodeID
+	var masks []uint64
+	var newly []graph.NodeID
 	switch sem {
 	case query.SemanticsNodes:
-		// New nodes start at the trivial backward fixpoint: every (v,
-		// final) pair is good. Under ε every new node is immediately
-		// selected (ε ∈ paths_G(v)) without any traversal.
-		for v := len(old); v < nv; v++ {
-			masks[v] = p.FinalMask
-		}
-		if p.AcceptsEpsilon() {
-			for v := len(old); v < nv; v++ {
-				extra = append(extra, graph.NodeID(v))
-			}
-		}
-		newly, _, ok = snap.RegrowMonadicMasked(p, masks, &span, budget)
+		masks, newly, ok = snap.RegrowMonadicMasked(p, prev.masks, &span, budget)
 	case query.SemanticsPairsFrom:
-		// New nodes start unreached (zero mask) in the forward fixpoint.
-		newly, _, ok = snap.RegrowBinaryFromMasked(p, masks, &span, budget)
+		masks, newly, ok = snap.RegrowBinaryFromMasked(p, prev.masks, &span, budget)
 	default:
 		return false
 	}
 	if !ok {
 		return false
 	}
-	nodes := mergeNodes(prev.ans.Nodes, newly, extra)
+	nodes := mergeNodes(prev.ans.Nodes, newly)
 	e.ans = query.Answer{Semantics: prev.ans.Semantics, Count: len(nodes), Nodes: nodes}
 	e.q, e.masks = prev.q, masks
 	c.regrowHist.Observe(time.Since(start))
@@ -126,36 +112,25 @@ func (c *resultCache) regrow(e, prev *resultEntry, sem query.Semantics, snap *gr
 	return true
 }
 
-// mergeNodes merges up to three sorted id lists into one sorted
-// duplicate-free list. When nothing was added the cached slice is
-// returned as-is (it is immutable and shared).
-func mergeNodes(a, b, c []graph.NodeID) []graph.NodeID {
-	if len(b) == 0 && len(c) == 0 {
+// mergeNodes merges two sorted, disjoint id lists — a cached answer and
+// the nodes a regrow newly selected — into one sorted list. When nothing
+// was added the cached slice is returned as-is (it is immutable and
+// shared).
+func mergeNodes(a, b []graph.NodeID) []graph.NodeID {
+	if len(b) == 0 {
 		return a
 	}
-	out := make([]graph.NodeID, 0, len(a)+len(b)+len(c))
-	i, j, k := 0, 0, 0
-	for i < len(a) || j < len(b) || k < len(c) {
-		m := graph.NodeID(1<<31 - 1)
-		if i < len(a) && a[i] < m {
-			m = a[i]
-		}
-		if j < len(b) && b[j] < m {
-			m = b[j]
-		}
-		if k < len(c) && c[k] < m {
-			m = c[k]
-		}
-		out = append(out, m)
-		for i < len(a) && a[i] == m {
+	out := make([]graph.NodeID, 0, len(a)+len(b))
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		if a[i] < b[j] {
+			out = append(out, a[i])
 			i++
-		}
-		for j < len(b) && b[j] == m {
+		} else {
+			out = append(out, b[j])
 			j++
 		}
-		for k < len(c) && c[k] == m {
-			k++
-		}
 	}
-	return out
+	out = append(out, a[i:]...)
+	return append(out, b[j:]...)
 }

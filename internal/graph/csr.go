@@ -328,9 +328,8 @@ func (s *Snapshot) putStep(sc *stepScratch) { s.g.stepPool.Put(sc) }
 type productScratch struct {
 	bits    bitset.Bits
 	stack   []uint64
-	next    []uint64   // second frontier for level-synchronous BFS
-	touched []uint64   // set-bit indices, for sparse clearing
-	shards  [][]uint64 // per-worker frontier buffers, parallel SelectMonadicPlan
+	next    []uint64 // second frontier for level-synchronous BFS
+	touched []uint64 // set-bit indices, for sparse clearing
 	// Second visited set + frontiers for the direction-optimizing
 	// bidirectional searches (forward side uses bits/stack/next, backward
 	// side bits2/stack2/next2). Same pool discipline: bits2 all zero while
@@ -339,10 +338,9 @@ type productScratch struct {
 	stack2   []uint64
 	next2    []uint64
 	touched2 []uint64
-	// Per-node pending-state masks for the |Q| ≤ 64 SelectMonadicPlan fast
-	// path; all-zero between uses (each level consumes its own array).
-	maskCur  bitset.Bits
-	maskNext bitset.Bits
+	// Per-node pending-state masks of the masked propagation kernel
+	// (maskKernel); all-zero while pooled.
+	pending bitset.Bits
 }
 
 func (s *Snapshot) getProduct(bits int) *productScratch {

@@ -2,11 +2,9 @@ package graph
 
 import (
 	"context"
-	"math/bits"
-	"runtime"
-	"sort"
+	"math"
+	"slices"
 
-	"pathquery/internal/bitset"
 	"pathquery/internal/plan"
 )
 
@@ -14,24 +12,24 @@ import (
 // language has no negation, so an edge insert can only grow a monadic or
 // anchored-binary selection: the product fixpoint of the old epoch is a
 // valid lower bound of the new one, and the new fixpoint is reached by
-// seeding the standard worklist propagation from the delta edges alone
-// instead of recomputing from scratch.
+// seeding the masked propagation kernel (product.go) from the delta edges
+// alone instead of recomputing from scratch.
 //
-// Two entry points per semantics:
+// Two entry points per semantics, each a seed plus one kernel call:
 //
 //   - Select...State: the from-scratch evaluation that additionally
 //     returns the per-node state masks (one uint64 per node, |Q| ≤ 64
 //     masked layout only) — the fixpoint the engine caches alongside the
 //     answer.
-//   - Regrow...: given the cached masks extended to the new epoch's node
-//     count, fold in a DeltaSpan under a work budget, returning the nodes
-//     that became selected. The caller merges them into the cached answer.
+//   - Regrow...: given the cached masks of an older epoch, extend them to
+//     this snapshot's node count and fold in a DeltaSpan under a work
+//     budget, returning the new masks and the nodes that became selected.
+//     The caller merges those into the cached answer.
 //
-// Both directions follow the exact relaxation discipline of product.go
-// (backward over the in-CSR with PredMask for monadic, forward over the
-// out-CSR with the flat Delta table for anchored binary), so an
-// incremental result is bit-for-bit the fixpoint a from-scratch pass
-// computes on the new snapshot.
+// Monadic semantics propagates backward over the in-rows through the
+// plan's PredMask, anchored binary forward over the out-rows through its
+// SuccMask, so an incremental result is bit-for-bit the fixpoint a
+// from-scratch pass computes on the new snapshot.
 
 // SelectMonadicMaskedState evaluates the monadic semantics like
 // SelectMonadicPlan and additionally returns the full product fixpoint:
@@ -42,46 +40,14 @@ func (s *Snapshot) SelectMonadicMaskedState(ctx context.Context, p *plan.Plan) (
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
-	nv, nq := s.nv, p.NumStates
-	masks := make([]uint64, nv)
-	if p.FinalMask == 0 {
-		return nil, masks, nil // empty language: nothing selected, fixpoint all-zero
-	}
+	masks := make([]uint64, s.nv)
 	sc := s.getProduct(0)
-	sc.maskCur = sc.maskCur.Grow(nv * 64)
-	sc.maskNext = sc.maskNext.Grow(nv * 64)
-	good := bitset.Bits(masks)
-
-	workers := runtime.GOMAXPROCS(0)
-	if workers > selectMaxWorkers {
-		workers = selectMaxWorkers
-	}
-	if workers > 1 && nv*nq >= selectParallelMinSpace {
-		if err := s.selectMaskedParallel(ctx, p, nq, good, sc, workers); err != nil {
-			s.putProductClean(sc)
-			return nil, nil, err
-		}
-	} else {
-		if err := s.selectMaskedSerial(ctx, p, nq, good, sc); err != nil {
-			s.putProductClean(sc)
-			return nil, nil, err
-		}
-		// The serial path keeps FinalMask implicit; materialize it so the
-		// cached masks are the true fixpoint.
-		for v := range masks {
-			masks[v] |= p.FinalMask
-		}
-	}
+	err := s.monadicMasks(ctx, p, sc, masks)
 	s.putProductClean(sc)
-
-	startBit := uint64(1) << uint(p.Start)
-	var nodes []NodeID
-	for v := 0; v < nv; v++ {
-		if masks[v]&startBit != 0 {
-			nodes = append(nodes, NodeID(v))
-		}
+	if err != nil {
+		return nil, nil, err
 	}
-	return nodes, masks, nil
+	return nodesWith(masks, 1<<uint(p.Start)), masks, nil
 }
 
 // SelectBinaryFromMaskedState evaluates the anchored binary semantics
@@ -96,234 +62,90 @@ func (s *Snapshot) SelectBinaryFromMaskedState(ctx context.Context, p *plan.Plan
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
-	nv := s.nv
-	masks := make([]uint64, nv)
-	if p.Empty() || u < 0 || int(u) >= nv {
+	masks := make([]uint64, s.nv)
+	if p.Empty() || u < 0 || int(u) >= s.nv {
 		return nil, masks, nil
 	}
 	sc := s.getProduct(0)
-	sc.maskCur = sc.maskCur.Grow(nv * 64)
-	pending := sc.maskCur
-	stack := sc.stack
-
-	masks[u] = 1 << uint(p.Start)
-	pending[u] = masks[u]
-	stack = append(stack, uint64(u))
-
-	co := &s.out
-	nsym := p.NumSyms
-	pops := 0
-	for len(stack) > 0 {
-		if pops++; pops%ctxCheckInterval == 0 {
-			if err := ctx.Err(); err != nil {
-				for _, vi := range stack {
-					pending[vi] = 0
-				}
-				sc.stack = stack[:0]
-				s.putProductClean(sc)
-				return nil, nil, err
-			}
-		}
-		vi := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		v := NodeID(vi)
-		m := pending[v]
-		pending[v] = 0
-		rs := co.segs(v)
-		for si := range rs.syms {
-			sym := int(rs.syms[si])
-			if sym >= nsym {
-				continue
-			}
-			tm := forwardMask(p, m, sym)
-			if tm == 0 {
-				continue
-			}
-			for _, e := range rs.edges[rs.offs[si]:rs.offs[si+1]] {
-				if add := tm &^ masks[e.To]; add != 0 {
-					masks[e.To] |= add
-					if pending[e.To] == 0 {
-						stack = append(stack, uint64(e.To))
-					}
-					pending[e.To] |= add
-				}
-			}
-		}
-	}
-	sc.stack = stack
+	k := s.kernel(sc, &s.out, p.SuccMask, p, masks, 0, math.MaxInt)
+	k.mark(u, 1<<uint(p.Start))
+	err := k.drain(ctx)
+	k.release(sc)
 	s.putProductClean(sc)
+	if err != nil {
+		return nil, nil, err
+	}
+	return nodesWith(masks, p.FinalMask), masks, nil
+}
 
+// nodesWith returns the nodes whose mask intersects m, ascending.
+func nodesWith(masks []uint64, m uint64) []NodeID {
 	var nodes []NodeID
-	for v := 0; v < nv; v++ {
-		if masks[v]&p.FinalMask != 0 {
+	for v, mv := range masks {
+		if mv&m != 0 {
 			nodes = append(nodes, NodeID(v))
 		}
 	}
-	return nodes, masks, nil
-}
-
-// forwardMask maps a set of source DFA states (as a mask) across one
-// symbol through the plan's forward table, pruning non-live targets.
-func forwardMask(p *plan.Plan, m uint64, sym int) uint64 {
-	var tm uint64
-	nsym := p.NumSyms
-	for mm := m; mm != 0; mm &= mm - 1 {
-		q := bits.TrailingZeros64(mm)
-		if t := p.Delta[q*nsym+sym]; t != plan.None && p.Live[t] {
-			tm |= 1 << uint(t)
-		}
-	}
-	return tm
+	return nodes
 }
 
 // RegrowMonadicMasked folds a delta span into a cached monadic fixpoint:
-// masks must be the SelectMonadicMaskedState result of the span's From
-// epoch, extended to this snapshot's node count with FinalMask for the
-// new nodes. The backward worklist is seeded only from the span's edges;
-// propagation runs over this snapshot's full in-CSR, so chains through
-// pre-existing edges are followed. Returns the nodes that newly entered
-// the selection, sorted; cost counts edge relaxations. ok is false when
-// cost would exceed budget — masks are then partially updated and must be
-// discarded.
-func (s *Snapshot) RegrowMonadicMasked(p *plan.Plan, masks []uint64, span *DeltaSpan, budget int) (newly []NodeID, cost int, ok bool) {
-	nq, nsym := p.NumStates, p.NumSyms
-	startBit := uint64(1) << uint(p.Start)
-	predMask := p.PredMask
-	pending := make([]uint64, s.nv)
-	var stack []NodeID
-
-	mark := func(u NodeID, pm uint64) {
-		if add := pm &^ masks[u]; add != 0 {
-			if masks[u]&startBit == 0 && add&startBit != 0 {
-				newly = append(newly, u)
-			}
-			masks[u] |= add
-			if pending[u] == 0 {
-				stack = append(stack, u)
-			}
-			pending[u] |= add
-		}
-	}
-
-	// Seed: each added edge (f, a, t) pulls the DFA predecessors of the
-	// states good at its head back to its tail.
-	for _, batch := range span.Batches {
-		if cost += len(batch); cost > budget {
-			return nil, cost, false
-		}
-		for _, de := range batch {
-			sym := int(de.Sym)
-			if sym >= nsym {
-				continue
-			}
-			base := sym * nq
-			var pm uint64
-			for mm := masks[de.To]; mm != 0; mm &= mm - 1 {
-				pm |= predMask[base+bits.TrailingZeros64(mm)]
-			}
-			if pm != 0 {
-				mark(de.From, pm)
-			}
-		}
-	}
-
-	ci := &s.in
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		m := pending[v]
-		pending[v] = 0
-		rs := ci.segs(v)
-		for si := range rs.syms {
-			sym := int(rs.syms[si])
-			if sym >= nsym {
-				continue
-			}
-			base := sym * nq
-			var pm uint64
-			for mm := m; mm != 0; mm &= mm - 1 {
-				pm |= predMask[base+bits.TrailingZeros64(mm)]
-			}
-			if pm == 0 {
-				continue
-			}
-			edges := rs.edges[rs.offs[si]:rs.offs[si+1]]
-			if cost += len(edges); cost > budget {
-				return nil, cost, false
-			}
-			for _, e := range edges {
-				mark(e.To, pm)
-			}
-		}
-	}
-	sort.Slice(newly, func(i, j int) bool { return newly[i] < newly[j] })
-	return newly, cost, true
+// cached must be the SelectMonadicMaskedState masks of the span's From
+// epoch. It returns them extended to this snapshot's node count — a new
+// node starts at FinalMask, the trivial backward fixpoint — and grown by
+// the kernel seeded from the span's edges alone; propagation runs over
+// this snapshot's full in-rows, so chains through pre-existing edges are
+// followed. newly lists, ascending, the nodes that entered the selection,
+// new nodes selected by ε included. ok is false when the edges relaxed
+// would exceed budget; the results are then nil. cached is not modified.
+func (s *Snapshot) RegrowMonadicMasked(p *plan.Plan, cached []uint64, span *DeltaSpan, budget int) (masks []uint64, newly []NodeID, ok bool) {
+	return s.regrow(&s.in, p.PredMask, p, cached, p.FinalMask, 1<<uint(p.Start), span, budget)
 }
 
 // RegrowBinaryFromMasked is RegrowMonadicMasked for the anchored binary
-// semantics: masks must be the SelectBinaryFromMaskedState result of the
-// span's From epoch, extended with zeros for new nodes. The forward
-// worklist is seeded from the span's edges whose tails already carry
-// states; returned nodes are those whose mask newly intersects FinalMask.
-func (s *Snapshot) RegrowBinaryFromMasked(p *plan.Plan, masks []uint64, span *DeltaSpan, budget int) (newly []NodeID, cost int, ok bool) {
-	nsym := p.NumSyms
-	finalMask := p.FinalMask
-	pending := make([]uint64, s.nv)
-	var stack []NodeID
+// semantics: cached must be the SelectBinaryFromMaskedState masks of the
+// span's From epoch. New nodes start unreached (zero mask); the forward
+// kernel is seeded from the span's edges whose tails carry states, and
+// newly lists the nodes whose mask newly intersects FinalMask.
+func (s *Snapshot) RegrowBinaryFromMasked(p *plan.Plan, cached []uint64, span *DeltaSpan, budget int) (masks []uint64, newly []NodeID, ok bool) {
+	return s.regrow(&s.out, p.SuccMask, p, cached, 0, p.FinalMask, span, budget)
+}
 
-	mark := func(v NodeID, tm uint64) {
-		if add := tm &^ masks[v]; add != 0 {
-			if masks[v]&finalMask == 0 && add&finalMask != 0 {
-				newly = append(newly, v)
-			}
-			masks[v] |= add
-			if pending[v] == 0 {
-				stack = append(stack, v)
-			}
-			pending[v] |= add
+// regrow extends cached with start for the nodes created since, seeds the
+// kernel over a and tab from every delta edge, and drains it under
+// budget. A delta edge steps the mask of the node whose row holds it in a
+// (its head for in-rows, its tail for out-rows) to the other end.
+// selected is the state set that puts a node in the answer.
+func (s *Snapshot) regrow(a *adj, tab []uint64, p *plan.Plan, cached []uint64, start, selected uint64, span *DeltaSpan, budget int) ([]uint64, []NodeID, bool) {
+	sc := s.getProduct(0)
+	defer s.putProductClean(sc)
+	masks := make([]uint64, s.nv)
+	k := s.kernel(sc, a, tab, p, masks, selected, budget)
+	defer k.release(sc)
+	for v := copy(masks, cached); v < len(masks); v++ {
+		masks[v] = start
+		if start&selected != 0 {
+			k.newly = append(k.newly, NodeID(v))
 		}
 	}
-
 	for _, batch := range span.Batches {
-		if cost += len(batch); cost > budget {
-			return nil, cost, false
+		if k.cost += len(batch); k.cost > budget {
+			k.abandon()
+			return nil, nil, false
 		}
 		for _, de := range batch {
-			sym := int(de.Sym)
-			if sym >= nsym {
-				continue
+			owner, other := de.From, de.To
+			if a == &s.in {
+				owner, other = other, owner
 			}
-			if tm := forwardMask(p, masks[de.From], sym); tm != 0 {
-				mark(de.To, tm)
-			}
-		}
-	}
-
-	co := &s.out
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		m := pending[v]
-		pending[v] = 0
-		rs := co.segs(v)
-		for si := range rs.syms {
-			sym := int(rs.syms[si])
-			if sym >= nsym {
-				continue
-			}
-			tm := forwardMask(p, m, sym)
-			if tm == 0 {
-				continue
-			}
-			edges := rs.edges[rs.offs[si]:rs.offs[si+1]]
-			if cost += len(edges); cost > budget {
-				return nil, cost, false
-			}
-			for _, e := range edges {
-				mark(e.To, tm)
+			if sym := int(de.Sym); sym < p.NumSyms {
+				k.mark(other, k.step(masks[owner], sym))
 			}
 		}
 	}
-	sort.Slice(newly, func(i, j int) bool { return newly[i] < newly[j] })
-	return newly, cost, true
+	if k.drain(context.Background()) != nil {
+		return nil, nil, false
+	}
+	slices.Sort(k.newly)
+	return masks, k.newly, true
 }

@@ -83,10 +83,49 @@ func (a *adj) segs(v NodeID) rowSegs {
 		}
 	}
 	if int(v) < len(a.base.rowStart)-1 {
-		lo, hi := a.base.segStart[v], a.base.segStart[v+1]
-		return rowSegs{a.base.segSym[lo:hi], a.base.segOff[lo : hi+1], a.base.edges}
+		return a.base.segs(v)
 	}
 	return rowSegs{}
+}
+
+// segs returns v's base row in the rowSegs shape. Unlike adj.segs it is
+// small enough to inline, so a loop over an adjacency without an overlay
+// calls it directly.
+func (c *csr) segs(v NodeID) rowSegs { return c.segRun(c.segStart[v], c.segStart[v+1]) }
+
+// segRun returns the base segments lo..hi-1 in the rowSegs shape.
+func (c *csr) segRun(lo, hi int32) rowSegs {
+	return rowSegs{c.segSym[lo:hi], c.segOff[lo : hi+1], c.edges}
+}
+
+// runs calls fn with contiguous segment runs, in the rowSegs shape, that
+// together cover every row exactly once: the whole base when there is no
+// overlay, else the base between touched nodes plus the overlay's rows.
+// A sweep over every segment that does not need the row's node (the seed
+// sweeps of backward evaluation) walks these instead of calling segs per
+// node.
+func (a *adj) runs(fn func(rowSegs)) {
+	b := &a.base
+	nb := int32(len(b.segStart) - 1)
+	o := a.ov
+	if o == nil {
+		fn(b.segRun(0, b.segStart[nb]))
+		return
+	}
+	lo := int32(0)
+	for _, v := range o.nodes {
+		if v >= nb {
+			break // nodes created after the base own no base row
+		}
+		if hi := b.segStart[v]; lo < hi {
+			fn(b.segRun(lo, hi))
+		}
+		lo = b.segStart[v+1]
+	}
+	if hi := b.segStart[nb]; lo < hi {
+		fn(b.segRun(lo, hi))
+	}
+	fn(rowSegs{o.segSym, o.segOff, o.edges})
 }
 
 // row returns v's edges, sorted by (symbol, neighbor).

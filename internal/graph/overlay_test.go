@@ -3,11 +3,13 @@ package graph
 // White-box property test for incremental CSR publishing (overlay.go):
 // across randomized mutation sequences — spanning several overlay
 // compactions — every read surface of the published adjacency (row,
-// succ, Step, SelectMonadicPlan) must be bit-identical to a from-scratch
-// buildCSR of the same edge multiset. Edge values are pure (Sym, To)
-// data, so "bit-identical" is plain struct equality over whole rows.
+// succ, Step, SelectMonadicPlan and the masked fixpoints) must be
+// bit-identical to a from-scratch buildCSR of the same edge multiset.
+// Edge values are pure (Sym, To) data, so "bit-identical" is plain struct
+// equality over whole rows.
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -45,8 +47,22 @@ func requireAdjEqual(t *testing.T, what string, a, ref *adj, nv, nsym int) {
 	}
 }
 
+// requireMasksEqual asserts two per-node state-mask fixpoints are equal.
+func requireMasksEqual(t *testing.T, what string, got, want []uint64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d masks, from-scratch %d", what, len(got), len(want))
+	}
+	for v := range want {
+		if got[v] != want[v] {
+			t.Fatalf("%s: mask[%d] = %b, from-scratch %b", what, v, got[v], want[v])
+		}
+	}
+}
+
 func TestOverlayPublishMatchesFromScratch(t *testing.T) {
 	labels := []string{"a", "b", "c", "d"}
+	ctx := context.Background()
 	const runs, steps = 6, 120
 	var incremental, compacted int
 	for run := 0; run < runs; run++ {
@@ -110,6 +126,7 @@ func TestOverlayPublishMatchesFromScratch(t *testing.T) {
 						t.Fatalf("run %d step %d: Step[%d] = %d, from-scratch %d", run, step, i, got[i], want[i])
 					}
 				}
+				u := NodeID(rng.Intn(n))
 				for pi, p := range plans {
 					gs, ws := s.SelectMonadicPlan(p), s2.SelectMonadicPlan(p)
 					for v := range ws {
@@ -118,6 +135,25 @@ func TestOverlayPublishMatchesFromScratch(t *testing.T) {
 								run, step, pi, v, gs[v], ws[v])
 						}
 					}
+					// The masked fixpoints, bit for bit: the monadic one is
+					// seeded by the sweep over the overlay's segment runs.
+					what := fmt.Sprintf("run %d step %d plan %d", run, step, pi)
+					_, gm, err := s.SelectMonadicMaskedState(ctx, p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					_, wm, err := s2.SelectMonadicMaskedState(ctx, p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					requireMasksEqual(t, what+" monadic", gm, wm)
+					if _, gm, err = s.SelectBinaryFromMaskedState(ctx, p, u); err != nil {
+						t.Fatal(err)
+					}
+					if _, wm, err = s2.SelectBinaryFromMaskedState(ctx, p, u); err != nil {
+						t.Fatal(err)
+					}
+					requireMasksEqual(t, what+" binary", gm, wm)
 				}
 			}
 		}

@@ -2,11 +2,10 @@ package graph
 
 import (
 	"context"
+	"errors"
+	"math"
 	"math/bits"
-	"runtime"
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"pathquery/internal/alphabet"
 	"pathquery/internal/automata"
@@ -27,12 +26,15 @@ import (
 // the plan's flat Delta with accept-reachability (Live) pruning; backward
 // expansion (relaxPlanBackward) walks in-segments through the plan's
 // packed reverse DFA (RevOff/RevPred) with start-reachability (Reach)
-// pruning. On top of them:
+// pruning. For plans in the masked layout (|Q| ≤ 64) the product
+// fixpoint is one state mask per node, grown by the masked propagation
+// kernel (maskKernel) along one adjacency direction through one
+// per-(symbol, state) mask table. On top of them:
 //
-//   - SelectMonadicPlan: backward propagation from every accepting pair,
-//     in the plan's masked (|Q| ≤ 64) or packed layout — the per-symbol
-//     tables come precompiled from the plan instead of being rebuilt per
-//     call.
+//   - SelectMonadicPlan: backward propagation from every accepting pair —
+//     the masked kernel seeded by one sweep over all in-segments, or, in
+//     the packed layout (|Q| > 64), a level-synchronous relax over the
+//     full product bitset.
 //   - CoversAnyPlan / CoversPlan: early-exit forward search, skipping
 //     whole start nodes through the plan's first-symbol filter.
 //   - CoversPairPlan: bidirectional reachability — per level the cheaper
@@ -53,15 +55,6 @@ import (
 // a raw *automata.DFA compiles to one with plan.Compile or, keeping its
 // state numbering, plan.FromDFA.
 
-// Parallelization gates for SelectMonadicPlan, tunable by white-box tests:
-// shards engage only when the product space and the current frontier are
-// both large enough that atomic marking beats a single-threaded pass.
-var (
-	selectParallelMinSpace    = 1 << 15
-	selectParallelMinFrontier = 2048
-	selectMaxWorkers          = 8
-)
-
 // ctxCheckInterval bounds how many worklist pops run between context
 // cancellation checks in the searches that are not level-synchronous
 // (level-synchronous searches check once per frontier level). Checking
@@ -69,31 +62,12 @@ var (
 // check out of the innermost edge loops.
 const ctxCheckInterval = 4096
 
-// orWord is atomic.OrUint64 through an explicit load/CAS loop. Kept out
-// of line on purpose: the direct OrUint64 intrinsic miscompiles inside
-// relaxMasked's segment loop under go1.24 -- optimized builds dropped
-// marks that appear with -N or with the race detector -- and the call
-// boundary plus CAS shape sidesteps the bad lowering.
-//
-//go:noinline
-func orWord(p *uint64, mask uint64) uint64 {
-	for {
-		old := atomic.LoadUint64(p)
-		if old&mask == mask || atomic.CompareAndSwapUint64(p, old, old|mask) {
-			return old
-		}
-	}
-}
-
 // SelectMonadicPlan returns the per-node selection vector of the compiled
 // query p under monadic semantics: selected[ν] iff L(p) ∩ paths_G(ν) ≠ ∅.
 //
 // It marks product pairs (node, state) from which an accepting state is
 // reachable, by backward propagation from every (node, final) pair, then
-// reads off pairs (ν, start). Propagation is a level-synchronous BFS whose
-// frontier is split across worker shards marking the shared visited bitset
-// with atomic try-set (exactly-once enqueue); small instances run the same
-// loop single-threaded without atomics. The per-symbol reverse tables come
+// reads off pairs (ν, start). The per-symbol reverse tables come
 // precompiled from the plan.
 func (s *Snapshot) SelectMonadicPlan(p *plan.Plan) []bool {
 	selected, _ := s.SelectMonadicPlanCtx(context.Background(), p)
@@ -101,7 +75,7 @@ func (s *Snapshot) SelectMonadicPlan(p *plan.Plan) []bool {
 }
 
 // SelectMonadicPlanCtx is SelectMonadicPlan honoring ctx: cancellation is
-// checked once per propagation level, and a canceled or deadline-exceeded
+// checked between propagation steps, and a canceled or deadline-exceeded
 // evaluation returns ctx.Err() with a nil selection.
 func (s *Snapshot) SelectMonadicPlanCtx(ctx context.Context, p *plan.Plan) ([]bool, error) {
 	if err := ctx.Err(); err != nil {
@@ -113,9 +87,18 @@ func (s *Snapshot) SelectMonadicPlanCtx(ctx context.Context, p *plan.Plan) ([]bo
 		return selected, nil
 	}
 	if p.Layout == plan.LayoutMasked {
-		// Learned and workload DFAs are small: pack each node's marked
-		// state set into one word and propagate whole masks at once.
-		return s.selectMonadicMasked(ctx, p, selected)
+		// The fixpoint masks live in the pooled visited words, one per node.
+		sc := s.getProduct(nv * 64)
+		defer s.putProductDense(sc, nv*64)
+		masks := sc.bits[:nv]
+		if err := s.monadicMasks(ctx, p, sc, masks); err != nil {
+			return nil, err
+		}
+		startBit := uint64(1) << uint(p.Start)
+		for v, m := range masks {
+			selected[v] = m&startBit != 0
+		}
+		return selected, nil
 	}
 
 	size := nv * nq
@@ -130,24 +113,12 @@ func (s *Snapshot) SelectMonadicPlanCtx(ctx context.Context, p *plan.Plan) ([]bo
 			frontier = append(frontier, uint64(idx))
 		}
 	}
-
-	workers := runtime.GOMAXPROCS(0)
-	if workers > selectMaxWorkers {
-		workers = selectMaxWorkers
-	}
-	parallel := workers > 1 && size >= selectParallelMinSpace
 	for len(frontier) > 0 {
 		if err := ctx.Err(); err != nil {
 			sc.stack, sc.next = frontier, next
 			return nil, err
 		}
-		if !parallel || len(frontier) < selectParallelMinFrontier {
-			next = s.relaxMonadic(p, nq, good, frontier, next, false)
-		} else {
-			next = relaxSharded(sc, frontier, next, workers, func(part, buf []uint64) []uint64 {
-				return s.relaxMonadic(p, nq, good, part, buf, true)
-			})
-		}
+		next = s.relaxMonadic(p, nq, good, frontier, next)
 		frontier, next = next, frontier[:0]
 	}
 	sc.stack, sc.next = frontier, next
@@ -159,12 +130,12 @@ func (s *Snapshot) SelectMonadicPlanCtx(ctx context.Context, p *plan.Plan) ([]bo
 	return selected, nil
 }
 
-// relaxMonadic expands one frontier of the backward product BFS: for each
-// pair (v, q), every in-edge (u, sym, v) combines with every DFA
-// transition p --sym--> q (read from the plan's packed reverse table) into
-// the predecessor pair (u, p). Newly marked pairs are appended to next.
-// With atomic=true marking is safe for concurrent shards sharing good.
-func (s *Snapshot) relaxMonadic(p *plan.Plan, nq int, good bitset.Bits, frontier, next []uint64, atomic bool) []uint64 {
+// relaxMonadic expands one frontier of the packed-layout backward product
+// BFS: for each pair (v, q), every in-edge (u, sym, v) combines with every
+// DFA transition p --sym--> q (read from the plan's packed reverse table)
+// into the predecessor pair (u, p). Newly marked pairs are appended to
+// next.
+func (s *Snapshot) relaxMonadic(p *plan.Plan, nq int, good bitset.Bits, frontier, next []uint64) []uint64 {
 	ci := &s.in
 	for _, idx := range frontier {
 		v := NodeID(idx / uint64(nq))
@@ -184,12 +155,7 @@ func (s *Snapshot) relaxMonadic(p *plan.Plan, nq int, good bitset.Bits, frontier
 			for _, pr := range preds {
 				base := int(pr)
 				for _, e := range tails {
-					pidx := int(e.To)*nq + base
-					if atomic {
-						if good.TrySetAtomic(pidx) {
-							next = append(next, uint64(pidx))
-						}
-					} else if good.TrySet(pidx) {
+					if pidx := int(e.To)*nq + base; good.TrySet(pidx) {
 						next = append(next, uint64(pidx))
 					}
 				}
@@ -199,253 +165,163 @@ func (s *Snapshot) relaxMonadic(p *plan.Plan, nq int, good bitset.Bits, frontier
 	return next
 }
 
-// selectMonadicMasked is SelectMonadicPlan for plans in the masked layout
-// (at most 64 states): good[v] is the bitmask of states q with an
-// accepting path from (v, q). Propagation is level-synchronous with the
-// frontier deduplicated by node — newly marked states accumulate into a
-// per-node pending mask, so each active node's in-segments are scanned
-// once per level no matter how many product pairs became good there. The
-// plan's PredMask[sym·|Q|+q] is the mask of DFA predecessors p with
-// δ(p, sym) = q, so product predecessor sets are word-parallel unions.
-func (s *Snapshot) selectMonadicMasked(ctx context.Context, p *plan.Plan, selected []bool) ([]bool, error) {
-	nv, nq := s.nv, p.NumStates
-	if p.FinalMask == 0 {
-		return selected, nil
+// monadicMasks computes the masked-layout backward fixpoint into masks
+// (one word per node): masks[v] is the set of states q with an accepting
+// path from (v, q). Every node starts at FinalMask, and the first backward
+// level — the identical FinalMask relaxed from every node — is one sweep
+// over all in-segment runs with the plan's FinalPredMask; segments whose
+// symbol has no transition into a final state are skipped without
+// touching their edges. The kernel drains the sparse remainder.
+func (s *Snapshot) monadicMasks(ctx context.Context, p *plan.Plan, sc *productScratch, masks []uint64) error {
+	for v := range masks {
+		masks[v] = p.FinalMask
 	}
-
-	sc := s.getProduct(nv * 64)
-	defer s.putProductDense(sc, nv*64)
-	good := sc.bits // one word per node
-	sc.maskCur = sc.maskCur.Grow(nv * 64)
-	sc.maskNext = sc.maskNext.Grow(nv * 64)
-
-	workers := runtime.GOMAXPROCS(0)
-	if workers > selectMaxWorkers {
-		workers = selectMaxWorkers
-	}
-	startBit := uint64(1) << uint(p.Start)
-	if workers > 1 && nv*nq >= selectParallelMinSpace {
-		if err := s.selectMaskedParallel(ctx, p, nq, good, sc, workers); err != nil {
-			return nil, err
-		}
-		for v := 0; v < nv; v++ {
-			selected[v] = good[v]&startBit != 0
-		}
-		return selected, nil
-	}
-	if err := s.selectMaskedSerial(ctx, p, nq, good, sc); err != nil {
-		return nil, err
-	}
-	// The serial path keeps FinalMask implicit (every (v, final) pair is
-	// good by definition and was relaxed by the level-1 sweep).
-	for v := 0; v < nv; v++ {
-		selected[v] = (good[v]|p.FinalMask)&startBit != 0
-	}
-	return selected, nil
+	k := s.kernel(sc, &s.in, p.PredMask, p, masks, 0, math.MaxInt)
+	s.in.runs(func(rs rowSegs) { k.sweep(rs, p.FinalPredMask) })
+	err := k.drain(ctx)
+	k.release(sc)
+	return err
 }
 
-// selectMaskedSerial runs the mask-based backward propagation
-// single-threaded. Level 1 relaxes the identical FinalMask from every
-// node, so it collapses to one linear sweep over all in-segments with the
-// plan's precompiled FinalPredMask — segments whose symbol has no DFA
-// transition into a final state are skipped without touching their edges.
-// The sparse remainder drains through a worklist deduplicated by a
-// per-node pending mask.
-func (s *Snapshot) selectMaskedSerial(ctx context.Context, p *plan.Plan, nq int, good bitset.Bits, sc *productScratch) error {
-	ci := &s.in
-	nsym := p.NumSyms
-	predMask, finalMask := p.PredMask, p.FinalMask
-	pending := sc.maskCur
-	stack := sc.stack
-	for w := 0; w < s.nv; w++ {
-		rs := ci.segs(NodeID(w))
-		for si := range rs.syms {
-			sym := int(rs.syms[si])
-			if sym >= nsym {
-				continue
+// errBudget reports a kernel run that gave up at its edge budget.
+var errBudget = errors.New("graph: propagation budget exceeded")
+
+// maskKernel is the masked propagation kernel shared by scratch
+// evaluation and incremental regrowth (incremental.go). It grows
+// per-node state masks to a fixpoint along one adjacency direction
+// through one per-(symbol, state) mask table: backward over in-rows with
+// the plan's PredMask (monadic semantics), forward over out-rows with its
+// SuccMask (anchored binary semantics). A node whose mask gains states
+// has them accumulated in a pending mask and is queued once until
+// popped, so each of its segments is scanned once per pop however many
+// states arrived. Callers seed it — mark, sweep — then drain it.
+type maskKernel struct {
+	a     *adj
+	tab   []uint64 // tab[sym·nq+q]: states one step from q on sym
+	nq    int
+	nsym  int
+	masks []uint64 // the fixpoint being grown
+	// pending[v] holds the states v gained but has not propagated yet;
+	// it is nonzero exactly for the nodes on stack, so zeroing it under
+	// the stack leaves the borrowed words clean.
+	pending []uint64
+	stack   []uint64
+	// newly collects, as drain pops them, the nodes whose mask gained its
+	// first state of watch (regrowth's answer delta; scratch evaluation
+	// watches nothing).
+	watch uint64
+	newly []NodeID
+	// cost counts the edges drained; drain gives up beyond budget.
+	cost, budget int
+}
+
+// kernel returns a kernel over adjacency a and table tab growing
+// masks (one word per node), with its pending masks and stack borrowed
+// from sc; release hands them back. watch and budget are as in
+// maskKernel: pass 0 and math.MaxInt for neither.
+func (s *Snapshot) kernel(sc *productScratch, a *adj, tab []uint64, p *plan.Plan, masks []uint64, watch uint64, budget int) maskKernel {
+	sc.pending = sc.pending.Grow(s.nv * 64)
+	return maskKernel{
+		a: a, tab: tab, nq: p.NumStates, nsym: p.NumSyms,
+		masks: masks, pending: sc.pending, stack: sc.stack,
+		watch: watch, budget: budget,
+	}
+}
+
+// release returns the kernel's stack to sc. The pending masks are
+// already clean: drain empties the stack or zeroes it on an early exit.
+func (k *maskKernel) release(sc *productScratch) { sc.stack = k.stack[:0] }
+
+// step returns the union of tab over the states of m on sym.
+func (k *maskKernel) step(m uint64, sym int) uint64 {
+	row := k.tab[sym*k.nq : (sym+1)*k.nq]
+	var out uint64
+	for ; m != 0; m &= m - 1 {
+		out |= row[bits.TrailingZeros64(m)]
+	}
+	return out
+}
+
+// mark adds the states m to node u, queuing u if it gains any.
+func (k *maskKernel) mark(u NodeID, m uint64) {
+	k.relax([]Edge{{To: u}}, m)
+}
+
+// relax adds the states m to the far end of every edge.
+func (k *maskKernel) relax(edges []Edge, m uint64) {
+	masks, pending, stack := k.masks, k.pending, k.stack
+	for _, e := range edges {
+		if add := m &^ masks[e.To]; add != 0 {
+			masks[e.To] |= add
+			if pending[e.To] == 0 {
+				stack = append(stack, uint64(e.To))
 			}
-			pm := p.FinalPredMask[sym]
-			if pm == 0 {
-				continue
-			}
-			for _, e := range rs.edges[rs.offs[si]:rs.offs[si+1]] {
-				if add := pm &^ (good[e.To] | finalMask); add != 0 {
-					good[e.To] |= add
-					if pending[e.To] == 0 {
-						stack = append(stack, uint64(e.To))
-					}
-					pending[e.To] |= add
-				}
-			}
+			pending[e.To] |= add
 		}
 	}
-	pops := 0
-	for len(stack) > 0 {
-		if pops++; pops%ctxCheckInterval == 0 {
+	k.stack = stack
+}
+
+// sweep relaxes every segment of the run rs with the per-symbol mask
+// seed[sym].
+func (k *maskKernel) sweep(rs rowSegs, seed []uint64) {
+	for si, sym := range rs.syms {
+		if int(sym) < len(seed) && seed[sym] != 0 {
+			k.relax(rs.edges[rs.offs[si]:rs.offs[si+1]], seed[sym])
+		}
+	}
+}
+
+// drain propagates every pending mask to the fixpoint. It checks ctx
+// before its first pop and every ctxCheckInterval pops after, and stops
+// with errBudget once the edges it scanned exceed the budget; on either
+// early exit it zeroes the pending masks left on the stack.
+func (k *maskKernel) drain(ctx context.Context) error {
+	for pops := 0; len(k.stack) > 0; pops++ {
+		if pops%ctxCheckInterval == 0 {
 			if err := ctx.Err(); err != nil {
-				// Zero the pending masks of the unprocessed worklist so
-				// the scratch goes back to the pool clean.
-				for _, vi := range stack {
-					pending[vi] = 0
-				}
-				sc.stack = stack[:0]
+				k.abandon()
 				return err
 			}
 		}
-		vi := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		v := NodeID(vi)
-		m := pending[v]
-		pending[v] = 0
-		rs := ci.segs(v)
-		for si := range rs.syms {
-			sym := int(rs.syms[si])
-			if sym >= nsym {
-				continue
-			}
-			base := sym * nq
-			var pm uint64
-			for mm := m; mm != 0; mm &= mm - 1 {
-				pm |= predMask[base+bits.TrailingZeros64(mm)]
-			}
-			if pm == 0 {
-				continue
-			}
-			for _, e := range rs.edges[rs.offs[si]:rs.offs[si+1]] {
-				if add := pm &^ (good[e.To] | finalMask); add != 0 {
-					good[e.To] |= add
-					if pending[e.To] == 0 {
-						stack = append(stack, uint64(e.To))
-					}
-					pending[e.To] |= add
-				}
-			}
+		v := NodeID(k.stack[len(k.stack)-1])
+		k.stack = k.stack[:len(k.stack)-1]
+		m := k.pending[v]
+		k.pending[v] = 0
+		if m&k.watch != 0 && (k.masks[v]&^m)&k.watch == 0 {
+			k.newly = append(k.newly, v) // v held no watched state before m
 		}
-	}
-	sc.stack = stack
-	return nil
-}
-
-// selectMaskedParallel runs the mask-based backward propagation as a
-// level-synchronous BFS whose frontier is split across worker shards
-// marking the shared good array with atomic-or (exactly-once per state
-// bit). Small frontiers fall back to the single-threaded relax to avoid
-// goroutine overhead between dense levels.
-func (s *Snapshot) selectMaskedParallel(ctx context.Context, p *plan.Plan, nq int, good bitset.Bits, sc *productScratch, workers int) error {
-	nv := s.nv
-	curNew, nextNew := sc.maskCur, sc.maskNext
-	frontier, next := sc.stack, sc.next
-	for v := 0; v < nv; v++ {
-		good[v] = p.FinalMask
-		curNew[v] = p.FinalMask
-		frontier = append(frontier, uint64(v))
-	}
-	for len(frontier) > 0 {
-		if err := ctx.Err(); err != nil {
-			// At a level boundary every pending mask lives in curNew under
-			// a frontier entry; zero them so the scratch pools clean.
-			for _, vi := range frontier {
-				curNew[vi] = 0
-			}
-			sc.stack, sc.next = frontier[:0], next[:0]
-			return err
-		}
-		if len(frontier) < selectParallelMinFrontier {
-			next = s.relaxMasked(p, nq, good, curNew, nextNew, frontier, next, false)
+		var rs rowSegs
+		if k.a.ov == nil {
+			rs = k.a.base.segs(v) // inlined: the compacted common case
 		} else {
-			cn, nn := curNew, nextNew
-			next = relaxSharded(sc, frontier, next, workers, func(part, buf []uint64) []uint64 {
-				return s.relaxMasked(p, nq, good, cn, nn, part, buf, true)
-			})
+			rs = k.a.segs(v)
 		}
-		frontier, next = next, frontier[:0]
-		curNew, nextNew = nextNew, curNew
-	}
-	sc.stack, sc.next = frontier, next
-	return nil
-}
-
-// relaxSharded expands one level-synchronous frontier across worker
-// shards: the frontier is chunked over the workers, each relaxing its
-// part into a reused per-shard buffer (marking must be atomic inside
-// relax), and the shard results are merged into next after the barrier.
-func relaxSharded(sc *productScratch, frontier, next []uint64, workers int, relax func(part, buf []uint64) []uint64) []uint64 {
-	if len(sc.shards) < workers {
-		sc.shards = make([][]uint64, workers)
-	}
-	chunk := (len(frontier) + workers - 1) / workers
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > len(frontier) {
-			hi = len(frontier)
-		}
-		if lo >= hi {
-			sc.shards[w] = sc.shards[w][:0]
-			continue
-		}
-		wg.Add(1)
-		go func(w int, part []uint64) {
-			defer wg.Done()
-			sc.shards[w] = relax(part, sc.shards[w][:0])
-		}(w, frontier[lo:hi])
-	}
-	wg.Wait()
-	for w := 0; w < workers; w++ {
-		next = append(next, sc.shards[w]...)
-	}
-	return next
-}
-
-// relaxMasked expands one deduplicated frontier level of the mask-based
-// backward BFS: each entry is a node whose pending mask curNew[v] holds
-// the states marked good there last level (consumed and cleared here).
-// Nodes gaining their first new state this level are appended to next,
-// with the state bits accumulating in nextNew. With atomicMark=true,
-// marking uses atomic-or so concurrent shards observe each transition
-// exactly once.
-func (s *Snapshot) relaxMasked(p *plan.Plan, nq int, good, curNew, nextNew bitset.Bits, frontier, next []uint64, atomicMark bool) []uint64 {
-	ci := &s.in
-	predMask := p.PredMask
-	for _, vi := range frontier {
-		v := NodeID(vi)
-		m := curNew[v]
-		curNew[v] = 0
-		rs := ci.segs(v)
-		for si := range rs.syms {
-			sym := int(rs.syms[si])
-			if sym >= p.NumSyms {
+		for si, sym := range rs.syms {
+			if int(sym) >= k.nsym {
 				continue
 			}
-			base := sym * nq
-			var pm uint64
-			for mm := m; mm != 0; mm &= mm - 1 {
-				pm |= predMask[base+bits.TrailingZeros64(mm)]
-			}
-			if pm == 0 {
+			tm := k.step(m, int(sym))
+			if tm == 0 {
 				continue
 			}
 			edges := rs.edges[rs.offs[si]:rs.offs[si+1]]
-			for _, e := range edges {
-				if atomicMark {
-					old := orWord(&good[e.To], pm)
-					if add := pm &^ old; add != 0 {
-						if orWord(&nextNew[e.To], add) == 0 {
-							next = append(next, uint64(e.To))
-						}
-					}
-				} else if add := pm &^ good[e.To]; add != 0 {
-					good[e.To] |= add
-					if nextNew[e.To] == 0 {
-						next = append(next, uint64(e.To))
-					}
-					nextNew[e.To] |= add
-				}
+			if k.cost += len(edges); k.cost > k.budget {
+				k.abandon()
+				return errBudget
 			}
+			k.relax(edges, tm)
 		}
 	}
-	return next
+	return nil
+}
+
+// abandon clears the pending masks of the nodes still queued.
+func (k *maskKernel) abandon() {
+	for _, v := range k.stack {
+		k.pending[v] = 0
+	}
+	k.stack = k.stack[:0]
 }
 
 // CoversPlan reports whether L(p) ∩ paths_G(ν) ≠ ∅ for a single node,
@@ -805,7 +681,8 @@ func (s *Snapshot) selectBinaryFrom(ctx context.Context, p *plan.Plan, u NodeID,
 
 // seedBackwardAll runs the backward seeding sweep of SelectBinaryFromPlan:
 // the level-1 relax of every accepting pair (x, f), f final, folded into
-// one pass over all in-segments labeled by a last symbol. The per-symbol
+// one pass over the in-adjacency's segment runs, relaxing the segments
+// labeled by a last symbol. The per-symbol
 // union of the finals' reverse predecessors (the packed analogue of the
 // plan's FinalPredMask) is call-invariant, so it is built once up front
 // instead of re-deriving the buckets per segment. Accepting pairs
@@ -839,13 +716,10 @@ func (s *Snapshot) seedBackwardAll(p *plan.Plan, nq int, sc *productScratch, fro
 		finalPreds[sym] = preds
 	}
 
-	ci := &s.in
 	cost := 0
-	for w := 0; w < s.nv; w++ {
-		rs := ci.segs(NodeID(w))
-		for si := range rs.syms {
-			sym := int(rs.syms[si])
-			if sym >= p.NumSyms {
+	s.in.runs(func(rs rowSegs) {
+		for si, sym := range rs.syms {
+			if int(sym) >= p.NumSyms {
 				continue
 			}
 			preds := finalPreds[sym]
@@ -865,7 +739,7 @@ func (s *Snapshot) seedBackwardAll(p *plan.Plan, nq int, sc *productScratch, fro
 				}
 			}
 		}
-	}
+	})
 	return front, cost
 }
 

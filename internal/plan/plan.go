@@ -15,8 +15,10 @@
 //   - the reverse DFA as packed per-(symbol, state) predecessor buckets
 //     (RevOff/RevPred) — the table backward evaluation walks,
 //   - when |Q| ≤ 64, additionally the mask layout: PredMask[sym·|Q|+q] is
-//     the bitmask of states p with δ(p, sym) = q, and FinalPredMask[sym]
-//     the union over final q — the whole first backward level as one mask,
+//     the bitmask of states p with δ(p, sym) = q, SuccMask[sym·|Q|+q] the
+//     bit of δ(q, sym) when that state is live, and FinalPredMask[sym] the
+//     union of PredMask over final q — the whole first backward level as
+//     one mask,
 //   - accept-reachability (Live/LiveMask): states from which a final state
 //     is reachable, so forward searches never enter a dead region,
 //   - first-symbol filters (FirstSym/LastSym): the symbols that can start,
@@ -130,10 +132,13 @@ type Plan struct {
 	RevPred []int32
 
 	// PredMask[sym·NumStates+q] is the bitmask of states p with
-	// δ(p, sym) = q; FinalPredMask[sym] is the union over final q — the
-	// first backward level of the monadic mask engine, precomputed.
-	// LayoutMasked only.
+	// δ(p, sym) = q, and SuccMask[sym·NumStates+q] the bit of δ(q, sym)
+	// when that state is live (0 otherwise): the backward and forward
+	// tables of the masked propagation kernel. FinalPredMask[sym] is the
+	// union of PredMask over final q — the first backward level of the
+	// monadic evaluation, precomputed. LayoutMasked only.
 	PredMask      []uint64
+	SuccMask      []uint64
 	FinalPredMask []uint64
 
 	// AlphaMask is the 64-bit hashed alphabet of the plan: SymBit(sym)
@@ -389,13 +394,17 @@ func build(d *automata.DFA) *Plan {
 		}
 	}
 
-	// Masked reverse layout.
+	// Masked layout.
 	if p.Layout == LayoutMasked {
 		p.PredMask = make([]uint64, nsym*nq)
+		p.SuccMask = make([]uint64, nsym*nq)
 		for q := 0; q < nq; q++ {
 			for sym := 0; sym < nsym; sym++ {
 				if t := p.Delta[q*nsym+sym]; t != None {
 					p.PredMask[sym*nq+int(t)] |= 1 << uint(q)
+					if p.Live[t] {
+						p.SuccMask[sym*nq+q] = 1 << uint(t)
+					}
 				}
 			}
 		}
