@@ -49,7 +49,7 @@ var (
 func alibaba() (*graph.Graph, []datasets.NamedQuery) {
 	aliOnce.Do(func() {
 		aliGraph = datasets.AliBaba()
-		aliQueries = datasets.BioQueries(aliGraph)
+		aliQueries = datasets.BioQueries(aliGraph.Snapshot())
 	})
 	return aliGraph, aliQueries
 }
@@ -57,7 +57,7 @@ func alibaba() (*graph.Graph, []datasets.NamedQuery) {
 func synthetic() (*graph.Graph, []datasets.NamedQuery) {
 	synOnce.Do(func() {
 		synGraph = datasets.Synthetic(10000, 10000)
-		synQueries = datasets.SynQueries(synGraph)
+		synQueries = datasets.SynQueriesOn(synGraph.Snapshot())
 	})
 	return synGraph, synQueries
 }
@@ -68,7 +68,7 @@ func BenchmarkTable1BioSelectivity(b *testing.B) {
 	g, qs := alibaba()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rows := experiments.Table1(g, qs)
+		rows := experiments.Table1(g.Snapshot(), qs)
 		if len(rows) != 6 {
 			b.Fatal("missing rows")
 		}
@@ -88,7 +88,7 @@ func BenchmarkFig11StaticF1Bio(b *testing.B) {
 	var lastF1 float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		series := experiments.RunStaticAll(g, qs, cfg)
+		series := experiments.RunStaticAll(g.Snapshot(), qs, cfg)
 		lastF1 = series[5].Points[len(series[5].Points)-1].F1 // bio6 at 7%
 	}
 	b.ReportMetric(lastF1, "F1@7%")
@@ -106,7 +106,7 @@ func BenchmarkFig11StaticF1Syn(b *testing.B) {
 	var f1 float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		series := experiments.RunStatic(g, qs[2], cfg) // syn3: fastest to converge
+		series := experiments.RunStatic(g.Snapshot(), qs[2], cfg) // syn3: fastest to converge
 		f1 = series.Points[len(series.Points)-1].F1
 	}
 	b.ReportMetric(f1, "F1@5%")
@@ -117,14 +117,15 @@ func BenchmarkFig11StaticF1Syn(b *testing.B) {
 // (bio1 most selective, bio6 least).
 func BenchmarkFig12LearnTimeBio(b *testing.B) {
 	g, qs := alibaba()
+	snap := g.Snapshot()
 	for _, nq := range []datasets.NamedQuery{qs[0], qs[2], qs[5]} {
 		b.Run(nq.Name, func(b *testing.B) {
 			rng := rand.New(rand.NewSource(1))
-			pos, neg := datasets.RandomSample(g, nq.Query, 0.07, rng)
+			pos, neg := datasets.RandomSample(snap, nq.Query, 0.07, rng)
 			s := core.Sample{Pos: pos, Neg: neg}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := core.LearnDetailed(g, s, core.Options{}); err != nil {
+				if _, err := core.LearnDetailed(snap, s, core.Options{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -136,12 +137,13 @@ func BenchmarkFig12LearnTimeBio(b *testing.B) {
 // one learner invocation at 1% labels on the 10k graph.
 func BenchmarkFig12LearnTimeSyn(b *testing.B) {
 	g, qs := synthetic()
+	snap := g.Snapshot()
 	rng := rand.New(rand.NewSource(2))
-	pos, neg := datasets.RandomSample(g, qs[1].Query, 0.01, rng)
+	pos, neg := datasets.RandomSample(snap, qs[1].Query, 0.01, rng)
 	s := core.Sample{Pos: pos, Neg: neg}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.LearnDetailed(g, s, core.Options{}); err != nil {
+		if _, err := core.LearnDetailed(snap, s, core.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -152,19 +154,20 @@ func BenchmarkFig12LearnTimeSyn(b *testing.B) {
 // reports labels used.
 func BenchmarkTable2Interactive(b *testing.B) {
 	g, qs := alibaba()
+	snap := g.Snapshot()
 	goal := qs[5]
 	for _, strat := range []interactive.Strategy{interactive.KR{}, interactive.KS{}} {
 		b.Run(strat.Name(), func(b *testing.B) {
 			var labels int
 			for i := 0; i < b.N; i++ {
-				sess := interactive.NewSession(g, interactive.Options{
+				sess := interactive.NewSession(snap, interactive.Options{
 					Strategy:        strat,
 					Seed:            int64(i),
 					MaxInteractions: 200,
 				})
 				res, err := sess.Run(
-					interactive.NewQueryOracle(g, goal.Query),
-					interactive.ExactMatch(g, goal.Query))
+					interactive.NewQueryOracle(snap, goal.Query),
+					interactive.ExactMatch(snap, goal.Query))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -179,8 +182,9 @@ func BenchmarkTable2Interactive(b *testing.B) {
 // contribution (§5.2): learning with and without generalization.
 func BenchmarkAblationNoGeneralization(b *testing.B) {
 	g, qs := alibaba()
+	snap := g.Snapshot()
 	rng := rand.New(rand.NewSource(3))
-	pos, neg := datasets.RandomSample(g, qs[5].Query, 0.07, rng)
+	pos, neg := datasets.RandomSample(snap, qs[5].Query, 0.07, rng)
 	s := core.Sample{Pos: pos, Neg: neg}
 	for _, mode := range []struct {
 		name    string
@@ -188,7 +192,7 @@ func BenchmarkAblationNoGeneralization(b *testing.B) {
 	}{{"full", false}, {"no-merge", true}} {
 		b.Run(mode.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				_, err := core.LearnDetailed(g, s, core.Options{DisableGeneralization: mode.disable})
+				_, err := core.LearnDetailed(snap, s, core.Options{DisableGeneralization: mode.disable})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -201,8 +205,9 @@ func BenchmarkAblationNoGeneralization(b *testing.B) {
 // k = 4 (§5.1: small k usually suffices; a fixed large k wastes SCP search).
 func BenchmarkAblationDynamicK(b *testing.B) {
 	g, qs := alibaba()
+	snap := g.Snapshot()
 	rng := rand.New(rand.NewSource(4))
-	pos, neg := datasets.RandomSample(g, qs[2].Query, 0.05, rng)
+	pos, neg := datasets.RandomSample(snap, qs[2].Query, 0.05, rng)
 	s := core.Sample{Pos: pos, Neg: neg}
 	for _, mode := range []struct {
 		name string
@@ -213,7 +218,7 @@ func BenchmarkAblationDynamicK(b *testing.B) {
 	} {
 		b.Run(mode.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := core.LearnDetailed(g, s, mode.opts); err != nil {
+				if _, err := core.LearnDetailed(snap, s, mode.opts); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -344,7 +349,7 @@ func BenchmarkEngineServe(b *testing.B) {
 
 	b.Run("uncached", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			q.Select(g)
+			q.Evaluate(g.Snapshot()).Vector()
 		}
 	})
 
@@ -411,7 +416,7 @@ func BenchmarkEngineServe(b *testing.B) {
 // scenario-diverse latency profile, not just the hand-picked queries.
 func BenchmarkReplayMixed(b *testing.B) {
 	classes := []string{"AQ1", "AQ2", "AQ7", "AQ15", "AQ18", "AQ22", "AQ27", "AQ28"}
-	file, err := workload.ForgeGraph(datasets.Synthetic(5000, 11), workload.ForgeConfig{
+	file, err := workload.Forge(datasets.Synthetic(5000, 11).Snapshot(), workload.ForgeConfig{
 		Seed: 7, Classes: classes,
 	})
 	if err != nil {
@@ -788,10 +793,10 @@ func TestEngineCachedSpeedup(t *testing.T) {
 		t.Fatal(err)
 	}
 	const rounds = 20
-	q.Select(g) // warm pools
+	q.Evaluate(g.Snapshot()).Vector() // warm pools
 	t0 := time.Now()
 	for i := 0; i < rounds; i++ {
-		q.Select(g)
+		q.Evaluate(g.Snapshot()).Vector()
 	}
 	uncached := time.Since(t0)
 	t0 = time.Now()
@@ -807,20 +812,20 @@ func TestEngineCachedSpeedup(t *testing.T) {
 }
 
 // TestSelectAllocRegression pins the allocation behavior of the one-pass
-// Query.Evaluate path (SelectNodes/Selectivity ride on it): with warm
+// Query.Evaluate path (Selection.Nodes/Selectivity ride on it): with warm
 // scratch pools, a full monadic evaluation plus node extraction on the
 // 10k graph must stay within a small constant allocation budget —
 // regression here means a pooled structure fell off the pool or a
 // per-node allocation crept into the product engine.
 func TestSelectAllocRegression(t *testing.T) {
 	g, qs := synthetic()
+	snap := g.Snapshot()
 	q := qs[1].Query
-	g.Freeze()
 	for i := 0; i < 3; i++ { // warm the scratch pools
-		q.SelectNodes(g)
+		q.Evaluate(snap).Nodes()
 	}
 	allocs := testing.AllocsPerRun(10, func() {
-		sel := q.Evaluate(g)
+		sel := q.Evaluate(snap)
 		sel.Nodes()
 		sel.Selectivity()
 	})
@@ -845,7 +850,7 @@ func BenchmarkGraphStep(b *testing.B) {
 	sort.Slice(set, func(i, j int) bool { return set[i] < set[j] })
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g.Step(set, 0)
+		g.Snapshot().Step(set, 0)
 	}
 }
 
@@ -853,11 +858,12 @@ func BenchmarkGraphStep(b *testing.B) {
 // shared coverage index (the learner's inner loop).
 func BenchmarkSCPSearch(b *testing.B) {
 	g, qs := alibaba()
+	snap := g.Snapshot()
 	rng := rand.New(rand.NewSource(5))
-	pos, neg := datasets.RandomSample(g, qs[3].Query, 0.05, rng)
+	pos, neg := datasets.RandomSample(snap, qs[3].Query, 0.05, rng)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cov := scp.NewCoverage(g, neg)
+		cov := scp.NewCoverage(snap, neg)
 		for _, nu := range pos {
 			cov.Smallest(nu, 3)
 		}
@@ -870,7 +876,7 @@ func BenchmarkLearnerPaperExample(b *testing.B) {
 	g, s := paperfix.G0()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Learn(g, s, core.Options{K: 3}); err != nil {
+		if _, err := core.Learn(g.Snapshot(), s, core.Options{K: 3}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -886,7 +892,7 @@ func BenchmarkLearn(b *testing.B) {
 	g, qs := alibaba()
 	snap := g.Snapshot()
 	rng := rand.New(rand.NewSource(9))
-	pos, neg := datasets.RandomSample(g, qs[2].Query, 0.07, rng)
+	pos, neg := datasets.RandomSample(snap, qs[2].Query, 0.07, rng)
 	s := core.Sample{Pos: pos, Neg: neg}
 	for _, bc := range []struct {
 		name    string
@@ -895,7 +901,7 @@ func BenchmarkLearn(b *testing.B) {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := core.LearnDetailedOn(snap, s, core.Options{Workers: bc.workers}); err != nil {
+				if _, err := core.LearnDetailed(snap, s, core.Options{Workers: bc.workers}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -909,7 +915,7 @@ func BenchmarkLearn(b *testing.B) {
 func BenchmarkEngineLearn(b *testing.B) {
 	g, qs := alibaba()
 	rng := rand.New(rand.NewSource(9))
-	pos, neg := datasets.RandomSample(g, qs[2].Query, 0.07, rng)
+	pos, neg := datasets.RandomSample(g.Snapshot(), qs[2].Query, 0.07, rng)
 	s := core.Sample{Pos: pos, Neg: neg}
 	e := engine.New(g, engine.Options{})
 	b.ResetTimer()

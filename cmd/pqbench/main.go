@@ -156,14 +156,14 @@ func main() {
 
 	if *table1 {
 		section("Table 1 — biological queries and selectivities")
-		rows := experiments.Table1(bio.g, bio.queries)
+		rows := experiments.Table1(bio.snap, bio.queries)
 		experiments.PrintTable1(os.Stdout, rows)
 	}
 
 	if *staticBio {
 		section("Figures 11(a) + 12(a) — static protocol, biological queries")
 		start := time.Now()
-		series := experiments.RunStaticAll(bio.g, bio.queries, staticCfg)
+		series := experiments.RunStaticAll(bio.snap, bio.queries, staticCfg)
 		experiments.PrintStaticSeries(os.Stdout, series)
 		fmt.Printf("(%v)\n", time.Since(start).Round(time.Millisecond))
 		writeCSV("fig11_12_bio.csv", func(f *os.File) error {
@@ -174,10 +174,10 @@ func main() {
 	if *staticSyn {
 		for _, n := range synSizes {
 			section(fmt.Sprintf("Figures 11/12 (syn) — %d nodes", n))
-			g := datasets.Synthetic(n, int64(n))
-			qs := datasets.SynQueries(g)
+			snap := datasets.Synthetic(n, int64(n)).Snapshot()
+			qs := datasets.SynQueriesOn(snap)
 			start := time.Now()
-			series := experiments.RunStaticAll(g, qs, staticCfg)
+			series := experiments.RunStaticAll(snap, qs, staticCfg)
 			experiments.PrintStaticSeries(os.Stdout, series)
 			fmt.Printf("(%v)\n", time.Since(start).Round(time.Millisecond))
 			writeCSV(fmt.Sprintf("fig11_12_syn_%d.csv", n), func(f *os.File) error {
@@ -196,7 +196,7 @@ func main() {
 			Static:          staticCfg,
 		}
 		for _, nq := range bio.queries {
-			rows := experiments.RunInteractive("alibaba", bio.g, nq, cfg)
+			rows := experiments.RunInteractive("alibaba", bio.snap, nq, cfg)
 			table2Rows = append(table2Rows, rows...)
 			experiments.PrintTable2(os.Stdout, rows)
 		}
@@ -205,7 +205,7 @@ func main() {
 	if *table2Syn {
 		for _, n := range synSizes {
 			section(fmt.Sprintf("Table 2 — synthetic %d nodes, interactive protocol", n))
-			g := datasets.Synthetic(n, int64(n))
+			snap := datasets.Synthetic(n, int64(n)).Snapshot()
 			cfg := experiments.InteractiveConfig{
 				Seed:            *seed,
 				MaxInteractions: interactiveCap,
@@ -215,10 +215,10 @@ func main() {
 			if cfg.MaxInteractions == 0 && !*quick {
 				// Full runs still need a sane bound on big graphs; the paper's
 				// sessions stay well under 1% of nodes.
-				cfg.MaxInteractions = g.NumNodes() / 10
+				cfg.MaxInteractions = snap.NumNodes() / 10
 			}
-			for _, nq := range datasets.SynQueries(g) {
-				rows := experiments.RunInteractive(fmt.Sprintf("syn-%d", n), g, nq, cfg)
+			for _, nq := range datasets.SynQueriesOn(snap) {
+				rows := experiments.RunInteractive(fmt.Sprintf("syn-%d", n), snap, nq, cfg)
 				table2Rows = append(table2Rows, rows...)
 				experiments.PrintTable2(os.Stdout, rows)
 			}
@@ -233,11 +233,11 @@ func main() {
 	if *ablation {
 		section("Ablation — generalization phase contribution (§5.2)")
 		fraction := 0.07
-		rows := experiments.RunAblationGeneralization(bio.g, bio.queries, fraction, staticCfg)
+		rows := experiments.RunAblationGeneralization(bio.snap, bio.queries, fraction, staticCfg)
 		experiments.PrintAblation(os.Stdout, rows)
 
 		section("Ablation — dynamic-k distribution (§5.1)")
-		series := experiments.RunStaticAll(bio.g, bio.queries, staticCfg)
+		series := experiments.RunStaticAll(bio.snap, bio.queries, staticCfg)
 		dist := experiments.KDistribution(series)
 		for k := 2; k <= 8; k++ {
 			if dist[k] > 0 {
@@ -255,26 +255,26 @@ func main() {
 		if *synSize > 0 {
 			n = *synSize
 		}
-		g := datasets.Synthetic(n, int64(n))
-		goal := datasets.SynQueries(g)[2]
+		snap := datasets.Synthetic(n, int64(n)).Snapshot()
+		goal := datasets.SynQueriesOn(snap)[2]
 		sampleCfg := sampling.Config{TargetNodes: n / 10, Seed: *seed}
 		strategies := []interactive.Strategy{
 			interactive.KS{},
-			sampling.Restrict{Base: interactive.KS{}, Sample: sampling.RandomWalk(g, sampleCfg)},
-			sampling.Restrict{Base: interactive.KS{}, Sample: sampling.ForestFire(g, sampleCfg)},
+			sampling.Restrict{Base: interactive.KS{}, Sample: sampling.RandomWalk(snap, sampleCfg)},
+			sampling.Restrict{Base: interactive.KS{}, Sample: sampling.ForestFire(snap, sampleCfg)},
 		}
 		cap := interactiveCap
 		if cap == 0 {
 			cap = 150
 		}
-		rows := experiments.RunInteractiveStrategies("syn-sampled", g, goal, strategies,
+		rows := experiments.RunInteractiveStrategies("syn-sampled", snap, goal, strategies,
 			experiments.InteractiveConfig{Seed: *seed, MaxInteractions: cap})
 		experiments.PrintTable2(os.Stdout, rows)
 	}
 
 	if *theorem {
 		section("Theorem 3.5 self-check — characteristic samples identify the workload queries")
-		alpha := bio.g.Alphabet()
+		alpha := bio.snap.Alphabet()
 		for _, nq := range bio.queries {
 			q := query.MustParse(alpha, nq.Expr)
 			ok, err := charsample.Verify(q)
@@ -291,13 +291,13 @@ func main() {
 }
 
 type bioWorkload struct {
-	g       *graph.Graph
+	snap    *graph.Snapshot
 	queries []datasets.NamedQuery
 }
 
 func loadBio() *bioWorkload {
-	g := datasets.AliBaba()
-	return &bioWorkload{g: g, queries: datasets.BioQueries(g)}
+	snap := datasets.AliBaba().Snapshot()
+	return &bioWorkload{snap: snap, queries: datasets.BioQueries(snap)}
 }
 
 func section(title string) {

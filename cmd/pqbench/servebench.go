@@ -17,7 +17,7 @@ import (
 
 func runServeBench() error {
 	g := datasets.Synthetic(*serveSyn, *seed)
-	qs := datasets.SynQueries(g)
+	qs := datasets.SynQueriesOn(g.Snapshot())
 	queries := make([]string, len(qs))
 	for i, nq := range qs {
 		queries[i] = nq.Expr

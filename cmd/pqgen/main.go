@@ -37,7 +37,7 @@ func main() {
 	case "alibaba":
 		g = datasets.AliBaba()
 		if *withQueries {
-			queries = datasets.BioQueries(g)
+			queries = datasets.BioQueries(g.Snapshot())
 		}
 	case "scalefree":
 		g = datasets.ScaleFree(datasets.ScaleFreeConfig{
@@ -48,7 +48,7 @@ func main() {
 			Seed:   *seed,
 		})
 		if *withQueries {
-			queries = datasets.SynQueries(g)
+			queries = datasets.SynQueriesOn(g.Snapshot())
 		}
 	default:
 		log.Fatalf("unknown dataset %q", *dataset)
@@ -63,15 +63,16 @@ func main() {
 		defer f.Close()
 		w = f
 	}
-	if err := g.WriteTSV(w); err != nil {
+	snap := g.Snapshot()
+	if err := snap.WriteTSV(w); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Fprintf(os.Stderr, "generated %v\n", g)
 	if *withStats {
-		g.ComputeStats().Print(os.Stderr)
+		snap.ComputeStats().Print(os.Stderr)
 	}
 	for _, nq := range queries {
 		fmt.Fprintf(os.Stderr, "%s\tselectivity %.4f%%\t%s\n",
-			nq.Name, 100*nq.Query.Selectivity(g), nq.Expr)
+			nq.Name, 100*nq.Query.Evaluate(snap).Selectivity(), nq.Expr)
 	}
 }

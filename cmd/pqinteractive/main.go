@@ -24,23 +24,24 @@ import (
 	"pathquery/internal/interactive"
 )
 
-// stdinOracle asks the human at the terminal.
+// stdinOracle asks the human at the terminal, showing the same
+// neighborhood the session records for the proposal (step 4 of Figure 9).
 type stdinOracle struct {
-	g  *graph.Graph
-	in *bufio.Reader
-	k  int
+	sess *pathquery.Session
+	in   *bufio.Reader
 }
 
 func (o *stdinOracle) Label(nu pathquery.NodeID) bool {
-	fmt.Printf("\nnode %q — its neighborhood (radius %d):\n", o.g.NodeName(nu), o.k)
-	for _, v := range o.g.Neighborhood(nu, o.k) {
-		for _, e := range o.g.OutEdges(v) {
+	snap := o.sess.Snapshot()
+	fmt.Printf("\nnode %q — its neighborhood (radius %d):\n", snap.NodeName(nu), o.sess.K())
+	for _, v := range o.sess.Neighborhood(nu) {
+		for _, e := range snap.OutEdges(v) {
 			fmt.Printf("  %s --%s--> %s\n",
-				o.g.NodeName(v), o.g.Alphabet().Name(e.Sym), o.g.NodeName(e.To))
+				snap.NodeName(v), snap.Alphabet().Name(e.Sym), snap.NodeName(e.To))
 		}
 	}
 	for {
-		fmt.Printf("select %q? [y/n] ", o.g.NodeName(nu))
+		fmt.Printf("select %q? [y/n] ", snap.NodeName(nu))
 		line, err := o.in.ReadString('\n')
 		if err != nil {
 			log.Fatal("stdin closed")
@@ -80,6 +81,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	snap := g.Snapshot()
 	var strategy pathquery.Strategy
 	switch *strategyName {
 	case "kR":
@@ -109,13 +111,13 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		sess, err = interactive.Resume(g, saved, opts)
+		sess, err = interactive.Resume(snap, saved, opts)
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("resumed with %d labels\n", saved.Size())
 	} else {
-		sess = pathquery.NewSession(g, opts)
+		sess = pathquery.NewSession(snap, opts)
 	}
 
 	var oracle pathquery.Oracle
@@ -125,13 +127,12 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		oracle = pathquery.NewQueryOracle(g, goal)
-		halt = pathquery.ExactMatch(g, goal)
+		oracle = pathquery.NewQueryOracle(snap, goal)
+		halt = pathquery.ExactMatch(snap, goal)
 		fmt.Printf("simulating a user with goal %v (selects %d nodes)\n",
-			goal, len(goal.SelectNodes(g)))
+			goal, goal.Evaluate(snap).Count())
 	} else {
-		o := &stdinOracle{g: g, in: bufio.NewReader(os.Stdin), k: 2}
-		oracle = o
+		oracle = &stdinOracle{sess: sess, in: bufio.NewReader(os.Stdin)}
 		// Human sessions halt when the user is out of informative nodes or
 		// interrupts; the learned query is printed after every label.
 		halt = func(q *pathquery.Query) bool { return false }
@@ -149,16 +150,18 @@ func main() {
 		if err := interactive.SaveSample(sf, g, sess.Sample()); err != nil {
 			log.Fatal(err)
 		}
-		sf.Close()
+		if err := sf.Close(); err != nil {
+			log.Fatal(err)
+		}
 		fmt.Println("session sample saved to", *savePath)
 	}
 	fmt.Printf("\nsession over (%v) after %d labels (%.2f%% of nodes)\n",
-		res.Halted, res.Labels(), 100*res.LabelFraction(g))
+		res.Halted, res.Labels(), 100*res.LabelFraction(snap))
 	if res.Query != nil {
 		fmt.Println("learned query:", res.Query)
 		fmt.Println("selected nodes:")
-		for _, v := range res.Query.SelectNodes(g) {
-			fmt.Println("  ", g.NodeName(v))
+		for _, v := range res.Query.Evaluate(snap).Nodes() {
+			fmt.Println("  ", snap.NodeName(v))
 		}
 	} else {
 		fmt.Println("no query learned (not enough consistent examples)")

@@ -73,7 +73,8 @@ func main() {
 	}
 	sample := pathquery.Sample{Pos: nodes(*posList), Neg: nodes(*negList)}
 
-	res, err := pathquery.LearnDetailed(g, sample, pathquery.Options{
+	snap := g.Snapshot()
+	res, err := pathquery.LearnDetailed(snap, sample, pathquery.Options{
 		K: *k, MaxK: *maxK, DisableGeneralization: *noMerge,
 	})
 	if errors.Is(err, pathquery.ErrAbstain) {
@@ -89,8 +90,8 @@ func main() {
 		fmt.Printf("  SCP %d: %s\n", i+1, words.String(p, g.Alphabet()))
 	}
 	fmt.Println("selected nodes:")
-	for _, v := range res.Query.SelectNodes(g) {
-		fmt.Println("  ", g.NodeName(v))
+	for _, v := range res.Query.Evaluate(snap).Nodes() {
+		fmt.Println("  ", snap.NodeName(v))
 	}
 	if *savePath != "" {
 		out, err := os.Create(*savePath)

@@ -72,7 +72,7 @@ func main() {
 	}
 
 	if *outPath != "" {
-		forge(g, *outPath, *seed, *classList, *templates, *anchors, *topDegree)
+		forge(g.Snapshot(), *outPath, *seed, *classList, *templates, *anchors, *topDegree)
 		return
 	}
 
@@ -83,7 +83,7 @@ func main() {
 			shapes = append(shapes, workload.Shape(strings.TrimSpace(s)))
 		}
 	}
-	suite := workload.Suite(g, shapes, workload.DefaultBands)
+	suite := workload.Suite(g.Snapshot(), shapes, workload.DefaultBands)
 	fmt.Printf("workload for %v — %d queries\n", g, len(suite))
 	workload.Print(os.Stdout, suite)
 
@@ -99,7 +99,7 @@ func main() {
 	}
 }
 
-func forge(g *graph.Graph, outPath string, seed int64, classList string, templates, anchors, topDegree int) {
+func forge(snap *graph.Snapshot, outPath string, seed int64, classList string, templates, anchors, topDegree int) {
 	cfg := workload.ForgeConfig{
 		Seed:               seed,
 		TemplatesPerClass:  templates,
@@ -114,7 +114,7 @@ func forge(g *graph.Graph, outPath string, seed int64, classList string, templat
 			cfg.Classes = append(cfg.Classes, strings.TrimSpace(c))
 		}
 	}
-	f, err := workload.ForgeGraph(g, cfg)
+	f, err := workload.Forge(snap, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -23,7 +23,9 @@ func Example() {
 	n6, _ := g.NodeByName("N6")
 	n5, _ := g.NodeByName("N5")
 
-	q, err := pathquery.Learn(g, pathquery.Sample{
+	// Every read runs on an immutable epoch snapshot of the graph.
+	snap := g.Snapshot()
+	q, err := pathquery.Learn(snap, pathquery.Sample{
 		Pos: []pathquery.NodeID{n2, n6},
 		Neg: []pathquery.NodeID{n5},
 	}, pathquery.Options{})
@@ -31,8 +33,8 @@ func Example() {
 		fmt.Println("abstained:", err)
 		return
 	}
-	for _, v := range q.SelectNodes(g) {
-		fmt.Println(g.NodeName(v))
+	for _, v := range q.Evaluate(snap).Nodes() {
+		fmt.Println(snap.NodeName(v))
 	}
 	// The learned query (bus + cinema here — more labels would refine it
 	// towards (tram+bus)*·cinema) selects the positives and N4.
@@ -49,8 +51,9 @@ func ExampleQuery_selectNodes() {
 	g.AddEdgeByName("mid", "b", "end")
 
 	q, _ := pathquery.ParseQuery(g.Alphabet(), "a·b")
-	for _, v := range q.SelectNodes(g) {
-		fmt.Println(g.NodeName(v))
+	snap := g.Snapshot()
+	for _, v := range q.Evaluate(snap).Nodes() {
+		fmt.Println(snap.NodeName(v))
 	}
 	// Output:
 	// start
@@ -65,7 +68,7 @@ func ExampleLearn_abstain() {
 	pos, _ := g.NodeByName("pos")
 	neg, _ := g.NodeByName("neg")
 
-	_, err := pathquery.Learn(g, pathquery.Sample{
+	_, err := pathquery.Learn(g.Snapshot(), pathquery.Sample{
 		Pos: []pathquery.NodeID{pos},
 		Neg: []pathquery.NodeID{neg},
 	}, pathquery.Options{})

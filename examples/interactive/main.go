@@ -22,26 +22,27 @@ func main() {
 		Nodes: 2000, Edges: 6000, Labels: 12, ZipfS: 1.0, Seed: 99,
 	})
 	fmt.Println("graph:", g)
+	snap := g.Snapshot()
 
 	// The user's hidden intent.
 	goal, err := pathquery.ParseQuery(g.Alphabet(), "(l00+l01)·l03*·l05")
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("hidden goal: %v (selects %d nodes)\n", goal, len(goal.SelectNodes(g)))
+	fmt.Printf("hidden goal: %v (selects %d nodes)\n", goal, goal.Evaluate(snap).Count())
 
 	for _, strategy := range []pathquery.Strategy{interactive.KR{}, interactive.KS{}} {
-		sess := pathquery.NewSession(g, pathquery.SessionOptions{
+		sess := pathquery.NewSession(snap, pathquery.SessionOptions{
 			Strategy: strategy,
 			Seed:     7,
 		})
-		oracle := pathquery.NewQueryOracle(g, goal)
-		res, err := sess.Run(oracle, pathquery.ExactMatch(g, goal))
+		oracle := pathquery.NewQueryOracle(snap, goal)
+		res, err := sess.Run(oracle, pathquery.ExactMatch(snap, goal))
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("\nstrategy %s: halted=%v after %d labels (%.2f%% of nodes)\n",
-			strategy.Name(), res.Halted, res.Labels(), 100*res.LabelFraction(g))
+			strategy.Name(), res.Halted, res.Labels(), 100*res.LabelFraction(snap))
 		fmt.Printf("  learned: %v\n", res.Query)
 		fmt.Printf("  mean time between interactions: %v\n", res.MeanTimeBetweenInteractions())
 		pos, neg := 0, 0
@@ -58,15 +59,13 @@ func main() {
 	// Contrast with the static protocol: how many random labels before the
 	// learner nails the goal exactly?
 	rng := rand.New(rand.NewSource(11))
-	goalSel := goal.Select(g)
 	for _, fraction := range []float64{0.01, 0.05, 0.10, 0.25} {
-		pos, neg := datasets.RandomSample(g, goal, fraction, rng)
-		learned, err := pathquery.Learn(g, pathquery.Sample{Pos: pos, Neg: neg}, pathquery.Options{})
+		pos, neg := datasets.RandomSample(snap, goal, fraction, rng)
+		learned, err := pathquery.Learn(snap, pathquery.Sample{Pos: pos, Neg: neg}, pathquery.Options{})
 		f1 := 0.0
 		if err == nil {
-			f1 = pathquery.Score(g, goal, learned).F1()
+			f1 = pathquery.Score(snap, goal, learned).F1()
 		}
-		_ = goalSel
 		fmt.Printf("static %5.1f%% labels -> F1 %.3f\n", 100*fraction, f1)
 	}
 }

@@ -29,6 +29,7 @@ func main() {
 		g.AddEdgeByName(e[0], e[1], e[2])
 	}
 	fmt.Println("graph:", g)
+	snap := g.Snapshot()
 
 	node := func(name string) pathquery.NodeID {
 		id, ok := g.NodeByName(name)
@@ -48,29 +49,29 @@ func main() {
 		Pos: []pathquery.NodeID{node("N2"), node("N6")},
 		Neg: []pathquery.NodeID{node("N5")},
 	}
-	learned, err := pathquery.Learn(g, sample, pathquery.Options{})
+	learned, err := pathquery.Learn(snap, sample, pathquery.Options{})
 	if err != nil {
 		log.Fatalf("learner abstained: %v", err)
 	}
 	fmt.Println("round 1 learned:", learned)
 	fmt.Printf("round 1 F1 against the goal: %.2f\n",
-		pathquery.Score(g, goal, learned).F1())
+		pathquery.Score(snap, goal, learned).F1())
 	// "bus" is consistent with three labels, but misses N1 and N4 — the
 	// user is not satisfied yet and labels three more nodes.
 
 	sample.Pos = append(sample.Pos, node("N1"), node("N4"))
 	sample.Neg = append(sample.Neg, node("N3"))
-	learned, err = pathquery.Learn(g, sample, pathquery.Options{})
+	learned, err = pathquery.Learn(snap, sample, pathquery.Options{})
 	if err != nil {
 		log.Fatalf("learner abstained: %v", err)
 	}
 	fmt.Println("round 2 learned:", learned)
 	fmt.Println("selected neighborhoods:")
-	for _, v := range learned.SelectNodes(g) {
-		fmt.Println("  ", g.NodeName(v))
+	for _, v := range learned.Evaluate(snap).Nodes() {
+		fmt.Println("  ", snap.NodeName(v))
 	}
 	fmt.Printf("selects the same nodes as (tram+bus)*·cinema: %v\n",
-		learned.EquivalentOn(g, goal))
+		learned.EquivalentOn(snap, goal))
 	fmt.Printf("round 2 F1 against the goal: %.2f\n",
-		pathquery.Score(g, goal, learned).F1())
+		pathquery.Score(snap, goal, learned).F1())
 }

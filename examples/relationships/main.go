@@ -27,6 +27,7 @@ func main() {
 		g.AddEdgeByName(e[0], e[1], e[2])
 	}
 	fmt.Println("graph:", g)
+	snap := g.Snapshot()
 
 	node := func(name string) pathquery.NodeID {
 		id, ok := g.NodeByName(name)
@@ -50,14 +51,14 @@ func main() {
 			{From: node("ana"), To: node("ana")},
 		},
 	}
-	binary, err := pathquery.LearnBinary(g, pairs, pathquery.Options{})
+	binary, err := pathquery.LearnBinary(snap, pairs, pathquery.Options{})
 	if err != nil {
 		log.Fatalf("binary learner abstained: %v", err)
 	}
 	fmt.Println("\nlearned binary query:", binary)
 	for _, from := range []string{"ana", "bob", "dan", "frank"} {
-		for _, v := range binary.SelectPairsFrom(g, node(from)) {
-			fmt.Printf("  selected pair (%s, %s)\n", from, g.NodeName(v))
+		for _, v := range binary.SelectPairsFrom(snap, node(from)) {
+			fmt.Printf("  selected pair (%s, %s)\n", from, snap.NodeName(v))
 		}
 	}
 
@@ -76,13 +77,13 @@ func main() {
 			{node("frank"), node("dan"), node("dan")},
 		},
 	}
-	nary, err := pathquery.LearnNary(g, tuples, pathquery.Options{})
+	nary, err := pathquery.LearnNary(snap, tuples, pathquery.Options{})
 	if err != nil {
 		log.Fatalf("n-ary learner abstained: %v", err)
 	}
 	fmt.Println("\nlearned 3-ary query:", nary)
-	for _, tuple := range nary.SelectTuples(g) {
+	for _, tuple := range nary.SelectTuples(snap) {
 		fmt.Printf("  selected triple (%s, %s, %s)\n",
-			g.NodeName(tuple[0]), g.NodeName(tuple[1]), g.NodeName(tuple[2]))
+			snap.NodeName(tuple[0]), snap.NodeName(tuple[1]), snap.NodeName(tuple[2]))
 	}
 }

@@ -41,6 +41,7 @@ func main() {
 		}
 	}
 	fmt.Println("graph:", g)
+	snap := g.Snapshot()
 
 	node := func(name string) pathquery.NodeID {
 		id, ok := g.NodeByName(name)
@@ -60,7 +61,7 @@ func main() {
 			node("wf2_s1"), node("wf3_s2"),
 		},
 	}
-	res, err := pathquery.LearnDetailed(g, sample, pathquery.Options{})
+	res, err := pathquery.LearnDetailed(snap, sample, pathquery.Options{})
 	if err != nil {
 		log.Fatalf("learner abstained: %v", err)
 	}
@@ -68,8 +69,8 @@ func main() {
 	fmt.Println("SCP bound k used:", res.K)
 
 	fmt.Println("workflows matching the learned pattern:")
-	for _, v := range res.Query.SelectNodes(g) {
-		name := g.NodeName(v)
+	for _, v := range res.Query.Evaluate(snap).Nodes() {
+		name := snap.NodeName(v)
 		if len(name) > 3 && name[3] == '_' {
 			continue // internal stage nodes
 		}
@@ -82,5 +83,5 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("equivalent to the intended pattern on these workflows: %v\n",
-		res.Query.EquivalentOn(g, goal))
+		res.Query.EquivalentOn(snap, goal))
 }

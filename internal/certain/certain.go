@@ -49,10 +49,10 @@ func (l Label) String() string {
 }
 
 // IsCertainPositive decides ν ∈ Cert+(G,S) exactly (Lemma 4.1, case 1).
-func IsCertainPositive(g *graph.Graph, s core.Sample, nu graph.NodeID) bool {
+func IsCertainPositive(snap *graph.Snapshot, s core.Sample, nu graph.NodeID) bool {
 	right := append(append([]graph.NodeID{}, s.Neg...), nu)
 	for _, p := range s.Pos {
-		if g.PathsIncluded([]graph.NodeID{p}, right) {
+		if snap.PathsIncluded([]graph.NodeID{p}, right) {
 			return true
 		}
 	}
@@ -60,19 +60,19 @@ func IsCertainPositive(g *graph.Graph, s core.Sample, nu graph.NodeID) bool {
 }
 
 // IsCertainNegative decides ν ∈ Cert−(G,S) exactly (Lemma 4.1, case 2).
-func IsCertainNegative(g *graph.Graph, s core.Sample, nu graph.NodeID) bool {
-	return g.PathsIncluded([]graph.NodeID{nu}, s.Neg)
+func IsCertainNegative(snap *graph.Snapshot, s core.Sample, nu graph.NodeID) bool {
+	return snap.PathsIncluded([]graph.NodeID{nu}, s.Neg)
 }
 
 // Classify returns the exact label of ν relative to S.
-func Classify(g *graph.Graph, s core.Sample, nu graph.NodeID) Label {
+func Classify(snap *graph.Snapshot, s core.Sample, nu graph.NodeID) Label {
 	if _, ok := s.Labeled(nu); ok {
 		return AlreadyLabeled
 	}
-	if IsCertainNegative(g, s, nu) {
+	if IsCertainNegative(snap, s, nu) {
 		return CertainNegative
 	}
-	if IsCertainPositive(g, s, nu) {
+	if IsCertainPositive(snap, s, nu) {
 		return CertainPositive
 	}
 	return Informative
@@ -80,28 +80,28 @@ func Classify(g *graph.Graph, s core.Sample, nu graph.NodeID) Label {
 
 // IsInformative decides informativeness exactly. This is the
 // PSPACE-complete problem of Lemma 4.2; use only on small graphs.
-func IsInformative(g *graph.Graph, s core.Sample, nu graph.NodeID) bool {
-	return Classify(g, s, nu) == Informative
+func IsInformative(snap *graph.Snapshot, s core.Sample, nu graph.NodeID) bool {
+	return Classify(snap, s, nu) == Informative
 }
 
 // IsKInformative is the practical approximation of Section 4.2: ν has a
 // path of length ≤ k not covered by a negative example. k-informative
 // implies informative; the converse may fail for the given k.
-func IsKInformative(g *graph.Graph, s core.Sample, nu graph.NodeID, k int) bool {
+func IsKInformative(snap *graph.Snapshot, s core.Sample, nu graph.NodeID, k int) bool {
 	if _, ok := s.Labeled(nu); ok {
 		return false
 	}
-	return scp.IsKInformative(g, nu, s.Neg, k)
+	return scp.NewCoverage(snap, s.Neg).IsKInformative(nu, k)
 }
 
 // Propagate computes the exact certain labels of every unlabeled node —
 // the "propagate label for ν" step of the interactive scenario (Figure 9),
 // which prunes nodes that became uninformative after a new label. Returns
 // the classified label per node id.
-func Propagate(g *graph.Graph, s core.Sample) []Label {
-	out := make([]Label, g.NumNodes())
-	for v := 0; v < g.NumNodes(); v++ {
-		out[v] = Classify(g, s, graph.NodeID(v))
+func Propagate(snap *graph.Snapshot, s core.Sample) []Label {
+	out := make([]Label, snap.NumNodes())
+	for v := 0; v < snap.NumNodes(); v++ {
+		out[v] = Classify(snap, s, graph.NodeID(v))
 	}
 	return out
 }

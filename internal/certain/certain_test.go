@@ -13,22 +13,23 @@ func TestCertainFigure10(t *testing.T) {
 	// The paper's Figure 10: the unlabeled node belongs to Cert+ — every
 	// consistent query must accept b, and the node covers b.
 	g, s, u := paperfix.Figure10()
-	if !certain.IsCertainPositive(g, s, u) {
+	snap := g.Snapshot()
+	if !certain.IsCertainPositive(snap, s, u) {
 		t.Fatal("u should be certain-positive")
 	}
-	if certain.IsCertainNegative(g, s, u) {
+	if certain.IsCertainNegative(snap, s, u) {
 		t.Fatal("u is not certain-negative")
 	}
-	if got := certain.Classify(g, s, u); got != certain.CertainPositive {
+	if got := certain.Classify(snap, s, u); got != certain.CertainPositive {
 		t.Fatalf("Classify(u) = %v", got)
 	}
-	if certain.IsInformative(g, s, u) {
+	if certain.IsInformative(snap, s, u) {
 		t.Fatal("u should not be informative")
 	}
 	// "labeling it otherwise (i.e., with a –) leads to an inconsistent
 	// sample": adding u to S− breaks consistency.
 	bad := core.Sample{Pos: s.Pos, Neg: append(append([]graph.NodeID{}, s.Neg...), u)}
-	if core.Consistent(g, bad) {
+	if core.Consistent(snap, bad) {
 		t.Fatal("labeling u negative should make the sample inconsistent")
 	}
 }
@@ -45,10 +46,10 @@ func TestCertainNegativeDeadEnd(t *testing.T) {
 	u, _ := g.NodeByName("u")
 	s := core.Sample{Pos: []graph.NodeID{pos}, Neg: []graph.NodeID{neg}}
 	// paths(u) = {ε, a} ⊆ paths(neg) = {ε, a}.
-	if !certain.IsCertainNegative(g, s, u) {
+	if !certain.IsCertainNegative(g.Snapshot(), s, u) {
 		t.Fatal("u should be certain-negative")
 	}
-	if certain.IsInformative(g, s, u) {
+	if certain.IsInformative(g.Snapshot(), s, u) {
 		t.Fatal("u should not be informative")
 	}
 }
@@ -64,17 +65,17 @@ func TestInformativeNode(t *testing.T) {
 	neg, _ := g.NodeByName("neg")
 	u, _ := g.NodeByName("u")
 	s := core.Sample{Pos: []graph.NodeID{pos}, Neg: []graph.NodeID{neg}}
-	if !certain.IsInformative(g, s, u) {
+	if !certain.IsInformative(g.Snapshot(), s, u) {
 		t.Fatal("u should be informative")
 	}
-	if got := certain.Classify(g, s, u); got != certain.Informative {
+	if got := certain.Classify(g.Snapshot(), s, u); got != certain.Informative {
 		t.Fatalf("Classify(u) = %v", got)
 	}
 }
 
 func TestClassifyLabeled(t *testing.T) {
 	g, s := paperfix.G0()
-	if got := certain.Classify(g, s, s.Pos[0]); got != certain.AlreadyLabeled {
+	if got := certain.Classify(g.Snapshot(), s, s.Pos[0]); got != certain.AlreadyLabeled {
 		t.Fatalf("Classify(labeled) = %v", got)
 	}
 }
@@ -84,10 +85,11 @@ func TestKInformativeImpliesInformative(t *testing.T) {
 	// informative (Section 4.2: "if a node is k-informative, then it is
 	// also informative").
 	g, s := paperfix.G0()
+	snap := g.Snapshot()
 	for _, k := range []int{1, 2, 3} {
 		for v := 0; v < g.NumNodes(); v++ {
 			nu := graph.NodeID(v)
-			if certain.IsKInformative(g, s, nu, k) && !certain.IsInformative(g, s, nu) {
+			if certain.IsKInformative(snap, s, nu, k) && !certain.IsInformative(snap, s, nu) {
 				t.Fatalf("k=%d: node %s is k-informative but not informative", k, g.NodeName(nu))
 			}
 		}
@@ -96,9 +98,10 @@ func TestKInformativeImpliesInformative(t *testing.T) {
 
 func TestPropagateMatchesClassify(t *testing.T) {
 	g, s := paperfix.G0()
-	labels := certain.Propagate(g, s)
+	snap := g.Snapshot()
+	labels := certain.Propagate(snap, s)
 	for v := 0; v < g.NumNodes(); v++ {
-		if got := certain.Classify(g, s, graph.NodeID(v)); got != labels[v] {
+		if got := certain.Classify(snap, s, graph.NodeID(v)); got != labels[v] {
 			t.Fatalf("Propagate[%d] = %v, Classify = %v", v, labels[v], got)
 		}
 	}

@@ -100,7 +100,7 @@ func Verify(q *query.Query) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	learned, err := core.LearnOn(g.Snapshot(), s, core.Options{K: KFor(q)})
+	learned, err := core.Learn(g.Snapshot(), s, core.Options{K: KFor(q)})
 	if err != nil {
 		return false, err
 	}

@@ -63,14 +63,9 @@ func (s PairSample) ValidateOn(snap *graph.Snapshot) error {
 	return nil
 }
 
-// LearnBinary runs Algorithm 2 and returns the learned binary query, or
-// ErrAbstain.
-func LearnBinary(g *graph.Graph, s PairSample, opt Options) (*query.Query, error) {
-	return LearnBinaryOn(g.Snapshot(), s, opt)
-}
-
-// LearnBinaryOn runs Algorithm 2 against a pinned epoch snapshot.
-func LearnBinaryOn(snap *graph.Snapshot, s PairSample, opt Options) (*query.Query, error) {
+// LearnBinary runs Algorithm 2 against a pinned epoch snapshot and returns
+// the learned binary query, or ErrAbstain.
+func LearnBinary(snap *graph.Snapshot, s PairSample, opt Options) (*query.Query, error) {
 	opt = opt.withDefaults()
 	if err := s.ValidateOn(snap); err != nil {
 		return nil, err
@@ -345,13 +340,9 @@ func (s TupleSample) ValidateOn(snap *graph.Snapshot) error {
 
 // LearnNary runs Algorithm 3: project the tuple sample onto each adjacent
 // position pair, learn a binary query per position with Algorithm 2, and
-// combine. Abstains if any position abstains.
-func LearnNary(g *graph.Graph, s TupleSample, opt Options) (*query.Nary, error) {
-	return LearnNaryOn(g.Snapshot(), s, opt)
-}
-
-// LearnNaryOn runs Algorithm 3 against a pinned epoch snapshot.
-func LearnNaryOn(snap *graph.Snapshot, s TupleSample, opt Options) (*query.Nary, error) {
+// combine. Abstains if any position abstains. Every position learns on
+// the same pinned epoch snapshot.
+func LearnNary(snap *graph.Snapshot, s TupleSample, opt Options) (*query.Nary, error) {
 	if err := s.ValidateOn(snap); err != nil {
 		return nil, err
 	}
@@ -371,7 +362,7 @@ func LearnNaryOn(snap *graph.Snapshot, s TupleSample, opt Options) (*query.Nary,
 			// abstain, since no single regular expression can satisfy both.
 			return nil, ErrAbstain
 		}
-		q, err := LearnBinaryOn(snap, ps, opt)
+		q, err := LearnBinary(snap, ps, opt)
 		if err != nil {
 			return nil, err
 		}

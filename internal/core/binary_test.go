@@ -32,17 +32,17 @@ func TestLearnBinaryFigure1(t *testing.T) {
 		Pos: []core.Pair{pairOf(t, g, "N2", "C1"), pairOf(t, g, "N6", "C2")},
 		Neg: []core.Pair{pairOf(t, g, "N5", "C1"), pairOf(t, g, "N5", "R1")},
 	}
-	q, err := core.LearnBinary(g, s, core.Options{})
+	q, err := core.LearnBinary(g.Snapshot(), s, core.Options{})
 	if err != nil {
 		t.Fatalf("abstained: %v", err)
 	}
 	for _, p := range s.Pos {
-		if !q.SelectsPair(g, p.From, p.To) {
+		if !q.SelectsPair(g.Snapshot(), p.From, p.To) {
 			t.Errorf("positive pair (%s,%s) not selected", g.NodeName(p.From), g.NodeName(p.To))
 		}
 	}
 	for _, n := range s.Neg {
-		if q.SelectsPair(g, n.From, n.To) {
+		if q.SelectsPair(g.Snapshot(), n.From, n.To) {
 			t.Errorf("negative pair (%s,%s) selected", g.NodeName(n.From), g.NodeName(n.To))
 		}
 	}
@@ -54,14 +54,15 @@ func TestLearnBinarySmallerCandidateSpace(t *testing.T) {
 	// with no negatives, while the monadic SCP for ν3 with no negatives
 	// would be ε.
 	g, _ := paperfix.G0()
+	snap := g.Snapshot()
 	v3, _ := g.NodeByName("v3")
 	v5, _ := g.NodeByName("v5")
 	s := core.PairSample{Pos: []core.Pair{{From: v3, To: v5}}}
-	q, err := core.LearnBinary(g, s, core.Options{})
+	q, err := core.LearnBinary(snap, s, core.Options{})
 	if err != nil {
 		t.Fatalf("abstained: %v", err)
 	}
-	if !q.SelectsPair(g, v3, v5) {
+	if !q.SelectsPair(snap, v3, v5) {
 		t.Fatal("positive pair not selected")
 	}
 	// The smallest pair path is c (ε cannot relate the distinct endpoints),
@@ -72,7 +73,7 @@ func TestLearnBinarySmallerCandidateSpace(t *testing.T) {
 	}
 	// v5 has no path to v3 at all, so the pair (v5, v3) stays unselected
 	// whatever the generalization did.
-	if q.SelectsPair(g, v5, v3) {
+	if q.SelectsPair(snap, v5, v3) {
 		t.Fatal("(v5, v3) selected despite having no connecting path")
 	}
 }
@@ -92,7 +93,7 @@ func TestLearnBinaryAbstains(t *testing.T) {
 		Pos: []core.Pair{{From: p, To: qn}},
 		Neg: []core.Pair{{From: x, To: y}},
 	}
-	if _, err := core.LearnBinary(g, s, core.Options{}); !errors.Is(err, core.ErrAbstain) {
+	if _, err := core.LearnBinary(g.Snapshot(), s, core.Options{}); !errors.Is(err, core.ErrAbstain) {
 		t.Fatalf("err = %v, want ErrAbstain", err)
 	}
 }
@@ -105,7 +106,7 @@ func TestLearnBinaryValidation(t *testing.T) {
 		Pos: []core.Pair{{From: v1, To: v2}},
 		Neg: []core.Pair{{From: v1, To: v2}},
 	}
-	if _, err := core.LearnBinary(g, s, core.Options{}); err == nil || errors.Is(err, core.ErrAbstain) {
+	if _, err := core.LearnBinary(g.Snapshot(), s, core.Options{}); err == nil || errors.Is(err, core.ErrAbstain) {
 		t.Fatalf("err = %v, want validation error", err)
 	}
 }
@@ -114,6 +115,7 @@ func TestLearnNary(t *testing.T) {
 	// 3-ary tuples on Figure 1: (neighborhood, neighborhood, cinema) via
 	// (transport, cinema-visit) component queries.
 	g, _ := paperfix.Figure1()
+	snap := g.Snapshot()
 	n2, _ := g.NodeByName("N2")
 	n1, _ := g.NodeByName("N1")
 	n4, _ := g.NodeByName("N4")
@@ -132,7 +134,7 @@ func TestLearnNary(t *testing.T) {
 			{n5, n3, r2},
 		},
 	}
-	nq, err := core.LearnNary(g, s, core.Options{})
+	nq, err := core.LearnNary(snap, s, core.Options{})
 	if err != nil {
 		t.Fatalf("abstained: %v", err)
 	}
@@ -140,13 +142,13 @@ func TestLearnNary(t *testing.T) {
 		t.Fatalf("arity = %d", nq.Arity())
 	}
 	for _, tp := range s.Pos {
-		ok, err := nq.SelectsTuple(g, tp)
+		ok, err := nq.SelectsTuple(snap, tp)
 		if err != nil || !ok {
 			t.Errorf("positive tuple %v not selected (err %v)", tp, err)
 		}
 	}
 	for _, tn := range s.Neg {
-		ok, err := nq.SelectsTuple(g, tn)
+		ok, err := nq.SelectsTuple(snap, tn)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -158,7 +160,8 @@ func TestLearnNary(t *testing.T) {
 
 func TestLearnNaryValidation(t *testing.T) {
 	g, _ := paperfix.G0()
-	if _, err := core.LearnNary(g, core.TupleSample{}, core.Options{}); err == nil {
+	snap := g.Snapshot()
+	if _, err := core.LearnNary(snap, core.TupleSample{}, core.Options{}); err == nil {
 		t.Fatal("empty tuple sample should fail validation")
 	}
 	v1, _ := g.NodeByName("v1")
@@ -167,26 +170,27 @@ func TestLearnNaryValidation(t *testing.T) {
 		Pos: [][]graph.NodeID{{v1, v2}},
 		Neg: [][]graph.NodeID{{v1, v2, v1}},
 	}
-	if _, err := core.LearnNary(g, mixed, core.Options{}); err == nil {
+	if _, err := core.LearnNary(snap, mixed, core.Options{}); err == nil {
 		t.Fatal("mixed arities should fail validation")
 	}
 }
 
 func TestNaryQuerySelectTuples(t *testing.T) {
 	g, _ := paperfix.Figure1()
+	snap := g.Snapshot()
 	transport := query.MustParse(g.Alphabet(), "(tram+bus)*")
 	cinema := query.MustParse(g.Alphabet(), "cinema")
 	nq, err := query.NewNary(transport, cinema)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tuples := nq.SelectTuples(g)
+	tuples := nq.SelectTuples(snap)
 	if len(tuples) == 0 {
 		t.Fatal("no tuples selected")
 	}
 	// Every returned tuple must satisfy SelectsTuple.
 	for _, tp := range tuples {
-		ok, err := nq.SelectsTuple(g, tp)
+		ok, err := nq.SelectsTuple(snap, tp)
 		if err != nil || !ok {
 			t.Fatalf("inconsistent tuple %v", tp)
 		}

@@ -16,11 +16,10 @@
 // "not enough examples were provided", which sidesteps the
 // PSPACE-completeness of consistency checking (Lemma 3.2).
 //
-// Every learner runs against one immutable epoch Snapshot (the *On
-// variants; the *graph.Graph forms are read-your-writes delegates that
-// publish the pending epoch first). Pinning a snapshot makes learning
-// safe to run concurrently with writers mutating and publishing newer
-// epochs — the serving engine's Learn service relies on this. The
+// Every learner runs against one immutable epoch Snapshot. Pinning a
+// snapshot makes learning safe to run concurrently with writers mutating
+// and publishing newer epochs — the serving engine's Learn service relies
+// on this. The
 // per-positive SCP searches fan out across worker shards over the pinned
 // snapshot, each worker holding its own lazily-determinized coverage
 // index. The monadic merger checks its candidates serially and in place:
@@ -171,37 +170,21 @@ type Result struct {
 	Merges int
 }
 
-// Learn runs Algorithm 1 and returns the learned query, or ErrAbstain.
-func Learn(g *graph.Graph, s Sample, opt Options) (*query.Query, error) {
-	r, err := LearnDetailed(g, s, opt)
-	if err != nil {
-		return nil, err
-	}
-	return r.Query, nil
-}
-
-// LearnOn runs Algorithm 1 against a pinned epoch snapshot and returns the
+// Learn runs Algorithm 1 against a pinned epoch snapshot and returns the
 // learned query, or ErrAbstain.
-func LearnOn(snap *graph.Snapshot, s Sample, opt Options) (*query.Query, error) {
-	r, err := LearnDetailedOn(snap, s, opt)
+func Learn(snap *graph.Snapshot, s Sample, opt Options) (*query.Query, error) {
+	r, err := LearnDetailed(snap, s, opt)
 	if err != nil {
 		return nil, err
 	}
 	return r.Query, nil
 }
 
-// LearnDetailed is Learn exposing diagnostics. It publishes the graph's
-// pending epoch and learns on it (read-your-writes); use LearnDetailedOn
-// to learn on an explicitly pinned snapshot while writers stay active.
-func LearnDetailed(g *graph.Graph, s Sample, opt Options) (*Result, error) {
-	return LearnDetailedOn(g.Snapshot(), s, opt)
-}
-
-// LearnDetailedOn is LearnOn exposing diagnostics. Every read — SCP
+// LearnDetailed is Learn exposing diagnostics. Every read — SCP
 // selection, merge consistency checks, the final positives check — runs
 // against snap, so the learner observes exactly one epoch no matter what
 // the owning graph's writer does meanwhile.
-func LearnDetailedOn(snap *graph.Snapshot, s Sample, opt Options) (*Result, error) {
+func LearnDetailed(snap *graph.Snapshot, s Sample, opt Options) (*Result, error) {
 	opt = opt.withDefaults()
 	if err := s.ValidateOn(snap); err != nil {
 		return nil, err
@@ -284,7 +267,7 @@ func smallestPaths(snap *graph.Snapshot, pos, neg []graph.NodeID, k, workers int
 	found := make([]words.Word, len(pos))
 	ok := make([]bool, len(pos))
 	if workers <= 1 || len(pos) < 2 {
-		cov := scp.NewCoverageOn(snap, neg)
+		cov := scp.NewCoverage(snap, neg)
 		for i, nu := range pos {
 			found[i], ok[i] = cov.Smallest(nu, k)
 		}
@@ -294,7 +277,7 @@ func smallestPaths(snap *graph.Snapshot, pos, neg []graph.NodeID, k, workers int
 			wg.Add(1)
 			go func(w int) {
 				defer wg.Done()
-				cov := scp.NewCoverageOn(snap, neg)
+				cov := scp.NewCoverage(snap, neg)
 				for i := w; i < len(pos); i += workers {
 					found[i], ok[i] = cov.Smallest(pos[i], k)
 				}
@@ -316,12 +299,7 @@ func smallestPaths(snap *graph.Snapshot, pos, neg []graph.NodeID, k, workers int
 // exact and therefore PSPACE-hard in general (Lemma 3.2) — the subset
 // construction it runs can be exponential in |S−|'s reachable region. Use
 // on small graphs, or bound the search with ConsistentWithin.
-func Consistent(g *graph.Graph, s Sample) bool {
-	return ConsistentOn(g.Snapshot(), s)
-}
-
-// ConsistentOn is Consistent against a pinned epoch snapshot.
-func ConsistentOn(snap *graph.Snapshot, s Sample) bool {
+func Consistent(snap *graph.Snapshot, s Sample) bool {
 	for _, nu := range s.Pos {
 		if snap.PathsIncluded([]graph.NodeID{nu}, s.Neg) {
 			return false
@@ -333,13 +311,8 @@ func ConsistentOn(snap *graph.Snapshot, s Sample) bool {
 // ConsistentWithin is the k-bounded approximation of Consistent: it only
 // certifies consistency witnessed by paths of length ≤ k. It can report
 // false for samples that are consistent only via longer paths.
-func ConsistentWithin(g *graph.Graph, s Sample, k int) bool {
-	return ConsistentWithinOn(g.Snapshot(), s, k)
-}
-
-// ConsistentWithinOn is ConsistentWithin against a pinned epoch snapshot.
-func ConsistentWithinOn(snap *graph.Snapshot, s Sample, k int) bool {
-	cov := scp.NewCoverageOn(snap, s.Neg)
+func ConsistentWithin(snap *graph.Snapshot, s Sample, k int) bool {
+	cov := scp.NewCoverage(snap, s.Neg)
 	for _, nu := range s.Pos {
 		if !cov.IsKInformative(nu, k) {
 			return false

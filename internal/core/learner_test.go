@@ -15,7 +15,7 @@ func TestLearnerPaperExample(t *testing.T) {
 	// Section 3.2's running example: on G0 with S+ = {ν1, ν3},
 	// S− = {ν2, ν7} and k = 3, the learner returns (a·b)*·c.
 	g, s := paperfix.G0()
-	r, err := core.LearnDetailed(g, s, core.Options{K: 3})
+	r, err := core.LearnDetailed(g.Snapshot(), s, core.Options{K: 3})
 	if err != nil {
 		t.Fatalf("learner abstained: %v", err)
 	}
@@ -48,7 +48,7 @@ func TestLearnerDynamicKReachesPaperExample(t *testing.T) {
 	// the resulting query cannot select ν1, so the learner retries with
 	// k=3 and succeeds (§5.1).
 	g, s := paperfix.G0()
-	r, err := core.LearnDetailed(g, s, core.Options{})
+	r, err := core.LearnDetailed(g.Snapshot(), s, core.Options{})
 	if err != nil {
 		t.Fatalf("learner abstained: %v", err)
 	}
@@ -65,7 +65,7 @@ func TestLearnerAbstainsWhenKTooSmall(t *testing.T) {
 	g, s := paperfix.G0()
 	// k = 2: SCP for ν1 (abc) is out of reach; the k=2 query (c) does not
 	// select ν1, so the learner must abstain.
-	_, err := core.Learn(g, s, core.Options{K: 2})
+	_, err := core.Learn(g.Snapshot(), s, core.Options{K: 2})
 	if !errors.Is(err, core.ErrAbstain) {
 		t.Fatalf("err = %v, want ErrAbstain", err)
 	}
@@ -75,12 +75,13 @@ func TestLearnerInconsistentFigure5(t *testing.T) {
 	// Figure 5's sample is inconsistent: every path of the positive is
 	// covered by the negatives. The learner must abstain for any k.
 	g, s := paperfix.Figure5()
+	snap := g.Snapshot()
 	for _, k := range []int{2, 4, 8} {
-		if _, err := core.Learn(g, s, core.Options{K: k}); !errors.Is(err, core.ErrAbstain) {
+		if _, err := core.Learn(snap, s, core.Options{K: k}); !errors.Is(err, core.ErrAbstain) {
 			t.Fatalf("k=%d: err = %v, want ErrAbstain", k, err)
 		}
 	}
-	if core.Consistent(g, s) {
+	if core.Consistent(snap, s) {
 		t.Fatal("figure 5 sample should be inconsistent")
 	}
 }
@@ -89,9 +90,10 @@ func TestLearnerFigure8Equivalent(t *testing.T) {
 	// Figure 8: the graph owns no characteristic sample for (a·b)*·c; the
 	// learner returns the query a, indistinguishable on this graph.
 	g, s := paperfix.Figure8()
+	snap := g.Snapshot()
 	goal := query.MustParse(g.Alphabet(), "(a·b)*·c")
 	// The sample is what a user labeling w.r.t. the goal would produce.
-	sel := goal.Select(g)
+	sel := goal.Evaluate(snap).Vector()
 	for _, p := range s.Pos {
 		if !sel[p] {
 			t.Fatalf("fixture: positive %s not selected by goal", g.NodeName(p))
@@ -102,7 +104,7 @@ func TestLearnerFigure8Equivalent(t *testing.T) {
 			t.Fatalf("fixture: negative %s selected by goal", g.NodeName(n))
 		}
 	}
-	learned, err := core.Learn(g, s, core.Options{})
+	learned, err := core.Learn(snap, s, core.Options{})
 	if err != nil {
 		t.Fatalf("learner abstained: %v", err)
 	}
@@ -110,7 +112,7 @@ func TestLearnerFigure8Equivalent(t *testing.T) {
 	if !learned.EquivalentTo(want) {
 		t.Fatalf("learned %v, want a", learned)
 	}
-	if !learned.EquivalentOn(g, goal) {
+	if !learned.EquivalentOn(snap, goal) {
 		t.Fatal("learned query should be indistinguishable from the goal on this graph")
 	}
 	if learned.EquivalentTo(goal) {
@@ -123,11 +125,12 @@ func TestLearnerFigure1GeographicExample(t *testing.T) {
 	// negative, a consistent query must be found that behaves like
 	// (tram+bus)*·cinema on the positives and negatives.
 	g, s := paperfix.Figure1()
-	learned, err := core.Learn(g, s, core.Options{})
+	snap := g.Snapshot()
+	learned, err := core.Learn(snap, s, core.Options{})
 	if err != nil {
 		t.Fatalf("learner abstained: %v", err)
 	}
-	sel := learned.Select(g)
+	sel := learned.Evaluate(snap).Vector()
 	for _, p := range s.Pos {
 		if !sel[p] {
 			t.Fatalf("positive %s not selected", g.NodeName(p))
@@ -154,11 +157,11 @@ func TestLearnerConsistencyGuarantee(t *testing.T) {
 	f8, sf8 := paperfix.Figure8()
 	fixtures := []fixture{{"G0", g0, s0}, {"Figure1", f1, sf1}, {"Figure8", f8, sf8}}
 	for _, f := range fixtures {
-		q, err := core.Learn(f.g, f.s, core.Options{})
+		q, err := core.Learn(f.g.Snapshot(), f.s, core.Options{})
 		if err != nil {
 			t.Fatalf("%s: abstained: %v", f.name, err)
 		}
-		sel := q.Select(f.g)
+		sel := q.Evaluate(f.g.Snapshot()).Vector()
 		for _, p := range f.s.Pos {
 			if !sel[p] {
 				t.Errorf("%s: positive %d not selected", f.name, p)
@@ -174,7 +177,7 @@ func TestLearnerConsistencyGuarantee(t *testing.T) {
 
 func TestLearnerEmptySampleAbstains(t *testing.T) {
 	g, _ := paperfix.G0()
-	if _, err := core.Learn(g, core.Sample{}, core.Options{}); !errors.Is(err, core.ErrAbstain) {
+	if _, err := core.Learn(g.Snapshot(), core.Sample{}, core.Options{}); !errors.Is(err, core.ErrAbstain) {
 		t.Fatalf("err = %v, want ErrAbstain", err)
 	}
 }
@@ -183,7 +186,7 @@ func TestLearnerRejectsContradictorySample(t *testing.T) {
 	g, _ := paperfix.G0()
 	v1, _ := g.NodeByName("v1")
 	s := core.Sample{Pos: []graph.NodeID{v1}, Neg: []graph.NodeID{v1}}
-	_, err := core.Learn(g, s, core.Options{})
+	_, err := core.Learn(g.Snapshot(), s, core.Options{})
 	if err == nil || errors.Is(err, core.ErrAbstain) {
 		t.Fatalf("err = %v, want validation error", err)
 	}
@@ -193,12 +196,13 @@ func TestLearnerOnlyPositives(t *testing.T) {
 	// With no negatives every node's SCP is ε and the learned query is ε,
 	// which selects everything — consistent with the (all-positive) sample.
 	g, _ := paperfix.G0()
+	snap := g.Snapshot()
 	v1, _ := g.NodeByName("v1")
-	q, err := core.Learn(g, core.Sample{Pos: []graph.NodeID{v1}}, core.Options{})
+	q, err := core.Learn(snap, core.Sample{Pos: []graph.NodeID{v1}}, core.Options{})
 	if err != nil {
 		t.Fatalf("abstained: %v", err)
 	}
-	if !q.Selects(g, v1) {
+	if !q.Selects(snap, v1) {
 		t.Fatal("positive not selected")
 	}
 	if !q.Accepts(words.Epsilon) {
@@ -211,7 +215,7 @@ func TestDisableGeneralizationAblation(t *testing.T) {
 	// SCPs: on G0 that is c + a·b·c, which is consistent but, unlike the
 	// generalized (a·b)*·c, not equal to the goal.
 	g, s := paperfix.G0()
-	q, err := core.Learn(g, s, core.Options{K: 3, DisableGeneralization: true})
+	q, err := core.Learn(g.Snapshot(), s, core.Options{K: 3, DisableGeneralization: true})
 	if err != nil {
 		t.Fatalf("abstained: %v", err)
 	}
@@ -227,13 +231,14 @@ func TestDisableGeneralizationAblation(t *testing.T) {
 
 func TestConsistencyChecks(t *testing.T) {
 	g, s := paperfix.G0()
-	if !core.Consistent(g, s) {
+	snap := g.Snapshot()
+	if !core.Consistent(snap, s) {
 		t.Fatal("G0 sample is consistent")
 	}
-	if !core.ConsistentWithin(g, s, 3) {
+	if !core.ConsistentWithin(snap, s, 3) {
 		t.Fatal("G0 sample is consistent within k=3")
 	}
-	if core.ConsistentWithin(g, s, 2) {
+	if core.ConsistentWithin(snap, s, 2) {
 		t.Fatal("ν1's only escape is abc: not consistent within k=2")
 	}
 }

@@ -27,7 +27,7 @@ func randomInstance(rng *rand.Rand) (*graph.Graph, *query.Query, core.Sample) {
 			graph.NodeID(rng.Intn(nodes)))
 	}
 	goal := query.FromDFA(alpha, automata.RandomPrefixFreeDFA(rng, 4, 3, 0.7))
-	sel := goal.Select(g)
+	sel := goal.Evaluate(g.Snapshot()).Vector()
 	var s core.Sample
 	for v := 0; v < nodes; v++ {
 		if rng.Intn(2) == 0 {
@@ -53,7 +53,7 @@ func TestLearnerSoundnessProperty(t *testing.T) {
 		if len(s.Pos) == 0 {
 			continue
 		}
-		q, err := core.Learn(g, s, core.Options{})
+		q, err := core.Learn(g.Snapshot(), s, core.Options{})
 		if errors.Is(err, core.ErrAbstain) {
 			// Abstaining is allowed; soundness only constrains answers.
 			continue
@@ -62,7 +62,7 @@ func TestLearnerSoundnessProperty(t *testing.T) {
 			t.Fatalf("iter %d: %v", iter, err)
 		}
 		answered++
-		sel := q.Select(g)
+		sel := q.Evaluate(g.Snapshot()).Vector()
 		for _, p := range s.Pos {
 			if !sel[p] {
 				t.Fatalf("iter %d: positive %d not selected by %v", iter, p, q)
@@ -88,7 +88,7 @@ func TestLearnerOutputPrefixFreeProperty(t *testing.T) {
 		if len(s.Pos) == 0 {
 			continue
 		}
-		q, err := core.Learn(g, s, core.Options{})
+		q, err := core.Learn(g.Snapshot(), s, core.Options{})
 		if err != nil {
 			continue
 		}
@@ -107,7 +107,7 @@ func TestPrefixFreeSelectionInvariance(t *testing.T) {
 	for iter := 0; iter < 200; iter++ {
 		g, _, _ := randomInstance(rng)
 		q := query.FromDFA(alpha, automata.RandomNonEmptyDFA(rng, 5, 3, 0.7))
-		if !q.EquivalentOn(g, q.PrefixFree()) {
+		if !q.EquivalentOn(g.Snapshot(), q.PrefixFree()) {
 			t.Fatalf("iter %d: prefix-free changed selection of %v", iter, q)
 		}
 	}
@@ -122,8 +122,8 @@ func TestLearnerMonotoneInK(t *testing.T) {
 		if len(s.Pos) == 0 {
 			continue
 		}
-		_, errLow := core.Learn(g, s, core.Options{K: 2})
-		_, errDyn := core.Learn(g, s, core.Options{StartK: 2, MaxK: 6})
+		_, errLow := core.Learn(g.Snapshot(), s, core.Options{K: 2})
+		_, errDyn := core.Learn(g.Snapshot(), s, core.Options{StartK: 2, MaxK: 6})
 		if errLow == nil && errDyn != nil {
 			t.Fatalf("iter %d: k=2 answered but dynamic schedule abstained", iter)
 		}
@@ -141,12 +141,12 @@ func TestLearnerRefinementInvariant(t *testing.T) {
 		if len(s.Pos) == 0 {
 			continue
 		}
-		q, err := core.Learn(g, s, core.Options{})
+		q, err := core.Learn(g.Snapshot(), s, core.Options{})
 		if err != nil {
 			continue
 		}
-		goalSel := goal.Select(g)
-		learnedSel := q.Select(g)
+		goalSel := goal.Evaluate(g.Snapshot()).Vector()
+		learnedSel := q.Evaluate(g.Snapshot()).Vector()
 		// Find a disagreement on an unlabeled node and label it per the
 		// goal.
 		for v := 0; v < g.NumNodes(); v++ {
@@ -164,14 +164,14 @@ func TestLearnerRefinementInvariant(t *testing.T) {
 			}
 			break
 		}
-		q2, err := core.Learn(g, s, core.Options{})
+		q2, err := core.Learn(g.Snapshot(), s, core.Options{})
 		if errors.Is(err, core.ErrAbstain) {
 			continue // bound too small for the refined sample: allowed
 		}
 		if err != nil {
 			t.Fatalf("iter %d: %v", iter, err)
 		}
-		sel := q2.Select(g)
+		sel := q2.Evaluate(g.Snapshot()).Vector()
 		for _, p := range s.Pos {
 			if !sel[p] {
 				t.Fatalf("iter %d: refined positive %d lost", iter, p)

@@ -19,19 +19,19 @@ func TestLearnRejectsOutOfRangeIDs(t *testing.T) {
 	bad := graph.NodeID(snap.NumNodes())
 	cases := []func() error{
 		func() error {
-			_, err := core.LearnOn(snap, core.Sample{Pos: []graph.NodeID{bad}}, core.Options{})
+			_, err := core.Learn(snap, core.Sample{Pos: []graph.NodeID{bad}}, core.Options{})
 			return err
 		},
 		func() error {
-			_, err := core.LearnOn(snap, core.Sample{Pos: []graph.NodeID{0}, Neg: []graph.NodeID{-1}}, core.Options{})
+			_, err := core.Learn(snap, core.Sample{Pos: []graph.NodeID{0}, Neg: []graph.NodeID{-1}}, core.Options{})
 			return err
 		},
 		func() error {
-			_, err := core.LearnBinaryOn(snap, core.PairSample{Pos: []core.Pair{{From: 0, To: bad}}}, core.Options{})
+			_, err := core.LearnBinary(snap, core.PairSample{Pos: []core.Pair{{From: 0, To: bad}}}, core.Options{})
 			return err
 		},
 		func() error {
-			_, err := core.LearnNaryOn(snap, core.TupleSample{Pos: [][]graph.NodeID{{0, 1, bad}}}, core.Options{})
+			_, err := core.LearnNary(snap, core.TupleSample{Pos: [][]graph.NodeID{{0, 1, bad}}}, core.Options{})
 			return err
 		},
 	}
@@ -57,14 +57,14 @@ func TestLearnRejectsOutOfRangeIDs(t *testing.T) {
 func TestLearnParallelMatchesSerial(t *testing.T) {
 	g := datasets.Synthetic(400, 7)
 	snap := g.Snapshot()
-	qs := datasets.SynQueries(g)
+	qs := datasets.SynQueriesOn(snap)
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 4; trial++ {
 		goal := qs[trial%len(qs)].Query
-		pos, neg := datasets.RandomSample(g, goal, 0.1, rng)
+		pos, neg := datasets.RandomSample(snap, goal, 0.1, rng)
 		s := core.Sample{Pos: pos, Neg: neg}
-		serial, errS := core.LearnDetailedOn(snap, s, core.Options{Workers: 1})
-		parallel, errP := core.LearnDetailedOn(snap, s, core.Options{Workers: 8})
+		serial, errS := core.LearnDetailed(snap, s, core.Options{Workers: 1})
+		parallel, errP := core.LearnDetailed(snap, s, core.Options{Workers: 8})
 		if (errS == nil) != (errP == nil) {
 			t.Fatalf("trial %d: serial err %v, parallel err %v", trial, errS, errP)
 		}

@@ -106,7 +106,7 @@ func ScaleFree(cfg ScaleFreeConfig) *graph.Graph {
 	}
 	// Generated graphs are immutable from here on: build the CSR read
 	// view before the graph fans out to queries and benchmarks.
-	g.Freeze()
+	g.Snapshot()
 	return g
 }
 
@@ -174,15 +174,10 @@ func AliBaba() *graph.Graph {
 // are the paper's; the classes A, C, E, I are disjunctions of up to 10
 // labels (with overlaps, as the paper describes), chosen by frequency rank
 // so that the selectivity ordering bio1 < bio2 < bio3 < bio4 ≈ bio5 < bio6
-// carries over to the stand-in graph.
-func BioQueries(g *graph.Graph) []NamedQuery {
-	return BioQueriesOn(g.Snapshot())
-}
-
-// BioQueriesOn is BioQueries pinned to an epoch snapshot: the rare-label
-// choice evaluates candidate queries on s, so the returned workload is a
-// pure function of the snapshot even while writers advance the graph.
-func BioQueriesOn(s *graph.Snapshot) []NamedQuery {
+// carries over to the stand-in graph. The rare-label choice evaluates
+// candidate queries on s, so the returned workload is a pure function of
+// the snapshot even while writers advance the graph.
+func BioQueries(s *graph.Snapshot) []NamedQuery {
 	// Classes over frequency-ranked labels (rank 0 = most frequent).
 	A := classExpr(rankRange(2, 7))   // broad mid-frequency
 	I := classExpr(rankRange(5, 12))  // overlapping A, less frequent
@@ -226,7 +221,7 @@ func chooseRareLabel(s *graph.Snapshot, A string) int {
 		if err != nil {
 			continue
 		}
-		sel := q.EvaluateOn(s).Selectivity()
+		sel := q.Evaluate(s).Selectivity()
 		if sel > 0 && sel < bestSel {
 			bestSel = sel
 			best = r
@@ -253,17 +248,11 @@ func Synthetic(n int, seed int64) *graph.Graph {
 // SynTargets are the paper's selectivity targets for syn1..syn3.
 var SynTargets = []float64{0.01, 0.15, 0.40}
 
-// SynQueries returns syn1..syn3 — queries of shape A·B*·C — calibrated on
-// g to approximate the paper's selectivity targets (1%, 15%, 40%
+// SynQueriesOn returns syn1..syn3 — queries of shape A·B*·C — calibrated
+// on s to approximate the paper's selectivity targets (1%, 15%, 40%
 // "regardless of the actual size of the graph"). Calibration searches over
 // class widths for A and C with B fixed mid-weight, evaluating each
-// candidate on g and keeping the closest.
-func SynQueries(g *graph.Graph) []NamedQuery {
-	return SynQueriesOn(g.Snapshot())
-}
-
-// SynQueriesOn is SynQueries pinned to an epoch snapshot: every
-// calibration candidate is evaluated on s, so concurrent mutations cannot
+// candidate on s and keeping the closest, so concurrent mutations cannot
 // skew the search mid-way.
 func SynQueriesOn(s *graph.Snapshot) []NamedQuery {
 	out := make([]NamedQuery, len(SynTargets))
@@ -307,7 +296,7 @@ func calibrateABC(s *graph.Snapshot, target float64) (string, *query.Query) {
 					if err != nil {
 						continue
 					}
-					gap := math.Abs(q.EvaluateOn(s).Selectivity() - target)
+					gap := math.Abs(q.Evaluate(s).Selectivity() - target)
 					if gap < bestGap {
 						bestGap = gap
 						bestExpr = expr
@@ -324,15 +313,10 @@ func calibrateABC(s *graph.Snapshot, target float64) (string, *query.Query) {
 // nodes are chosen uniformly at random and labeled by the goal, until
 // fraction·|V| examples are collected (Section 5.2's setup). The result
 // may contain zero positives for very selective goals at low fractions —
-// exactly as in the paper's static experiments.
-func RandomSample(g *graph.Graph, goal *query.Query, fraction float64, rng *rand.Rand) ([]graph.NodeID, []graph.NodeID) {
-	return RandomSampleOn(g.Snapshot(), goal, fraction, rng)
-}
-
-// RandomSampleOn is RandomSample pinned to an epoch snapshot, so the
-// labels and the node universe come from one consistent epoch.
-func RandomSampleOn(s *graph.Snapshot, goal *query.Query, fraction float64, rng *rand.Rand) ([]graph.NodeID, []graph.NodeID) {
-	sel := goal.EvaluateOn(s).Vector()
+// exactly as in the paper's static experiments. The labels and the node
+// universe come from the one epoch snapshot s.
+func RandomSample(s *graph.Snapshot, goal *query.Query, fraction float64, rng *rand.Rand) ([]graph.NodeID, []graph.NodeID) {
+	sel := goal.Evaluate(s).Vector()
 	n := s.NumNodes()
 	want := int(fraction * float64(n))
 	if want < 1 {
@@ -389,6 +373,6 @@ func DirectionalSkew(coreNodes, chainLen int) (*graph.Graph, graph.NodeID, graph
 	}
 	sink := g.AddNode("sink")
 	g.AddEdge(prev, b, sink)
-	g.Freeze()
+	g.Snapshot()
 	return g, head, sink
 }

@@ -39,8 +39,9 @@ func TestScaleFreeShape(t *testing.T) {
 	}
 	// Heavy tail: the max out-degree must far exceed the mean (3).
 	maxDeg := 0
-	for v := 0; v < g.NumNodes(); v++ {
-		if d := g.OutDegree(graph.NodeID(v)); d > maxDeg {
+	snap := g.Snapshot()
+	for v := 0; v < snap.NumNodes(); v++ {
+		if d := snap.OutDegree(graph.NodeID(v)); d > maxDeg {
 			maxDeg = d
 		}
 	}
@@ -50,8 +51,8 @@ func TestScaleFreeShape(t *testing.T) {
 }
 
 func TestScaleFreeDeterministic(t *testing.T) {
-	a := ScaleFree(ScaleFreeConfig{Nodes: 100, Edges: 300, Labels: 5, ZipfS: 1, Seed: 3})
-	b := ScaleFree(ScaleFreeConfig{Nodes: 100, Edges: 300, Labels: 5, ZipfS: 1, Seed: 3})
+	a := ScaleFree(ScaleFreeConfig{Nodes: 100, Edges: 300, Labels: 5, ZipfS: 1, Seed: 3}).Snapshot()
+	b := ScaleFree(ScaleFreeConfig{Nodes: 100, Edges: 300, Labels: 5, ZipfS: 1, Seed: 3}).Snapshot()
 	for v := 0; v < a.NumNodes(); v++ {
 		ea, eb := a.OutEdges(graph.NodeID(v)), b.OutEdges(graph.NodeID(v))
 		if len(ea) != len(eb) {
@@ -63,7 +64,7 @@ func TestScaleFreeDeterministic(t *testing.T) {
 			}
 		}
 	}
-	c := ScaleFree(ScaleFreeConfig{Nodes: 100, Edges: 300, Labels: 5, ZipfS: 1, Seed: 4})
+	c := ScaleFree(ScaleFreeConfig{Nodes: 100, Edges: 300, Labels: 5, ZipfS: 1, Seed: 4}).Snapshot()
 	same := true
 	for v := 0; v < a.NumNodes() && same; v++ {
 		ea, ec := a.OutEdges(graph.NodeID(v)), c.OutEdges(graph.NodeID(v))
@@ -95,13 +96,14 @@ func TestBioQuerySelectivityOrdering(t *testing.T) {
 	// bio1, bio2 ≪ bio3 < {bio4, bio5} < bio6, with every query selecting
 	// at least one node (the paper's retention criterion).
 	g := AliBaba()
-	qs := BioQueries(g)
+	snap := g.Snapshot()
+	qs := BioQueries(snap)
 	if len(qs) != 6 {
 		t.Fatalf("%d bio queries", len(qs))
 	}
 	sel := make(map[string]float64, 6)
 	for _, nq := range qs {
-		s := nq.Query.Selectivity(g)
+		s := nq.Query.Evaluate(snap).Selectivity()
 		sel[nq.Name] = s
 		if s == 0 {
 			t.Errorf("%s selects no node", nq.Name)
@@ -139,7 +141,8 @@ func TestBio5SubsumedByBio6(t *testing.T) {
 	// Structural invariant: every node selected by bio5 is selected by
 	// bio6 (an A·A·A*·I·I·I* path starts with an A·A·A* path).
 	g := AliBaba()
-	qs := BioQueries(g)
+	snap := g.Snapshot()
+	qs := BioQueries(snap)
 	var bio5, bio6 *query.Query
 	for _, nq := range qs {
 		switch nq.Name {
@@ -149,7 +152,7 @@ func TestBio5SubsumedByBio6(t *testing.T) {
 			bio6 = nq.Query
 		}
 	}
-	s5, s6 := bio5.Select(g), bio6.Select(g)
+	s5, s6 := bio5.Evaluate(snap).Vector(), bio6.Evaluate(snap).Vector()
 	for v := range s5 {
 		if s5[v] && !s6[v] {
 			t.Fatalf("node %d selected by bio5 but not bio6", v)
@@ -162,11 +165,12 @@ func TestSynQueriesHitTargets(t *testing.T) {
 		t.Skip("calibration sweep on a 10k-node graph")
 	}
 	g := Synthetic(10000, 1)
+	snap := g.Snapshot()
 	if g.NumEdges() != 3*g.NumNodes() {
 		t.Fatalf("|E| = %d, want 3·|V|", g.NumEdges())
 	}
-	for i, nq := range SynQueries(g) {
-		got := nq.Query.Selectivity(g)
+	for i, nq := range SynQueriesOn(snap) {
+		got := nq.Query.Evaluate(snap).Selectivity()
 		target := SynTargets[i]
 		// Within 40% relative or 2 points absolute of the paper's target.
 		if math.Abs(got-target) > 0.02 && math.Abs(got-target)/target > 0.4 {
@@ -177,13 +181,14 @@ func TestSynQueriesHitTargets(t *testing.T) {
 
 func TestRandomSampleLabelsMatchGoal(t *testing.T) {
 	g := Synthetic(1000, 5)
-	nq := SynQueries(g)[1]
+	snap := g.Snapshot()
+	nq := SynQueriesOn(snap)[1]
 	rng := rand.New(rand.NewSource(9))
-	pos, neg := RandomSample(g, nq.Query, 0.05, rng)
+	pos, neg := RandomSample(snap, nq.Query, 0.05, rng)
 	if len(pos)+len(neg) != 50 {
 		t.Fatalf("sample size = %d, want 50", len(pos)+len(neg))
 	}
-	sel := nq.Query.Select(g)
+	sel := nq.Query.Evaluate(snap).Vector()
 	for _, v := range pos {
 		if !sel[v] {
 			t.Fatalf("positive %d not selected by goal", v)
@@ -198,25 +203,24 @@ func TestRandomSampleLabelsMatchGoal(t *testing.T) {
 
 func TestNamedQueryRegex(t *testing.T) {
 	g := AliBaba()
-	for _, nq := range BioQueries(g) {
+	for _, nq := range BioQueries(g.Snapshot()) {
 		if nq.Regex() == nil {
 			t.Fatalf("%s has no regex", nq.Name)
 		}
 	}
 }
 
-// TestSnapshotWorkloadsPinned: the ...On variants are pure functions of
-// the pinned snapshot — mutating the graph after pinning changes neither
-// the chosen queries nor the sample, and the Graph receivers delegate to
-// the same code.
+// TestSnapshotWorkloadsPinned: the workload builders are pure functions
+// of the pinned snapshot — mutating the graph after pinning changes
+// neither the chosen queries nor the sample.
 func TestSnapshotWorkloadsPinned(t *testing.T) {
 	g := Synthetic(800, 3)
 	s := g.Snapshot()
 
-	wantBio := BioQueries(g)
-	wantSyn := SynQueries(g)
+	wantBio := BioQueries(s)
+	wantSyn := SynQueriesOn(s)
 	rng := rand.New(rand.NewSource(4))
-	wantPos, wantNeg := RandomSample(g, wantSyn[0].Query, 0.05, rng)
+	wantPos, wantNeg := RandomSample(s, wantSyn[0].Query, 0.05, rng)
 
 	// Advance the live graph past the pinned epoch.
 	a := g.AddNode("pin-a")
@@ -225,7 +229,7 @@ func TestSnapshotWorkloadsPinned(t *testing.T) {
 		g.AddEdge(a, 0, b)
 	}
 
-	gotBio := BioQueriesOn(s)
+	gotBio := BioQueries(s)
 	for i := range wantBio {
 		if gotBio[i].Expr != wantBio[i].Expr {
 			t.Fatalf("%s drifted after mutation: %q vs %q", wantBio[i].Name, gotBio[i].Expr, wantBio[i].Expr)
@@ -238,7 +242,7 @@ func TestSnapshotWorkloadsPinned(t *testing.T) {
 		}
 	}
 	rng = rand.New(rand.NewSource(4))
-	gotPos, gotNeg := RandomSampleOn(s, gotSyn[0].Query, 0.05, rng)
+	gotPos, gotNeg := RandomSample(s, gotSyn[0].Query, 0.05, rng)
 	if len(gotPos) != len(wantPos) || len(gotNeg) != len(wantNeg) {
 		t.Fatalf("sample drifted after mutation: %d/%d vs %d/%d",
 			len(gotPos), len(gotNeg), len(wantPos), len(wantNeg))

@@ -28,13 +28,13 @@ import (
 var ErrNotDefinable = errors.New("definability: no path query selects exactly this node set (within the SCP bound)")
 
 // totalSample labels X positive and every other node negative.
-func totalSample(g *graph.Graph, x []graph.NodeID) core.Sample {
+func totalSample(snap *graph.Snapshot, x []graph.NodeID) core.Sample {
 	inX := make(map[graph.NodeID]bool, len(x))
 	for _, v := range x {
 		inX[v] = true
 	}
 	s := core.Sample{Pos: append([]graph.NodeID(nil), x...)}
-	for v := 0; v < g.NumNodes(); v++ {
+	for v := 0; v < snap.NumNodes(); v++ {
 		if !inX[graph.NodeID(v)] {
 			s.Neg = append(s.Neg, graph.NodeID(v))
 		}
@@ -42,17 +42,17 @@ func totalSample(g *graph.Graph, x []graph.NodeID) core.Sample {
 	return s
 }
 
-// Define returns a query selecting exactly x on g, or ErrNotDefinable /
+// Define returns a query selecting exactly x on snap, or ErrNotDefinable /
 // the learner's abstain error. The empty set is defined by any empty
 // query; Define returns one.
-func Define(g *graph.Graph, x []graph.NodeID, opt core.Options) (*query.Query, error) {
+func Define(snap *graph.Snapshot, x []graph.NodeID, opt core.Options) (*query.Query, error) {
 	if len(x) == 0 {
 		// b·b·c·c-style queries select nothing; the canonical empty query
 		// is the ∅-language query, representable directly as a DFA.
-		return emptyQuery(g), nil
+		return emptyQuery(snap), nil
 	}
-	s := totalSample(g, x)
-	q, err := core.Learn(g, s, opt)
+	s := totalSample(snap, x)
+	q, err := core.Learn(snap, s, opt)
 	if errors.Is(err, core.ErrAbstain) {
 		return nil, ErrNotDefinable
 	}
@@ -68,8 +68,8 @@ func Define(g *graph.Graph, x []graph.NodeID, opt core.Options) (*query.Query, e
 // learner's bounded search. False negatives are possible for sets whose
 // defining query needs SCPs longer than the bound — the same abstain
 // semantics as learning (the exact problem is intractable).
-func IsDefinable(g *graph.Graph, x []graph.NodeID, opt core.Options) bool {
-	_, err := Define(g, x, opt)
+func IsDefinable(snap *graph.Snapshot, x []graph.NodeID, opt core.Options) bool {
+	_, err := Define(snap, x, opt)
 	return err == nil
 }
 
@@ -77,13 +77,13 @@ func IsDefinable(g *graph.Graph, x []graph.NodeID, opt core.Options) bool {
 // (Lemma 3.1's criterion), with no SCP bound: X is definable iff every
 // node of X has a path not covered by V∖X. Exponential worst case
 // (PSPACE-complete in general) — for small graphs and tests.
-func IsDefinableExact(g *graph.Graph, x []graph.NodeID) bool {
+func IsDefinableExact(snap *graph.Snapshot, x []graph.NodeID) bool {
 	if len(x) == 0 {
 		return true
 	}
-	return core.Consistent(g, totalSample(g, x))
+	return core.Consistent(snap, totalSample(snap, x))
 }
 
-func emptyQuery(g *graph.Graph) *query.Query {
-	return query.FromDFA(g.Alphabet(), automata.NewDFA(1, g.Alphabet().Size()))
+func emptyQuery(snap *graph.Snapshot) *query.Query {
+	return query.FromDFA(snap.Alphabet(), automata.NewDFA(1, snap.Alphabet().Size()))
 }

@@ -28,15 +28,15 @@ func TestDefineExactSet(t *testing.T) {
 	// On G0, {ν1, ν3} is definable — (a·b)*·c selects exactly it.
 	g, _ := paperfix.G0()
 	x := nodesOf(t, g, "v1", "v3")
-	q, err := definability.Define(g, x, core.Options{})
+	q, err := definability.Define(g.Snapshot(), x, core.Options{})
 	if err != nil {
 		t.Fatalf("Define: %v", err)
 	}
-	sel := q.SelectNodes(g)
+	sel := q.Evaluate(g.Snapshot()).Nodes()
 	if len(sel) != 2 || sel[0] != x[0] || sel[1] != x[1] {
 		t.Fatalf("defined query selects %v, want %v", sel, x)
 	}
-	if !definability.IsDefinableExact(g, x) {
+	if !definability.IsDefinableExact(g.Snapshot(), x) {
 		t.Fatal("exact check disagrees")
 	}
 }
@@ -45,25 +45,27 @@ func TestUndefinableSet(t *testing.T) {
 	// On Figure 5, the positive node's paths are all shared with the other
 	// nodes, so {pos} alone is not definable.
 	g, s := paperfix.Figure5()
+	snap := g.Snapshot()
 	x := s.Pos
-	if definability.IsDefinableExact(g, x) {
+	if definability.IsDefinableExact(snap, x) {
 		t.Fatal("Figure 5 positive set should not be definable")
 	}
-	if _, err := definability.Define(g, x, core.Options{}); !errors.Is(err, definability.ErrNotDefinable) {
+	if _, err := definability.Define(snap, x, core.Options{}); !errors.Is(err, definability.ErrNotDefinable) {
 		t.Fatalf("err = %v, want ErrNotDefinable", err)
 	}
 }
 
 func TestDefineEmptySet(t *testing.T) {
 	g, _ := paperfix.G0()
-	q, err := definability.Define(g, nil, core.Options{})
+	snap := g.Snapshot()
+	q, err := definability.Define(snap, nil, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(q.SelectNodes(g)) != 0 {
+	if len(q.Evaluate(snap).Nodes()) != 0 {
 		t.Fatal("empty set's defining query selects nodes")
 	}
-	if !definability.IsDefinableExact(g, nil) {
+	if !definability.IsDefinableExact(snap, nil) {
 		t.Fatal("empty set is always definable")
 	}
 }
@@ -71,11 +73,12 @@ func TestDefineEmptySet(t *testing.T) {
 func TestDefineWholeGraph(t *testing.T) {
 	// The whole node set is defined by ε.
 	g, _ := paperfix.G0()
-	q, err := definability.Define(g, g.Nodes(), core.Options{})
+	snap := g.Snapshot()
+	q, err := definability.Define(snap, g.Nodes(), core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(q.SelectNodes(g)); got != g.NumNodes() {
+	if got := len(q.Evaluate(snap).Nodes()); got != g.NumNodes() {
 		t.Fatalf("whole-graph query selects %d of %d", got, g.NumNodes())
 	}
 }
@@ -91,23 +94,23 @@ func TestLearningVsDefinability(t *testing.T) {
 	g, _ := paperfix.Figure1()
 	x := nodesOf(t, g, "N2", "N6")
 	s := core.Sample{Pos: x, Neg: nodesOf(t, g, "N5")}
-	if !core.Consistent(g, s) {
+	if !core.Consistent(g.Snapshot(), s) {
 		t.Fatal("sample should be consistent")
 	}
 	// Definability of {N2, N6}: the bus query selects exactly those two
 	// (only N2 and N6 have bus edges), so this set IS definable — and the
 	// defining query must not select N1 or N4.
-	q, err := definability.Define(g, x, core.Options{})
+	q, err := definability.Define(g.Snapshot(), x, core.Options{})
 	if err != nil {
 		t.Fatalf("Define: %v", err)
 	}
-	sel := q.Select(g)
+	sel := q.Evaluate(g.Snapshot()).Vector()
 	n1 := nodesOf(t, g, "N1")[0]
 	if sel[n1] {
 		t.Fatal("defining query must exclude N1")
 	}
 	goal := query.MustParse(g.Alphabet(), "bus")
-	if !q.EquivalentOn(g, goal) {
+	if !q.EquivalentOn(g.Snapshot(), goal) {
 		t.Fatalf("defined %v; bus defines this set", q)
 	}
 }
@@ -123,8 +126,8 @@ func TestIsDefinableBoundedAgreesOnSmallGraphs(t *testing.T) {
 	}
 	for _, names := range cases {
 		x := nodesOf(t, g, names...)
-		exact := definability.IsDefinableExact(g, x)
-		bounded := definability.IsDefinable(g, x, core.Options{})
+		exact := definability.IsDefinableExact(g.Snapshot(), x)
+		bounded := definability.IsDefinable(g.Snapshot(), x, core.Options{})
 		if bounded && !exact {
 			t.Fatalf("%v: bounded says definable, exact disagrees", names)
 		}

@@ -371,8 +371,8 @@ func (e *Engine) publish(fn func() error) (*graph.Snapshot, error) {
 
 // Update runs fn against the build side under the write lock and
 // publishes a new epoch. fn must only mutate (AddNode/AddEdge/...), not
-// read through Graph-level read methods. Update cannot write ahead (fn
-// is opaque), so it refuses to run on a durable engine — recovery would
+// publish a snapshot of its own. Update cannot write ahead (fn is
+// opaque), so it refuses to run on a durable engine — recovery would
 // silently diverge; use Mutate there.
 func (e *Engine) Update(fn func(g *graph.Graph)) MutationResult {
 	if e.log != nil {
@@ -452,7 +452,7 @@ func (e *Engine) resolve(snap *graph.Snapshot, names []string) ([]graph.NodeID, 
 
 // learnOn learns on the pinned snapshot and installs the result.
 func (e *Engine) learnOn(snap *graph.Snapshot, s core.Sample, opt core.Options) (LearnResult, error) {
-	res, err := core.LearnDetailedOn(snap, s, opt)
+	res, err := core.LearnDetailed(snap, s, opt)
 	if err != nil {
 		return LearnResult{}, err
 	}

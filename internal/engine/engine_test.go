@@ -185,7 +185,7 @@ func randomEdge(rng *rand.Rand) EdgeSpec {
 // against the uncached library over randomized mutate/select
 // interleavings: after every step, an Evaluate or EvaluateBatch through
 // the engine (plan cache, result cache, epochs) must agree with a fresh
-// Query.SelectNodes on an identically-built mirror graph. Run under
+// Query.Evaluate on an identically-built mirror graph. Run under
 // -race in CI.
 func TestEnginePropertyCachedVsUncached(t *testing.T) {
 	for trial := 0; trial < 5; trial++ {
@@ -244,7 +244,7 @@ func checkAgainstMirror(t *testing.T, trial, step int, src string, edges []EdgeS
 		t.Fatal(err)
 	}
 	want := map[string]bool{}
-	for _, v := range q.SelectNodes(mirror) {
+	for _, v := range q.Evaluate(mirror.Snapshot()).Nodes() {
 		want[mirror.NodeName(v)] = true
 	}
 	got := r.Names()

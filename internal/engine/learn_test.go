@@ -108,7 +108,7 @@ func TestEngineLearnAbstainAndErrors(t *testing.T) {
 func TestEngineLearnConcurrentWithMutate(t *testing.T) {
 	e := New(buildFixture(), Options{})
 	sample := sampleFor(t, e, []string{"N1"}, []string{"N3", "N5"})
-	ref, err := core.LearnDetailedOn(e.Graph().Current(), sample, core.Options{Workers: 1})
+	ref, err := core.LearnDetailed(e.Graph().Current(), sample, core.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

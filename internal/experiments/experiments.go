@@ -69,31 +69,28 @@ func (c StaticConfig) withDefaults() StaticConfig {
 // RunStatic reproduces one Figure 11/12 series: draw a random sample of
 // each size, learn, and score the learned query against the goal as a
 // binary node classifier.
-func RunStatic(g *graph.Graph, goal datasets.NamedQuery, cfg StaticConfig) StaticSeries {
+// Every learn/score pass evaluates compiled plans against the one pinned
+// epoch snapshot.
+func RunStatic(snap *graph.Snapshot, goal datasets.NamedQuery, cfg StaticConfig) StaticSeries {
 	cfg = cfg.withDefaults()
-	// Pin one epoch snapshot before timing starts: the CSR build is a
-	// one-time setup cost that must not be attributed to the first trial's
-	// LearnTime, and every learn/score pass below evaluates compiled plans
-	// against the same immutable epoch.
-	snap := g.Snapshot()
 	series := StaticSeries{Query: goal}
-	goalSel := goal.Query.EvaluateOn(snap).Vector()
+	goalSel := goal.Query.Evaluate(snap).Vector()
 	for fi, fraction := range cfg.Fractions {
 		var pt StaticPoint
 		pt.Fraction = fraction
 		for trial := 0; trial < cfg.Trials; trial++ {
 			rng := rand.New(rand.NewSource(cfg.Seed + int64(1000*fi+trial)))
-			pos, neg := datasets.RandomSample(g, goal.Query, fraction, rng)
+			pos, neg := datasets.RandomSample(snap, goal.Query, fraction, rng)
 			sample := core.Sample{Pos: pos, Neg: neg}
 			start := time.Now()
-			res, err := core.LearnDetailedOn(snap, sample, cfg.Learner)
+			res, err := core.LearnDetailed(snap, sample, cfg.Learner)
 			pt.LearnTime += time.Since(start)
 			var predicted []bool
 			if err != nil {
 				pt.Abstained++
 				predicted = make([]bool, snap.NumNodes())
 			} else {
-				predicted = res.Query.EvaluateOn(snap).Vector()
+				predicted = res.Query.Evaluate(snap).Vector()
 				pt.K += float64(res.K)
 			}
 			score := metrics.Score(goalSel, predicted)
@@ -115,7 +112,7 @@ func RunStatic(g *graph.Graph, goal datasets.NamedQuery, cfg StaticConfig) Stati
 }
 
 // RunStaticAll runs a series per goal query, in parallel across queries.
-func RunStaticAll(g *graph.Graph, goals []datasets.NamedQuery, cfg StaticConfig) []StaticSeries {
+func RunStaticAll(snap *graph.Snapshot, goals []datasets.NamedQuery, cfg StaticConfig) []StaticSeries {
 	out := make([]StaticSeries, len(goals))
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, runtime.NumCPU())
@@ -125,7 +122,7 @@ func RunStaticAll(g *graph.Graph, goals []datasets.NamedQuery, cfg StaticConfig)
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			out[i] = RunStatic(g, goal, cfg)
+			out[i] = RunStatic(snap, goal, cfg)
 		}(i, goal)
 	}
 	wg.Wait()
@@ -138,10 +135,9 @@ func RunStaticAll(g *graph.Graph, goals []datasets.NamedQuery, cfg StaticConfig)
 // Returns 1.0 if even labeling everything is needed (which always
 // suffices: the full labeling is a characteristic-or-better sample only if
 // the graph admits one, so the fallback reports the whole graph).
-func LabelsNeededStatic(g *graph.Graph, goal datasets.NamedQuery, cfg StaticConfig) float64 {
+func LabelsNeededStatic(snap *graph.Snapshot, goal datasets.NamedQuery, cfg StaticConfig) float64 {
 	cfg = cfg.withDefaults()
-	snap := g.Snapshot()
-	goalSel := goal.Query.EvaluateOn(snap).Vector()
+	goalSel := goal.Query.Evaluate(snap).Vector()
 	fractions := append([]float64{}, cfg.Fractions...)
 	fractions = append(fractions, 0.5, 0.66, 0.87, 1.0)
 	sort.Float64s(fractions)
@@ -149,13 +145,13 @@ func LabelsNeededStatic(g *graph.Graph, goal datasets.NamedQuery, cfg StaticConf
 		allPerfect := true
 		for trial := 0; trial < cfg.Trials; trial++ {
 			rng := rand.New(rand.NewSource(cfg.Seed + int64(7777*trial) + int64(fraction*1e6)))
-			pos, neg := datasets.RandomSample(g, goal.Query, fraction, rng)
-			res, err := core.LearnDetailedOn(snap, core.Sample{Pos: pos, Neg: neg}, cfg.Learner)
+			pos, neg := datasets.RandomSample(snap, goal.Query, fraction, rng)
+			res, err := core.LearnDetailed(snap, core.Sample{Pos: pos, Neg: neg}, cfg.Learner)
 			if err != nil {
 				allPerfect = false
 				break
 			}
-			if !metrics.Score(goalSel, res.Query.EvaluateOn(snap).Vector()).Exact() {
+			if !metrics.Score(goalSel, res.Query.Evaluate(snap).Vector()).Exact() {
 				allPerfect = false
 				break
 			}
@@ -196,27 +192,27 @@ type InteractiveConfig struct {
 
 // RunInteractive reproduces the Table 2 rows for one goal on one graph,
 // with the paper's two strategies.
-func RunInteractive(dataset string, g *graph.Graph, goal datasets.NamedQuery, cfg InteractiveConfig) []InteractiveRow {
-	return RunInteractiveStrategies(dataset, g, goal,
+func RunInteractive(dataset string, snap *graph.Snapshot, goal datasets.NamedQuery, cfg InteractiveConfig) []InteractiveRow {
+	return RunInteractiveStrategies(dataset, snap, goal,
 		[]interactive.Strategy{interactive.KR{}, interactive.KS{}}, cfg)
 }
 
 // RunInteractiveStrategies is RunInteractive with caller-chosen strategies
 // (used by the sampled-session experiments of the §6 future work).
-func RunInteractiveStrategies(dataset string, g *graph.Graph, goal datasets.NamedQuery, strategies []interactive.Strategy, cfg InteractiveConfig) []InteractiveRow {
+func RunInteractiveStrategies(dataset string, snap *graph.Snapshot, goal datasets.NamedQuery, strategies []interactive.Strategy, cfg InteractiveConfig) []InteractiveRow {
 	staticNeeded := -1.0
 	if cfg.StaticBaseline {
-		staticNeeded = LabelsNeededStatic(g, goal, cfg.Static)
+		staticNeeded = LabelsNeededStatic(snap, goal, cfg.Static)
 	}
 	var rows []InteractiveRow
 	for _, strat := range strategies {
-		sess := interactive.NewSession(g, interactive.Options{
+		sess := interactive.NewSession(snap, interactive.Options{
 			Strategy:        strat,
 			Seed:            cfg.Seed,
 			MaxInteractions: cfg.MaxInteractions,
 		})
-		oracle := interactive.NewQueryOracle(g, goal.Query)
-		res, err := sess.Run(oracle, interactive.ExactMatch(g, goal.Query))
+		oracle := interactive.NewQueryOracle(snap, goal.Query)
+		res, err := sess.Run(oracle, interactive.ExactMatch(snap, goal.Query))
 		if err != nil {
 			// Interactive sessions over oracle labels cannot produce invalid
 			// samples; an error here is a bug worth surfacing loudly.
@@ -224,16 +220,16 @@ func RunInteractiveStrategies(dataset string, g *graph.Graph, goal datasets.Name
 		}
 		f1 := 0.0
 		if res.Query != nil {
-			f1 = metrics.F1(oracle.Selection(), res.Query.Select(g))
+			f1 = metrics.F1(oracle.Selection(), res.Query.Evaluate(snap).Vector())
 		}
 		rows = append(rows, InteractiveRow{
 			Dataset:      dataset,
 			QueryName:    goal.Name,
-			GraphNodes:   g.NumNodes(),
+			GraphNodes:   snap.NumNodes(),
 			StaticNeeded: staticNeeded,
 			Strategy:     strat.Name(),
 			Labels:       res.Labels(),
-			LabelsFrac:   res.LabelFraction(g),
+			LabelsFrac:   res.LabelFraction(snap),
 			MeanTime:     res.MeanTimeBetweenInteractions(),
 			Halted:       res.Halted,
 			F1:           f1,
@@ -254,11 +250,10 @@ type Table1Row struct {
 // Table1 measures the bio-query selectivities on the AliBaba stand-in.
 // One epoch snapshot is pinned for the whole table, so every query's
 // compiled plan evaluates against the same immutable CSR.
-func Table1(g *graph.Graph, queries []datasets.NamedQuery) []Table1Row {
-	snap := g.Snapshot()
+func Table1(snap *graph.Snapshot, queries []datasets.NamedQuery) []Table1Row {
 	rows := make([]Table1Row, len(queries))
 	for i, nq := range queries {
-		sel := nq.Query.EvaluateOn(snap)
+		sel := nq.Query.Evaluate(snap)
 		rows[i] = Table1Row{
 			Name:             nq.Name,
 			Expr:             nq.Expr,
@@ -360,15 +355,15 @@ type AblationGeneralization struct {
 
 // RunAblationGeneralization measures the merge phase's contribution at one
 // fraction per query.
-func RunAblationGeneralization(g *graph.Graph, goals []datasets.NamedQuery, fraction float64, cfg StaticConfig) []AblationGeneralization {
+func RunAblationGeneralization(snap *graph.Snapshot, goals []datasets.NamedQuery, fraction float64, cfg StaticConfig) []AblationGeneralization {
 	cfg = cfg.withDefaults()
 	cfg.Fractions = []float64{fraction}
 	var out []AblationGeneralization
 	for _, goal := range goals {
-		full := RunStatic(g, goal, cfg)
+		full := RunStatic(snap, goal, cfg)
 		noMerge := cfg
 		noMerge.Learner.DisableGeneralization = true
-		ablated := RunStatic(g, goal, noMerge)
+		ablated := RunStatic(snap, goal, noMerge)
 		out = append(out, AblationGeneralization{
 			Query:       goal.Name,
 			Fraction:    fraction,

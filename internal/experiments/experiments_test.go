@@ -14,13 +14,13 @@ func TestRunStaticShape(t *testing.T) {
 	g := datasets.ScaleFree(datasets.ScaleFreeConfig{
 		Nodes: 500, Edges: 1500, Labels: 8, ZipfS: 1, Seed: 17,
 	})
-	goal := datasets.SynQueries(g)[2]
+	goal := datasets.SynQueriesOn(g.Snapshot())[2]
 	cfg := experiments.StaticConfig{
 		Fractions: []float64{0.02, 0.10, 0.30},
 		Trials:    2,
 		Seed:      1,
 	}
-	series := experiments.RunStatic(g, goal, cfg)
+	series := experiments.RunStatic(g.Snapshot(), goal, cfg)
 	if len(series.Points) != 3 {
 		t.Fatalf("%d points", len(series.Points))
 	}
@@ -41,10 +41,10 @@ func TestRunStaticDeterministic(t *testing.T) {
 	g := datasets.ScaleFree(datasets.ScaleFreeConfig{
 		Nodes: 300, Edges: 900, Labels: 6, ZipfS: 1, Seed: 23,
 	})
-	goal := datasets.SynQueries(g)[1]
+	goal := datasets.SynQueriesOn(g.Snapshot())[1]
 	cfg := experiments.StaticConfig{Fractions: []float64{0.05}, Trials: 2, Seed: 9}
-	a := experiments.RunStatic(g, goal, cfg)
-	b := experiments.RunStatic(g, goal, cfg)
+	a := experiments.RunStatic(g.Snapshot(), goal, cfg)
+	b := experiments.RunStatic(g.Snapshot(), goal, cfg)
 	if a.Points[0].F1 != b.Points[0].F1 {
 		t.Fatalf("non-deterministic: %v vs %v", a.Points[0].F1, b.Points[0].F1)
 	}
@@ -54,11 +54,11 @@ func TestRunStaticAllParallelMatchesSequential(t *testing.T) {
 	g := datasets.ScaleFree(datasets.ScaleFreeConfig{
 		Nodes: 300, Edges: 900, Labels: 6, ZipfS: 1, Seed: 29,
 	})
-	goals := datasets.SynQueries(g)
+	goals := datasets.SynQueriesOn(g.Snapshot())
 	cfg := experiments.StaticConfig{Fractions: []float64{0.05}, Trials: 1, Seed: 4}
-	parallel := experiments.RunStaticAll(g, goals, cfg)
+	parallel := experiments.RunStaticAll(g.Snapshot(), goals, cfg)
 	for i, goal := range goals {
-		seq := experiments.RunStatic(g, goal, cfg)
+		seq := experiments.RunStatic(g.Snapshot(), goal, cfg)
 		if parallel[i].Points[0].F1 != seq.Points[0].F1 {
 			t.Fatalf("query %s: parallel %v != sequential %v",
 				goal.Name, parallel[i].Points[0].F1, seq.Points[0].F1)
@@ -70,13 +70,13 @@ func TestLabelsNeededStatic(t *testing.T) {
 	g := datasets.ScaleFree(datasets.ScaleFreeConfig{
 		Nodes: 200, Edges: 600, Labels: 6, ZipfS: 1, Seed: 31,
 	})
-	goal := datasets.SynQueries(g)[2]
+	goal := datasets.SynQueriesOn(g.Snapshot())[2]
 	cfg := experiments.StaticConfig{
 		Fractions: []float64{0.05, 0.20},
 		Trials:    1,
 		Seed:      2,
 	}
-	needed := experiments.LabelsNeededStatic(g, goal, cfg)
+	needed := experiments.LabelsNeededStatic(g.Snapshot(), goal, cfg)
 	if needed <= 0 || needed > 1 {
 		t.Fatalf("needed = %v", needed)
 	}
@@ -86,8 +86,8 @@ func TestRunInteractiveRows(t *testing.T) {
 	g := datasets.ScaleFree(datasets.ScaleFreeConfig{
 		Nodes: 300, Edges: 900, Labels: 6, ZipfS: 1, Seed: 37,
 	})
-	goal := datasets.SynQueries(g)[2]
-	rows := experiments.RunInteractive("test", g, goal, experiments.InteractiveConfig{
+	goal := datasets.SynQueriesOn(g.Snapshot())[2]
+	rows := experiments.RunInteractive("test", g.Snapshot(), goal, experiments.InteractiveConfig{
 		Seed:            1,
 		MaxInteractions: 150,
 	})
@@ -112,8 +112,9 @@ func TestRunInteractiveRows(t *testing.T) {
 
 func TestTable1RowsAndPrinting(t *testing.T) {
 	g := datasets.AliBaba()
-	qs := datasets.BioQueries(g)
-	rows := experiments.Table1(g, qs)
+	snap := g.Snapshot()
+	qs := datasets.BioQueries(snap)
+	rows := experiments.Table1(snap, qs)
 	if len(rows) != 6 {
 		t.Fatalf("%d rows", len(rows))
 	}
@@ -131,9 +132,9 @@ func TestPrintAndCSVWriters(t *testing.T) {
 	g := datasets.ScaleFree(datasets.ScaleFreeConfig{
 		Nodes: 200, Edges: 600, Labels: 6, ZipfS: 1, Seed: 41,
 	})
-	goal := datasets.SynQueries(g)[2]
+	goal := datasets.SynQueriesOn(g.Snapshot())[2]
 	cfg := experiments.StaticConfig{Fractions: []float64{0.05}, Trials: 1, Seed: 3}
-	series := []experiments.StaticSeries{experiments.RunStatic(g, goal, cfg)}
+	series := []experiments.StaticSeries{experiments.RunStatic(g.Snapshot(), goal, cfg)}
 
 	var buf bytes.Buffer
 	experiments.PrintStaticSeries(&buf, series)
@@ -148,7 +149,7 @@ func TestPrintAndCSVWriters(t *testing.T) {
 		t.Fatalf("CSV lines = %d, want header + 1 row", lines)
 	}
 
-	rows := experiments.RunInteractive("t", g, goal, experiments.InteractiveConfig{
+	rows := experiments.RunInteractive("t", g.Snapshot(), goal, experiments.InteractiveConfig{
 		Seed: 1, MaxInteractions: 60,
 	})
 	buf.Reset()
@@ -169,8 +170,8 @@ func TestAblationGeneralization(t *testing.T) {
 	g := datasets.ScaleFree(datasets.ScaleFreeConfig{
 		Nodes: 300, Edges: 900, Labels: 6, ZipfS: 1, Seed: 43,
 	})
-	goals := datasets.SynQueries(g)[2:]
-	rows := experiments.RunAblationGeneralization(g, goals, 0.10,
+	goals := datasets.SynQueriesOn(g.Snapshot())[2:]
+	rows := experiments.RunAblationGeneralization(g.Snapshot(), goals, 0.10,
 		experiments.StaticConfig{Trials: 1, Seed: 5})
 	if len(rows) != 1 {
 		t.Fatalf("%d rows", len(rows))
@@ -204,7 +205,7 @@ func TestStaticHandlesAbstain(t *testing.T) {
 		t.Fatal(err)
 	}
 	nq := datasets.NamedQuery{Name: "never", Expr: "zz·zz", Query: q}
-	series := experiments.RunStatic(g, nq, experiments.StaticConfig{
+	series := experiments.RunStatic(g.Snapshot(), nq, experiments.StaticConfig{
 		Fractions: []float64{0.1}, Trials: 1, Seed: 1,
 	})
 	p := series.Points[0]

@@ -33,10 +33,10 @@ func TestConcurrentReadsAfterBuild(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for v := w; v < 100; v += 8 {
-				g.OutEdges(graph.NodeID(v))
-				g.InEdges(graph.NodeID(v))
+				g.Snapshot().OutEdges(graph.NodeID(v))
+				g.Snapshot().InEdges(graph.NodeID(v))
 				g.Snapshot().CoversPlan(&p.Forward, graph.NodeID(v))
-				g.PathsUpTo(graph.NodeID(v), 3, 10)
+				g.Snapshot().PathsUpTo(graph.NodeID(v), 3, 10)
 			}
 		}(w)
 	}

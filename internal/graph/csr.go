@@ -8,21 +8,20 @@ import (
 	"pathquery/internal/bitset"
 )
 
-// This file implements the frozen read-side representation of a Graph: a
+// This file implements the read-side representation of a Graph: a
 // compressed sparse row (CSR) adjacency grouped by symbol, published as
 // immutable epoch Snapshots, the scratch pools shared by the hot product
 // searches, and the node-set interner used by the subset constructions
-// (firstEscaping here, Coverage in internal/scp).
+// (FirstEscapingPath here, Coverage in internal/scp).
 //
-// Epoch contract: mutations (AddNode/AddEdge) always go to the build-side
-// adjacency and never touch a published Snapshot. Snapshot() (or any
-// legacy read through the Graph) publishes a new immutable CSR epoch with
-// an atomic pointer swap; Current() returns the latest published epoch
-// without rebuilding. Readers holding a Snapshot never block writers and
-// never observe mutations — they keep serving their epoch until they pick
-// up a newer one. The single-writer rule still applies to the build side:
-// at most one goroutine may mutate (or publish) at a time; the serving
-// engine (internal/engine) serializes writers behind one lock.
+// Epoch contract: one writer mutates (AddNode/AddEdge) the build-side
+// adjacency, which never touches a published Snapshot, and publishes:
+// Snapshot() builds a new immutable CSR epoch and installs it with an
+// atomic pointer swap; Current() returns the latest published epoch
+// without rebuilding. Any number of goroutines read Snapshots; they never
+// block the writer and never observe its mutations — they keep serving
+// their epoch until they pick up a newer one. The serving engine
+// (internal/engine) serializes writers behind one lock.
 
 // csr is a symbol-indexed compressed-sparse-row adjacency. Edges are
 // grouped by node and sorted by (symbol, neighbor); within a node, runs of
@@ -110,8 +109,8 @@ func (c *csr) succ(v NodeID, sym alphabet.Symbol) []Edge {
 // point: both CSR adjacency directions, the node-name table prefix, and
 // the alphabet size as of the publish. Snapshots are safe for unlimited
 // concurrent readers and stay valid (and consistent) while the owning
-// Graph keeps mutating and publishing newer epochs. All read operations on
-// Graph delegate here; the serving engine pins Snapshots explicitly so a
+// Graph keeps mutating and publishing newer epochs. Every read of a graph
+// runs on a Snapshot; the serving engine pins one per request so the
 // request observes exactly one epoch.
 type Snapshot struct {
 	g     *Graph // scratch pools + alphabet only; never the mutable build side
@@ -164,16 +163,14 @@ func (s *Snapshot) NodeName(id NodeID) string {
 // Alphabet returns the (concurrency-safe) alphabet shared with the graph.
 func (s *Snapshot) Alphabet() *alphabet.Alphabet { return s.g.alpha }
 
-// Freeze builds and publishes the CSR read-side epoch now instead of on
-// first read. Useful right after bulk construction, before handing the
-// graph to concurrent readers or benchmarks.
-func (g *Graph) Freeze() { g.reader() }
-
 // Snapshot publishes a new immutable epoch reflecting every mutation so
 // far and returns it; if nothing changed since the last publication the
 // current epoch is returned. Like mutation, publication is a writer-side
 // operation: it must not run concurrently with other mutations.
-func (g *Graph) Snapshot() *Snapshot { return g.reader() }
+func (g *Graph) Snapshot() *Snapshot {
+	s, _ := g.SnapshotStats()
+	return s
+}
 
 // PublishStats describes how a publication was performed, for the write
 // path's per-stage observability.
@@ -210,21 +207,7 @@ func (g *Graph) Current() *Snapshot {
 	if s := g.cur.Load(); s != nil {
 		return s
 	}
-	return g.publish()
-}
-
-// reader returns a snapshot reflecting every mutation so far — the legacy
-// read-your-writes path behind the Graph-level read methods.
-func (g *Graph) reader() *Snapshot {
-	if s := g.cur.Load(); s != nil && !g.dirty.Load() {
-		return s
-	}
-	return g.publish()
-}
-
-func (g *Graph) publish() *Snapshot {
-	s, _ := g.publishEx()
-	return s
+	return g.Snapshot()
 }
 
 // compactOverlayDivisor triggers compaction once the larger overlay

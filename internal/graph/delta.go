@@ -9,7 +9,7 @@ import (
 
 // This file implements epoch deltas: the structured record of what changed
 // between two published snapshots. The build side accumulates the edges
-// added since the last publication; publish() freezes them into an
+// added since the last publication; publishing freezes them into an
 // immutable Delta attached to the new Snapshot and chains it to the
 // previous snapshot's delta. Every snapshot also carries a per-symbol
 // write epoch (SymEpoch), so whether a cached answer's alphabet was

@@ -34,18 +34,15 @@ type Edge struct {
 	To  NodeID // neighbor: head for out-edges, tail for in-edges
 }
 
-// Graph is a finite directed edge-labeled graph over an interned alphabet.
-// Construction appends to per-node adjacency lists; reads go through
-// published epoch Snapshots in symbol-indexed CSR form (csr.go), which
-// keeps canonical-order path enumeration a plain BFS taking edges in
+// Graph is the writer side of a finite directed edge-labeled graph over an
+// interned alphabet: it owns the build-side adjacency, the node-name table
+// and epoch publication. Every read of the adjacency goes through a
+// published, immutable epoch Snapshot in symbol-indexed CSR form (csr.go),
+// which keeps canonical-order path enumeration a plain BFS taking edges in
 // (symbol, neighbor) order.
 //
-// Concurrency: a single writer may mutate and publish epochs while any
-// number of goroutines read — provided the readers hold Snapshots (via
-// Current/Snapshot) rather than calling Graph-level read methods, which
-// rebuild lazily on a dirty build side. Graph-level reads keep the legacy
-// contract: any number of concurrent readers, but no overlap with
-// mutation.
+// Concurrency: one writer mutates and publishes epochs (Snapshot), while
+// any number of goroutines read the immutable Snapshots it published.
 type Graph struct {
 	alpha     *alphabet.Alphabet
 	nodeNames []string
@@ -175,33 +172,12 @@ func (g *Graph) Nodes() []NodeID {
 }
 
 // OutEdges returns the out-edges of v sorted by (symbol, neighbor). The
-// returned slice must not be modified; it stays valid for the lifetime of
-// the epoch it was read from.
-func (g *Graph) OutEdges(v NodeID) []Edge { return g.reader().OutEdges(v) }
-
-// OutEdges returns the out-edges of v sorted by (symbol, neighbor). The
 // returned slice must not be modified.
 func (s *Snapshot) OutEdges(v NodeID) []Edge { return s.out.row(v) }
 
 // InEdges returns the sorted in-edges of v (Edge.To is the tail node).
 // The returned slice must not be modified.
-func (g *Graph) InEdges(v NodeID) []Edge { return g.reader().InEdges(v) }
-
-// InEdges returns the sorted in-edges of v (Edge.To is the tail node).
-// The returned slice must not be modified.
 func (s *Snapshot) InEdges(v NodeID) []Edge { return s.in.row(v) }
-
-// OutDegree returns the number of out-edges of v on the build side.
-func (g *Graph) OutDegree(v NodeID) int { return len(g.out[v]) }
-
-// InDegree returns the number of in-edges of v on the build side.
-func (g *Graph) InDegree(v NodeID) int { return len(g.in[v]) }
-
-// Step returns the sorted, deduplicated set of a-successors of the sorted
-// node set set.
-func (g *Graph) Step(set []NodeID, sym alphabet.Symbol) []NodeID {
-	return g.reader().Step(set, sym)
-}
 
 // Step returns the sorted, deduplicated set of a-successors of the sorted
 // node set set. Successor segments are contiguous in the CSR, and dedup
@@ -226,12 +202,6 @@ func (s *Snapshot) Step(set []NodeID, sym alphabet.Symbol) []NodeID {
 
 // Matches reports whether w ∈ paths_G(ν): some node sequence starting at ν
 // is matched by w. The empty word matches everywhere.
-func (g *Graph) Matches(nu NodeID, w words.Word) bool {
-	return g.reader().Matches(nu, w)
-}
-
-// Matches reports whether w ∈ paths_G(ν): some node sequence starting at ν
-// is matched by w. The empty word matches everywhere.
 func (s *Snapshot) Matches(nu NodeID, w words.Word) bool {
 	cur := []NodeID{nu}
 	for _, sym := range w {
@@ -245,11 +215,6 @@ func (s *Snapshot) Matches(nu NodeID, w words.Word) bool {
 
 // MatchesAny reports whether w ∈ paths_G(X) for the node set X. The empty
 // set covers nothing: paths_G(∅) = ∅.
-func (g *Graph) MatchesAny(set []NodeID, w words.Word) bool {
-	return g.reader().MatchesAny(set, w)
-}
-
-// MatchesAny reports whether w ∈ paths_G(X) for the node set X.
 func (s *Snapshot) MatchesAny(set []NodeID, w words.Word) bool {
 	cur := append([]NodeID(nil), set...)
 	for _, sym := range w {
@@ -262,12 +227,8 @@ func (s *Snapshot) MatchesAny(set []NodeID, w words.Word) bool {
 }
 
 // HasCycleFrom reports whether a cycle is reachable from ν, i.e. whether
-// paths_G(ν) is infinite (Section 2).
-func (g *Graph) HasCycleFrom(nu NodeID) bool { return g.reader().HasCycleFrom(nu) }
-
-// HasCycleFrom reports whether a cycle is reachable from ν. The DFS keeps
-// an explicit stack so deep synthetic graphs cannot overflow the goroutine
-// stack.
+// paths_G(ν) is infinite (Section 2). The DFS keeps an explicit stack so
+// deep synthetic graphs cannot overflow the goroutine stack.
 func (s *Snapshot) HasCycleFrom(nu NodeID) bool {
 	const (
 		unvisited = 0
@@ -303,12 +264,6 @@ func (s *Snapshot) HasCycleFrom(nu NodeID) bool {
 }
 
 // PathsUpTo enumerates paths_G(ν) ∩ Σ^{≤maxLen} in canonical order,
-// stopping after limit words (limit ≤ 0 means no limit).
-func (g *Graph) PathsUpTo(nu NodeID, maxLen, limit int) []words.Word {
-	return g.reader().PathsUpTo(nu, maxLen, limit)
-}
-
-// PathsUpTo enumerates paths_G(ν) ∩ Σ^{≤maxLen} in canonical order,
 // stopping after limit words (limit ≤ 0 means no limit). Distinct words
 // only: several node sequences matching the same word yield one entry.
 func (s *Snapshot) PathsUpTo(nu NodeID, maxLen, limit int) []words.Word {
@@ -338,12 +293,6 @@ func (s *Snapshot) PathsUpTo(nu NodeID, maxLen, limit int) []words.Word {
 		level = next
 	}
 	return out
-}
-
-// StepAll visits, for every symbol with at least one successor from the
-// node set, the sorted deduplicated stepped set.
-func (g *Graph) StepAll(set []NodeID, fn func(sym alphabet.Symbol, succ []NodeID)) {
-	g.reader().StepAll(set, fn)
 }
 
 // StepAll visits, for every symbol with at least one successor from the
@@ -392,11 +341,6 @@ func (s *Snapshot) StepAll(set []NodeID, fn func(sym alphabet.Symbol, succ []Nod
 }
 
 // SymbolsOf returns the sorted distinct symbols with an out-edge from set.
-func (g *Graph) SymbolsOf(set []NodeID) []alphabet.Symbol {
-	return g.reader().SymbolsOf(set)
-}
-
-// SymbolsOf returns the sorted distinct symbols with an out-edge from set.
 // Per-node symbols are one CSR segment scan; dedup is a pooled bitset over
 // the alphabet, emitted in ascending (= sorted) symbol order.
 func (s *Snapshot) SymbolsOf(set []NodeID) []alphabet.Symbol {
@@ -414,12 +358,6 @@ func (s *Snapshot) SymbolsOf(set []NodeID) []alphabet.Symbol {
 	out := make([]alphabet.Symbol, 0, mk.Count())
 	mk.Drain(func(i int) { out = append(out, alphabet.Symbol(i)) })
 	return out
-}
-
-// Neighborhood returns the set of nodes within the given undirected radius
-// of ν, including ν.
-func (g *Graph) Neighborhood(nu NodeID, radius int) []NodeID {
-	return g.reader().Neighborhood(nu, radius)
 }
 
 // Neighborhood returns the set of nodes within the given undirected radius
@@ -454,10 +392,6 @@ func (s *Snapshot) Neighborhood(nu NodeID, radius int) []NodeID {
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
-
-// Subgraph returns the induced subgraph on keep, with the same node names
-// and alphabet. Node ids are renumbered.
-func (g *Graph) Subgraph(keep []NodeID) *Graph { return g.reader().Subgraph(keep) }
 
 // Subgraph returns the induced subgraph on keep, with the same node names
 // and alphabet. Node ids are renumbered.

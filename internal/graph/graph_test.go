@@ -65,7 +65,7 @@ func TestOutEdgesSorted(t *testing.T) {
 	g.AddEdgeByName("x", "a", "z")
 	g.AddEdgeByName("x", "b", "y")
 	x := mustNode(t, g, "x")
-	es := g.OutEdges(x)
+	es := g.Snapshot().OutEdges(x)
 	for i := 1; i < len(es); i++ {
 		if es[i-1].Sym > es[i].Sym {
 			t.Fatalf("out edges not sorted: %v", es)
@@ -75,6 +75,7 @@ func TestOutEdgesSorted(t *testing.T) {
 
 func TestPaperG0PathClaims(t *testing.T) {
 	g, _ := paperfix.G0()
+	snap := g.Snapshot()
 	v1 := mustNode(t, g, "v1")
 	v3 := mustNode(t, g, "v3")
 	v5 := mustNode(t, g, "v5")
@@ -82,11 +83,11 @@ func TestPaperG0PathClaims(t *testing.T) {
 	// "aba matches ν1ν2ν3ν4 and ν3ν2ν3ν4" — at least, aba ∈ paths(ν1) and
 	// paths(ν3).
 	aba := wordOf(t, g, "a", "b", "a")
-	if !g.Matches(v1, aba) || !g.Matches(v3, aba) {
+	if !snap.Matches(v1, aba) || !snap.Matches(v3, aba) {
 		t.Fatal("aba should match from v1 and v3")
 	}
 	// paths(ν5) = {ε, a, b} (adapted; see paperfix docs).
-	got := g.PathsUpTo(v5, 10, 0)
+	got := snap.PathsUpTo(v5, 10, 0)
 	want := []string{"ε", "a", "b"}
 	if len(got) != len(want) {
 		t.Fatalf("paths(v5) = %d words, want %d", len(got), len(want))
@@ -97,10 +98,10 @@ func TestPaperG0PathClaims(t *testing.T) {
 		}
 	}
 	// paths(ν1) is infinite: a cycle is reachable from ν1.
-	if !g.HasCycleFrom(v1) {
+	if !snap.HasCycleFrom(v1) {
 		t.Fatal("paths(v1) should be infinite")
 	}
-	if g.HasCycleFrom(v5) {
+	if snap.HasCycleFrom(v5) {
 		t.Fatal("paths(v5) is finite")
 	}
 }
@@ -214,7 +215,7 @@ func TestSelectMonadicAgainstPathEnumeration(t *testing.T) {
 		sel := g.Snapshot().SelectMonadicPlan(plan.FromDFA(d))
 		for v := 0; v < n; v++ {
 			brute := false
-			for _, w := range g.PathsUpTo(graph.NodeID(v), n, 0) {
+			for _, w := range g.Snapshot().PathsUpTo(graph.NodeID(v), n, 0) {
 				if d.Accepts(w) {
 					brute = true
 					break
@@ -281,15 +282,16 @@ func TestSelectBinaryFrom(t *testing.T) {
 
 func TestPathsIncluded(t *testing.T) {
 	g, s := paperfix.Figure5()
+	snap := g.Snapshot()
 	// Figure 5's point: the positive's paths are all covered by negatives.
-	if !g.PathsIncluded(s.Pos, s.Neg) {
+	if !snap.PathsIncluded(s.Pos, s.Neg) {
 		t.Fatal("figure 5 positive should be covered by the negatives")
 	}
 	// But not by a single negative.
-	if g.PathsIncluded(s.Pos, s.Neg[:1]) {
+	if snap.PathsIncluded(s.Pos, s.Neg[:1]) {
 		t.Fatal("neg1 alone does not cover a·Σ* and b·Σ*")
 	}
-	w, ok := g.FirstEscapingPath(s.Pos, s.Neg[:1], -1)
+	w, ok := snap.FirstEscapingPath(s.Pos, s.Neg[:1], -1)
 	if !ok {
 		t.Fatal("expected an escaping path")
 	}
@@ -309,9 +311,9 @@ func TestPathsIncludedAgainstAutomata(t *testing.T) {
 		left := []graph.NodeID{graph.NodeID(rng.Intn(7))}
 		right := []graph.NodeID{graph.NodeID(rng.Intn(7)), graph.NodeID(rng.Intn(7))}
 		want := automata.Included(
-			automata.Minimize(automata.Determinize(g.AsNFA(left))),
-			automata.Minimize(automata.Determinize(g.AsNFA(right))))
-		if got := g.PathsIncluded(left, right); got != want {
+			automata.Minimize(automata.Determinize(g.Snapshot().AsNFA(left))),
+			automata.Minimize(automata.Determinize(g.Snapshot().AsNFA(right))))
+		if got := g.Snapshot().PathsIncluded(left, right); got != want {
 			t.Fatalf("iter %d: PathsIncluded = %v, automata = %v", iter, got, want)
 		}
 	}
@@ -319,12 +321,13 @@ func TestPathsIncludedAgainstAutomata(t *testing.T) {
 
 func TestFirstEscapingPathDepthBound(t *testing.T) {
 	g, s := paperfix.G0()
+	snap := g.Snapshot()
 	v1 := mustNode(t, g, "v1")
 	// SCP(ν1) = abc has length 3; with depth 2 it must not be found.
-	if _, ok := g.FirstEscapingPath([]graph.NodeID{v1}, s.Neg, 2); ok {
+	if _, ok := snap.FirstEscapingPath([]graph.NodeID{v1}, s.Neg, 2); ok {
 		t.Fatal("no escaping path of length ≤ 2 exists for v1")
 	}
-	w, ok := g.FirstEscapingPath([]graph.NodeID{v1}, s.Neg, 3)
+	w, ok := snap.FirstEscapingPath([]graph.NodeID{v1}, s.Neg, 3)
 	if !ok || words.String(w, g.Alphabet()) != "a·b·c" {
 		t.Fatalf("escaping path = %v, want a·b·c", w)
 	}
@@ -332,18 +335,19 @@ func TestFirstEscapingPathDepthBound(t *testing.T) {
 
 func TestMatchesAndMatchesAny(t *testing.T) {
 	g, _ := paperfix.G0()
+	snap := g.Snapshot()
 	v1 := mustNode(t, g, "v1")
 	v5 := mustNode(t, g, "v5")
-	if !g.Matches(v1, words.Epsilon) {
+	if !snap.Matches(v1, words.Epsilon) {
 		t.Fatal("ε matches everywhere")
 	}
-	if g.Matches(v5, wordOf(t, g, "c")) {
+	if snap.Matches(v5, wordOf(t, g, "c")) {
 		t.Fatal("v5 has no c path")
 	}
-	if !g.MatchesAny([]graph.NodeID{v5, v1}, wordOf(t, g, "a", "b", "c")) {
+	if !snap.MatchesAny([]graph.NodeID{v5, v1}, wordOf(t, g, "a", "b", "c")) {
 		t.Fatal("v1 covers abc")
 	}
-	if g.MatchesAny(nil, words.Epsilon) {
+	if snap.MatchesAny(nil, words.Epsilon) {
 		t.Fatal("empty set covers nothing")
 	}
 }
@@ -351,7 +355,7 @@ func TestMatchesAndMatchesAny(t *testing.T) {
 func TestPathsUpToLimit(t *testing.T) {
 	g, _ := paperfix.G0()
 	v1 := mustNode(t, g, "v1")
-	got := g.PathsUpTo(v1, 10, 5)
+	got := g.Snapshot().PathsUpTo(v1, 10, 5)
 	if len(got) != 5 {
 		t.Fatalf("limit ignored: %d", len(got))
 	}
@@ -365,7 +369,7 @@ func TestPathsUpToLimit(t *testing.T) {
 func TestNeighborhood(t *testing.T) {
 	g, _ := paperfix.Figure1()
 	n4 := mustNode(t, g, "N4")
-	nb := g.Neighborhood(n4, 1)
+	nb := g.Snapshot().Neighborhood(n4, 1)
 	names := map[string]bool{}
 	for _, v := range nb {
 		names[g.NodeName(v)] = true
@@ -383,8 +387,9 @@ func TestNeighborhood(t *testing.T) {
 
 func TestSubgraph(t *testing.T) {
 	g, _ := paperfix.Figure1()
+	snap := g.Snapshot()
 	n4 := mustNode(t, g, "N4")
-	sub := g.Subgraph(g.Neighborhood(n4, 1))
+	sub := snap.Subgraph(snap.Neighborhood(n4, 1))
 	if sub.NumNodes() == 0 || sub.NumNodes() >= g.NumNodes() {
 		t.Fatalf("subgraph size = %d", sub.NumNodes())
 	}
@@ -394,7 +399,7 @@ func TestSubgraph(t *testing.T) {
 		t.Fatal("N4 missing from subgraph")
 	}
 	found := false
-	for _, e := range sub.OutEdges(sn4) {
+	for _, e := range sub.Snapshot().OutEdges(sn4) {
 		if sub.Alphabet().Name(e.Sym) == "cinema" {
 			found = true
 		}
@@ -407,7 +412,7 @@ func TestSubgraph(t *testing.T) {
 func TestTSVRoundTrip(t *testing.T) {
 	g, _ := paperfix.G0()
 	var buf bytes.Buffer
-	if err := g.WriteTSV(&buf); err != nil {
+	if err := g.Snapshot().WriteTSV(&buf); err != nil {
 		t.Fatal(err)
 	}
 	back, err := graph.ReadTSV(bytes.NewReader(buf.Bytes()), nil)
@@ -428,7 +433,7 @@ func TestTSVRoundTrip(t *testing.T) {
 	}
 	// A second serialization is byte-identical (determinism).
 	var buf2 bytes.Buffer
-	if err := back.WriteTSV(&buf2); err != nil {
+	if err := back.Snapshot().WriteTSV(&buf2); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {

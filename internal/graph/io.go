@@ -19,19 +19,18 @@ import (
 // to represent isolated nodes and they fix node-id order, which keeps
 // datasets reproducible byte-for-byte.
 
-// WriteTSV serializes g.
-func (g *Graph) WriteTSV(w io.Writer) error {
-	rd := g.reader()
+// WriteTSV serializes the snapshot.
+func (s *Snapshot) WriteTSV(w io.Writer) error {
 	bw := bufio.NewWriter(w)
-	for v := 0; v < rd.NumNodes(); v++ {
-		if _, err := fmt.Fprintf(bw, "v\t%s\n", rd.names[v]); err != nil {
+	for v := 0; v < s.nv; v++ {
+		if _, err := fmt.Fprintf(bw, "v\t%s\n", s.names[v]); err != nil {
 			return err
 		}
 	}
-	for v := 0; v < rd.NumNodes(); v++ {
-		for _, e := range rd.out.row(NodeID(v)) {
+	for v := 0; v < s.nv; v++ {
+		for _, e := range s.out.row(NodeID(v)) {
 			if _, err := fmt.Fprintf(bw, "e\t%s\t%s\t%s\n",
-				rd.names[v], g.alpha.Name(e.Sym), rd.names[e.To]); err != nil {
+				s.names[v], s.g.alpha.Name(e.Sym), s.names[e.To]); err != nil {
 				return err
 			}
 		}

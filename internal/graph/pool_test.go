@@ -42,7 +42,7 @@ func requireCleanThenNFA(t *testing.T, what string, g *Graph, d *automata.DFA, p
 	s.putProductClean(sc)
 	sel := s.SelectMonadicPlan(p)
 	for v := range sel {
-		want := !automata.IntersectionEmpty(g.AsNFA([]NodeID{NodeID(v)}), d.NFA())
+		want := !automata.IntersectionEmpty(s.AsNFA([]NodeID{NodeID(v)}), d.NFA())
 		if sel[v] != want {
 			t.Fatalf("%s: SelectMonadicPlan[%d] = %v, NFA reference %v", what, v, sel[v], want)
 		}
@@ -75,7 +75,7 @@ func TestScratchPoolCleanliness(t *testing.T) {
 	g := buildRandom(rng, alpha, 30, 90)
 	d1 := automata.RandomNonEmptyDFA(rng, 4, alpha.Size(), 0.6)
 	d2 := automata.RandomNonEmptyDFA(rng, 7, alpha.Size(), 0.4)
-	snap, p1, p2 := g.reader(), plan.FromDFA(d1), plan.FromDFA(d2)
+	snap, p1, p2 := g.Snapshot(), plan.FromDFA(d1), plan.FromDFA(d2)
 	want1 := snap.SelectMonadicPlan(p1)
 	want2 := snap.SelectMonadicPlan(p2)
 	for round := 0; round < 20; round++ {

@@ -45,7 +45,7 @@ import (
 //     cheaper; once the backward co-accepting set is complete, the
 //     remaining forward work is pruned to it.
 //   - WitnessBFS (witness.go): the canonical-order word search shared by
-//     firstEscaping here, scp.Coverage.Smallest, and the binary learner's
+//     FirstEscapingPath here, scp.Coverage.Smallest, and the binary learner's
 //     smallest pair-path.
 //
 // The product space is the dense index v·|Q|+q over (node, DFA state)
@@ -751,41 +751,30 @@ func (s *Snapshot) seedBackwardAll(p *plan.Plan, nq int, sc *productScratch, fro
 // the PSPACE-hard core of consistency checking (Lemma 3.2) and node
 // informativeness (Lemma 4.2); callers use it on small graphs or fall back
 // to the k-bounded variant below.
-func (g *Graph) PathsIncluded(left, right []NodeID) bool {
-	return g.reader().PathsIncluded(left, right)
-}
-
-// PathsIncluded decides paths_G(left) ⊆ paths_G(right) exactly on this
-// epoch snapshot; see the Graph form for complexity caveats.
 func (s *Snapshot) PathsIncluded(left, right []NodeID) bool {
-	_, included := s.firstEscaping(left, right, -1)
-	return included
+	_, escaped := s.FirstEscapingPath(left, right, -1)
+	return !escaped
 }
 
 // FirstEscapingPath returns the canonical-order minimal word in
 // paths_G(left) \ paths_G(right), with ok=false when inclusion holds
-// (no such word). Depth < 0 means unbounded.
-func (g *Graph) FirstEscapingPath(left, right []NodeID, depth int) (words.Word, bool) {
-	w, included := g.reader().firstEscaping(left, right, depth)
-	return w, !included
-}
-
-// firstEscaping runs the shared canonical-order witness search (WitnessBFS)
-// over pairs (left node, right subset); the first word whose right subset
-// is empty escapes. depth < 0 means unbounded (termination is still
-// guaranteed: the product state space is finite). Right subsets are
-// interned to dense ids via NodeSetIndex with memoized (set, symbol)
-// transitions, so each distinct subset is stepped once per symbol instead
-// of re-encoded per edge.
-func (s *Snapshot) firstEscaping(left, right []NodeID, depth int) (words.Word, bool) {
+// (no such word). Depth < 0 means unbounded (termination is still
+// guaranteed: the product state space is finite).
+//
+// It runs the shared canonical-order witness search (WitnessBFS) over
+// pairs (left node, right subset); the first word whose right subset is
+// empty escapes. Right subsets are interned to dense ids via NodeSetIndex
+// with memoized (set, symbol) transitions, so each distinct subset is
+// stepped once per symbol instead of re-encoded per edge.
+func (s *Snapshot) FirstEscapingPath(left, right []NodeID, depth int) (words.Word, bool) {
 	rightStart := dedupNodes(right)
 	if len(rightStart) == 0 {
 		// Right side covers nothing: even ε is uncovered when the right
 		// node set is empty, for any left node.
 		if len(left) > 0 {
-			return words.Epsilon, false
+			return words.Epsilon, true
 		}
-		return nil, true
+		return nil, false
 	}
 	ix := NewNodeSetIndex()
 	startSet := ix.Intern(rightStart)
@@ -813,7 +802,7 @@ func (s *Snapshot) firstEscaping(left, right []NodeID, depth int) (words.Word, b
 				}
 			}
 		})
-	return w, !escaped
+	return w, escaped
 }
 
 // dedupNodes returns a sorted, deduplicated copy of set.
@@ -833,12 +822,6 @@ func dedupNodes(set []NodeID) []NodeID {
 // AsNFA materializes the graph as an NFA with the given start nodes and
 // every state accepting — the explicit form of paths_G(starts). Useful for
 // tests cross-checking product algorithms against the automata package.
-func (g *Graph) AsNFA(starts []NodeID) *automata.NFA {
-	return g.reader().AsNFA(starts)
-}
-
-// AsNFA materializes the snapshot as an NFA with the given start nodes and
-// every state accepting.
 func (s *Snapshot) AsNFA(starts []NodeID) *automata.NFA {
 	n := automata.NewNFA(s.nv, s.nsym)
 	for v := 0; v < s.nv; v++ {

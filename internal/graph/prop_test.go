@@ -23,13 +23,13 @@ func refCovers(g *graph.Graph, d *automata.DFA, set []graph.NodeID) bool {
 	if len(set) == 0 {
 		return false
 	}
-	return !automata.IntersectionEmpty(g.AsNFA(set), d.NFA())
+	return !automata.IntersectionEmpty(g.Snapshot().AsNFA(set), d.NFA())
 }
 
 // refCoversPair is the binary-semantics reference: the graph NFA keeps
 // only the destination final, so its language is exactly paths2_G(u, v).
 func refCoversPair(g *graph.Graph, d *automata.DFA, u, v graph.NodeID) bool {
-	n := g.AsNFA([]graph.NodeID{u})
+	n := g.Snapshot().AsNFA([]graph.NodeID{u})
 	for i := range n.Final {
 		n.Final[i] = int32(i) == v
 	}
@@ -120,10 +120,10 @@ func TestFirstEscapingPathMatchesNFAReference(t *testing.T) {
 		g := randomGraph(rng, alpha, nodes, rng.Intn(2*nodes))
 		left := []graph.NodeID{graph.NodeID(rng.Intn(nodes))}
 		right := []graph.NodeID{graph.NodeID(rng.Intn(nodes))}
-		w, ok := g.FirstEscapingPath(left, right, -1)
+		w, ok := g.Snapshot().FirstEscapingPath(left, right, -1)
 		wantIncluded := automata.Included(
-			automata.Minimize(automata.Determinize(g.AsNFA(left))),
-			automata.Minimize(automata.Determinize(g.AsNFA(right))))
+			automata.Minimize(automata.Determinize(g.Snapshot().AsNFA(left))),
+			automata.Minimize(automata.Determinize(g.Snapshot().AsNFA(right))))
 		if ok == wantIncluded {
 			t.Fatalf("iter %d: FirstEscapingPath ok = %v, automata inclusion = %v",
 				iter, ok, wantIncluded)
@@ -131,10 +131,10 @@ func TestFirstEscapingPathMatchesNFAReference(t *testing.T) {
 		if !ok {
 			continue
 		}
-		if !g.MatchesAny(left, w) {
+		if !g.Snapshot().MatchesAny(left, w) {
 			t.Fatalf("iter %d: witness %v not in paths(left)", iter, w)
 		}
-		if g.MatchesAny(right, w) {
+		if g.Snapshot().MatchesAny(right, w) {
 			t.Fatalf("iter %d: witness %v covered by right side", iter, w)
 		}
 		// Canonical minimality: no strictly smaller word escapes.
@@ -142,7 +142,7 @@ func TestFirstEscapingPathMatchesNFAReference(t *testing.T) {
 			if words.Compare(u, w) >= 0 {
 				break
 			}
-			if g.MatchesAny(left, u) && !g.MatchesAny(right, u) {
+			if g.Snapshot().MatchesAny(left, u) && !g.Snapshot().MatchesAny(right, u) {
 				t.Fatalf("iter %d: %v escapes but is smaller than witness %v", iter, u, w)
 			}
 		}
@@ -167,13 +167,13 @@ func TestStepMatchesReference(t *testing.T) {
 			sym := alphabet.Symbol(s)
 			want := map[graph.NodeID]bool{}
 			for _, v := range set {
-				for _, e := range g.OutEdges(v) {
+				for _, e := range g.Snapshot().OutEdges(v) {
 					if e.Sym == sym {
 						want[e.To] = true
 					}
 				}
 			}
-			got := g.Step(set, sym)
+			got := g.Snapshot().Step(set, sym)
 			if len(got) != len(want) {
 				t.Fatalf("iter %d sym %d: Step returned %d nodes, want %d", iter, s, len(got), len(want))
 			}
@@ -204,7 +204,7 @@ func TestStepAllMatchesStep(t *testing.T) {
 			}
 		}
 		got := map[alphabet.Symbol][]graph.NodeID{}
-		g.StepAll(set, func(sym alphabet.Symbol, succ []graph.NodeID) {
+		g.Snapshot().StepAll(set, func(sym alphabet.Symbol, succ []graph.NodeID) {
 			if len(succ) == 0 {
 				t.Fatalf("iter %d: StepAll visited symbol %d with empty successors", iter, sym)
 			}
@@ -215,7 +215,7 @@ func TestStepAllMatchesStep(t *testing.T) {
 		})
 		for s := 0; s < alpha.Size(); s++ {
 			sym := alphabet.Symbol(s)
-			want := g.Step(set, sym)
+			want := g.Snapshot().Step(set, sym)
 			have := got[sym]
 			if len(want) != len(have) {
 				t.Fatalf("iter %d sym %d: StepAll %v, Step %v", iter, s, have, want)
@@ -238,12 +238,12 @@ func TestMutateAfterFreeze(t *testing.T) {
 	y := g.AddNode("y")
 	a, _ := alpha.Lookup("a")
 	g.AddEdge(x, a, y)
-	if got := g.Step([]graph.NodeID{x}, a); len(got) != 1 || got[0] != y {
+	if got := g.Snapshot().Step([]graph.NodeID{x}, a); len(got) != 1 || got[0] != y {
 		t.Fatalf("Step before mutation = %v", got)
 	}
 	z := g.AddNode("z")
 	g.AddEdge(x, a, z)
-	got := g.Step([]graph.NodeID{x}, a)
+	got := g.Snapshot().Step([]graph.NodeID{x}, a)
 	if len(got) != 2 || got[0] != y || got[1] != z {
 		t.Fatalf("Step after mutation = %v, want [y z]", got)
 	}

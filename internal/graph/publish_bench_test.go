@@ -31,7 +31,7 @@ func benchPublishGraph(nv, ne int) *Graph {
 	for i := 0; i < ne; i++ {
 		g.AddEdge(NodeID(rng.Intn(nv)), alphabet.Symbol(rng.Intn(len(labels))), NodeID(rng.Intn(nv)))
 	}
-	g.Freeze()
+	g.Snapshot()
 	return g
 }
 

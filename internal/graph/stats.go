@@ -33,46 +33,46 @@ type LabelCount struct {
 	Count int
 }
 
-// ComputeStats scans g once.
-func (g *Graph) ComputeStats() Stats {
-	s := Stats{Nodes: g.NumNodes(), Edges: g.NumEdges()}
+// ComputeStats scans the snapshot once.
+func (s *Snapshot) ComputeStats() Stats {
+	st := Stats{Nodes: s.nv, Edges: s.ne}
 	labelCounts := make(map[alphabet.Symbol]int)
 	const histBuckets = 16
-	s.DegreeHistogram = make([]int, histBuckets)
-	for v := 0; v < g.NumNodes(); v++ {
-		out := g.OutDegree(NodeID(v))
-		in := g.InDegree(NodeID(v))
-		if out > s.MaxOutDegree {
-			s.MaxOutDegree = out
+	st.DegreeHistogram = make([]int, histBuckets)
+	for v := 0; v < s.nv; v++ {
+		out := s.OutDegree(NodeID(v))
+		in := s.InDegree(NodeID(v))
+		if out > st.MaxOutDegree {
+			st.MaxOutDegree = out
 		}
-		if in > s.MaxInDegree {
-			s.MaxInDegree = in
+		if in > st.MaxInDegree {
+			st.MaxInDegree = in
 		}
 		if out == 0 {
-			s.Sinks++
+			st.Sinks++
 		}
 		if in == 0 {
-			s.Sources++
+			st.Sources++
 		}
 		bucket := out
 		if bucket >= histBuckets {
 			bucket = histBuckets - 1
 		}
-		s.DegreeHistogram[bucket]++
-		for _, e := range g.OutEdges(NodeID(v)) {
+		st.DegreeHistogram[bucket]++
+		for _, e := range s.out.row(NodeID(v)) {
 			labelCounts[e.Sym]++
 		}
 	}
 	for sym, c := range labelCounts {
-		s.LabelCounts = append(s.LabelCounts, LabelCount{g.alpha.Name(sym), c})
+		st.LabelCounts = append(st.LabelCounts, LabelCount{s.g.alpha.Name(sym), c})
 	}
-	sort.Slice(s.LabelCounts, func(i, j int) bool {
-		if s.LabelCounts[i].Count != s.LabelCounts[j].Count {
-			return s.LabelCounts[i].Count > s.LabelCounts[j].Count
+	sort.Slice(st.LabelCounts, func(i, j int) bool {
+		if st.LabelCounts[i].Count != st.LabelCounts[j].Count {
+			return st.LabelCounts[i].Count > st.LabelCounts[j].Count
 		}
-		return s.LabelCounts[i].Label < s.LabelCounts[j].Label
+		return st.LabelCounts[i].Label < st.LabelCounts[j].Label
 	})
-	return s
+	return st
 }
 
 // Print renders the stats.

@@ -10,7 +10,7 @@ import (
 
 func TestComputeStatsG0(t *testing.T) {
 	g, _ := paperfix.G0()
-	s := g.ComputeStats()
+	s := g.Snapshot().ComputeStats()
 	if s.Nodes != 7 || s.Edges != 15 {
 		t.Fatalf("stats = %d nodes / %d edges", s.Nodes, s.Edges)
 	}
@@ -45,7 +45,7 @@ func TestComputeStatsG0(t *testing.T) {
 func TestStatsPrint(t *testing.T) {
 	g, _ := paperfix.Figure1()
 	var buf bytes.Buffer
-	g.ComputeStats().Print(&buf)
+	g.Snapshot().ComputeStats().Print(&buf)
 	out := buf.String()
 	for _, want := range []string{"nodes: 10", "cinema", "histogram"} {
 		if !strings.Contains(out, want) {

@@ -6,7 +6,7 @@ import (
 )
 
 // WitnessBFS is the canonical-order word search shared by every
-// witness-producing evaluator: firstEscaping (path-language inclusion,
+// witness-producing evaluator: FirstEscapingPath (path-language inclusion,
 // product.go), scp.Coverage.Smallest (SCP extraction), and the binary
 // learner's smallest pair-path. Each of these used to carry its own copy
 // of the same loop — a BFS over a product of two opaque int32 components

@@ -270,12 +270,9 @@ func symSet(syms []alphabet.Symbol) map[alphabet.Symbol]bool {
 // pairwise distinct symbols consistent with the sample — the NP witness
 // check of Lemma 3.3, implemented by depth-first search over symbol
 // sequences (exponential worst case; the certificate is polynomial).
-func HasDistinctPathQuery(g *graph.Graph, s core.Sample) bool {
-	alpha := g.Alphabet()
-	numSyms := alpha.Size()
-	// Pin one epoch snapshot for the whole search: every Step below reads
-	// the same immutable CSR instead of re-checking the build side.
-	snap := g.Snapshot()
+// Every Step of the search reads the one pinned epoch snapshot.
+func HasDistinctPathQuery(snap *graph.Snapshot, s core.Sample) bool {
+	numSyms := snap.Alphabet().Size()
 	// Track, per candidate word w: the set of nodes reachable from each
 	// example's head; accept when every positive still matches and no
 	// negative does... a query a1·…·an selects ν iff the word matches from

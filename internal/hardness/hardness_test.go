@@ -24,14 +24,15 @@ func TestLemma32ReductionNonUniversal(t *testing.T) {
 	a := alphabet.NewSorted("a", "b")
 	ds := []*automata.DFA{compile(t, a, "a*")}
 	g, s := FromDFAUnion(a, ds)
+	snap := g.Snapshot()
 	if universal, _ := automata.UnionUniversal(ds); universal {
 		t.Fatal("a* should not be universal")
 	}
-	if !core.Consistent(g, s) {
+	if !core.Consistent(snap, s) {
 		t.Fatal("reduction: non-universal union must yield a consistent sample")
 	}
 	// And the learner can actually find a consistent query.
-	if _, err := core.Learn(g, s, core.Options{}); err != nil {
+	if _, err := core.Learn(snap, s, core.Options{}); err != nil {
 		t.Fatalf("learner abstained on consistent gadget: %v", err)
 	}
 }
@@ -44,7 +45,7 @@ func TestLemma32ReductionUniversal(t *testing.T) {
 	if universal, _ := automata.UnionUniversal(ds); !universal {
 		t.Fatal("(a+b)* should be universal")
 	}
-	if core.Consistent(g, s) {
+	if core.Consistent(g.Snapshot(), s) {
 		t.Fatal("reduction: universal union must yield an inconsistent sample")
 	}
 }
@@ -57,12 +58,12 @@ func TestLemma32ReductionSplitUnion(t *testing.T) {
 		compile(t, a, "b·(a+b)*"),
 	}
 	g, s := FromDFAUnion(a, ds)
-	if core.Consistent(g, s) {
+	if core.Consistent(g.Snapshot(), s) {
 		t.Fatal("split-universal union must yield an inconsistent sample")
 	}
 	// Removing one DFA breaks universality → consistent again.
 	g2, s2 := FromDFAUnion(alphabet.NewSorted("a", "b"), ds[:1])
-	if !core.Consistent(g2, s2) {
+	if !core.Consistent(g2.Snapshot(), s2) {
 		t.Fatal("single non-universal DFA must yield a consistent sample")
 	}
 }
@@ -80,7 +81,7 @@ func TestLemma32RandomAgreement(t *testing.T) {
 		}
 		universal, _ := automata.UnionUniversal(ds)
 		g, s := FromDFAUnion(a, ds)
-		if got := core.Consistent(g, s); got != !universal {
+		if got := core.Consistent(g.Snapshot(), s); got != !universal {
 			t.Fatalf("iter %d: consistent=%v, universal=%v", i, got, universal)
 		}
 	}
@@ -120,7 +121,7 @@ func TestLemma33ReductionPaperFormula(t *testing.T) {
 		},
 	}
 	g, s, _ := From3SAT(phi)
-	if got := HasDistinctPathQuery(g, s); got != true {
+	if got := HasDistinctPathQuery(g.Snapshot(), s); got != true {
 		t.Fatal("satisfiable φ0 must admit a distinct-symbols path query")
 	}
 }
@@ -134,7 +135,7 @@ func TestLemma33ReductionUnsat(t *testing.T) {
 		},
 	}
 	g, s, _ := From3SAT(contradiction)
-	if HasDistinctPathQuery(g, s) {
+	if HasDistinctPathQuery(g.Snapshot(), s) {
 		t.Fatal("unsatisfiable formula must admit no distinct-symbols path query")
 	}
 }
@@ -155,7 +156,7 @@ func TestLemma33RandomAgreement(t *testing.T) {
 			f.Clauses = append(f.Clauses, cl)
 		}
 		g, s, _ := From3SAT(f)
-		if got, want := HasDistinctPathQuery(g, s), f.Satisfiable(); got != want {
+		if got, want := HasDistinctPathQuery(g.Snapshot(), s), f.Satisfiable(); got != want {
 			t.Fatalf("iter %d: gadget=%v, sat=%v (formula %+v)", i, got, want, f)
 		}
 	}

@@ -41,15 +41,10 @@ type QueryOracle struct {
 	selected []bool
 }
 
-// NewQueryOracle precomputes the goal's selection on g.
-func NewQueryOracle(g *graph.Graph, goal *query.Query) *QueryOracle {
-	return NewQueryOracleOn(g.Snapshot(), goal)
-}
-
-// NewQueryOracleOn precomputes the goal's selection on a pinned epoch
+// NewQueryOracle precomputes the goal's selection on a pinned epoch
 // snapshot.
-func NewQueryOracleOn(snap *graph.Snapshot, goal *query.Query) *QueryOracle {
-	return &QueryOracle{goal: goal, selected: goal.EvaluateOn(snap).Vector()}
+func NewQueryOracle(snap *graph.Snapshot, goal *query.Query) *QueryOracle {
+	return &QueryOracle{goal: goal, selected: goal.Evaluate(snap).Vector()}
 }
 
 // Label reports whether the goal selects nu.
@@ -78,7 +73,7 @@ type Context struct {
 // NewCoverage builds a fresh coverage index over the current negatives on
 // the pinned snapshot, for use by concurrent scans.
 func (c *Context) NewCoverage() *scp.Coverage {
-	return scp.NewCoverageOn(c.Snap, c.Sample.Neg)
+	return scp.NewCoverage(c.Snap, c.Sample.Neg)
 }
 
 // Unlabeled returns the ids of nodes without a label, in increasing order.
@@ -243,11 +238,11 @@ type Result struct {
 func (r Result) Labels() int { return len(r.Interactions) }
 
 // LabelFraction returns labels / |V|, the paper's Table 2 measure.
-func (r Result) LabelFraction(g *graph.Graph) float64 {
-	if g.NumNodes() == 0 {
+func (r Result) LabelFraction(snap *graph.Snapshot) float64 {
+	if snap.NumNodes() == 0 {
 		return 0
 	}
-	return float64(r.Labels()) / float64(g.NumNodes())
+	return float64(r.Labels()) / float64(snap.NumNodes())
 }
 
 // MeanTimeBetweenInteractions averages the per-round elapsed times.
@@ -291,19 +286,15 @@ func (h HaltReason) String() string {
 type HaltCondition func(learned *query.Query) bool
 
 // ExactMatch is the strongest halt condition of the experiments: the
-// learned query selects exactly the same nodes as the goal — F1 = 1.
-func ExactMatch(g *graph.Graph, goal *query.Query) HaltCondition {
-	return ExactMatchOn(g.Snapshot(), goal)
-}
-
-// ExactMatchOn is ExactMatch evaluated on a pinned epoch snapshot.
-func ExactMatchOn(snap *graph.Snapshot, goal *query.Query) HaltCondition {
-	want := goal.EvaluateOn(snap).Vector()
+// learned query selects exactly the same nodes as the goal — F1 = 1 —
+// on a pinned epoch snapshot.
+func ExactMatch(snap *graph.Snapshot, goal *query.Query) HaltCondition {
+	want := goal.Evaluate(snap).Vector()
 	return func(learned *query.Query) bool {
 		if learned == nil {
 			return false
 		}
-		got := learned.EvaluateOn(snap).Vector()
+		got := learned.Evaluate(snap).Vector()
 		for v := range want {
 			if want[v] != got[v] {
 				return false
@@ -326,22 +317,16 @@ type Session struct {
 	cov    *scp.Coverage
 }
 
-// NewSession starts a session with an empty sample over g's
-// read-your-writes snapshot (pending mutations are published first).
-func NewSession(g *graph.Graph, opts Options) *Session {
-	return NewSessionOn(g.Snapshot(), opts)
-}
-
-// NewSessionOn starts a session with an empty sample, pinned to the given
+// NewSession starts a session with an empty sample, pinned to the given
 // epoch snapshot.
-func NewSessionOn(snap *graph.Snapshot, opts Options) *Session {
+func NewSession(snap *graph.Snapshot, opts Options) *Session {
 	opts = opts.withDefaults()
 	return &Session{
 		snap: snap,
 		opts: opts,
 		k:    opts.StartK,
 		rng:  rand.New(rand.NewSource(opts.Seed)),
-		cov:  scp.NewCoverageOn(snap, nil),
+		cov:  scp.NewCoverage(snap, nil),
 	}
 }
 
@@ -382,8 +367,13 @@ func (s *Session) Neighborhood(nu graph.NodeID) []graph.NodeID {
 }
 
 // Label records the user's answer and propagates it (the coverage index is
-// rebuilt when the negative set changes).
+// rebuilt when the negative set changes). A node outside the session's
+// snapshot is rejected and leaves the sample unchanged.
 func (s *Session) Label(nu graph.NodeID, positive bool) error {
+	if nu < 0 || int(nu) >= s.snap.NumNodes() {
+		return fmt.Errorf("interactive: node id %d out of range for epoch %d (%d nodes)",
+			nu, s.snap.Epoch(), s.snap.NumNodes())
+	}
 	if _, ok := s.sample.Labeled(nu); ok {
 		return fmt.Errorf("interactive: node %d already labeled", nu)
 	}
@@ -391,7 +381,7 @@ func (s *Session) Label(nu graph.NodeID, positive bool) error {
 		s.sample.Pos = append(s.sample.Pos, nu)
 	} else {
 		s.sample.Neg = append(s.sample.Neg, nu)
-		s.cov = scp.NewCoverageOn(s.snap, s.sample.Neg)
+		s.cov = scp.NewCoverage(s.snap, s.sample.Neg)
 	}
 	return nil
 }
@@ -403,7 +393,7 @@ func (s *Session) Learn() (*query.Query, error) {
 	opt.K = 0
 	opt.StartK = s.opts.StartK
 	opt.MaxK = s.opts.MaxK
-	r, err := core.LearnDetailedOn(s.snap, s.sample, opt)
+	r, err := core.LearnDetailed(s.snap, s.sample, opt)
 	if err == core.ErrAbstain {
 		return nil, nil
 	}

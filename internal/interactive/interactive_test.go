@@ -14,18 +14,19 @@ func TestSessionLearnsPaperGoalOnG0(t *testing.T) {
 	// Interactive learning of (a·b)*·c on G0 must converge to a query
 	// selecting exactly the goal's nodes, for both strategies.
 	g, _ := paperfix.G0()
+	snap := g.Snapshot()
 	goal := query.MustParse(g.Alphabet(), "(a·b)*·c")
 	for _, strat := range []interactive.Strategy{interactive.KR{}, interactive.KS{}} {
-		sess := interactive.NewSession(g, interactive.Options{Strategy: strat, Seed: 1})
-		oracle := interactive.NewQueryOracle(g, goal)
-		res, err := sess.Run(oracle, interactive.ExactMatch(g, goal))
+		sess := interactive.NewSession(snap, interactive.Options{Strategy: strat, Seed: 1})
+		oracle := interactive.NewQueryOracle(snap, goal)
+		res, err := sess.Run(oracle, interactive.ExactMatch(snap, goal))
 		if err != nil {
 			t.Fatalf("%s: %v", strat.Name(), err)
 		}
 		if res.Halted != interactive.HaltSatisfied {
 			t.Fatalf("%s: halted %v after %d labels", strat.Name(), res.Halted, res.Labels())
 		}
-		if !res.Query.EquivalentOn(g, goal) {
+		if !res.Query.EquivalentOn(snap, goal) {
 			t.Fatalf("%s: learned %v not equivalent on G0", strat.Name(), res.Query)
 		}
 		if res.Labels() == 0 || res.Labels() > g.NumNodes() {
@@ -36,10 +37,11 @@ func TestSessionLearnsPaperGoalOnG0(t *testing.T) {
 
 func TestSessionNeverProposesLabeledNode(t *testing.T) {
 	g, _ := paperfix.G0()
+	snap := g.Snapshot()
 	goal := query.MustParse(g.Alphabet(), "a")
-	sess := interactive.NewSession(g, interactive.Options{Strategy: interactive.KR{}, Seed: 7})
-	oracle := interactive.NewQueryOracle(g, goal)
-	res, err := sess.Run(oracle, interactive.ExactMatch(g, goal))
+	sess := interactive.NewSession(snap, interactive.Options{Strategy: interactive.KR{}, Seed: 7})
+	oracle := interactive.NewQueryOracle(snap, goal)
+	res, err := sess.Run(oracle, interactive.ExactMatch(snap, goal))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,10 +56,11 @@ func TestSessionNeverProposesLabeledNode(t *testing.T) {
 
 func TestSessionDeterministicGivenSeed(t *testing.T) {
 	g, _ := paperfix.G0()
+	snap := g.Snapshot()
 	goal := query.MustParse(g.Alphabet(), "(a·b)*·c")
 	run := func() []graph.NodeID {
-		sess := interactive.NewSession(g, interactive.Options{Strategy: interactive.KR{}, Seed: 42})
-		res, err := sess.Run(interactive.NewQueryOracle(g, goal), interactive.ExactMatch(g, goal))
+		sess := interactive.NewSession(snap, interactive.Options{Strategy: interactive.KR{}, Seed: 42})
+		res, err := sess.Run(interactive.NewQueryOracle(snap, goal), interactive.ExactMatch(snap, goal))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,7 +92,7 @@ func TestKSPrefersSmallestCount(t *testing.T) {
 	// poor: a single 1-path.
 	g.AddEdgeByName("poor", "a", "x")
 	ks := interactive.KS{}
-	sess := interactive.NewSession(g, interactive.Options{Strategy: ks, Seed: 1})
+	sess := interactive.NewSession(g.Snapshot(), interactive.Options{Strategy: ks, Seed: 1})
 	_ = sess
 	ctx := &interactive.Context{
 		Snap:     g.Snapshot(),
@@ -115,13 +118,14 @@ func TestKSPrefersSmallestCount(t *testing.T) {
 
 func TestHaltMaxInteractions(t *testing.T) {
 	g, _ := paperfix.G0()
+	snap := g.Snapshot()
 	goal := query.MustParse(g.Alphabet(), "(a·b)*·c")
-	sess := interactive.NewSession(g, interactive.Options{
+	sess := interactive.NewSession(snap, interactive.Options{
 		Strategy:        interactive.KR{},
 		Seed:            3,
 		MaxInteractions: 1,
 	})
-	res, err := sess.Run(interactive.NewQueryOracle(g, goal), func(q *query.Query) bool { return false })
+	res, err := sess.Run(interactive.NewQueryOracle(snap, goal), func(q *query.Query) bool { return false })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,8 +146,8 @@ func TestHaltNoInformativeNodes(t *testing.T) {
 	g.AddNode("c")
 	// Goal selecting nothing: every oracle answer is negative.
 	goal := query.MustParse(g.Alphabet(), "zzz")
-	sess := interactive.NewSession(g, interactive.Options{Strategy: interactive.KR{}, Seed: 5})
-	res, err := sess.Run(interactive.NewQueryOracle(g, goal), func(q *query.Query) bool { return false })
+	sess := interactive.NewSession(g.Snapshot(), interactive.Options{Strategy: interactive.KR{}, Seed: 5})
+	res, err := sess.Run(interactive.NewQueryOracle(g.Snapshot(), goal), func(q *query.Query) bool { return false })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,9 +158,10 @@ func TestHaltNoInformativeNodes(t *testing.T) {
 
 func TestSessionInteractionDiagnostics(t *testing.T) {
 	g, _ := paperfix.G0()
+	snap := g.Snapshot()
 	goal := query.MustParse(g.Alphabet(), "(a·b)*·c")
-	sess := interactive.NewSession(g, interactive.Options{Strategy: interactive.KS{}, Seed: 9})
-	res, err := sess.Run(interactive.NewQueryOracle(g, goal), interactive.ExactMatch(g, goal))
+	sess := interactive.NewSession(snap, interactive.Options{Strategy: interactive.KS{}, Seed: 9})
+	res, err := sess.Run(interactive.NewQueryOracle(snap, goal), interactive.ExactMatch(snap, goal))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,8 +182,8 @@ func TestSessionInteractionDiagnostics(t *testing.T) {
 			t.Fatalf("interaction %d: k = %d", i, it.K)
 		}
 	}
-	if res.LabelFraction(g) <= 0 || res.LabelFraction(g) > 1 {
-		t.Fatalf("label fraction = %v", res.LabelFraction(g))
+	if res.LabelFraction(snap) <= 0 || res.LabelFraction(snap) > 1 {
+		t.Fatalf("label fraction = %v", res.LabelFraction(snap))
 	}
 	if res.MeanTimeBetweenInteractions() < 0 {
 		t.Fatal("negative mean time")
@@ -187,9 +192,10 @@ func TestSessionInteractionDiagnostics(t *testing.T) {
 
 func TestOracleLabelsMatchGoal(t *testing.T) {
 	g, _ := paperfix.G0()
+	snap := g.Snapshot()
 	goal := query.MustParse(g.Alphabet(), "a")
-	oracle := interactive.NewQueryOracle(g, goal)
-	sel := goal.Select(g)
+	oracle := interactive.NewQueryOracle(snap, goal)
+	sel := goal.Evaluate(snap).Vector()
 	for v := 0; v < g.NumNodes(); v++ {
 		if oracle.Label(graph.NodeID(v)) != sel[v] {
 			t.Fatalf("oracle disagrees with goal at %d", v)
@@ -199,7 +205,7 @@ func TestOracleLabelsMatchGoal(t *testing.T) {
 
 func TestLabelRejectsDuplicates(t *testing.T) {
 	g, _ := paperfix.G0()
-	sess := interactive.NewSession(g, interactive.Options{})
+	sess := interactive.NewSession(g.Snapshot(), interactive.Options{})
 	if err := sess.Label(0, true); err != nil {
 		t.Fatal(err)
 	}
@@ -208,14 +214,61 @@ func TestLabelRejectsDuplicates(t *testing.T) {
 	}
 }
 
+// TestLabelRejectsOutOfRangeNodes checks that a node id outside the
+// session's snapshot is refused without touching the sample, so one bad
+// label cannot make every later Learn fail, and that Resume refuses a
+// saved sample naming such a node.
+func TestLabelRejectsOutOfRangeNodes(t *testing.T) {
+	g := graph.New(nil)
+	g.AddEdgeByName("x", "a", "y")
+	snap := g.Snapshot()
+	x, _ := g.NodeByName("x")
+	y, _ := g.NodeByName("y")
+	sess := interactive.NewSession(snap, interactive.Options{})
+	if err := sess.Label(x, true); err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []graph.NodeID{99, graph.NodeID(snap.NumNodes()), -1} {
+		for _, positive := range []bool{true, false} {
+			if err := sess.Label(bad, positive); err == nil {
+				t.Fatalf("Label(%d, %v) accepted a node outside the %d-node snapshot",
+					bad, positive, snap.NumNodes())
+			}
+		}
+	}
+	if s := sess.Sample(); len(s.Pos) != 1 || s.Pos[0] != x || len(s.Neg) != 0 {
+		t.Fatalf("rejected labels changed the sample: %+v", s)
+	}
+	if err := sess.Label(y, false); err != nil {
+		t.Fatal(err)
+	}
+	q, err := sess.Learn()
+	if err != nil || q == nil {
+		t.Fatalf("Learn after rejected labels = %v, %v; want a query", q, err)
+	}
+	if !q.Selects(snap, x) || q.Selects(snap, y) {
+		t.Fatalf("learned %v does not separate x from y", q)
+	}
+
+	for _, bad := range []core.Sample{
+		{Pos: []graph.NodeID{x}, Neg: []graph.NodeID{99}},
+		{Pos: []graph.NodeID{-1}},
+	} {
+		if _, err := interactive.Resume(snap, bad, interactive.Options{}); err == nil {
+			t.Fatalf("Resume accepted out-of-range sample %+v", bad)
+		}
+	}
+}
+
 func TestInteractiveBeatsStaticOnLabels(t *testing.T) {
 	// The paper's headline interactive result, in miniature: interactive
 	// sessions need far fewer labels than labeling everything. On G0 the
 	// goal needs at most 4 labels interactively (|V| = 7).
 	g, _ := paperfix.G0()
+	snap := g.Snapshot()
 	goal := query.MustParse(g.Alphabet(), "(a·b)*·c")
-	sess := interactive.NewSession(g, interactive.Options{Strategy: interactive.KS{}, Seed: 11})
-	res, err := sess.Run(interactive.NewQueryOracle(g, goal), interactive.ExactMatch(g, goal))
+	sess := interactive.NewSession(snap, interactive.Options{Strategy: interactive.KS{}, Seed: 11})
+	res, err := sess.Run(interactive.NewQueryOracle(snap, goal), interactive.ExactMatch(snap, goal))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,10 +282,11 @@ func TestInteractiveBeatsStaticOnLabels(t *testing.T) {
 
 func TestSessionSampleStaysConsistentWithOracle(t *testing.T) {
 	g, _ := paperfix.G0()
+	snap := g.Snapshot()
 	goal := query.MustParse(g.Alphabet(), "(a·b)*·c")
-	sess := interactive.NewSession(g, interactive.Options{Strategy: interactive.KR{}, Seed: 13})
-	oracle := interactive.NewQueryOracle(g, goal)
-	res, err := sess.Run(oracle, interactive.ExactMatch(g, goal))
+	sess := interactive.NewSession(snap, interactive.Options{Strategy: interactive.KR{}, Seed: 13})
+	oracle := interactive.NewQueryOracle(snap, goal)
+	res, err := sess.Run(oracle, interactive.ExactMatch(snap, goal))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +295,7 @@ func TestSessionSampleStaysConsistentWithOracle(t *testing.T) {
 	if err := s.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if !core.Consistent(g, s) {
+	if !core.Consistent(snap, s) {
 		t.Fatal("oracle-labeled sample must be consistent")
 	}
 }

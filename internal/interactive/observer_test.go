@@ -40,14 +40,15 @@ func (c *countingObserver) Learned(q *query.Query) { c.learned++ }
 
 func TestObserverReceivesAllEvents(t *testing.T) {
 	g, _ := paperfix.G0()
+	snap := g.Snapshot()
 	goal := query.MustParse(g.Alphabet(), "(a·b)*·c")
 	obs := &countingObserver{}
-	sess := interactive.NewSession(g, interactive.Options{
+	sess := interactive.NewSession(snap, interactive.Options{
 		Strategy: interactive.KS{},
 		Seed:     1,
 		Observer: obs,
 	})
-	res, err := sess.Run(interactive.NewQueryOracle(g, goal), interactive.ExactMatch(g, goal))
+	res, err := sess.Run(interactive.NewQueryOracle(snap, goal), interactive.ExactMatch(snap, goal))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,15 +61,16 @@ func TestObserverReceivesAllEvents(t *testing.T) {
 
 func TestLogObserverTranscript(t *testing.T) {
 	g, _ := paperfix.G0()
+	snap := g.Snapshot()
 	goal := query.MustParse(g.Alphabet(), "a")
 	var buf bytes.Buffer
-	sess := interactive.NewSession(g, interactive.Options{
+	sess := interactive.NewSession(snap, interactive.Options{
 		Strategy: interactive.KR{},
 		Seed:     2,
 		Observer: interactive.LogObserver{G: g, W: &buf},
 	})
-	if _, err := sess.Run(interactive.NewQueryOracle(g, goal),
-		interactive.ExactMatch(g, goal)); err != nil {
+	if _, err := sess.Run(interactive.NewQueryOracle(snap, goal),
+		interactive.ExactMatch(snap, goal)); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -83,14 +85,15 @@ func TestNopObserverIsSilent(t *testing.T) {
 	// NopObserver implements the full interface; a session with it behaves
 	// identically to one without an observer.
 	g, _ := paperfix.G0()
+	snap := g.Snapshot()
 	goal := query.MustParse(g.Alphabet(), "(a·b)*·c")
 	run := func(obs interactive.Observer) int {
-		sess := interactive.NewSession(g, interactive.Options{
+		sess := interactive.NewSession(snap, interactive.Options{
 			Strategy: interactive.KS{},
 			Seed:     3,
 			Observer: obs,
 		})
-		res, err := sess.Run(interactive.NewQueryOracle(g, goal), interactive.ExactMatch(g, goal))
+		res, err := sess.Run(interactive.NewQueryOracle(snap, goal), interactive.ExactMatch(snap, goal))
 		if err != nil {
 			t.Fatal(err)
 		}

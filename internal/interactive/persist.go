@@ -59,14 +59,15 @@ func LoadSample(r io.Reader, g *graph.Graph) (core.Sample, error) {
 	return s, nil
 }
 
-// Resume builds a session pre-loaded with an existing sample: the k
-// schedule is warmed up to the sample's needs and proposals skip labeled
-// nodes as usual.
-func Resume(g *graph.Graph, s core.Sample, opts Options) (*Session, error) {
-	if err := s.Validate(); err != nil {
+// Resume builds a session pinned to snap, pre-loaded with an existing
+// sample: the k schedule is warmed up to the sample's needs and proposals
+// skip labeled nodes as usual. A sample naming a node outside snap is an
+// error.
+func Resume(snap *graph.Snapshot, s core.Sample, opts Options) (*Session, error) {
+	if err := s.ValidateOn(snap); err != nil {
 		return nil, err
 	}
-	sess := NewSession(g, opts)
+	sess := NewSession(snap, opts)
 	for _, v := range s.Pos {
 		if err := sess.Label(v, true); err != nil {
 			return nil, err

@@ -48,14 +48,15 @@ func TestLoadSampleErrors(t *testing.T) {
 
 func TestResumeContinuesSession(t *testing.T) {
 	g, _ := paperfix.G0()
+	snap := g.Snapshot()
 	goal := query.MustParse(g.Alphabet(), "(a·b)*·c")
-	oracle := interactive.NewQueryOracle(g, goal)
+	oracle := interactive.NewQueryOracle(snap, goal)
 
 	// First session: stop after 2 labels.
-	first := interactive.NewSession(g, interactive.Options{
+	first := interactive.NewSession(snap, interactive.Options{
 		Strategy: interactive.KS{}, Seed: 5, MaxInteractions: 2,
 	})
-	if _, err := first.Run(oracle, interactive.ExactMatch(g, goal)); err != nil {
+	if _, err := first.Run(oracle, interactive.ExactMatch(snap, goal)); err != nil {
 		t.Fatal(err)
 	}
 	partial := first.Sample()
@@ -72,13 +73,13 @@ func TestResumeContinuesSession(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resumed, err := interactive.Resume(g, loaded, interactive.Options{
+	resumed, err := interactive.Resume(snap, loaded, interactive.Options{
 		Strategy: interactive.KS{}, Seed: 5,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := resumed.Run(oracle, interactive.ExactMatch(g, goal))
+	res, err := resumed.Run(oracle, interactive.ExactMatch(snap, goal))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +100,7 @@ func TestResumeContinuesSession(t *testing.T) {
 func TestResumeRejectsInvalidSample(t *testing.T) {
 	g, _ := paperfix.G0()
 	bad := core.Sample{Pos: []int32{0}, Neg: []int32{0}}
-	if _, err := interactive.Resume(g, bad, interactive.Options{}); err == nil {
+	if _, err := interactive.Resume(g.Snapshot(), bad, interactive.Options{}); err == nil {
 		t.Fatal("contradictory sample accepted")
 	}
 }

@@ -51,13 +51,14 @@ func buildFigure2(t *testing.T) (*nodelabeled.Graph, *graph.Graph) {
 func TestEncodingSpellsNodeLabels(t *testing.T) {
 	// A path ν0→ν1→ν2 spells label(ν1)·label(ν2) after encoding.
 	_, g := buildFigure2(t)
+	snap := g.Snapshot()
 	wf1, _ := g.NodeByName("wf1")
 	goal := query.MustParse(g.Alphabet(), "ProteinPurification·MassSpectrometry")
-	if !goal.Selects(g, wf1) {
+	if !goal.Selects(snap, wf1) {
 		t.Fatal("wf1 should match Purification·MassSpectrometry")
 	}
 	wf3, _ := g.NodeByName("wf3")
-	if goal.Selects(g, wf3) {
+	if goal.Selects(snap, wf3) {
 		t.Fatal("wf3 should not match")
 	}
 }
@@ -67,6 +68,7 @@ func TestLearnOnNodeLabeledWorkflows(t *testing.T) {
 	// on the encoded graph, inferring the Figure 2 pattern from labeled
 	// workflow entry points.
 	_, g := buildFigure2(t)
+	snap := g.Snapshot()
 	node := func(n string) graph.NodeID {
 		id, ok := g.NodeByName(n)
 		if !ok {
@@ -78,11 +80,11 @@ func TestLearnOnNodeLabeledWorkflows(t *testing.T) {
 		Pos: []graph.NodeID{node("wf1"), node("wf2")},
 		Neg: []graph.NodeID{node("wf3"), node("wf2_pur")},
 	}
-	learned, err := core.Learn(g, s, core.Options{})
+	learned, err := core.Learn(snap, s, core.Options{})
 	if err != nil {
 		t.Fatalf("abstained: %v", err)
 	}
-	sel := learned.Select(g)
+	sel := learned.Evaluate(snap).Vector()
 	for _, p := range s.Pos {
 		if !sel[p] {
 			t.Fatalf("positive %s not selected", g.NodeName(p))
@@ -137,7 +139,7 @@ func TestWorkflowCorpusGoalFraction(t *testing.T) {
 		if !ok {
 			t.Fatalf("missing wf%d", i)
 		}
-		if goal.Selects(g, id) {
+		if goal.Selects(g.Snapshot(), id) {
 			matched++
 		}
 	}
@@ -170,19 +172,19 @@ func TestInteractiveOnWorkflowCorpus(t *testing.T) {
 		t.Fatal(err)
 	}
 	goal := datasets.WorkflowGoal(g)
-	sess := interactive.NewSession(g, interactive.Options{
+	sess := interactive.NewSession(g.Snapshot(), interactive.Options{
 		Strategy: interactive.KS{},
 		Seed:     3,
 	})
-	res, err := sess.Run(interactive.NewQueryOracle(g, goal),
-		interactive.ExactMatch(g, goal))
+	res, err := sess.Run(interactive.NewQueryOracle(g.Snapshot(), goal),
+		interactive.ExactMatch(g.Snapshot(), goal))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Halted != interactive.HaltSatisfied {
 		t.Fatalf("halted %v after %d labels", res.Halted, res.Labels())
 	}
-	if !res.Query.EquivalentOn(g, goal) {
+	if !res.Query.EquivalentOn(g.Snapshot(), goal) {
 		t.Fatalf("learned %v", res.Query)
 	}
 	// The interactive session must beat labeling everything.

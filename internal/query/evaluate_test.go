@@ -156,7 +156,7 @@ func TestWitnessShortestAcceptProperty(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sel := q.EvaluateOn(snap)
+		sel := q.Evaluate(snap)
 		if ans.Count != sel.Count() || len(ans.Paths) != sel.Count() {
 			t.Fatalf("iter %d: witness count %d/%d paths, selection %d",
 				iter, ans.Count, len(ans.Paths), sel.Count())
@@ -175,7 +175,7 @@ func TestWitnessShortestAcceptProperty(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		targets := q.SelectPairsFromOn(snap, from)
+		targets := q.SelectPairsFrom(snap, from)
 		if ans.Count != len(targets) || len(ans.Paths) != len(targets) {
 			t.Fatalf("iter %d: shortest count %d, targets %d", iter, ans.Count, len(targets))
 		}

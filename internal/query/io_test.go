@@ -84,7 +84,7 @@ func TestRebaseAcrossAlphabets(t *testing.T) {
 	if !rq.EquivalentTo(want) {
 		t.Fatalf("rebased query %v differs from %v", rq, want)
 	}
-	if !rq.EquivalentOn(g, want) {
+	if !rq.EquivalentOn(g.Snapshot(), want) {
 		t.Fatal("rebased query selects different nodes")
 	}
 }

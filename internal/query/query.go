@@ -120,22 +120,16 @@ func (q *Query) EquivalentTo(o *Query) bool {
 	return automata.Equivalent(q.dfa, o.dfa)
 }
 
-// EquivalentOn reports whether q and o select exactly the same nodes on g —
+// EquivalentOn reports whether q and o select exactly the same nodes on s —
 // the paper's "indistinguishable by the user" relation (Section 3.3).
-func (q *Query) EquivalentOn(g *graph.Graph, o *Query) bool {
-	a, b := q.Select(g), o.Select(g)
+func (q *Query) EquivalentOn(s *graph.Snapshot, o *Query) bool {
+	a, b := q.Evaluate(s).Vector(), o.Evaluate(s).Vector()
 	for v := range a {
 		if a[v] != b[v] {
 			return false
 		}
 	}
 	return true
-}
-
-// Select evaluates q on g under monadic semantics and returns the per-node
-// selection vector.
-func (q *Query) Select(g *graph.Graph) []bool {
-	return g.Snapshot().SelectMonadicPlan(q.Plan())
 }
 
 // Selection is the outcome of one monadic evaluation pass. It lets call
@@ -147,14 +141,9 @@ type Selection struct {
 	count int
 }
 
-// Evaluate runs one monadic evaluation pass of q on g.
-func (q *Query) Evaluate(g *graph.Graph) Selection {
-	return q.EvaluateOn(g.Snapshot())
-}
-
-// EvaluateOn runs one monadic evaluation pass of q on an epoch snapshot,
+// Evaluate runs one monadic evaluation pass of q on an epoch snapshot,
 // through the compiled plan.
-func (q *Query) EvaluateOn(s *graph.Snapshot) Selection {
+func (q *Query) Evaluate(s *graph.Snapshot) Selection {
 	return NewSelection(s.SelectMonadicPlan(q.Plan()))
 }
 
@@ -197,50 +186,22 @@ func (s Selection) Selectivity() float64 {
 	return float64(s.count) / float64(len(s.vec))
 }
 
-// SelectNodes evaluates q on g and returns the selected node ids in
-// increasing order.
-func (q *Query) SelectNodes(g *graph.Graph) []graph.NodeID {
-	return q.Evaluate(g).Nodes()
-}
-
-// Selects reports whether q selects ν on g.
-func (q *Query) Selects(g *graph.Graph, nu graph.NodeID) bool {
-	return q.SelectsOn(g.Snapshot(), nu)
-}
-
-// SelectsOn reports whether q selects ν on an epoch snapshot.
-func (q *Query) SelectsOn(s *graph.Snapshot, nu graph.NodeID) bool {
+// Selects reports whether q selects ν on an epoch snapshot.
+func (q *Query) Selects(s *graph.Snapshot, nu graph.NodeID) bool {
 	return s.CoversPlan(&q.Plan().Forward, nu)
 }
 
-// Selectivity returns |q(G)| / |V|, the measure reported in Table 1.
-// Callers needing the nodes and the selectivity of the same query should
-// use Evaluate once instead of paying two product passes.
-func (q *Query) Selectivity(g *graph.Graph) float64 {
-	return q.Evaluate(g).Selectivity()
-}
-
 // SelectsPair reports whether (u, v) ∈ q(G) under binary semantics
-// (Appendix B): some path from u to v spells a word of L(q).
-func (q *Query) SelectsPair(g *graph.Graph, u, v graph.NodeID) bool {
-	return q.SelectsPairOn(g.Snapshot(), u, v)
-}
-
-// SelectsPairOn is SelectsPair on an epoch snapshot: a bidirectional
-// product search through the compiled plan.
-func (q *Query) SelectsPairOn(s *graph.Snapshot, u, v graph.NodeID) bool {
+// (Appendix B): some path from u to v spells a word of L(q). It runs a
+// bidirectional product search through the compiled plan.
+func (q *Query) SelectsPair(s *graph.Snapshot, u, v graph.NodeID) bool {
 	return s.CoversPairPlan(q.Plan(), u, v)
 }
 
 // SelectPairsFrom returns all v with (u, v) selected under binary
-// semantics.
-func (q *Query) SelectPairsFrom(g *graph.Graph, u graph.NodeID) []graph.NodeID {
-	return q.SelectPairsFromOn(g.Snapshot(), u)
-}
-
-// SelectPairsFromOn is SelectPairsFrom on an epoch snapshot: the
-// direction-optimizing evaluation through the compiled plan.
-func (q *Query) SelectPairsFromOn(s *graph.Snapshot, u graph.NodeID) []graph.NodeID {
+// semantics: the direction-optimizing evaluation through the compiled
+// plan.
+func (q *Query) SelectPairsFrom(s *graph.Snapshot, u graph.NodeID) []graph.NodeID {
 	return s.SelectBinaryFromPlan(q.Plan(), u)
 }
 
@@ -288,22 +249,22 @@ func (n *Nary) Arity() int { return len(n.Parts) + 1 }
 
 // SelectsTuple reports whether the tuple is selected:
 // ∀i. paths2_G(νi, νi+1) ∩ L(qi) ≠ ∅.
-func (n *Nary) SelectsTuple(g *graph.Graph, tuple []graph.NodeID) (bool, error) {
+func (n *Nary) SelectsTuple(s *graph.Snapshot, tuple []graph.NodeID) (bool, error) {
 	if len(tuple) != n.Arity() {
 		return false, fmt.Errorf("query: tuple arity %d, query arity %d", len(tuple), n.Arity())
 	}
 	for i, part := range n.Parts {
-		if !part.SelectsPair(g, tuple[i], tuple[i+1]) {
+		if !part.SelectsPair(s, tuple[i], tuple[i+1]) {
 			return false, nil
 		}
 	}
 	return true, nil
 }
 
-// SelectTuples enumerates all selected tuples on g, in lexicographic node
+// SelectTuples enumerates all selected tuples on s, in lexicographic node
 // order. Intended for small graphs (the output is O(|V|^n)); callers on
 // large graphs should use SelectsTuple on candidate tuples instead.
-func (n *Nary) SelectTuples(g *graph.Graph) [][]graph.NodeID {
+func (n *Nary) SelectTuples(s *graph.Snapshot) [][]graph.NodeID {
 	// Start from every node, extend via SelectPairsFrom per position.
 	var out [][]graph.NodeID
 	var extend func(prefix []graph.NodeID, pos int)
@@ -312,11 +273,11 @@ func (n *Nary) SelectTuples(g *graph.Graph) [][]graph.NodeID {
 			out = append(out, append([]graph.NodeID(nil), prefix...))
 			return
 		}
-		for _, next := range n.Parts[pos].SelectPairsFrom(g, prefix[len(prefix)-1]) {
+		for _, next := range n.Parts[pos].SelectPairsFrom(s, prefix[len(prefix)-1]) {
 			extend(append(prefix, next), pos+1)
 		}
 	}
-	for v := 0; v < g.NumNodes(); v++ {
+	for v := 0; v < s.NumNodes(); v++ {
 		extend([]graph.NodeID{graph.NodeID(v)}, 0)
 	}
 	sort.Slice(out, func(i, j int) bool {

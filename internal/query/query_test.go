@@ -27,8 +27,9 @@ func TestParseAndSize(t *testing.T) {
 
 func TestSelectOnG0(t *testing.T) {
 	g, _ := paperfix.G0()
+	snap := g.Snapshot()
 	q := query.MustParse(g.Alphabet(), "(a·b)*·c")
-	nodes := q.SelectNodes(g)
+	nodes := q.Evaluate(snap).Nodes()
 	if len(nodes) != 2 {
 		t.Fatalf("selected %d nodes", len(nodes))
 	}
@@ -36,12 +37,12 @@ func TestSelectOnG0(t *testing.T) {
 	if names[0] != "v1" || names[1] != "v3" {
 		t.Fatalf("selected %v", names)
 	}
-	if got := q.Selectivity(g); got != 2.0/7 {
+	if got := q.Evaluate(snap).Selectivity(); got != 2.0/7 {
 		t.Fatalf("selectivity = %v", got)
 	}
 	for _, v := range nodes {
-		if !q.Selects(g, v) {
-			t.Fatalf("Selects disagrees with SelectNodes at %d", v)
+		if !q.Selects(snap, v) {
+			t.Fatalf("Selects disagrees with Evaluate at %d", v)
 		}
 	}
 }
@@ -62,7 +63,7 @@ func TestEquivalence(t *testing.T) {
 	g, _ := paperfix.G0()
 	ga := query.MustParse(g.Alphabet(), "a")
 	gab := query.MustParse(g.Alphabet(), "a·b*")
-	if !ga.EquivalentOn(g, gab) {
+	if !ga.EquivalentOn(g.Snapshot(), gab) {
 		t.Fatal("a and a·b* must select the same nodes")
 	}
 }
@@ -118,17 +119,18 @@ func TestAcceptsAndPrefixFree(t *testing.T) {
 
 func TestBinarySemantics(t *testing.T) {
 	g, _ := paperfix.Figure1()
+	snap := g.Snapshot()
 	q := query.MustParse(g.Alphabet(), "(tram+bus)*·cinema")
 	n2, _ := g.NodeByName("N2")
 	n5, _ := g.NodeByName("N5")
 	c1, _ := g.NodeByName("C1")
-	if !q.SelectsPair(g, n2, c1) {
+	if !q.SelectsPair(snap, n2, c1) {
 		t.Fatal("(N2, C1) should be selected")
 	}
-	if q.SelectsPair(g, n5, c1) {
+	if q.SelectsPair(snap, n5, c1) {
 		t.Fatal("(N5, C1) should not be selected")
 	}
-	pairs := q.SelectPairsFrom(g, n2)
+	pairs := q.SelectPairsFrom(snap, n2)
 	if len(pairs) != 1 || g.NodeName(pairs[0]) != "C1" {
 		t.Fatalf("pairs from N2 = %v", pairs)
 	}
@@ -159,6 +161,7 @@ func TestNaryValidation(t *testing.T) {
 
 func TestNarySelectsTuple(t *testing.T) {
 	g, _ := paperfix.Figure1()
+	snap := g.Snapshot()
 	transport := query.MustParse(g.Alphabet(), "(tram+bus)*")
 	cinema := query.MustParse(g.Alphabet(), "cinema")
 	nq, err := query.NewNary(transport, cinema)
@@ -168,11 +171,11 @@ func TestNarySelectsTuple(t *testing.T) {
 	n2, _ := g.NodeByName("N2")
 	n4, _ := g.NodeByName("N4")
 	c1, _ := g.NodeByName("C1")
-	ok, err := nq.SelectsTuple(g, []graph.NodeID{n2, n4, c1})
+	ok, err := nq.SelectsTuple(snap, []graph.NodeID{n2, n4, c1})
 	if err != nil || !ok {
 		t.Fatalf("tuple (N2,N4,C1): ok=%v err=%v", ok, err)
 	}
-	if _, err := nq.SelectsTuple(g, []graph.NodeID{n2, n4}); err == nil {
+	if _, err := nq.SelectsTuple(snap, []graph.NodeID{n2, n4}); err == nil {
 		t.Fatal("wrong arity accepted")
 	}
 }
@@ -180,7 +183,7 @@ func TestNarySelectsTuple(t *testing.T) {
 func TestEmptyQuerySelectsNothing(t *testing.T) {
 	g, _ := paperfix.G0()
 	empty := query.FromDFA(g.Alphabet(), automata.NewDFA(1, g.Alphabet().Size()))
-	if nodes := empty.SelectNodes(g); len(nodes) != 0 {
+	if nodes := empty.Evaluate(g.Snapshot()).Nodes(); len(nodes) != 0 {
 		t.Fatalf("empty query selected %v", nodes)
 	}
 	if !empty.IsEmpty() {
@@ -191,7 +194,7 @@ func TestEmptyQuerySelectsNothing(t *testing.T) {
 func TestEpsilonQuerySelectsEverything(t *testing.T) {
 	g, _ := paperfix.G0()
 	eps := query.MustParse(g.Alphabet(), "ε")
-	if got := len(eps.SelectNodes(g)); got != g.NumNodes() {
+	if got := len(eps.Evaluate(g.Snapshot()).Nodes()); got != g.NumNodes() {
 		t.Fatalf("ε selected %d of %d", got, g.NumNodes())
 	}
 }

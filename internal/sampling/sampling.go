@@ -4,9 +4,10 @@
 // "Sampling from large graphs" (KDD 2006).
 //
 // Two of that paper's best-performing samplers are provided — random walk
-// with flying back and forest fire — plus SampledSession, which runs the
+// with flying back and forest fire — plus Session, which runs the
 // interactive scenario's node proposal on the sampled subgraph while
 // labels, learning and the halt condition still apply to the full graph.
+// Samplers and sessions read one pinned epoch snapshot.
 // Proposals become cheap on graphs where scanning all nodes per
 // interaction is too slow; the price is that nodes outside the sample are
 // only reached after the sample is exhausted.
@@ -45,18 +46,12 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// RandomWalk samples nodes by a random walk with flying back, on g's
-// read-your-writes snapshot.
-func RandomWalk(g *graph.Graph, cfg Config) []graph.NodeID {
-	return RandomWalkOn(g.Snapshot(), cfg)
-}
-
-// RandomWalkOn samples nodes by a random walk with flying back: walk the
+// RandomWalk samples nodes by a random walk with flying back: walk the
 // graph (both edge directions, so weakly-connected regions are covered),
 // restarting at the origin with probability FlyBack, and restarting at a
 // fresh origin when stuck. Returns the sampled node set in increasing id
 // order. The walk runs entirely on the pinned epoch snapshot.
-func RandomWalkOn(s *graph.Snapshot, cfg Config) []graph.NodeID {
+func RandomWalk(s *graph.Snapshot, cfg Config) []graph.NodeID {
 	cfg = cfg.withDefaults()
 	n := s.NumNodes()
 	if cfg.TargetNodes >= n {
@@ -96,17 +91,11 @@ func RandomWalkOn(s *graph.Snapshot, cfg Config) []graph.NodeID {
 	return sortedKeys(visited)
 }
 
-// ForestFire samples nodes by forest-fire burning, on g's
-// read-your-writes snapshot.
-func ForestFire(g *graph.Graph, cfg Config) []graph.NodeID {
-	return ForestFireOn(g.Snapshot(), cfg)
-}
-
-// ForestFireOn samples nodes by forest-fire burning: pick a random seed,
+// ForestFire samples nodes by forest-fire burning: pick a random seed,
 // burn a geometrically-distributed number of its unvisited neighbors,
 // recurse from them; reseed when the fire dies out. The burn runs entirely
 // on the pinned epoch snapshot.
-func ForestFireOn(s *graph.Snapshot, cfg Config) []graph.NodeID {
+func ForestFire(s *graph.Snapshot, cfg Config) []graph.NodeID {
 	cfg = cfg.withDefaults()
 	n := s.NumNodes()
 	if cfg.TargetNodes >= n {
@@ -262,34 +251,28 @@ func scpCount(cov *scp.Coverage, nu graph.NodeID, k int) int {
 }
 
 // Session builds an interactive session whose proposals are restricted to
-// a sample drawn by the given sampler ("rw" or "ff"). The sampler and the
-// session share one pinned snapshot of g.
-func Session(g *graph.Graph, sampler string, cfg Config, opts interactive.Options) *interactive.Session {
-	return SessionOn(g.Snapshot(), sampler, cfg, opts)
-}
-
-// SessionOn is Session over an explicitly pinned epoch snapshot: the
-// sample is drawn from it and the session's proposals and re-learning
-// rounds observe it exclusively.
-func SessionOn(snap *graph.Snapshot, sampler string, cfg Config, opts interactive.Options) *interactive.Session {
+// a sample drawn by the given sampler ("rw" or "ff"). The sample is drawn
+// from the pinned epoch snapshot, and the session's proposals and
+// re-learning rounds observe it exclusively.
+func Session(snap *graph.Snapshot, sampler string, cfg Config, opts interactive.Options) *interactive.Session {
 	var sample []graph.NodeID
 	switch sampler {
 	case "ff":
-		sample = ForestFireOn(snap, cfg)
+		sample = ForestFire(snap, cfg)
 	default:
-		sample = RandomWalkOn(snap, cfg)
+		sample = RandomWalk(snap, cfg)
 	}
 	base := opts.Strategy
 	if base == nil {
 		base = interactive.KS{}
 	}
 	opts.Strategy = Restrict{Base: base, Sample: sample}
-	return interactive.NewSessionOn(snap, opts)
+	return interactive.NewSession(snap, opts)
 }
 
 // CoverageOfSample reports what fraction of the goal-selected nodes the
 // sample contains — a representativeness diagnostic for experiments.
-func CoverageOfSample(g *graph.Graph, sample []graph.NodeID, selected []bool) float64 {
+func CoverageOfSample(sample []graph.NodeID, selected []bool) float64 {
 	total, hit := 0, 0
 	inSample := make(map[graph.NodeID]bool, len(sample))
 	for _, v := range sample {

@@ -19,7 +19,7 @@ func testGraph() *graph.Graph {
 
 func TestRandomWalkSampleSize(t *testing.T) {
 	g := testGraph()
-	s := sampling.RandomWalk(g, sampling.Config{TargetNodes: 200, Seed: 1})
+	s := sampling.RandomWalk(g.Snapshot(), sampling.Config{TargetNodes: 200, Seed: 1})
 	if len(s) == 0 || len(s) > 220 {
 		t.Fatalf("sample size %d", len(s))
 	}
@@ -37,7 +37,7 @@ func TestRandomWalkSampleSize(t *testing.T) {
 
 func TestForestFireSampleSize(t *testing.T) {
 	g := testGraph()
-	s := sampling.ForestFire(g, sampling.Config{TargetNodes: 200, Seed: 2})
+	s := sampling.ForestFire(g.Snapshot(), sampling.Config{TargetNodes: 200, Seed: 2})
 	if len(s) < 150 || len(s) > 220 {
 		t.Fatalf("sample size %d", len(s))
 	}
@@ -45,9 +45,10 @@ func TestForestFireSampleSize(t *testing.T) {
 
 func TestSamplersCoverWholeTinyGraph(t *testing.T) {
 	g, _ := paperfix.G0()
+	snap := g.Snapshot()
 	for _, s := range [][]graph.NodeID{
-		sampling.RandomWalk(g, sampling.Config{TargetNodes: 100, Seed: 3}),
-		sampling.ForestFire(g, sampling.Config{TargetNodes: 100, Seed: 3}),
+		sampling.RandomWalk(snap, sampling.Config{TargetNodes: 100, Seed: 3}),
+		sampling.ForestFire(snap, sampling.Config{TargetNodes: 100, Seed: 3}),
 	} {
 		if len(s) != g.NumNodes() {
 			t.Fatalf("tiny graph not fully sampled: %d of %d", len(s), g.NumNodes())
@@ -57,8 +58,9 @@ func TestSamplersCoverWholeTinyGraph(t *testing.T) {
 
 func TestSamplingDeterministic(t *testing.T) {
 	g := testGraph()
-	a := sampling.RandomWalk(g, sampling.Config{TargetNodes: 150, Seed: 5})
-	b := sampling.RandomWalk(g, sampling.Config{TargetNodes: 150, Seed: 5})
+	snap := g.Snapshot()
+	a := sampling.RandomWalk(snap, sampling.Config{TargetNodes: 150, Seed: 5})
+	b := sampling.RandomWalk(snap, sampling.Config{TargetNodes: 150, Seed: 5})
 	if len(a) != len(b) {
 		t.Fatalf("sizes differ: %d vs %d", len(a), len(b))
 	}
@@ -77,11 +79,12 @@ func TestSamplingDeterministic(t *testing.T) {
 // alike.
 func TestForestFireDeterministic(t *testing.T) {
 	g := testGraph()
+	snap := g.Snapshot()
 	// Small burn probability makes the fire die often, exercising the
 	// reseed path heavily.
 	cfg := sampling.Config{TargetNodes: 300, Seed: 41, BurnForward: 0.2}
-	a := sampling.ForestFireOn(g.Snapshot(), cfg)
-	b := sampling.ForestFire(g, cfg)
+	a := sampling.ForestFire(snap, cfg)
+	b := sampling.ForestFire(snap, cfg)
 	if len(a) != cfg.TargetNodes {
 		t.Fatalf("sample size %d, want exactly %d", len(a), cfg.TargetNodes)
 	}
@@ -107,15 +110,16 @@ func TestForestFireDeterministic(t *testing.T) {
 
 func TestRestrictProposesFromSample(t *testing.T) {
 	g := testGraph()
-	sample := sampling.RandomWalk(g, sampling.Config{TargetNodes: 100, Seed: 7})
+	snap := g.Snapshot()
+	sample := sampling.RandomWalk(snap, sampling.Config{TargetNodes: 100, Seed: 7})
 	inSample := make(map[graph.NodeID]bool)
 	for _, v := range sample {
 		inSample[v] = true
 	}
 	goal := query.MustParse(g.Alphabet(), "l00·l01")
-	sess := sampling.Session(g, "rw", sampling.Config{TargetNodes: 100, Seed: 7},
+	sess := sampling.Session(snap, "rw", sampling.Config{TargetNodes: 100, Seed: 7},
 		interactive.Options{Strategy: interactive.KR{}, Seed: 9, MaxInteractions: 30})
-	res, err := sess.Run(interactive.NewQueryOracle(g, goal),
+	res, err := sess.Run(interactive.NewQueryOracle(snap, goal),
 		func(q *query.Query) bool { return false })
 	if err != nil {
 		t.Fatal(err)
@@ -135,17 +139,18 @@ func TestSampledSessionStillLearns(t *testing.T) {
 	// The sampled session must still converge on a small graph (fallback
 	// guarantees completeness).
 	g, _ := paperfix.G0()
+	snap := g.Snapshot()
 	goal := query.MustParse(g.Alphabet(), "(a·b)*·c")
-	sess := sampling.Session(g, "ff", sampling.Config{TargetNodes: 3, Seed: 11},
+	sess := sampling.Session(snap, "ff", sampling.Config{TargetNodes: 3, Seed: 11},
 		interactive.Options{Strategy: interactive.KS{}, Seed: 13})
-	res, err := sess.Run(interactive.NewQueryOracle(g, goal), interactive.ExactMatch(g, goal))
+	res, err := sess.Run(interactive.NewQueryOracle(snap, goal), interactive.ExactMatch(snap, goal))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Halted != interactive.HaltSatisfied {
 		t.Fatalf("halted %v", res.Halted)
 	}
-	if !res.Query.EquivalentOn(g, goal) {
+	if !res.Query.EquivalentOn(snap, goal) {
 		t.Fatalf("learned %v", res.Query)
 	}
 }
@@ -159,20 +164,21 @@ func TestRestrictName(t *testing.T) {
 
 func TestCoverageOfSample(t *testing.T) {
 	g := testGraph()
+	snap := g.Snapshot()
 	goal := query.MustParse(g.Alphabet(), "l00")
-	sel := goal.Select(g)
-	full := sampling.CoverageOfSample(g, g.Nodes(), sel)
+	sel := goal.Evaluate(snap).Vector()
+	full := sampling.CoverageOfSample(g.Nodes(), sel)
 	if full != 1 {
 		t.Fatalf("full sample coverage = %v", full)
 	}
-	empty := sampling.CoverageOfSample(g, nil, sel)
+	empty := sampling.CoverageOfSample(nil, sel)
 	if empty != 0 {
 		t.Fatalf("empty sample coverage = %v", empty)
 	}
 	// A decent random-walk sample of half the graph should cover a
 	// nontrivial share of the selected nodes.
-	half := sampling.RandomWalk(g, sampling.Config{TargetNodes: 500, Seed: 17})
-	c := sampling.CoverageOfSample(g, half, sel)
+	half := sampling.RandomWalk(snap, sampling.Config{TargetNodes: 500, Seed: 17})
+	c := sampling.CoverageOfSample(half, sel)
 	if c <= 0.1 {
 		t.Fatalf("half sample coverage suspiciously low: %v", c)
 	}

@@ -23,11 +23,10 @@
 // A Coverage is pinned to one immutable epoch Snapshot: every search it
 // runs observes exactly the graph published at that epoch, so coverage
 // indexes may be built and queried while a writer keeps mutating and
-// publishing newer epochs. The *graph.Graph entry points are thin
-// read-your-writes delegates that publish the pending epoch first. One
-// Coverage is not safe for concurrent use (transitions are memoized
-// lazily); concurrent searches build one Coverage per worker over the same
-// pinned snapshot, as the parallel learner and the kS strategy do.
+// publishing newer epochs. One Coverage is not safe for concurrent use
+// (transitions are memoized lazily); concurrent searches build one
+// Coverage per worker over the same pinned snapshot, as the parallel
+// learner and the kS strategy do.
 package scp
 
 import (
@@ -56,16 +55,9 @@ type Coverage struct {
 	trans [][]int32
 }
 
-// NewCoverage builds the coverage index for the negative node set neg on
-// the graph's read-your-writes snapshot (pending mutations are published
-// first). Writer-side only; concurrent readers use NewCoverageOn.
-func NewCoverage(g *graph.Graph, neg []graph.NodeID) *Coverage {
-	return NewCoverageOn(g.Snapshot(), neg)
-}
-
-// NewCoverageOn builds the coverage index for the negative node set neg,
+// NewCoverage builds the coverage index for the negative node set neg,
 // pinned to the given epoch snapshot.
-func NewCoverageOn(s *graph.Snapshot, neg []graph.NodeID) *Coverage {
+func NewCoverage(s *graph.Snapshot, neg []graph.NodeID) *Coverage {
 	c := &Coverage{s: s, ix: graph.NewNodeSetIndex(), nsym: s.Alphabet().Size()}
 	c.emptyID = c.ix.Intern(nil)
 	c.start = c.ix.Intern(sortedUnique(neg))
@@ -190,23 +182,6 @@ func (c *Coverage) CountNonCovered(nu graph.NodeID, k int) int {
 		level = nextLevel
 	}
 	return total
-}
-
-// Smallest is the one-shot convenience form of Coverage.Smallest.
-func Smallest(g *graph.Graph, nu graph.NodeID, neg []graph.NodeID, k int) (words.Word, bool) {
-	return NewCoverage(g, neg).Smallest(nu, k)
-}
-
-// IsKInformative is the one-shot convenience form of
-// Coverage.IsKInformative.
-func IsKInformative(g *graph.Graph, nu graph.NodeID, neg []graph.NodeID, k int) bool {
-	return NewCoverage(g, neg).IsKInformative(nu, k)
-}
-
-// CountNonCovered is the one-shot convenience form of
-// Coverage.CountNonCovered.
-func CountNonCovered(g *graph.Graph, nu graph.NodeID, neg []graph.NodeID, k int) int {
-	return NewCoverage(g, neg).CountNonCovered(nu, k)
 }
 
 func sortedUnique(set []graph.NodeID) []graph.NodeID {

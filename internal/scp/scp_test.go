@@ -21,7 +21,7 @@ func node(t *testing.T, g *graph.Graph, name string) graph.NodeID {
 func TestSmallestPaperSCPs(t *testing.T) {
 	// Section 3.2: "we obtain the SCPs abc and c for ν1 and ν3".
 	g, s := paperfix.G0()
-	cov := scp.NewCoverage(g, s.Neg)
+	cov := scp.NewCoverage(g.Snapshot(), s.Neg)
 	w1, ok := cov.Smallest(node(t, g, "v1"), 3)
 	if !ok || words.String(w1, g.Alphabet()) != "a·b·c" {
 		t.Fatalf("SCP(v1) = %v, want a·b·c", w1)
@@ -34,7 +34,7 @@ func TestSmallestPaperSCPs(t *testing.T) {
 
 func TestSmallestRespectsBound(t *testing.T) {
 	g, s := paperfix.G0()
-	if _, ok := scp.Smallest(g, node(t, g, "v1"), s.Neg, 2); ok {
+	if _, ok := scp.NewCoverage(g.Snapshot(), s.Neg).Smallest(node(t, g, "v1"), 2); ok {
 		t.Fatal("SCP(v1) has length 3; k=2 must fail")
 	}
 }
@@ -42,7 +42,7 @@ func TestSmallestRespectsBound(t *testing.T) {
 func TestSmallestNoNegatives(t *testing.T) {
 	// With no negatives, ε escapes immediately.
 	g, _ := paperfix.G0()
-	w, ok := scp.Smallest(g, node(t, g, "v5"), nil, 3)
+	w, ok := scp.NewCoverage(g.Snapshot(), nil).Smallest(node(t, g, "v5"), 3)
 	if !ok || len(w) != 0 {
 		t.Fatalf("SCP with no negatives = %v, want ε", w)
 	}
@@ -52,7 +52,7 @@ func TestSmallestInconsistentNode(t *testing.T) {
 	// Figure 5: the positive's paths are all covered; no SCP at any k.
 	g, s := paperfix.Figure5()
 	for _, k := range []int{1, 3, 6, 10} {
-		if _, ok := scp.Smallest(g, s.Pos[0], s.Neg, k); ok {
+		if _, ok := scp.NewCoverage(g.Snapshot(), s.Neg).Smallest(s.Pos[0], k); ok {
 			t.Fatalf("k=%d: found an SCP for a fully covered node", k)
 		}
 	}
@@ -60,13 +60,14 @@ func TestSmallestInconsistentNode(t *testing.T) {
 
 func TestIsKInformative(t *testing.T) {
 	g, s := paperfix.G0()
-	if !scp.IsKInformative(g, node(t, g, "v3"), s.Neg, 2) {
+	snap := g.Snapshot()
+	if !scp.NewCoverage(snap, s.Neg).IsKInformative(node(t, g, "v3"), 2) {
 		t.Fatal("v3 is 2-informative (path c)")
 	}
-	if scp.IsKInformative(g, node(t, g, "v1"), s.Neg, 2) {
+	if scp.NewCoverage(snap, s.Neg).IsKInformative(node(t, g, "v1"), 2) {
 		t.Fatal("v1 is not 2-informative (SCP is abc)")
 	}
-	if !scp.IsKInformative(g, node(t, g, "v1"), s.Neg, 3) {
+	if !scp.NewCoverage(snap, s.Neg).IsKInformative(node(t, g, "v1"), 3) {
 		t.Fatal("v1 is 3-informative")
 	}
 }
@@ -74,13 +75,14 @@ func TestIsKInformative(t *testing.T) {
 func TestCountNonCoveredMatchesEnumeration(t *testing.T) {
 	// Cross-check the DP against brute-force path enumeration on G0.
 	g, s := paperfix.G0()
-	cov := scp.NewCoverage(g, s.Neg)
+	snap := g.Snapshot()
+	cov := scp.NewCoverage(snap, s.Neg)
 	for v := 0; v < g.NumNodes(); v++ {
 		nu := graph.NodeID(v)
 		for _, k := range []int{1, 2, 3, 4} {
 			brute := 0
-			for _, w := range g.PathsUpTo(nu, k, 0) {
-				if !g.MatchesAny(s.Neg, w) {
+			for _, w := range snap.PathsUpTo(nu, k, 0) {
+				if !snap.MatchesAny(s.Neg, w) {
 					brute++
 				}
 			}
@@ -93,10 +95,11 @@ func TestCountNonCoveredMatchesEnumeration(t *testing.T) {
 
 func TestCountNonCoveredNoNegatives(t *testing.T) {
 	g, _ := paperfix.G0()
+	snap := g.Snapshot()
 	// With no negatives every bounded path counts, ε included.
 	nu := node(t, g, "v5")
-	got := scp.CountNonCovered(g, nu, nil, 2)
-	want := len(g.PathsUpTo(nu, 2, 0)) // ε, a, b
+	got := scp.NewCoverage(snap, nil).CountNonCovered(nu, 2)
+	want := len(snap.PathsUpTo(nu, 2, 0)) // ε, a, b
 	if got != want {
 		t.Fatalf("count = %d, want %d", got, want)
 	}
@@ -105,7 +108,8 @@ func TestCountNonCoveredNoNegatives(t *testing.T) {
 func TestCoverageIsSharedAcrossNodes(t *testing.T) {
 	// One Coverage must serve many nodes and memoize subset transitions.
 	g, s := paperfix.G0()
-	cov := scp.NewCoverage(g, s.Neg)
+	snap := g.Snapshot()
+	cov := scp.NewCoverage(snap, s.Neg)
 	for v := 0; v < g.NumNodes(); v++ {
 		cov.Smallest(graph.NodeID(v), 3)
 	}
@@ -113,7 +117,7 @@ func TestCoverageIsSharedAcrossNodes(t *testing.T) {
 		t.Fatalf("coverage materialized %d states", cov.NumStates())
 	}
 	// Determinism: a fresh coverage yields the same SCPs.
-	fresh := scp.NewCoverage(g, s.Neg)
+	fresh := scp.NewCoverage(snap, s.Neg)
 	for v := 0; v < g.NumNodes(); v++ {
 		w1, ok1 := cov.Smallest(graph.NodeID(v), 3)
 		w2, ok2 := fresh.Smallest(graph.NodeID(v), 3)
@@ -126,14 +130,15 @@ func TestCoverageIsSharedAcrossNodes(t *testing.T) {
 func TestSmallestCanonicalOrder(t *testing.T) {
 	// The SCP must be the canonical-order minimum of all escaping paths.
 	g, s := paperfix.G0()
-	cov := scp.NewCoverage(g, s.Neg)
+	snap := g.Snapshot()
+	cov := scp.NewCoverage(snap, s.Neg)
 	for v := 0; v < g.NumNodes(); v++ {
 		nu := graph.NodeID(v)
 		got, ok := cov.Smallest(nu, 4)
 		var want words.Word
 		found := false
-		for _, w := range g.PathsUpTo(nu, 4, 0) {
-			if !g.MatchesAny(s.Neg, w) {
+		for _, w := range snap.PathsUpTo(nu, 4, 0) {
+			if !snap.MatchesAny(s.Neg, w) {
 				want = w
 				found = true
 				break // PathsUpTo is already canonical-ordered

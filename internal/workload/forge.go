@@ -87,12 +87,6 @@ func (cfg *ForgeConfig) defaults() error {
 	return nil
 }
 
-// ForgeGraph is Forge over g's current state — the read-your-writes
-// delegate.
-func ForgeGraph(g *graph.Graph, cfg ForgeConfig) (*File, error) {
-	return Forge(g.Snapshot(), cfg)
-}
-
 // Forge generates a three-tier workload against a pinned epoch snapshot
 // and returns it as a writable workload file. Generation is
 // deterministic in (snapshot, cfg).
@@ -180,7 +174,7 @@ func instantiate(s *graph.Snapshot, aq AbstractQuery, ranked []string, rng *rand
 			// is a bug in the table, caught by tests, not a redraw.
 			return "", nil, 0, false
 		}
-		sel := q.EvaluateOn(s).Selectivity()
+		sel := q.Evaluate(s).Selectivity()
 		if sel > 0 {
 			return expr, q, sel, true
 		}

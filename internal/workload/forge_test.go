@@ -62,12 +62,13 @@ func TestRenderSinglePass(t *testing.T) {
 
 func TestForgeDeterministic(t *testing.T) {
 	g := benchGraph()
+	snap := g.Snapshot()
 	cfg := workload.ForgeConfig{Seed: 7}
-	f1, err := workload.ForgeGraph(g, cfg)
+	f1, err := workload.Forge(snap, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f2, err := workload.ForgeGraph(g, cfg)
+	f2, err := workload.Forge(snap, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +83,7 @@ func TestForgeDeterministic(t *testing.T) {
 		t.Fatal("same graph + same seed forged different files")
 	}
 	// A different seed must actually change something.
-	f3, err := workload.ForgeGraph(g, workload.ForgeConfig{Seed: 8})
+	f3, err := workload.Forge(snap, workload.ForgeConfig{Seed: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +142,7 @@ func TestForgeEntries(t *testing.T) {
 			}
 			// The anchor must have at least one out-edge the query can
 			// start with — that is what connectivity ranking promises.
-			if ans := q.EvaluateOn(s); ans.Selectivity() > 0 && len(s.OutEdges(v)) == 0 {
+			if ans := q.Evaluate(s); ans.Selectivity() > 0 && len(s.OutEdges(v)) == 0 {
 				t.Fatalf("%s: anchor %q has no out-edges", e.Class, e.From)
 			}
 		default:
@@ -161,7 +162,7 @@ func TestForgeEntries(t *testing.T) {
 
 func TestFileRoundTripFixedPoint(t *testing.T) {
 	g := benchGraph()
-	f, err := workload.ForgeGraph(g, workload.ForgeConfig{Seed: 7})
+	f, err := workload.Forge(g.Snapshot(), workload.ForgeConfig{Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +199,8 @@ func TestReadRejectsBadInput(t *testing.T) {
 
 func TestForgeClassSubset(t *testing.T) {
 	g := benchGraph()
-	f, err := workload.ForgeGraph(g, workload.ForgeConfig{Seed: 3, Classes: []string{"AQ1", "AQ28"}})
+	snap := g.Snapshot()
+	f, err := workload.Forge(snap, workload.ForgeConfig{Seed: 3, Classes: []string{"AQ1", "AQ28"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +209,7 @@ func TestForgeClassSubset(t *testing.T) {
 			t.Fatalf("class %q outside requested subset", e.Class)
 		}
 	}
-	if _, err := workload.ForgeGraph(g, workload.ForgeConfig{Seed: 3, Classes: []string{"AQ0"}}); err == nil {
+	if _, err := workload.Forge(snap, workload.ForgeConfig{Seed: 3, Classes: []string{"AQ0"}}); err == nil {
 		t.Fatal("unknown class accepted")
 	}
 }

@@ -73,18 +73,10 @@ type Entry struct {
 	K int
 }
 
-// Generate instantiates the given params on g and measures the result.
-// It is the read-your-writes delegate of GenerateOn: it freezes g's
-// current state into a snapshot and generates against that.
-func Generate(g *graph.Graph, p Params) (Entry, error) {
-	return GenerateOn(g.Snapshot(), p)
-}
-
-// GenerateOn instantiates the given params against a pinned epoch
-// snapshot and measures the result. Pinning lets generation run against
-// a live engine's served epoch while mutations publish future epochs
-// underneath (the same port the PR 3 learner received).
-func GenerateOn(s *graph.Snapshot, p Params) (Entry, error) {
+// Generate instantiates the given params against a pinned epoch snapshot
+// and measures the result. Pinning lets generation run against a live
+// engine's served epoch while mutations publish future epochs underneath.
+func Generate(s *graph.Snapshot, p Params) (Entry, error) {
 	expr, err := render(s, p)
 	if err != nil {
 		return Entry{}, err
@@ -97,7 +89,7 @@ func GenerateOn(s *graph.Snapshot, p Params) (Entry, error) {
 		Params:      p,
 		Expr:        expr,
 		Query:       q,
-		Selectivity: q.EvaluateOn(s).Selectivity(),
+		Selectivity: q.Evaluate(s).Selectivity(),
 		Size:        q.PrefixFree().Size(),
 		StarHeight:  starHeight(q.Regex()),
 		K:           charsample.KFor(q),
@@ -242,19 +234,12 @@ var DefaultBands = []Band{
 	{"broad", 0.20, 0.60},
 }
 
-// Suite generates, per shape and band, the instantiation whose selectivity
-// falls in (or nearest to) the band. It is the read-your-writes delegate
-// of SuiteOn over g's current state.
-func Suite(g *graph.Graph, shapes []Shape, bands []Band) []Entry {
-	return SuiteOn(g.Snapshot(), shapes, bands)
-}
-
-// SuiteOn generates, per shape and band, the instantiation whose
+// Suite generates, per shape and band, the instantiation whose
 // selectivity falls in (or nearest to) the band, sweeping lengths, widths
 // and rank offsets against one pinned epoch snapshot. Entries that select
 // nothing are dropped — the paper retains only queries selecting at least
 // one node.
-func SuiteOn(s *graph.Snapshot, shapes []Shape, bands []Band) []Entry {
+func Suite(s *graph.Snapshot, shapes []Shape, bands []Band) []Entry {
 	labels := s.Alphabet().Size()
 	var out []Entry
 	for _, shape := range shapes {
@@ -265,7 +250,7 @@ func SuiteOn(s *graph.Snapshot, shapes []Shape, bands []Band) []Entry {
 			for _, length := range []int{1, 2, 3} {
 				for _, width := range []int{1, 2, 4, 8} {
 					for offset := 0; offset < labels-width*3-1; offset += 2 {
-						e, err := GenerateOn(s, Params{
+						e, err := Generate(s, Params{
 							Shape: shape, Length: length, ClassWidth: width, RankOffset: offset,
 						})
 						if err != nil {

@@ -19,7 +19,7 @@ func benchGraph() *graph.Graph {
 func TestGenerateShapes(t *testing.T) {
 	g := benchGraph()
 	for _, shape := range workload.AllShapes {
-		e, err := workload.Generate(g, workload.Params{
+		e, err := workload.Generate(g.Snapshot(), workload.Params{
 			Shape: shape, Length: 2, ClassWidth: 2, RankOffset: 0,
 		})
 		if err != nil {
@@ -39,14 +39,15 @@ func TestGenerateShapes(t *testing.T) {
 
 func TestGenerateStarHeight(t *testing.T) {
 	g := benchGraph()
-	chain, err := workload.Generate(g, workload.Params{Shape: workload.Chain, Length: 3})
+	snap := g.Snapshot()
+	chain, err := workload.Generate(snap, workload.Params{Shape: workload.Chain, Length: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if chain.StarHeight != 0 {
 		t.Fatalf("chain star height = %d", chain.StarHeight)
 	}
-	tail, err := workload.Generate(g, workload.Params{Shape: workload.KleeneTail, Length: 2})
+	tail, err := workload.Generate(snap, workload.Params{Shape: workload.KleeneTail, Length: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,11 +60,12 @@ func TestGenerateRankOffsetMonotoneSelectivity(t *testing.T) {
 	// Higher rank offsets draw rarer labels: selectivity should not grow
 	// (weakly, comparing extremes).
 	g := benchGraph()
-	lo, err := workload.Generate(g, workload.Params{Shape: workload.Chain, Length: 1, RankOffset: 0})
+	snap := g.Snapshot()
+	lo, err := workload.Generate(snap, workload.Params{Shape: workload.Chain, Length: 1, RankOffset: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	hi, err := workload.Generate(g, workload.Params{Shape: workload.Chain, Length: 1, RankOffset: 10})
+	hi, err := workload.Generate(snap, workload.Params{Shape: workload.Chain, Length: 1, RankOffset: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,13 +76,14 @@ func TestGenerateRankOffsetMonotoneSelectivity(t *testing.T) {
 
 func TestGenerateErrors(t *testing.T) {
 	g := benchGraph()
-	if _, err := workload.Generate(g, workload.Params{Shape: workload.Chain, Length: 0}); err == nil {
+	snap := g.Snapshot()
+	if _, err := workload.Generate(snap, workload.Params{Shape: workload.Chain, Length: 0}); err == nil {
 		t.Fatal("length 0 accepted")
 	}
-	if _, err := workload.Generate(g, workload.Params{Shape: "nope", Length: 1}); err == nil {
+	if _, err := workload.Generate(snap, workload.Params{Shape: "nope", Length: 1}); err == nil {
 		t.Fatal("unknown shape accepted")
 	}
-	if _, err := workload.Generate(g, workload.Params{
+	if _, err := workload.Generate(snap, workload.Params{
 		Shape: workload.Chain, Length: 50, ClassWidth: 4,
 	}); err == nil {
 		t.Fatal("rank overflow accepted")
@@ -89,7 +92,7 @@ func TestGenerateErrors(t *testing.T) {
 
 func TestSuiteCoversBands(t *testing.T) {
 	g := benchGraph()
-	suite := workload.Suite(g, []workload.Shape{workload.Chain, workload.ABStarC}, workload.DefaultBands)
+	suite := workload.Suite(g.Snapshot(), []workload.Shape{workload.Chain, workload.ABStarC}, workload.DefaultBands)
 	if len(suite) < 4 {
 		t.Fatalf("suite has only %d entries", len(suite))
 	}
@@ -102,7 +105,7 @@ func TestSuiteCoversBands(t *testing.T) {
 
 func TestPrintAndCSV(t *testing.T) {
 	g := benchGraph()
-	e, err := workload.Generate(g, workload.Params{Shape: workload.ABStarC, Length: 1, ClassWidth: 2})
+	e, err := workload.Generate(g.Snapshot(), workload.Params{Shape: workload.ABStarC, Length: 1, ClassWidth: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

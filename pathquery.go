@@ -12,6 +12,11 @@
 // paper's "learning with abstain" (consistency checking is
 // PSPACE-complete, so no polynomial learner can decide it exactly).
 //
+// A Graph is the writer: it adds nodes and edges and publishes immutable
+// epoch Snapshots. Every read — learning, evaluation, sessions — takes a
+// Snapshot, so any number of goroutines may read while one writer keeps
+// mutating and publishing newer epochs.
+//
 // # Quick start
 //
 //	g := pathquery.NewGraph(nil)
@@ -19,7 +24,7 @@
 //	g.AddEdgeByName("N4", "cinema", "C1")
 //	n1, _ := g.NodeByName("N1")
 //	c1, _ := g.NodeByName("C1")
-//	q, err := pathquery.Learn(g, pathquery.Sample{
+//	q, err := pathquery.Learn(g.Snapshot(), pathquery.Sample{
 //	    Pos: []pathquery.NodeID{n1},
 //	    Neg: []pathquery.NodeID{c1},
 //	}, pathquery.Options{})
@@ -29,7 +34,7 @@
 // and asks the user to label proposed nodes until the learned query
 // matches their intent:
 //
-//	sess := pathquery.NewSession(g, pathquery.SessionOptions{})
+//	sess := pathquery.NewSession(g.Snapshot(), pathquery.SessionOptions{})
 //	res, err := sess.Run(oracle, halt)
 //
 // # Serving
@@ -184,65 +189,56 @@ func ParseQuery(alpha *Alphabet, src string) (*Query, error) {
 	return query.Parse(alpha, src)
 }
 
-// Learn runs the paper's Algorithm 1 on a monadic sample.
-func Learn(g *Graph, s Sample, opt Options) (*Query, error) {
-	return core.Learn(g, s, opt)
-}
-
-// LearnOn runs Algorithm 1 against a pinned epoch snapshot: the learner
-// observes exactly that epoch, so it is safe to run while a writer keeps
-// mutating and publishing newer epochs (see also Engine.Learn, which adds
-// plan-cache installation).
-func LearnOn(s *Snapshot, sample Sample, opt Options) (*Query, error) {
-	return core.LearnOn(s, sample, opt)
+// Learn runs the paper's Algorithm 1 on a monadic sample against a pinned
+// epoch snapshot: the learner observes exactly that epoch, so it is safe
+// to run while a writer keeps mutating and publishing newer epochs (see
+// also Engine.Learn, which adds plan-cache installation).
+func Learn(s *Snapshot, sample Sample, opt Options) (*Query, error) {
+	return core.Learn(s, sample, opt)
 }
 
 // LearnDetailed is Learn with diagnostics (selected SCPs, final k, merge
 // count).
-func LearnDetailed(g *Graph, s Sample, opt Options) (*Result, error) {
-	return core.LearnDetailed(g, s, opt)
-}
-
-// LearnDetailedOn is LearnOn with diagnostics.
-func LearnDetailedOn(s *Snapshot, sample Sample, opt Options) (*Result, error) {
-	return core.LearnDetailedOn(s, sample, opt)
+func LearnDetailed(s *Snapshot, sample Sample, opt Options) (*Result, error) {
+	return core.LearnDetailed(s, sample, opt)
 }
 
 // LearnBinary runs Algorithm 2 on pair examples.
-func LearnBinary(g *Graph, s PairSample, opt Options) (*Query, error) {
-	return core.LearnBinary(g, s, opt)
+func LearnBinary(s *Snapshot, sample PairSample, opt Options) (*Query, error) {
+	return core.LearnBinary(s, sample, opt)
 }
 
 // LearnNary runs Algorithm 3 on tuple examples.
-func LearnNary(g *Graph, s TupleSample, opt Options) (*NaryQuery, error) {
-	return core.LearnNary(g, s, opt)
+func LearnNary(s *Snapshot, sample TupleSample, opt Options) (*NaryQuery, error) {
+	return core.LearnNary(s, sample, opt)
 }
 
 // Consistent decides sample consistency exactly (Lemma 3.1). Exponential
 // worst case — the problem is PSPACE-complete (Lemma 3.2); intended for
 // small graphs and diagnostics.
-func Consistent(g *Graph, s Sample) bool { return core.Consistent(g, s) }
+func Consistent(s *Snapshot, sample Sample) bool { return core.Consistent(s, sample) }
 
-// NewSession starts an interactive learning session with an empty sample.
-func NewSession(g *Graph, opts SessionOptions) *Session {
-	return interactive.NewSession(g, opts)
+// NewSession starts an interactive learning session with an empty sample,
+// pinned to the snapshot.
+func NewSession(s *Snapshot, opts SessionOptions) *Session {
+	return interactive.NewSession(s, opts)
 }
 
 // NewQueryOracle simulates a user holding the given goal query.
-func NewQueryOracle(g *Graph, goal *Query) Oracle {
-	return interactive.NewQueryOracle(g, goal)
+func NewQueryOracle(s *Snapshot, goal *Query) Oracle {
+	return interactive.NewQueryOracle(s, goal)
 }
 
 // ExactMatch halts a session when the learned query selects exactly the
 // goal's nodes (F1 = 1).
-func ExactMatch(g *Graph, goal *Query) HaltCondition {
-	return interactive.ExactMatch(g, goal)
+func ExactMatch(s *Snapshot, goal *Query) HaltCondition {
+	return interactive.ExactMatch(s, goal)
 }
 
-// Score rates a learned query against a goal query on g, viewing both as
+// Score rates a learned query against a goal query on s, viewing both as
 // binary node classifiers.
-func Score(g *Graph, goal, learned *Query) Confusion {
-	return metrics.Score(goal.Select(g), learned.Select(g))
+func Score(s *Snapshot, goal, learned *Query) Confusion {
+	return metrics.Score(goal.Evaluate(s).Vector(), learned.Evaluate(s).Vector())
 }
 
 // CharacteristicSample builds a graph and sample from which Learn is
@@ -259,6 +255,6 @@ func CharacteristicK(q *Query) int { return charsample.KFor(q) }
 // IsInformative decides exactly whether labeling ν would add information
 // (Section 4.2). PSPACE-complete in general (Lemma 4.2); intended for
 // small graphs.
-func IsInformative(g *Graph, s Sample, nu NodeID) bool {
-	return certain.IsInformative(g, s, nu)
+func IsInformative(s *Snapshot, sample Sample, nu NodeID) bool {
+	return certain.IsInformative(s, sample, nu)
 }

@@ -21,40 +21,41 @@ func TestFacadeQuickstartScenario(t *testing.T) {
 	n2, _ := g.NodeByName("N2")
 	n5, _ := g.NodeByName("N5")
 
-	q, err := pathquery.Learn(g, pathquery.Sample{
+	q, err := pathquery.Learn(g.Snapshot(), pathquery.Sample{
 		Pos: []pathquery.NodeID{n2},
 		Neg: []pathquery.NodeID{n5},
 	}, pathquery.Options{})
 	if err != nil {
 		t.Fatalf("abstained: %v", err)
 	}
-	if !q.Selects(g, n2) {
+	if !q.Selects(g.Snapshot(), n2) {
 		t.Fatal("positive not selected")
 	}
-	if q.Selects(g, n5) {
+	if q.Selects(g.Snapshot(), n5) {
 		t.Fatal("negative selected")
 	}
 }
 
 func TestFacadeParseAndScore(t *testing.T) {
 	g, _ := paperfix.G0()
+	snap := g.Snapshot()
 	goal, err := pathquery.ParseQuery(g.Alphabet(), "(a·b)*·c")
 	if err != nil {
 		t.Fatal(err)
 	}
-	same := pathquery.Score(g, goal, goal)
+	same := pathquery.Score(snap, goal, goal)
 	if !same.Exact() || same.F1() != 1 {
 		t.Fatal("self-score should be exact")
 	}
 	other, _ := pathquery.ParseQuery(g.Alphabet(), "b")
-	if pathquery.Score(g, goal, other).Exact() {
+	if pathquery.Score(snap, goal, other).Exact() {
 		t.Fatal("different selections scored exact")
 	}
 }
 
 func TestFacadeLearnPaperExample(t *testing.T) {
 	g, s := paperfix.G0()
-	res, err := pathquery.LearnDetailed(g, s, pathquery.Options{K: 3})
+	res, err := pathquery.LearnDetailed(g.Snapshot(), s, pathquery.Options{K: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +67,7 @@ func TestFacadeLearnPaperExample(t *testing.T) {
 
 func TestFacadeAbstain(t *testing.T) {
 	g, s := paperfix.Figure5()
-	_, err := pathquery.Learn(g, s, pathquery.Options{})
+	_, err := pathquery.Learn(g.Snapshot(), s, pathquery.Options{})
 	if !errors.Is(err, pathquery.ErrAbstain) {
 		t.Fatalf("err = %v, want ErrAbstain", err)
 	}
@@ -74,29 +75,30 @@ func TestFacadeAbstain(t *testing.T) {
 
 func TestFacadeConsistent(t *testing.T) {
 	g, s := paperfix.G0()
-	if !pathquery.Consistent(g, s) {
+	if !pathquery.Consistent(g.Snapshot(), s) {
 		t.Fatal("G0 sample is consistent")
 	}
 	g5, s5 := paperfix.Figure5()
-	if pathquery.Consistent(g5, s5) {
+	if pathquery.Consistent(g5.Snapshot(), s5) {
 		t.Fatal("Figure 5 sample is inconsistent")
 	}
 }
 
 func TestFacadeInteractiveSession(t *testing.T) {
 	g, _ := paperfix.G0()
+	snap := g.Snapshot()
 	goal, _ := pathquery.ParseQuery(g.Alphabet(), "(a·b)*·c")
-	sess := pathquery.NewSession(g, pathquery.SessionOptions{
+	sess := pathquery.NewSession(snap, pathquery.SessionOptions{
 		Strategy: interactive.KS{},
 		Seed:     1,
 	})
 	res, err := sess.Run(
-		pathquery.NewQueryOracle(g, goal),
-		pathquery.ExactMatch(g, goal))
+		pathquery.NewQueryOracle(snap, goal),
+		pathquery.ExactMatch(snap, goal))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Query.EquivalentOn(g, goal) {
+	if !res.Query.EquivalentOn(snap, goal) {
 		t.Fatalf("interactive learned %v", res.Query)
 	}
 }
@@ -111,7 +113,7 @@ func TestFacadeCharacteristicSample(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	learned, err := pathquery.Learn(g, s, pathquery.Options{
+	learned, err := pathquery.Learn(g.Snapshot(), s, pathquery.Options{
 		K: pathquery.CharacteristicK(goal),
 	})
 	if err != nil {
@@ -133,25 +135,25 @@ func TestFacadeBinaryAndNary(t *testing.T) {
 	nd, _ := g.NodeByName("d")
 	ne, _ := g.NodeByName("e")
 
-	bq, err := pathquery.LearnBinary(g, pathquery.PairSample{
+	bq, err := pathquery.LearnBinary(g.Snapshot(), pathquery.PairSample{
 		Pos: []pathquery.Pair{{From: na, To: nb}},
 		Neg: []pathquery.Pair{{From: nd, To: ne}},
 	}, pathquery.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bq.SelectsPair(g, na, nb) {
+	if !bq.SelectsPair(g.Snapshot(), na, nb) {
 		t.Fatal("binary positive missed")
 	}
 
-	nq, err := pathquery.LearnNary(g, pathquery.TupleSample{
+	nq, err := pathquery.LearnNary(g.Snapshot(), pathquery.TupleSample{
 		Pos: [][]pathquery.NodeID{{na, nb, nc}},
 		Neg: [][]pathquery.NodeID{{nd, ne, na}},
 	}, pathquery.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ok, err := nq.SelectsTuple(g, []pathquery.NodeID{na, nb, nc})
+	ok, err := nq.SelectsTuple(g.Snapshot(), []pathquery.NodeID{na, nb, nc})
 	if err != nil || !ok {
 		t.Fatalf("n-ary positive missed: %v", err)
 	}
@@ -159,7 +161,7 @@ func TestFacadeBinaryAndNary(t *testing.T) {
 
 func TestFacadeIsInformative(t *testing.T) {
 	g, s, u := paperfix.Figure10()
-	if pathquery.IsInformative(g, s, u) {
+	if pathquery.IsInformative(g.Snapshot(), s, u) {
 		t.Fatal("Figure 10's u is certain, not informative")
 	}
 }
