@@ -390,11 +390,11 @@ func TestResultCachePanicRetries(t *testing.T) {
 		}()
 		c.do(context.Background(), key, snap, nil, 0, func() (query.Answer, []uint64, error) { panic("product engine bug") })
 	}()
-	ans, cached, err := c.do(context.Background(), key, snap, nil, 0, func() (query.Answer, []uint64, error) {
+	ent, cached, err := c.do(context.Background(), key, snap, nil, 0, func() (query.Answer, []uint64, error) {
 		return query.Answer{Nodes: []graph.NodeID{7}, Count: 1}, nil, nil
 	})
-	if err != nil || cached || len(ans.Nodes) != 1 || ans.Nodes[0] != 7 {
-		t.Errorf("after panic: answer %v cached %v err %v, want fresh [7]", ans.Nodes, cached, err)
+	if err != nil || cached || len(ent.ans.Nodes) != 1 || ent.ans.Nodes[0] != 7 {
+		t.Errorf("after panic: answer %v cached %v err %v, want fresh [7]", ent.ans.Nodes, cached, err)
 	}
 }
 

@@ -12,7 +12,6 @@ import (
 	"pathquery/internal/graph"
 	"pathquery/internal/query"
 	"pathquery/internal/telemetry"
-	"pathquery/internal/words"
 )
 
 // maxCountLen caps the count-semantics length bound: each length costs one
@@ -79,6 +78,11 @@ type Answer struct {
 	Counts []query.NodeCount
 
 	snap *graph.Snapshot
+	// ent is the result entry the answer was served from; the wire
+	// renders its rows (wire.go). Holding an Answer keeps the whole entry
+	// alive, its product masks and rendered rows included, even after the
+	// cache evicts it.
+	ent *resultEntry
 }
 
 // Names resolves Nodes to names, as of the answer's epoch.
@@ -88,14 +92,6 @@ func (a Answer) Names() []string {
 		out[i] = a.snap.NodeName(v)
 	}
 	return out
-}
-
-// NodeName resolves one node id against the answer's epoch.
-func (a Answer) NodeName(v graph.NodeID) string { return a.snap.NodeName(v) }
-
-// WordString renders w over the engine's alphabet.
-func (a Answer) WordString(w words.Word) string {
-	return words.String(w, a.snap.Alphabet())
 }
 
 // APIError is a request error with a stable machine-readable code — the
@@ -236,13 +232,13 @@ func (e *Engine) evaluateOn(ctx context.Context, snap *graph.Snapshot, p *cached
 	// pays no span timing.
 	tr := telemetry.TraceFrom(ctx)
 	endLookup := tr.StartSpan("cache_lookup")
-	ans, cached := e.results.lookup(key, snap)
+	ent, cached := e.results.lookup(key, snap)
 	endLookup()
 	if !cached {
 		// A regrow of a stale entry runs under this span too.
 		endTraverse := tr.StartSpan("traverse")
 		var err error
-		ans, cached, err = e.results.do(ctx, key, snap, p.q, e.regrowBudget, func() (query.Answer, []uint64, error) {
+		ent, cached, err = e.results.do(ctx, key, snap, p.q, e.regrowBudget, func() (query.Answer, []uint64, error) {
 			// The state-capturing variant: for regrowable (semantics,
 			// layout) pairs it also returns the product fixpoint, which the
 			// cache keeps so a read at a later epoch can regrow this entry
@@ -256,13 +252,14 @@ func (e *Engine) evaluateOn(ctx context.Context, snap *graph.Snapshot, p *cached
 	}
 	return Answer{
 		Epoch:     snap.Epoch(),
-		Semantics: ans.Semantics,
-		Count:     ans.Count,
+		Semantics: ent.ans.Semantics,
+		Count:     ent.ans.Count,
 		Cached:    cached,
-		Nodes:     ans.Nodes,
-		Paths:     ans.Paths,
-		Counts:    ans.Counts,
+		Nodes:     ent.ans.Nodes,
+		Paths:     ent.ans.Paths,
+		Counts:    ent.ans.Counts,
 		snap:      snap,
+		ent:       ent,
 	}, nil
 }
 

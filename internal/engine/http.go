@@ -13,7 +13,6 @@ import (
 	"pathquery/internal/core"
 	"pathquery/internal/query"
 	"pathquery/internal/telemetry"
-	"pathquery/internal/words"
 )
 
 // HandlerOptions tunes the diagnostics of a handler built by
@@ -61,7 +60,7 @@ type HandlerOptions struct {
 // Mutation, learning and introspection are unversioned:
 //
 //	POST /mutate {"edges": [{"from","label","to"}]} -> {"epoch", "nodes", "edges"}
-//	POST /learn  {"pos": [names...], "neg": [...]}  -> learned query + selection
+//	POST /learn  {"pos","neg","k","maxk","limit"}   -> learned query + selection
 //	GET  /stats                                     -> engine counters
 //	GET  /plans                                     -> cached compiled plans
 //	GET  /healthz                                   -> ok
@@ -73,7 +72,8 @@ type HandlerOptions struct {
 // (the paper's abstain) answer 422 with code "abstain", an example name
 // not in the served epoch 404 unknown_node; "k" fixes the SCP bound
 // (0 = dynamic schedule from 2 up to "maxk", default 8). A negative "k",
-// a negative "maxk" or a "maxk" of 1 answers 400 bad_k.
+// a negative "maxk" or a "maxk" of 1 answers 400 bad_k. "pos" and "neg"
+// are node names; "limit" truncates the selection's rows as on /v1/query.
 //
 // Diagnostics: POST /v1/query?trace=1 adds a "trace" field to the
 // answer — {"total_ns", "spans": [{"name", "ns"}]} — breaking the
@@ -111,11 +111,11 @@ func NewHandlerWith(e *Engine, opt HandlerOptions) http.Handler {
 			writeError(w, err)
 			return
 		}
-		resp := tracedAnswerResponse{answerResponse: newAnswerResponse(ans, req.Limit)}
-		if wantTrace && tr != nil {
-			resp.Trace = newTraceResponse(tr)
+		var shown *telemetry.Trace
+		if wantTrace {
+			shown = tr
 		}
-		writeJSON(w, resp)
+		writeWire(w, func(b []byte) []byte { return appendAnswer(b, &ans, req.Limit, shown) })
 		opt.logSlow(w, req, tr, ans, nil)
 	})
 	mux.HandleFunc("POST /v1/batch", func(w http.ResponseWriter, r *http.Request) {
@@ -130,14 +130,7 @@ func NewHandlerWith(e *Engine, opt HandlerOptions) http.Handler {
 			writeError(w, err)
 			return
 		}
-		out := struct {
-			Epoch   uint64           `json:"epoch"`
-			Answers []answerResponse `json:"answers"`
-		}{Epoch: epoch, Answers: make([]answerResponse, len(answers))}
-		for i, ans := range answers {
-			out.Answers[i] = newAnswerResponse(ans, req.Requests[i].Limit)
-		}
-		writeJSON(w, out)
+		writeWire(w, func(b []byte) []byte { return appendBatch(b, epoch, answers, req.Requests) })
 	})
 
 	mux.HandleFunc("POST /mutate", func(w http.ResponseWriter, r *http.Request) {
@@ -188,19 +181,7 @@ func NewHandlerWith(e *Engine, opt HandlerOptions) http.Handler {
 			writeError(w, err)
 			return
 		}
-		alpha := e.Graph().Alphabet()
-		scps := make([]string, len(lr.SCPs))
-		for i, p := range lr.SCPs {
-			scps[i] = words.String(p, alpha)
-		}
-		writeJSON(w, struct {
-			Epoch     uint64         `json:"epoch"`
-			Query     string         `json:"query"`
-			Key       string         `json:"key"`
-			K         int            `json:"k"`
-			SCPs      []string       `json:"scps"`
-			Selection answerResponse `json:"selection"`
-		}{lr.Epoch, lr.Source, lr.Key, lr.K, scps, newAnswerResponse(lr.Selection, req.Limit)})
+		writeWire(w, func(b []byte) []byte { return appendLearn(b, &lr, req.Limit) })
 	})
 	mux.HandleFunc("GET /stats", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, e.Stats())
@@ -216,37 +197,10 @@ func NewHandlerWith(e *Engine, opt HandlerOptions) http.Handler {
 	return mux
 }
 
-// tracedAnswerResponse is the /v1/query answer plus the optional
-// ?trace=1 stage breakdown.
-type tracedAnswerResponse struct {
-	answerResponse
-	Trace *traceResponse `json:"trace,omitempty"`
-}
-
-// traceResponse is the wire form of one request trace.
-type traceResponse struct {
-	TotalNs int64          `json:"total_ns"`
-	Spans   []spanResponse `json:"spans"`
-}
-
-// spanResponse is one traced stage.
+// spanResponse is one traced stage of a slow-query log line.
 type spanResponse struct {
 	Name string `json:"name"`
 	Ns   int64  `json:"ns"`
-}
-
-func newTraceResponse(tr *telemetry.Trace) *traceResponse {
-	spans := tr.Spans()
-	out := &traceResponse{
-		// Total is read after the last span ended, so the spans — which
-		// are sequential stages — always sum to at most TotalNs.
-		TotalNs: int64(tr.Total()),
-		Spans:   make([]spanResponse, len(spans)),
-	}
-	for i, s := range spans {
-		out.Spans[i] = spanResponse{Name: s.Name, Ns: int64(s.Duration)}
-	}
-	return out
 }
 
 // slowQueryEntry is one structured slow-query log line.
@@ -274,6 +228,7 @@ func (o HandlerOptions) logSlow(w http.ResponseWriter, req Request, tr *telemetr
 	if total < o.SlowQuery {
 		return
 	}
+	spans := tr.Spans()
 	entry := slowQueryEntry{
 		RequestID: telemetry.RequestID(w),
 		Tenant:    o.Tenant,
@@ -281,8 +236,11 @@ func (o HandlerOptions) logSlow(w http.ResponseWriter, req Request, tr *telemetr
 		Semantics: req.Semantics,
 		Epoch:     ans.Epoch,
 		TotalNs:   int64(total),
-		Spans:     newTraceResponse(tr).Spans,
+		Spans:     make([]spanResponse, len(spans)),
 		Cached:    ans.Cached,
+	}
+	for i, s := range spans {
+		entry.Spans[i] = spanResponse{Name: s.Name, Ns: int64(s.Duration)}
 	}
 	if entry.Semantics == "" {
 		entry.Semantics = query.SemanticsNodes.String()
@@ -299,71 +257,6 @@ func (o HandlerOptions) logSlow(w http.ResponseWriter, req Request, tr *telemetr
 		logf = log.Printf
 	}
 	logf("slow-query %s", line)
-}
-
-// answerResponse is the /v1/query wire answer. Exactly one of Nodes,
-// Paths, Counts is present, matching the semantics.
-type answerResponse struct {
-	Epoch     uint64          `json:"epoch"`
-	Semantics string          `json:"semantics"`
-	Count     int             `json:"count"`
-	Cached    bool            `json:"cached"`
-	Nodes     []string        `json:"nodes,omitempty"`
-	Paths     []pathResponse  `json:"paths,omitempty"`
-	Counts    []countResponse `json:"counts,omitempty"`
-}
-
-// pathResponse is one witness path: the node names along it and the word
-// it spells.
-type pathResponse struct {
-	Nodes []string `json:"nodes"`
-	Word  string   `json:"word"`
-}
-
-// countResponse is one count-semantics row.
-type countResponse struct {
-	Node  string `json:"node"`
-	Count int    `json:"count"`
-}
-
-func newAnswerResponse(ans Answer, limit int) answerResponse {
-	out := answerResponse{
-		Epoch:     ans.Epoch,
-		Semantics: ans.Semantics.String(),
-		Count:     ans.Count,
-		Cached:    ans.Cached,
-	}
-	nodes := ans.Nodes
-	if limit > 0 && len(nodes) > limit {
-		nodes = nodes[:limit]
-	}
-	if len(nodes) > 0 {
-		out.Nodes = make([]string, len(nodes))
-		for i, v := range nodes {
-			out.Nodes[i] = ans.NodeName(v)
-		}
-	}
-	if len(ans.Paths) > 0 {
-		out.Paths = make([]pathResponse, len(ans.Paths))
-		for i, pw := range ans.Paths {
-			names := make([]string, len(pw.Nodes))
-			for j, v := range pw.Nodes {
-				names[j] = ans.NodeName(v)
-			}
-			out.Paths[i] = pathResponse{Nodes: names, Word: ans.WordString(pw.Word)}
-		}
-	}
-	counts := ans.Counts
-	if limit > 0 && len(counts) > limit {
-		counts = counts[:limit]
-	}
-	if len(counts) > 0 {
-		out.Counts = make([]countResponse, len(counts))
-		for i, nc := range counts {
-			out.Counts[i] = countResponse{Node: ans.NodeName(nc.Node), Count: nc.Count}
-		}
-	}
-	return out
 }
 
 // MaxBodyBytes bounds every request body the handler reads (8 MiB). A
@@ -413,6 +306,8 @@ func decode(w http.ResponseWriter, r *http.Request, into any) bool {
 	return true
 }
 
+// writeJSON answers v through reflective encoding/json, for the routes
+// off the answer path (/mutate, /stats, /plans).
 func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)

@@ -49,6 +49,10 @@ type resultEntry struct {
 	// case a write on the plan's alphabet forces a scratch recompute.
 	q     *query.Query
 	masks []uint64
+	// rendered is all of ans's rows in wire form, set by the first read
+	// that serves them whole (wire.go). A retained entry keeps them; a
+	// regrow builds a new entry, which renders its own on its first read.
+	rendered atomic.Pointer[[]byte]
 }
 
 // completed reports whether e finished successfully.
@@ -88,14 +92,14 @@ func newResultCache(cap int) *resultCache {
 	return &resultCache{cap: cap, entries: make(map[resultKey]*resultEntry)}
 }
 
-// lookup is the closure-free fast path: it returns the answer of a
-// completed entry valid at snap — revalidating it when snap is newer — or
-// ok=false for a miss, an in-flight or failed entry, or an entry that
-// cannot answer for snap, all of which the caller routes through do (which
-// shares, retries, regrows or computes as appropriate). Skipping the
+// lookup is the closure-free fast path: it returns a completed entry
+// valid at snap — revalidating it when snap is newer — or ok=false for a
+// miss, an in-flight or failed entry, or an entry that cannot answer for
+// snap, all of which the caller routes through do (which shares,
+// retries, regrows or computes as appropriate). Skipping the
 // compute-closure construction and the single-flight bookkeeping here
 // keeps the steady-state cached hit at a map probe plus a few atomics.
-func (c *resultCache) lookup(key resultKey, snap *graph.Snapshot) (*query.Answer, bool) {
+func (c *resultCache) lookup(key resultKey, snap *graph.Snapshot) (*resultEntry, bool) {
 	c.mu.Lock()
 	e, ok := c.entries[key]
 	c.mu.Unlock()
@@ -103,20 +107,20 @@ func (c *resultCache) lookup(key resultKey, snap *graph.Snapshot) (*query.Answer
 		return nil, false
 	}
 	c.hits.Add(1)
-	return &e.ans, true
+	return e, true
 }
 
-// do returns key's answer at snap, computing it via compute at most once
-// across all concurrent callers pinned to snap's epoch. cached reports
-// whether the caller got a stored, revalidated, regrown or shared answer
-// instead of running compute itself. ctx bounds the caller's wait on
-// someone else's in-flight computation — a waiter whose context expires
-// stops waiting and returns ctx.Err() (the flight itself keeps running
-// under its own caller's context). A compute error (cancellation) is
-// returned to its own caller only and never cached: waiters sharing the
-// failed flight retry with their own compute. The returned answer points
-// into the cache entry (never copied on the hit path) — callers must treat
-// it and its slices as immutable.
+// do returns the entry holding key's answer at snap, computing it via
+// compute at most once across all concurrent callers pinned to snap's
+// epoch. cached reports whether the caller got a stored, revalidated,
+// regrown or shared answer instead of running compute itself. ctx bounds
+// the caller's wait on someone else's in-flight computation — a waiter
+// whose context expires stops waiting and returns ctx.Err() (the flight
+// itself keeps running under its own caller's context). A compute error
+// (cancellation) is returned to its own caller only and never cached:
+// waiters sharing the failed flight retry with their own compute. The
+// entry is shared (never copied on the hit path) — callers must treat
+// its answer, slices and rendered rows as immutable.
 //
 // A resident entry that cannot answer for snap is replaced by a flight at
 // snap's epoch, which regrows it from the epoch delta within budget edge
@@ -126,7 +130,7 @@ func (c *resultCache) lookup(key resultKey, snap *graph.Snapshot) (*query.Answer
 // alone. q is the query the key's plan string identifies; compute
 // additionally returns the product fixpoint masks (or nil). Both are
 // stored on the entry so later epochs can revalidate it.
-func (c *resultCache) do(ctx context.Context, key resultKey, snap *graph.Snapshot, q *query.Query, budget int, compute func() (query.Answer, []uint64, error)) (ans *query.Answer, cached bool, err error) {
+func (c *resultCache) do(ctx context.Context, key resultKey, snap *graph.Snapshot, q *query.Query, budget int, compute func() (query.Answer, []uint64, error)) (ent *resultEntry, cached bool, err error) {
 	epoch := snap.Epoch()
 	c.mu.Lock()
 	prev := c.entries[key]
@@ -145,7 +149,7 @@ func (c *resultCache) do(ctx context.Context, key resultKey, snap *graph.Snapsho
 				return nil, false, ctx.Err()
 			}
 			if !prev.failed {
-				return &prev.ans, true, nil
+				return prev, true, nil
 			}
 		}
 		switch {
@@ -158,7 +162,7 @@ func (c *resultCache) do(ctx context.Context, key resultKey, snap *graph.Snapsho
 			return c.computeUncached(compute)
 		case c.current(prev, key, snap):
 			c.hits.Add(1)
-			return &prev.ans, true, nil
+			return prev, true, nil
 		}
 		c.mu.Lock()
 		if c.entries[key] != prev {
@@ -214,18 +218,19 @@ func (c *resultCache) do(ctx context.Context, key resultKey, snap *graph.Snapsho
 	}
 	e.failed = false
 	close(e.done)
-	return &e.ans, cached, nil
+	return e, cached, nil
 }
 
-// computeUncached runs compute without cache residency.
-func (c *resultCache) computeUncached(compute func() (query.Answer, []uint64, error)) (*query.Answer, bool, error) {
+// computeUncached runs compute without cache residency, wrapping the
+// answer in a throwaway entry so it renders like any other.
+func (c *resultCache) computeUncached(compute func() (query.Answer, []uint64, error)) (*resultEntry, bool, error) {
 	c.misses.Add(1)
 	c.uncached.Add(1)
 	a, _, err := compute()
 	if err != nil {
 		return nil, false, err
 	}
-	return &a, false, nil
+	return &resultEntry{ans: a}, false, nil
 }
 
 // evictLocked makes room for one insert: it frees completed entries,

@@ -41,12 +41,12 @@ func TestResultCacheBoundedUnderInFlightStorm(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			key := resultKey{from: graph.NodeID(i), plan: "p"}
-			ans, _, _ := c.do(context.Background(), key, snap, nil, 0, func() (query.Answer, []uint64, error) {
+			ent, _, _ := c.do(context.Background(), key, snap, nil, 0, func() (query.Answer, []uint64, error) {
 				started <- struct{}{}
 				<-release
 				return query.Answer{Nodes: []graph.NodeID{graph.NodeID(i)}}, nil, nil
 			})
-			results[i] = ans.Nodes
+			results[i] = ent.ans.Nodes
 		}(i)
 	}
 	// Every compute is running: all storm keys are distinct, so resident
@@ -111,10 +111,10 @@ func TestResultCacheWaiterHonorsContext(t *testing.T) {
 
 	close(release)
 	// The original flight completes and serves later requests normally.
-	ans, cached, err := c.do(context.Background(), key, snap, nil, 0, func() (query.Answer, []uint64, error) {
+	ent, cached, err := c.do(context.Background(), key, snap, nil, 0, func() (query.Answer, []uint64, error) {
 		return query.Answer{}, nil, nil
 	})
-	if err != nil || !cached || ans.Count != 1 {
-		t.Fatalf("post-release hit: ans %+v cached %v err %v", ans, cached, err)
+	if err != nil || !cached || ent.ans.Count != 1 {
+		t.Fatalf("post-release hit: entry %+v cached %v err %v", ent, cached, err)
 	}
 }
