@@ -1,8 +1,9 @@
 package main
 
 // Deterministic workload replay: drive a recorded pqworkload file
-// against the in-process engine (default) or a live server
-// (-replay-addr), reporting latency per abstract query class. The
+// against the in-process engine (default) or one graph of a live
+// server (-replay-addr, the graph's /v1/graphs/{name} base URL),
+// reporting latency per abstract query class. The
 // in-process path goes through engine.RunLoad's ReplaySpec axis; the
 // HTTP path mirrors its closed loop client-for-client — same per-client
 // seeding, same draw sequence — tagging every request with the
@@ -33,7 +34,7 @@ var (
 	replayMix  = flag.String("replay-mix", "",
 		"class-weight mix, e.g. AQ1=3,AQ7=1,AQ28=0 (unlisted classes weigh 1, 0 excludes)")
 	replayAddr = flag.String("replay-addr", "",
-		"replay over HTTP against this base URL (e.g. http://localhost:8080 or .../v1/graphs/g) instead of in-process")
+		"replay over HTTP against this graph's base URL (e.g. http://localhost:8080/v1/graphs/default) instead of in-process")
 	replayClients  = flag.Int("replay-clients", 8, "closed-loop replay clients")
 	replayDuration = flag.Duration("replay-duration", 5*time.Second, "replay duration (time-bounded mode)")
 	replayRequests = flag.Int("replay-requests", 0,
@@ -134,10 +135,7 @@ func replayHTTP(f *workload.File, spec *engine.ReplaySpec) error {
 	if err != nil {
 		return err
 	}
-	queryURL, mutateURL := *replayAddr+"/v1/query", *replayAddr+"/mutate"
-	if strings.Contains(*replayAddr, "/v1/graphs/") {
-		queryURL = *replayAddr + "/query"
-	}
+	queryURL, mutateURL := *replayAddr+"/query", *replayAddr+"/mutate"
 	hists := make(map[string]*telemetry.Histogram)
 	for _, re := range entries {
 		if hists[re.Class] == nil {

@@ -9,10 +9,11 @@
 // examples were insufficient (the paper's null answer).
 //
 // With -serve ADDR the learned query is installed into a serving engine
-// over the same graph and the pqserve HTTP API comes up on ADDR: the
-// printed query answers POST /v1/query from the warmed caches
-// immediately, and /learn accepts further samples — learn→serve parity
-// with cmd/pqserve in one process.
+// over the same graph, and the pqserve HTTP API comes up on ADDR with
+// that engine as the in-memory graph "default": the printed query
+// answers POST /v1/graphs/default/query from the warmed caches
+// immediately, and /v1/graphs/default/learn accepts further samples —
+// learn→serve parity with cmd/pqserve in one process.
 package main
 
 import (
@@ -27,6 +28,7 @@ import (
 	"pathquery"
 	"pathquery/internal/graph"
 	"pathquery/internal/query"
+	"pathquery/internal/server"
 	"pathquery/internal/words"
 )
 
@@ -108,7 +110,8 @@ func main() {
 		// Learn→serve parity with cmd/pqserve: install the learned query
 		// into a serving engine over the same graph (re-learned through the
 		// engine so the plan and result caches are warmed on the served
-		// epoch) and expose the full HTTP API, /learn included.
+		// epoch) and serve it as pqserve serves an in-memory graph, /learn
+		// included.
 		eng := pathquery.NewEngine(g, pathquery.EngineOptions{})
 		lr, err := eng.Learn(sample, pathquery.Options{
 			K: *k, MaxK: *maxK, DisableGeneralization: *noMerge,
@@ -116,8 +119,16 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		log.Printf("serving on %s: epoch %d, learned query %q installed (selects %d nodes)",
+		srv, err := server.New(server.Options{Logf: log.Printf})
+		if err != nil {
+			log.Fatal(err)
+		}
+		if err := srv.AddEngine("default", eng); err != nil {
+			log.Fatal(err)
+		}
+		srv.RecoverAll()
+		log.Printf("serving graph \"default\" on %s: epoch %d, learned query %q installed (selects %d nodes)",
 			*serveAddr, lr.Epoch, lr.Source, lr.Selection.Count)
-		log.Fatal(http.ListenAndServe(*serveAddr, pathquery.NewEngineHandler(eng)))
+		log.Fatal(http.ListenAndServe(*serveAddr, srv.Handler()))
 	}
 }

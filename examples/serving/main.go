@@ -1,10 +1,11 @@
-// Serving: drive the concurrent query-serving engine through the same
-// HTTP API cmd/pqserve exposes. The example stands the handler up on a
-// loopback listener, then walks the serving lifecycle on the unified
-// /v1/query protocol: one endpoint, five result shapes (nodes, pairsFrom,
-// witness, count, shortest), a batch sharing one epoch, a mutation
-// publishing a new epoch that invalidates the cached answer, learning,
-// and the structured error envelope.
+// Serving: drive the concurrent query-serving engine through its
+// per-graph HTTP API — the surface cmd/pqserve mounts under
+// /v1/graphs/{name}/, served here at the root. The example stands the
+// handler up on a loopback listener, then walks the serving lifecycle
+// on the unified /v1/query protocol: one endpoint, five result shapes
+// (nodes, pairsFrom, witness, count, shortest), a batch sharing one
+// epoch, a mutation publishing a new epoch that invalidates the cached
+// answer, learning, and the structured error envelope.
 package main
 
 import (
@@ -34,7 +35,7 @@ func main() {
 	engine := pathquery.NewEngine(g, pathquery.EngineOptions{})
 	srv := httptest.NewServer(pathquery.NewEngineHandler(engine))
 	defer srv.Close()
-	fmt.Println("pqserve-compatible API listening on", srv.URL)
+	fmt.Println("per-graph API (pqserve's /v1/graphs/{name}/) listening on", srv.URL)
 
 	// Cold query: compiles the plan, runs one product pass, caches both.
 	ans := post(srv.URL+"/v1/query", `{"query": "(tram+bus)*·cinema"}`)

@@ -15,11 +15,10 @@ import (
 	"pathquery/internal/telemetry"
 )
 
-// HandlerOptions tunes the diagnostics of a handler built by
-// NewHandlerWith.
+// HandlerOptions tunes the diagnostics of the route table's handlers.
 type HandlerOptions struct {
-	// Tenant names the graph this handler serves, for the slow-query
-	// log's tenant field. Empty for a single-tenant deployment.
+	// Tenant names the graph a handler serves, for the slow-query log's
+	// tenant field. Empty under NewHandler.
 	Tenant string
 	// SlowQuery, when positive, logs every /v1/query whose total time
 	// reaches it as one structured JSON line via SlowLogf.
@@ -28,8 +27,32 @@ type HandlerOptions struct {
 	SlowLogf func(format string, args ...any)
 }
 
-// NewHandler exposes e as a JSON-over-HTTP API — the wire surface of
-// cmd/pqserve. The evaluation surface is the versioned unified protocol:
+// Route is one row of the per-graph route table: an operation's name,
+// the one method it accepts, its path under NewHandler, and its handler.
+type Route struct {
+	Name   string
+	Method string
+	Path   string
+	Serve  func(e *Engine, opt HandlerOptions, w http.ResponseWriter, r *http.Request)
+}
+
+// Routes returns the per-graph route table, one row per operation.
+// NewHandler mounts it at the root; internal/server serves row Name of
+// graph name at /v1/graphs/{name}/{Name}.
+func Routes() []Route {
+	return []Route{
+		{"query", http.MethodPost, "/v1/query", serveQuery},
+		{"batch", http.MethodPost, "/v1/batch", serveBatch},
+		{"mutate", http.MethodPost, "/mutate", serveMutate},
+		{"learn", http.MethodPost, "/learn", serveLearn},
+		{"stats", http.MethodGet, "/stats", serveStats},
+		{"plans", http.MethodGet, "/plans", servePlans},
+	}
+}
+
+// NewHandler serves e's route table at the root — the per-graph surface
+// that cmd/pqserve mounts under /v1/graphs/{name}/. The evaluation
+// surface is the versioned unified protocol:
 //
 //	POST /v1/query {"query", "semantics", "from", "limit", "maxLen"}
 //	POST /v1/batch {"requests": [<request>, ...]}
@@ -83,118 +106,137 @@ type HandlerOptions struct {
 // request id stamped by telemetry.WithRequestID (when installed) as
 // "error.request_id".
 func NewHandler(e *Engine) http.Handler {
-	return NewHandlerWith(e, HandlerOptions{})
-}
-
-// NewHandlerWith is NewHandler with diagnostics options: a tenant name
-// for log attribution and a slow-query threshold.
-func NewHandlerWith(e *Engine, opt HandlerOptions) http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/query", func(w http.ResponseWriter, r *http.Request) {
-		var req Request
-		if !decode(w, r, &req) {
-			return
-		}
-		ctx := r.Context()
-		wantTrace := r.URL.Query().Get("trace") == "1"
-		// The multi-tenant server creates the trace up in dispatch (its
-		// admission span precedes this handler); standalone, create one
-		// here when the client asked or the slow-query log may need it.
-		tr := telemetry.TraceFrom(ctx)
-		if tr == nil && (wantTrace || opt.SlowQuery > 0) {
-			tr = telemetry.NewTrace()
-			ctx = telemetry.WithTrace(ctx, tr)
-		}
-		ans, err := e.Evaluate(ctx, req)
-		if err != nil {
-			opt.logSlow(w, req, tr, Answer{}, err)
-			writeError(w, err)
-			return
-		}
-		var shown *telemetry.Trace
-		if wantTrace {
-			shown = tr
-		}
-		writeWire(w, func(b []byte) []byte { return appendAnswer(b, &ans, req.Limit, shown) })
-		opt.logSlow(w, req, tr, ans, nil)
-	})
-	mux.HandleFunc("POST /v1/batch", func(w http.ResponseWriter, r *http.Request) {
-		var req struct {
-			Requests []Request `json:"requests"`
-		}
-		if !decode(w, r, &req) {
-			return
-		}
-		epoch, answers, err := e.EvaluateBatch(r.Context(), req.Requests)
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		writeWire(w, func(b []byte) []byte { return appendBatch(b, epoch, answers, req.Requests) })
-	})
-
-	mux.HandleFunc("POST /mutate", func(w http.ResponseWriter, r *http.Request) {
-		var req struct {
-			Edges []EdgeSpec `json:"edges"`
-		}
-		if !decode(w, r, &req) {
-			return
-		}
-		for i, ed := range req.Edges {
-			if ed.From == "" || ed.Label == "" || ed.To == "" {
-				writeError(w, badRequest("bad_edge",
-					"edge %d: from, label and to are all required", i))
-				return
-			}
-		}
-		m, err := e.Mutate(req.Edges)
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		writeJSON(w, struct {
-			Epoch uint64 `json:"epoch"`
-			Nodes int    `json:"nodes"`
-			Edges int    `json:"edges"`
-		}{m.Epoch, m.Nodes, m.Edges})
-	})
-	mux.HandleFunc("POST /learn", func(w http.ResponseWriter, r *http.Request) {
-		var req struct {
-			Pos   []string `json:"pos"`
-			Neg   []string `json:"neg"`
-			K     int      `json:"k"`
-			MaxK  int      `json:"maxk"`
-			Limit int      `json:"limit"`
-		}
-		if !decode(w, r, &req) {
-			return
-		}
-		// The dynamic schedule starts at k = 2, so a maxk of 1 would run
-		// no learner at all and answer a misleading abstain.
-		if req.K < 0 || req.MaxK < 0 || req.MaxK == 1 {
-			writeError(w, badRequest("bad_k",
-				"k must be at least 0 and maxk 0 or at least 2 (got k=%d, maxk=%d)", req.K, req.MaxK))
-			return
-		}
-		lr, err := e.LearnNamed(req.Pos, req.Neg, core.Options{K: req.K, MaxK: req.MaxK})
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		writeWire(w, func(b []byte) []byte { return appendLearn(b, &lr, req.Limit) })
-	})
-	mux.HandleFunc("GET /stats", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, e.Stats())
-	})
-	mux.HandleFunc("GET /plans", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, struct {
-			Plans []PlanInfo `json:"plans"`
-		}{e.Plans()})
-	})
+	for _, rt := range Routes() {
+		mux.HandleFunc(rt.Method+" "+rt.Path, func(w http.ResponseWriter, r *http.Request) {
+			rt.Serve(e, HandlerOptions{}, w, r)
+		})
+	}
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintln(w, "ok")
 	})
 	return mux
+}
+
+func serveQuery(e *Engine, opt HandlerOptions, w http.ResponseWriter, r *http.Request) {
+	var req Request
+	if !decode(w, r, &req) {
+		return
+	}
+	ctx := r.Context()
+	wantTrace := r.URL.Query().Get("trace") == "1"
+	// The multi-tenant server creates the trace above admission; under
+	// NewHandler, create one here when the client asked or the slow-query
+	// log may need it.
+	tr := telemetry.TraceFrom(ctx)
+	if tr == nil && (wantTrace || opt.SlowQuery > 0) {
+		tr = telemetry.NewTrace()
+		ctx = telemetry.WithTrace(ctx, tr)
+	}
+	ans, err := e.Evaluate(ctx, req)
+	if err != nil {
+		opt.logSlow(w, req, tr, Answer{}, err)
+		WriteError(w, err)
+		return
+	}
+	var shown *telemetry.Trace
+	if wantTrace {
+		shown = tr
+	}
+	writeWire(w, func(b []byte) []byte { return appendAnswer(b, &ans, req.Limit, shown) })
+	opt.logSlow(w, req, tr, ans, nil)
+}
+
+func serveBatch(e *Engine, _ HandlerOptions, w http.ResponseWriter, r *http.Request) {
+	var req struct {
+		Requests []Request `json:"requests"`
+	}
+	if !decode(w, r, &req) {
+		return
+	}
+	epoch, answers, err := e.EvaluateBatch(r.Context(), req.Requests)
+	if err != nil {
+		WriteError(w, err)
+		return
+	}
+	writeWire(w, func(b []byte) []byte { return appendBatch(b, epoch, answers, req.Requests) })
+}
+
+func serveMutate(e *Engine, _ HandlerOptions, w http.ResponseWriter, r *http.Request) {
+	if edges, ok := DecodeMutation(w, r); ok {
+		ServeMutation(e, w, edges)
+	}
+}
+
+// DecodeMutation reads a /mutate body and checks that every edge names
+// its from, label and to. On failure it answers the error envelope and
+// returns false.
+func DecodeMutation(w http.ResponseWriter, r *http.Request) ([]EdgeSpec, bool) {
+	var req struct {
+		Edges []EdgeSpec `json:"edges"`
+	}
+	if !decode(w, r, &req) {
+		return nil, false
+	}
+	for i, ed := range req.Edges {
+		if ed.From == "" || ed.Label == "" || ed.To == "" {
+			WriteError(w, badRequest("bad_edge",
+				"edge %d: from, label and to are all required", i))
+			return nil, false
+		}
+	}
+	return req.Edges, true
+}
+
+// ServeMutation applies edges decoded by DecodeMutation to e and answers
+// the published epoch and the graph's size.
+func ServeMutation(e *Engine, w http.ResponseWriter, edges []EdgeSpec) {
+	m, err := e.Mutate(edges)
+	if err != nil {
+		WriteError(w, err)
+		return
+	}
+	WriteJSON(w, struct {
+		Epoch uint64 `json:"epoch"`
+		Nodes int    `json:"nodes"`
+		Edges int    `json:"edges"`
+	}{m.Epoch, m.Nodes, m.Edges})
+}
+
+func serveLearn(e *Engine, _ HandlerOptions, w http.ResponseWriter, r *http.Request) {
+	var req struct {
+		Pos   []string `json:"pos"`
+		Neg   []string `json:"neg"`
+		K     int      `json:"k"`
+		MaxK  int      `json:"maxk"`
+		Limit int      `json:"limit"`
+	}
+	if !decode(w, r, &req) {
+		return
+	}
+	// The dynamic schedule starts at k = 2, so a maxk of 1 would run
+	// no learner at all and answer a misleading abstain.
+	if req.K < 0 || req.MaxK < 0 || req.MaxK == 1 {
+		WriteError(w, badRequest("bad_k",
+			"k must be at least 0 and maxk 0 or at least 2 (got k=%d, maxk=%d)", req.K, req.MaxK))
+		return
+	}
+	lr, err := e.LearnNamed(req.Pos, req.Neg, core.Options{K: req.K, MaxK: req.MaxK})
+	if err != nil {
+		WriteError(w, err)
+		return
+	}
+	writeWire(w, func(b []byte) []byte { return appendLearn(b, &lr, req.Limit) })
+}
+
+func serveStats(e *Engine, _ HandlerOptions, w http.ResponseWriter, _ *http.Request) {
+	WriteJSON(w, e.Stats())
+}
+
+func servePlans(e *Engine, _ HandlerOptions, w http.ResponseWriter, _ *http.Request) {
+	WriteJSON(w, struct {
+		Plans []PlanInfo `json:"plans"`
+	}{e.Plans()})
 }
 
 // spanResponse is one traced stage of a slow-query log line.
@@ -266,59 +308,50 @@ func (o HandlerOptions) logSlow(w http.ResponseWriter, req Request, tr *telemetr
 // would have to reject after the fact.
 const MaxBodyBytes = 8 << 20
 
-// DecodeBody decodes a request body holding exactly one JSON value into
-// into. Unknown fields are rejected, and so is anything but whitespace
-// after the value: a second request concatenated onto the first must
-// not be answered as if the body were the first alone. The multi-tenant
-// server's creating-mutation gate decodes with it too, so the two reject
-// the same bodies.
-func DecodeBody(r io.Reader, into any) error {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(into); err != nil {
-		return err
-	}
-	switch _, err := dec.Token(); {
-	case err == io.EOF:
-		return nil
-	case errors.As(err, new(*http.MaxBytesError)):
-		return err
-	default:
-		return errors.New("trailing data after the JSON value")
-	}
-}
-
+// decode reads a request body holding exactly one JSON value into
+// into; otherwise it answers the error envelope and returns false.
+// Unknown fields are rejected, and so is anything but whitespace after
+// the value: a second request concatenated onto the first must not be
+// answered as if the body were the first alone.
 func decode(w http.ResponseWriter, r *http.Request, into any) bool {
-	r.Body = http.MaxBytesReader(w, r.Body, MaxBodyBytes)
-	if err := DecodeBody(r.Body, into); err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			writeError(w, &APIError{
-				Code:    "body_too_large",
-				Status:  http.StatusRequestEntityTooLarge,
-				Message: fmt.Sprintf("request body exceeds %d bytes", mbe.Limit),
-			})
-			return false
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(into)
+	if err == nil {
+		switch _, err = dec.Token(); {
+		case err == io.EOF:
+			return true
+		case !errors.As(err, new(*http.MaxBytesError)):
+			err = errors.New("trailing data after the JSON value")
 		}
-		writeError(w, badRequest("bad_body", "bad request body: %v", err))
+	}
+	var mbe *http.MaxBytesError
+	if errors.As(err, &mbe) {
+		WriteError(w, &APIError{
+			Code:    "body_too_large",
+			Status:  http.StatusRequestEntityTooLarge,
+			Message: fmt.Sprintf("request body exceeds %d bytes", mbe.Limit),
+		})
 		return false
 	}
-	return true
+	WriteError(w, badRequest("bad_body", "bad request body: %v", err))
+	return false
 }
 
-// writeJSON answers v through reflective encoding/json, for the routes
-// off the answer path (/mutate, /stats, /plans).
-func writeJSON(w http.ResponseWriter, v any) {
+// WriteJSON answers v through reflective encoding/json, for the routes
+// off the answer path (/mutate, /stats, /plans and the multi-tenant
+// server's own).
+func WriteJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
 	enc.SetEscapeHTML(false)
 	_ = enc.Encode(v)
 }
 
-// writeError answers err as the structured envelope
+// WriteError answers err as the structured envelope
 // {"error": {"code", "message"}}, mapping APIError codes, context
 // cancellation and the learner's abstain onto statuses.
-func writeError(w http.ResponseWriter, err error) {
+func WriteError(w http.ResponseWriter, err error) {
 	code, status := "bad_request", http.StatusBadRequest
 	var ae *APIError
 	switch {

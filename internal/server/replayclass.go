@@ -13,13 +13,12 @@ import (
 // live server can split request latency per class in /metrics.
 const WorkloadClassHeader = "X-Workload-Class"
 
-// ObserveWorkloadClass records one request latency into the per-class
+// observeWorkloadClass records one request latency into the per-class
 // replay histogram when r carries a valid workload-class header. The
 // class value is validated against the fixed AQ1–AQ28 table before it
 // becomes a label — a client-chosen string must never mint a metric
-// series. Shared by the multi-tenant dispatch path and pqserve's
-// single-graph middleware.
-func ObserveWorkloadClass(reg *telemetry.Registry, r *http.Request, tenant string, d time.Duration) {
+// series.
+func observeWorkloadClass(reg *telemetry.Registry, r *http.Request, tenant string, d time.Duration) {
 	class := r.Header.Get(WorkloadClassHeader)
 	if class == "" || !workload.ValidClass(class) {
 		return

@@ -1,10 +1,10 @@
-// Package server is the multi-tenant serving layer over the engine: a
-// registry of named graphs, each one a durable engine (internal/store
-// WAL + checkpoints under <data>/<name>/), exposed as
+// Package server is the serving layer over the engine: a registry of
+// named graphs, each one served through the engine's route table
+// (engine.Routes) and exposed as
 //
 //	POST /v1/graphs/{name}/query   — engine /v1/query for that graph
 //	POST /v1/graphs/{name}/batch   — engine /v1/batch
-//	POST /v1/graphs/{name}/mutate  — durable mutation (creates the graph)
+//	POST /v1/graphs/{name}/mutate  — mutation (creates a durable graph)
 //	POST /v1/graphs/{name}/learn   — online learning
 //	GET  /v1/graphs/{name}/stats   — engine counters + store durability stats
 //	GET  /v1/graphs/{name}/plans   — cached compiled plans
@@ -13,15 +13,24 @@
 //	GET  /healthz                  — liveness (always ok while serving)
 //	GET  /readyz                   — readiness (503 until recovery finishes)
 //
-// Tenants are created lazily: a syntactically valid, non-empty mutate
-// to an unknown name opens a fresh store directory (a malformed or
-// empty body is rejected before any durable state is minted, and a
-// global Options.MaxTenants cap bounds creation); any other verb on an
-// unknown name answers 404. On
-// startup RecoverAll replays every existing tenant directory (checkpoint
-// load + WAL tail) before /readyz reports ready; a request for a specific
-// tenant that arrives earlier triggers that tenant's recovery on the
-// spot and waits only for it.
+// The server adds tenancy only: names, creation, admission and metrics.
+// For each operation it calls the row's handler directly on the
+// original request. A method the row does not accept answers 405 before
+// the tenant is looked up, so it creates, recovers and admits nothing.
+//
+// A graph is either durable or in memory. Durable graphs live under
+// Options.DataDir, one internal/store WAL + checkpoints per
+// <data>/<name>/. They are created lazily: a syntactically valid,
+// non-empty mutate to an unknown name opens a fresh store directory (a
+// malformed or empty body is rejected before any durable state is
+// minted, and a global Options.MaxTenants cap bounds creation); any
+// other verb on an unknown name answers 404. On startup RecoverAll
+// replays every existing tenant directory (checkpoint load + WAL tail)
+// before /readyz reports ready; a request for a specific tenant that
+// arrives earlier triggers that tenant's recovery on the spot and waits
+// only for it. DataDir is optional: without it nothing touches disk,
+// the server serves only the engines handed to AddEngine (volatile,
+// with no store), and a mutate to an unknown name answers 404.
 //
 // Per-tenant admission control isolates tenants from each other (see
 // gate.go): an in-flight cap with a bounded wait queue (overflow answers
@@ -31,11 +40,8 @@
 package server
 
 import (
-	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -52,7 +58,9 @@ import (
 
 // Options tunes a Server.
 type Options struct {
-	// DataDir is the root directory; each tenant lives in DataDir/<name>.
+	// DataDir is the root directory; each durable tenant lives in
+	// DataDir/<name>. Empty keeps the server in memory: it serves the
+	// engines handed to AddEngine, and a mutate creates no graph.
 	DataDir string
 	// CheckpointEvery is handed to each tenant's store (store.Options).
 	CheckpointEvery int
@@ -110,25 +118,27 @@ type Server struct {
 
 	ready atomic.Bool
 
+	// routes is the engine's route table that dispatch serves.
+	routes []engine.Route
+
 	// reg is the server's metric registry (GET /metrics); recoveryHist
 	// observes each tenant's recovery (store open + engine build).
 	reg          *telemetry.Registry
 	recoveryHist telemetry.Histogram
 }
 
-// tenant is one named graph: its durable store, its engine, and its
-// admission state. Recovery runs inside once, so concurrent first
+// tenant is one named graph: its store (nil in memory), its engine, and
+// its admission state. Recovery runs inside once, so concurrent first
 // requests (or RecoverAll racing a lazy request) open the store exactly
 // once.
 type tenant struct {
 	name string
 	srv  *Server
 
-	once    sync.Once
-	err     error
-	store   *store.GraphStore
-	eng     *engine.Engine
-	handler http.Handler
+	once  sync.Once
+	err   error
+	store *store.GraphStore
+	eng   *engine.Engine
 
 	gate   *gate
 	mutate *bucket
@@ -140,18 +150,19 @@ type tenant struct {
 	rateLimited *telemetry.Counter
 }
 
-// New creates a server rooted at opt.DataDir (created if absent). The
-// server is not ready until RecoverAll finishes — run it in the
-// background and serve immediately; /readyz gates traffic that cares.
+// New creates a server rooted at opt.DataDir (created if absent), or an
+// in-memory one when it is empty. The server is not ready until
+// RecoverAll finishes — run it in the background and serve
+// immediately; /readyz gates traffic that cares.
 func New(opt Options) (*Server, error) {
 	opt = opt.withDefaults()
-	if opt.DataDir == "" {
-		return nil, errors.New("server: Options.DataDir is required")
+	if opt.DataDir != "" {
+		if err := os.MkdirAll(opt.DataDir, 0o755); err != nil {
+			return nil, fmt.Errorf("server: %w", err)
+		}
 	}
-	if err := os.MkdirAll(opt.DataDir, 0o755); err != nil {
-		return nil, fmt.Errorf("server: %w", err)
-	}
-	s := &Server{opt: opt, logf: opt.Logf, tenants: make(map[string]*tenant), reg: telemetry.NewRegistry()}
+	s := &Server{opt: opt, logf: opt.Logf, tenants: make(map[string]*tenant),
+		reg: telemetry.NewRegistry(), routes: engine.Routes()}
 	s.reg.RegisterHistogram("pathquery_recovery_seconds",
 		"Per-tenant recovery latency: store open (checkpoint load + WAL replay) plus engine build.",
 		&s.recoveryHist)
@@ -163,10 +174,15 @@ func New(opt Options) (*Server, error) {
 func (s *Server) Registry() *telemetry.Registry { return s.reg }
 
 // RecoverAll recovers every tenant directory under DataDir, then marks
-// the server ready. Tenants whose recovery fails stay registered with
-// their error (requests to them answer 503) — one corrupt tenant must
-// not keep every other graph down.
+// the server ready; an in-memory server is ready at once. Tenants whose
+// recovery fails stay registered with their error (requests to them
+// answer 503) — one corrupt tenant must not keep every other graph
+// down.
 func (s *Server) RecoverAll() {
+	defer s.ready.Store(true)
+	if s.opt.DataDir == "" {
+		return
+	}
 	entries, err := os.ReadDir(s.opt.DataDir)
 	if err != nil {
 		s.logf("server: reading %s: %v", s.opt.DataDir, err)
@@ -182,14 +198,37 @@ func (s *Server) RecoverAll() {
 		if err := t.recover(); err != nil {
 			s.logf("server: tenant %s: recovery failed: %v", ent.Name(), err)
 		} else {
-			s.logf("server: tenant %s: recovered epoch %d", ent.Name(), t.store.Epoch())
+			s.logf("server: tenant %s: recovered epoch %d", ent.Name(), t.eng.Epoch())
 		}
 	}
-	s.ready.Store(true)
 }
 
 // Ready reports whether startup recovery has finished.
 func (s *Server) Ready() bool { return s.ready.Load() }
+
+// AddEngine serves e as the graph name: an in-memory tenant that is
+// recovered from the start and has no store, so its stats carry no
+// store block. Like a recovered tenant it is registered whatever
+// MaxTenants says. Close closes e. An invalid name, or one already in
+// use, is an error.
+func (s *Server) AddEngine(name string, e *engine.Engine) error {
+	if !validName(name) {
+		return fmt.Errorf("server: invalid graph name %q", name)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return errors.New("server: closed")
+	}
+	if _, ok := s.tenants[name]; ok {
+		return fmt.Errorf("server: graph %q already exists", name)
+	}
+	t := s.newTenant(name)
+	t.once.Do(func() { t.eng = e })
+	e.RegisterMetrics(s.reg, telemetry.Label{Key: "tenant", Value: name})
+	s.tenants[name] = t
+	return nil
+}
 
 // Close closes every tenant's engine and store. In-flight mutations
 // already inside the engine finish against ErrClosed (a 503 to their
@@ -228,25 +267,32 @@ func (s *Server) tenantFor(name string) *tenant {
 	}
 	t, ok := s.tenants[name]
 	if !ok {
-		t = &tenant{
-			name:   name,
-			srv:    s,
-			gate:   newGate(s.opt.MaxInFlight, s.opt.QueueDepth),
-			mutate: newBucket(s.opt.MutateRate, s.opt.MutateBurst),
-		}
-		// Registered here — not per request — so label cardinality is
-		// bounded by the tenants that actually exist.
-		tl := telemetry.Label{Key: "tenant", Value: name}
-		t.queueWait = s.reg.Histogram("pathquery_queue_wait_seconds",
-			"Time spent queued at the tenant's admission gate.", tl)
-		t.overloaded = s.reg.Counter("pathquery_admission_rejected_total",
-			"Requests rejected by admission control, by reason.",
-			tl, telemetry.Label{Key: "reason", Value: "overloaded"})
-		t.rateLimited = s.reg.Counter("pathquery_admission_rejected_total",
-			"Requests rejected by admission control, by reason.",
-			tl, telemetry.Label{Key: "reason", Value: "rate_limited"})
+		t = s.newTenant(name)
 		s.tenants[name] = t
 	}
+	return t
+}
+
+// newTenant builds a registry entry with its admission state and
+// telemetry; the caller holds s.mu and registers it.
+func (s *Server) newTenant(name string) *tenant {
+	t := &tenant{
+		name:   name,
+		srv:    s,
+		gate:   newGate(s.opt.MaxInFlight, s.opt.QueueDepth),
+		mutate: newBucket(s.opt.MutateRate, s.opt.MutateBurst),
+	}
+	// Registered here — not per request — so label cardinality is
+	// bounded by the tenants that actually exist.
+	tl := telemetry.Label{Key: "tenant", Value: name}
+	t.queueWait = s.reg.Histogram("pathquery_queue_wait_seconds",
+		"Time spent queued at the tenant's admission gate.", tl)
+	t.overloaded = s.reg.Counter("pathquery_admission_rejected_total",
+		"Requests rejected by admission control, by reason.",
+		tl, telemetry.Label{Key: "reason", Value: "overloaded"})
+	t.rateLimited = s.reg.Counter("pathquery_admission_rejected_total",
+		"Requests rejected by admission control, by reason.",
+		tl, telemetry.Label{Key: "reason", Value: "rate_limited"})
 	return t
 }
 
@@ -257,6 +303,9 @@ func (s *Server) tenantFor(name string) *tenant {
 func (s *Server) exists(name string) bool {
 	if s.registered(name) {
 		return true
+	}
+	if s.opt.DataDir == "" {
+		return false
 	}
 	info, err := os.Stat(filepath.Join(s.opt.DataDir, name))
 	return err == nil && info.IsDir()
@@ -292,11 +341,6 @@ func (t *tenant) recover() error {
 			ResultCacheCap: t.srv.opt.ResultCacheCap,
 			Log:            st,
 		})
-		t.handler = engine.NewHandlerWith(t.eng, engine.HandlerOptions{
-			Tenant:    t.name,
-			SlowQuery: t.srv.opt.SlowQuery,
-			SlowLogf:  t.srv.logf,
-		})
 		tl := telemetry.Label{Key: "tenant", Value: t.name}
 		t.eng.RegisterMetrics(t.srv.reg, tl)
 		st.RegisterMetrics(t.srv.reg, tl)
@@ -321,15 +365,6 @@ func validName(name string) bool {
 		}
 	}
 	return true
-}
-
-// enginePath maps a tenant operation to the engine handler's route.
-var enginePath = map[string]string{
-	"query":  "/v1/query",
-	"batch":  "/v1/batch",
-	"mutate": "/mutate",
-	"learn":  "/learn",
-	"plans":  "/plans",
 }
 
 // Handler returns the server's HTTP surface.
@@ -406,14 +441,15 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 		}
 		rows = append(rows, rw)
 	}
-	writeJSON(w, struct {
+	engine.WriteJSON(w, struct {
 		Graphs []row `json:"graphs"`
 	}{rows})
 }
 
-// dispatch routes /v1/graphs/{name}/{op} to the tenant's engine through
-// its admission gate, recording per-tenant request metrics on the way
-// out.
+// dispatch serves /v1/graphs/{name}/{op}: it finds op's row in the
+// engine's route table and calls its handler on the tenant's engine
+// through its admission gate, recording per-tenant request metrics on
+// the way out.
 func (s *Server) dispatch(w http.ResponseWriter, r *http.Request) {
 	name, op := r.PathValue("name"), r.PathValue("op")
 	if !validName(name) {
@@ -424,8 +460,9 @@ func (s *Server) dispatch(w http.ResponseWriter, r *http.Request) {
 	}
 	rec := telemetry.NewStatusRecorder(w)
 	w = rec
+	rt := s.route(op)
 	opLabel := op
-	if _, ok := enginePath[op]; !ok && op != "stats" {
+	if rt == nil {
 		opLabel = "_unknown" // unbounded client-supplied op values collapse
 	}
 	start := time.Now()
@@ -451,42 +488,51 @@ func (s *Server) dispatch(w http.ResponseWriter, r *http.Request) {
 		s.reg.Counter("pathquery_requests_total",
 			"Requests served, by tenant, operation and HTTP status.",
 			append(ls, telemetry.Label{Key: "code", Value: strconv.Itoa(rec.Code)})...).Inc()
-		ObserveWorkloadClass(s.reg, r, tenantLabel, time.Since(start))
+		observeWorkloadClass(s.reg, r, tenantLabel, time.Since(start))
 	}()
 
+	if rt == nil {
+		writeErr(w, http.StatusNotFound, "not_found",
+			fmt.Sprintf("no such operation %q", op), 0)
+		return
+	}
+	// The method check runs before the tenant is looked up, so a wrong
+	// method creates, recovers and admits nothing. Allow is what
+	// ServeMux sends for the row's pattern.
+	if r.Method != rt.Method && (rt.Method != http.MethodGet || r.Method != http.MethodHead) {
+		allow := rt.Method
+		if allow == http.MethodGet {
+			allow += ", " + http.MethodHead
+		}
+		w.Header().Set("Allow", allow)
+		http.Error(w, http.StatusText(http.StatusMethodNotAllowed), http.StatusMethodNotAllowed)
+		return
+	}
 	if op == "query" && (r.URL.Query().Get("trace") == "1" || s.opt.SlowQuery > 0) {
 		// The trace starts here — above admission — so the admission span
 		// and the engine's spans share one total and sum to at most it.
 		r = r.WithContext(telemetry.WithTrace(r.Context(), telemetry.NewTrace()))
 	}
-
 	if op == "stats" {
-		s.handleStats(w, r, name)
+		s.handleStats(w, name)
 		return
 	}
-	path, ok := enginePath[op]
-	if !ok {
-		writeErr(w, http.StatusNotFound, "not_found",
-			fmt.Sprintf("no such operation %q", op), 0)
-		return
-	}
-	// Only a mutation creates a tenant; everything else must find one.
+	// Only a mutation creates a tenant, and only with a data directory;
+	// everything else must find one.
+	var created []engine.EdgeSpec // a creating mutation's edges, decoded once by the gate
 	if !s.exists(name) {
-		if op != "mutate" {
-			writeErr(w, http.StatusNotFound, "unknown_graph",
-				fmt.Sprintf("no graph %q (a mutate creates it)", name), 0)
+		if op != "mutate" || s.opt.DataDir == "" {
+			msg := fmt.Sprintf("no graph %q (a mutate creates it)", name)
+			if s.opt.DataDir == "" {
+				msg = fmt.Sprintf("no graph %q", name)
+			}
+			writeErr(w, http.StatusNotFound, "unknown_graph", msg, 0)
 			return
 		}
-		// Creation gate: only a syntactically valid, non-empty mutation
-		// may mint durable state (a directory, a registry entry) — a
-		// malformed or empty body must not let an unauthenticated client
-		// create unbounded tenants. The validated body is replayed into
-		// the engine handler below.
-		body, ok := s.admitCreatingMutation(w, r, name)
-		if !ok {
+		var ok bool
+		if created, ok = s.admitCreatingMutation(w, r, name); !ok {
 			return
 		}
-		r.Body = io.NopCloser(bytes.NewReader(body))
 	}
 	t := s.tenantFor(name)
 	if t == nil {
@@ -527,19 +573,29 @@ func (s *Server) dispatch(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("graph %q failed recovery: %v", name, err), 0)
 		return
 	}
-	r2 := r.Clone(r.Context())
-	r2.URL.Path = path
-	t.handler.ServeHTTP(w, r2)
+	if created != nil {
+		engine.ServeMutation(t.eng, w, created)
+		return
+	}
+	rt.Serve(t.eng, engine.HandlerOptions{Tenant: name, SlowQuery: s.opt.SlowQuery, SlowLogf: s.logf}, w, r)
 }
 
-// admitCreatingMutation decodes and validates a mutation aimed at a
-// graph that does not exist yet, enforcing the global tenant cap. It
-// decodes with the engine handler's own engine.DecodeBody and mirrors
-// its validation (same error codes), so a request rejected here would
-// have been rejected there too — just before any durable state exists
-// instead of after.
-// It returns the consumed body for replay and whether to proceed.
-func (s *Server) admitCreatingMutation(w http.ResponseWriter, r *http.Request, name string) ([]byte, bool) {
+// route finds op's row in the engine's route table, or nil.
+func (s *Server) route(op string) *engine.Route {
+	for i := range s.routes {
+		if s.routes[i].Name == op {
+			return &s.routes[i]
+		}
+	}
+	return nil
+}
+
+// admitCreatingMutation enforces the global tenant cap, then decodes and
+// validates a mutation aimed at a graph that does not exist yet with the
+// engine's own /mutate decoding, so a malformed or empty body is turned
+// away before any durable state exists. It returns the edges for the
+// engine to apply and whether to proceed.
+func (s *Server) admitCreatingMutation(w http.ResponseWriter, r *http.Request, name string) ([]engine.EdgeSpec, bool) {
 	if s.opt.MaxTenants > 0 {
 		s.mu.Lock()
 		n := len(s.tenants)
@@ -550,44 +606,19 @@ func (s *Server) admitCreatingMutation(w http.ResponseWriter, r *http.Request, n
 			return nil, false
 		}
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, engine.MaxBodyBytes))
-	if err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			writeErr(w, http.StatusRequestEntityTooLarge, "body_too_large",
-				fmt.Sprintf("request body exceeds %d bytes", mbe.Limit), 0)
-		} else {
-			writeErr(w, http.StatusBadRequest, "bad_body",
-				fmt.Sprintf("reading request body: %v", err), 0)
-		}
-		return nil, false
-	}
-	var req struct {
-		Edges []engine.EdgeSpec `json:"edges"`
-	}
-	if err := engine.DecodeBody(bytes.NewReader(body), &req); err != nil {
-		writeErr(w, http.StatusBadRequest, "bad_body",
-			fmt.Sprintf("bad request body: %v", err), 0)
-		return nil, false
-	}
-	if len(req.Edges) == 0 {
+	edges, ok := engine.DecodeMutation(w, r)
+	if ok && len(edges) == 0 {
 		writeErr(w, http.StatusBadRequest, "empty_mutation",
 			fmt.Sprintf("an empty mutation does not create graph %q", name), 0)
 		return nil, false
 	}
-	for i, ed := range req.Edges {
-		if ed.From == "" || ed.Label == "" || ed.To == "" {
-			writeErr(w, http.StatusBadRequest, "bad_edge",
-				fmt.Sprintf("edge %d: from, label and to are all required", i), 0)
-			return nil, false
-		}
-	}
-	return body, true
+	return edges, ok
 }
 
 // handleStats answers the tenant's engine counters plus its store's
-// durability stats (epoch, checkpoint epoch, WAL size, recovery cost).
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request, name string) {
+// durability stats (epoch, checkpoint epoch, WAL size, recovery cost),
+// which an in-memory tenant omits.
+func (s *Server) handleStats(w http.ResponseWriter, name string) {
 	if !s.exists(name) {
 		writeErr(w, http.StatusNotFound, "unknown_graph",
 			fmt.Sprintf("no graph %q", name), 0)
@@ -603,11 +634,16 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request, name string
 			fmt.Sprintf("graph %q failed recovery: %v", name, err), 0)
 		return
 	}
-	writeJSON(w, struct {
+	var st *store.Stats
+	if t.store != nil {
+		stats := t.store.Stats()
+		st = &stats
+	}
+	engine.WriteJSON(w, struct {
 		engine.Stats
-		Store     store.Stats    `json:"store"`
+		Store     *store.Stats   `json:"store,omitempty"`
 		Admission admissionStats `json:"admission"`
-	}{t.eng.Stats(), t.store.Stats(), admissionStats{
+	}{t.eng.Stats(), st, admissionStats{
 		InFlight:    t.gate.inFlight(),
 		Queued:      t.gate.waiting(),
 		Overloaded:  t.overloaded.Load(),
@@ -624,31 +660,13 @@ type admissionStats struct {
 	RateLimited uint64 `json:"rate_limited"`
 }
 
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	_ = enc.Encode(v)
-}
-
 // writeErr answers the engine's structured error envelope, with a
 // Retry-After hint (rounded up to whole seconds) when the client should
 // back off and try again.
 func writeErr(w http.ResponseWriter, status int, code, message string, retryAfter time.Duration) {
 	if retryAfter > 0 {
 		secs := int64((retryAfter + time.Second - 1) / time.Second)
-		w.Header().Set("Retry-After", fmt.Sprintf("%d", secs))
+		w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
 	}
-	var env struct {
-		Error struct {
-			Code      string `json:"code"`
-			Message   string `json:"message"`
-			RequestID string `json:"request_id,omitempty"`
-		} `json:"error"`
-	}
-	env.Error.Code, env.Error.Message = code, message
-	env.Error.RequestID = telemetry.RequestID(w)
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(env)
+	engine.WriteError(w, &engine.APIError{Code: code, Status: status, Message: message})
 }

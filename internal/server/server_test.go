@@ -449,3 +449,53 @@ func TestQueuedRequestRunsWhenSlotFrees(t *testing.T) {
 		t.Fatal("queued request never ran after the slot freed")
 	}
 }
+
+// TestWrongMethodCreatesNothing: a method the operation does not accept
+// answers 405 before the tenant is looked up, so it creates, recovers
+// and admits nothing.
+func TestWrongMethodCreatesNothing(t *testing.T) {
+	dir := t.TempDir()
+	s := newServer(t, Options{DataDir: dir})
+	h := s.Handler()
+
+	rec := do(t, h, "GET", "/v1/graphs/ghost/mutate", mutateBody("u", "x", "v"))
+	if rec.Code != http.StatusMethodNotAllowed || rec.Header().Get("Allow") != "POST" {
+		t.Fatalf("GET mutate on a new graph: %d Allow=%q %s", rec.Code, rec.Header().Get("Allow"), rec.Body)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "ghost")); !os.IsNotExist(err) {
+		t.Fatal("GET mutate created a tenant directory")
+	}
+	var list struct {
+		Graphs []struct {
+			Name string `json:"name"`
+		} `json:"graphs"`
+	}
+	decodeInto(t, do(t, h, "GET", "/v1/graphs", ""), &list)
+	if len(list.Graphs) != 0 {
+		t.Fatalf("GET mutate registered a tenant: %+v", list)
+	}
+
+	if rec := do(t, h, "POST", "/v1/graphs/g/mutate", mutateBody("u", "x", "v")); rec.Code != http.StatusOK {
+		t.Fatalf("creating mutate: %d %s", rec.Code, rec.Body)
+	}
+	for _, op := range []string{"stats", "plans"} {
+		rec := do(t, h, "POST", "/v1/graphs/g/"+op, "")
+		if rec.Code != http.StatusMethodNotAllowed || rec.Header().Get("Allow") != "GET, HEAD" {
+			t.Fatalf("POST %s: %d Allow=%q %s", op, rec.Code, rec.Header().Get("Allow"), rec.Body)
+		}
+		if rec := do(t, h, "HEAD", "/v1/graphs/g/"+op, ""); rec.Code != http.StatusOK {
+			t.Fatalf("HEAD %s: %d %s", op, rec.Code, rec.Body)
+		}
+	}
+
+	// A request that reached the gate would observe its queue wait.
+	tn := s.tenantFor("g")
+	waits := tn.queueWait.Snapshot().Count()
+	rec = do(t, h, "GET", "/v1/graphs/g/query", "")
+	if rec.Code != http.StatusMethodNotAllowed || rec.Header().Get("Allow") != "POST" {
+		t.Fatalf("GET query: %d Allow=%q %s", rec.Code, rec.Header().Get("Allow"), rec.Body)
+	}
+	if n, w := tn.gate.inFlight(), tn.queueWait.Snapshot().Count(); n != 0 || w != waits {
+		t.Fatalf("GET query reached the gate: in flight %d, queue waits %d -> %d", n, waits, w)
+	}
+}

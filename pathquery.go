@@ -174,10 +174,11 @@ func NewGraph(alpha *Alphabet) *Graph { return graph.New(alpha) }
 // mutations — and installs the learned query as a serving plan.
 func NewEngine(g *Graph, opt EngineOptions) *Engine { return engine.New(g, opt) }
 
-// NewEngineHandler exposes e as a JSON-over-HTTP API — the handler behind
-// cmd/pqserve: the versioned unified protocol (POST /v1/query and
-// /v1/batch serving every semantics with a structured error envelope),
-// plus mutate, learn, stats and plans.
+// NewEngineHandler exposes e as a JSON-over-HTTP API at the root — the
+// per-graph surface that cmd/pqserve mounts under /v1/graphs/{name}/:
+// the versioned unified protocol (POST /v1/query and /v1/batch serving
+// every semantics with a structured error envelope), plus mutate, learn,
+// stats and plans.
 func NewEngineHandler(e *Engine) http.Handler { return engine.NewHandler(e) }
 
 // NewAlphabet returns an empty label table.
