@@ -936,6 +936,7 @@ func BenchmarkLearn(b *testing.B) {
 		workers int
 	}{{"serial", 1}, {"parallel", 0}} {
 		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := core.LearnDetailed(snap, s, core.Options{Workers: bc.workers}); err != nil {
@@ -955,6 +956,7 @@ func BenchmarkEngineLearn(b *testing.B) {
 	pos, neg := datasets.RandomSample(g.Snapshot(), qs[2].Query, 0.07, rng)
 	s := core.Sample{Pos: pos, Neg: neg}
 	e := engine.New(g, engine.Options{})
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := e.Learn(s, core.Options{}); err != nil {

@@ -10,6 +10,11 @@ package automata
 // transition table since the last commit is recorded on an undo trail, so a
 // merge that fails its fold or its consistency check is rolled back in
 // place.
+//
+// The current quotient can be read in place, without materializing it:
+// its start is Find(0), and representative s accepts when Accepting(s)
+// and steps on sym to Find(Row(s)[sym]) (absent when None). A DFA is
+// built only on request (DFA).
 type Merger struct {
 	NumSyms int
 	parent  []int32
@@ -20,16 +25,6 @@ type Merger struct {
 	// trail holds the old value of every slot written since the last
 	// commit, oldest first.
 	trail []undo
-
-	// Quotient buffers, reused by every candidate the consistency
-	// predicate sees: number[s] is the quotient state of representative s
-	// (None outside quotient), order lists the representatives by quotient
-	// state, and rows/final back quot's transition table and finals.
-	number []int32
-	order  []int32
-	rows   [][]int32
-	final  []bool
-	quot   DFA
 }
 
 // undo is one trail entry: slot i of parent, marks or delta held old.
@@ -55,20 +50,29 @@ func NewMerger(p *PTA) *Merger {
 		parent:  make([]int32, n),
 		marks:   append([]Mark(nil), p.Marks...),
 		delta:   make([]int32, n*k),
-		number:  make([]int32, n),
-		order:   make([]int32, 0, n),
-		rows:    make([][]int32, n),
-		final:   make([]bool, n),
 	}
-	slab := make([]int32, n*k)
 	for s := 0; s < n; s++ {
 		m.parent[s] = int32(s)
-		m.number[s] = None
 		copy(m.delta[s*k:(s+1)*k], p.Delta[s])
-		m.rows[s] = slab[s*k : (s+1)*k : (s+1)*k]
 	}
 	return m
 }
+
+// NumStates returns the number of PTA states the merger partitions; state
+// ids, representatives included, lie in [0, NumStates).
+func (m *Merger) NumStates() int { return len(m.parent) }
+
+// Row returns representative s's transition row: Row(s)[sym] is a state of
+// the class s steps to on sym (resolve it with Find), or None. The row
+// aliases the merger and is current until the next merge or rollback.
+func (m *Merger) Row(s int32) []int32 {
+	k := m.NumSyms
+	return m.delta[int(s)*k : (int(s)+1)*k : (int(s)+1)*k]
+}
+
+// Accepting reports whether representative s's class holds an accepting
+// PTA state.
+func (m *Merger) Accepting(s int32) bool { return m.marks[s] == Accepting }
 
 func (m *Merger) setParent(s, v int32) {
 	m.trail = append(m.trail, undo{undoParent, s, m.parent[s]})
@@ -174,45 +178,40 @@ func (m *Merger) fold(a, b int32) bool {
 	return true
 }
 
-// quotient writes the current quotient into the merger's buffers as a
-// partial DFA with canonical reachable-state numbering: BFS from the root
-// taking symbols in increasing order. Rejecting marks are dropped (they
-// only guard folding); Accepting representatives become final states. The
-// result aliases the buffers and is valid until the merger next changes.
-func (m *Merger) quotient() *DFA {
-	k := m.NumSyms
+// DFA materializes the current quotient as a freshly allocated partial DFA
+// with canonical reachable-state numbering: BFS from the root taking
+// symbols in increasing order. Rejecting marks are dropped (they only
+// guard folding); Accepting representatives become final states.
+func (m *Merger) DFA() *DFA {
+	number := make([]int32, len(m.parent))
+	for s := range number {
+		number[s] = None
+	}
 	root := m.Find(0)
-	m.order = append(m.order[:0], root)
-	m.number[root] = 0
-	for i := 0; i < len(m.order); i++ {
-		s := m.order[i]
-		m.final[i] = m.marks[s] == Accepting
-		row := m.rows[i]
-		for sym := 0; sym < k; sym++ {
-			t := m.delta[int(s)*k+sym]
-			if t != None {
-				t = m.Find(t)
-				if m.number[t] == None {
-					m.number[t] = int32(len(m.order))
-					m.order = append(m.order, t)
-				}
-				t = m.number[t]
+	number[root] = 0
+	order := []int32{root}
+	for i := 0; i < len(order); i++ {
+		for _, t := range m.Row(order[i]) {
+			if t == None {
+				continue
 			}
-			row[sym] = t
+			if t = m.Find(t); number[t] == None {
+				number[t] = int32(len(order))
+				order = append(order, t)
+			}
 		}
 	}
-	for _, s := range m.order {
-		m.number[s] = None
+	d := NewDFA(len(order), m.NumSyms)
+	for i, s := range order {
+		d.Final[i] = m.Accepting(s)
+		for sym, t := range m.Row(s) {
+			if t != None {
+				d.Delta[i][sym] = number[m.Find(t)]
+			}
+		}
 	}
-	n := len(m.order)
-	m.quot = DFA{NumSyms: k, Final: m.final[:n], Delta: m.rows[:n]}
-	return &m.quot
+	return d
 }
-
-// DFA materializes the current quotient as a freshly allocated partial DFA
-// with canonical reachable-state numbering. Rejecting marks are dropped
-// (they only guard folding); Accepting representatives become final states.
-func (m *Merger) DFA() *DFA { return m.quotient().Clone() }
 
 // Representatives returns the live representative states in increasing
 // original-id order, which is the canonical access-word order for PTAs.
@@ -229,20 +228,20 @@ func (m *Merger) Representatives() []int32 {
 // Generalize runs the RPNI red-blue merging loop: states are considered in
 // canonical order (of PTA access words); each "blue" state is merged into
 // the smallest compatible "red" state, where compatibility means the fold
-// succeeds and consistent(candidate DFA) returns true. If no red state is
-// compatible the blue state is promoted to red. The consistent callback
-// receives the quotient as a DFA held in the merger's reused buffers: it is
-// valid only during the call and must not be modified or retained. Pass nil
-// to rely on fold conflicts alone (classic RPNI with word negatives).
+// succeeds and consistent() returns true. If no red state is compatible
+// the blue state is promoted to red. The consistent callback reads the
+// candidate quotient through the merger itself — Find(0), Row, Accepting,
+// or DFA when it needs one materialized — and must not merge. Pass nil to
+// rely on fold conflicts alone (classic RPNI with word negatives).
 //
 // Each candidate merge is made in place and rolled back from the undo
 // trail when its fold conflicts or the callback rejects it, so a candidate
-// costs only the writes it makes.
+// costs only the writes it makes and the callback's reads.
 //
 // This implements both RPNI's generalization (with negatives in the PTA) and
 // lines 4-5 of the paper's Algorithm 1 (with consistency checked against the
 // graph's negative path languages).
-func (m *Merger) Generalize(consistent func(*DFA) bool) {
+func (m *Merger) Generalize(consistent func() bool) {
 	red := []int32{m.Find(0)}
 	inRed := make([]bool, len(m.parent))
 	inRed[red[0]] = true
@@ -255,7 +254,7 @@ func (m *Merger) Generalize(consistent func(*DFA) bool) {
 		m.commit()
 		merged := false
 		for _, r := range red {
-			if m.fold(r, blue) && (consistent == nil || consistent(m.quotient())) {
+			if m.fold(r, blue) && (consistent == nil || consistent()) {
 				merged = true
 				break
 			}

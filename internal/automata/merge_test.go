@@ -34,6 +34,104 @@ func TestBuildPTAStatesInCanonicalOrder(t *testing.T) {
 	}
 }
 
+// refBuildPTA is the string-keyed construction BuildPTA replaced: every
+// prefix of every word, sorted into canonical order and deduplicated,
+// interned through a words.Key map. It is the reference BuildPTA must
+// match state for state.
+func refBuildPTA(numSyms int, pos, neg []words.Word) *PTA {
+	var all []words.Word
+	for _, w := range append(append([]words.Word{}, pos...), neg...) {
+		all = append(all, words.Prefixes(w)...)
+	}
+	all = words.Dedup(all)
+
+	p := &PTA{NumSyms: numSyms}
+	ids := make(map[string]int32, len(all))
+	for _, w := range all {
+		id := int32(len(p.Marks))
+		ids[words.Key(w)] = id
+		p.Marks = append(p.Marks, Neutral)
+		row := make([]int32, numSyms)
+		for j := range row {
+			row[j] = None
+		}
+		p.Delta = append(p.Delta, row)
+		p.Access = append(p.Access, words.Clone(w))
+		if len(w) > 0 {
+			parent := ids[words.Key(w[:len(w)-1])]
+			p.Delta[parent][w[len(w)-1]] = id
+		}
+	}
+	for _, w := range pos {
+		p.Marks[ids[words.Key(w)]] = Accepting
+	}
+	for _, w := range neg {
+		id := ids[words.Key(w)]
+		if p.Marks[id] == Accepting {
+			panic("automata: word is both positive and negative in PTA")
+		}
+		p.Marks[id] = Rejecting
+	}
+	return p
+}
+
+// TestBuildPTAMatchesReference compares BuildPTA with refBuildPTA on
+// random positive and negative word sets with ε, duplicates, and words
+// that are prefixes of others: the same marks, transitions and access
+// words, and the same panic on a word that is both.
+func TestBuildPTAMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	randomWord := func(numSyms int) words.Word {
+		w := make(words.Word, rng.Intn(5))
+		for i := range w {
+			w[i] = alphabet.Symbol(rng.Intn(numSyms))
+		}
+		return w
+	}
+	panics := func(f func()) (panicked bool) {
+		defer func() { panicked = recover() != nil }()
+		f()
+		return false
+	}
+	for iter := 0; iter < 500; iter++ {
+		numSyms := 1 + rng.Intn(4)
+		var pos, neg []words.Word
+		for n := rng.Intn(12); n >= 0; n-- {
+			w := randomWord(numSyms)
+			switch r := rng.Intn(6); {
+			case r == 0 && len(pos) > 0:
+				w = pos[rng.Intn(len(pos))] // duplicate
+			case r == 1 && len(pos) > 0:
+				src := pos[rng.Intn(len(pos))]
+				w = src[:rng.Intn(len(src)+1)] // a prefix of another word
+			}
+			if rng.Intn(4) == 0 {
+				neg = append(neg, w)
+			} else {
+				pos = append(pos, w)
+			}
+		}
+		var got, want *PTA
+		gotPanic := panics(func() { got = BuildPTA(numSyms, pos, neg) })
+		wantPanic := panics(func() { want = refBuildPTA(numSyms, pos, neg) })
+		if gotPanic != wantPanic {
+			t.Fatalf("iter %d: BuildPTA panicked %v, reference %v", iter, gotPanic, wantPanic)
+		}
+		if gotPanic {
+			continue
+		}
+		if !slices.Equal(got.Marks, want.Marks) {
+			t.Fatalf("iter %d: marks %v, reference %v", iter, got.Marks, want.Marks)
+		}
+		if !slices.EqualFunc(got.Delta, want.Delta, slices.Equal[[]int32]) {
+			t.Fatalf("iter %d: delta %v, reference %v", iter, got.Delta, want.Delta)
+		}
+		if !slices.EqualFunc(got.Access, want.Access, words.Equal) {
+			t.Fatalf("iter %d: access %v, reference %v", iter, got.Access, want.Access)
+		}
+	}
+}
+
 func TestPTAAcceptsExactlyPositives(t *testing.T) {
 	a := abc()
 	pos := wordsOf(a, "abc", "c", "ab")
@@ -148,7 +246,7 @@ func TestGeneralizeConsistencyCallbackBlocksMerges(t *testing.T) {
 	p := BuildPTA(a.Size(), pos, nil)
 	m := NewMerger(p)
 	// Callback rejects everything: no merges happen, language unchanged.
-	m.Generalize(func(d *DFA) bool { return false })
+	m.Generalize(func() bool { return false })
 	d := Minimize(m.DFA())
 	if !Equivalent(d, Minimize(p.DFA())) {
 		t.Fatal("blocked generalization still changed the language")
@@ -213,7 +311,7 @@ func TestMergerRollback(t *testing.T) {
 	m := NewMerger(p)
 	reps, d := m.Representatives(), m.DFA()
 	calls := 0
-	m.Generalize(func(*DFA) bool { calls++; return false })
+	m.Generalize(func() bool { calls++; return false })
 	if calls == 0 {
 		t.Fatal("the predicate never saw a candidate")
 	}
@@ -228,9 +326,9 @@ func TestMergerRollback(t *testing.T) {
 	// roll back to the committed one.
 	m = NewMerger(p)
 	var first *DFA
-	m.Generalize(func(c *DFA) bool {
+	m.Generalize(func() bool {
 		if first == nil {
-			first = c.Clone()
+			first = m.DFA()
 			return true
 		}
 		return false
@@ -260,7 +358,8 @@ func TestGeneralizeMatchesCloneReference(t *testing.T) {
 			}
 		}
 		m := NewMerger(p)
-		m.Generalize(predicate(&got))
+		check := predicate(&got)
+		m.Generalize(func() bool { return check(m.DFA()) })
 		ref := newRefMerger(p)
 		ref.generalize(predicate(&want))
 		if !slices.Equal(got, want) {

@@ -1,6 +1,7 @@
 package automata
 
 import (
+	"pathquery/internal/alphabet"
 	"pathquery/internal/words"
 )
 
@@ -34,42 +35,82 @@ type PTA struct {
 // It panics if a word occurs both positively and negatively (callers check
 // sample consistency first).
 func BuildPTA(numSyms int, pos, neg []words.Word) *PTA {
-	// Collect every prefix of every word, in canonical order, so state ids
-	// follow the canonical order of access words.
-	var all []words.Word
-	for _, w := range append(append([]words.Word{}, pos...), neg...) {
-		all = append(all, words.Prefixes(w)...)
+	k := numSyms
+	if len(pos)+len(neg) == 0 {
+		return &PTA{NumSyms: k} // no words, no prefixes: not even ε
 	}
-	all = words.Dedup(all)
+	// Insert every word into a trie: trie[t·k+sym] is node t's child on
+	// sym, or None. Node 0 is the root (ε); ends lists the node each word
+	// ends at, positives first.
+	trie := noneRow(nil, k)
+	n := 1
+	ends := make([]int32, 0, len(pos)+len(neg))
+	for _, ws := range [2][]words.Word{pos, neg} {
+		for _, w := range ws {
+			t := int32(0)
+			for _, sym := range w {
+				i := int(t)*k + int(sym)
+				if trie[i] == None {
+					trie[i] = int32(n)
+					trie = noneRow(trie, k)
+					n++
+				}
+				t = trie[i]
+			}
+			ends = append(ends, t)
+		}
+	}
 
-	p := &PTA{NumSyms: numSyms}
-	ids := make(map[string]int32, len(all))
-	for _, w := range all {
-		id := int32(len(p.Marks))
-		ids[words.Key(w)] = id
-		p.Marks = append(p.Marks, Neutral)
-		row := make([]int32, numSyms)
-		for j := range row {
-			row[j] = None
-		}
-		p.Delta = append(p.Delta, row)
-		p.Access = append(p.Access, words.Clone(w))
-		if len(w) > 0 {
-			parent := ids[words.Key(w[:len(w)-1])]
-			p.Delta[parent][w[len(w)-1]] = id
-		}
+	// Number the nodes breadth-first, taking symbols in increasing order:
+	// the canonical (shortlex) order of their access words. order[s] is
+	// the trie node of state s and id its inverse.
+	p := &PTA{
+		NumSyms: k,
+		Marks:   make([]Mark, n),
+		Delta:   make([][]int32, n),
+		Access:  make([]words.Word, n),
 	}
-	for _, w := range pos {
-		p.Marks[ids[words.Key(w)]] = Accepting
+	order := make([]int32, 1, n)
+	id := make([]int32, n)
+	slab := make([]int32, n*k)
+	// Access words are cut, capacity-capped, from one growing buffer.
+	var buf words.Word
+	p.Access[0] = words.Word{}
+	for s := 0; s < n; s++ {
+		row := slab[s*k : (s+1)*k : (s+1)*k]
+		t := int(order[s])
+		for sym, c := range trie[t*k : (t+1)*k] {
+			if c == None {
+				row[sym] = None
+				continue
+			}
+			id[c] = int32(len(order))
+			order = append(order, c)
+			row[sym] = id[c]
+			start := len(buf)
+			buf = append(append(buf, p.Access[s]...), alphabet.Symbol(sym))
+			p.Access[id[c]] = buf[start:len(buf):len(buf)]
+		}
+		p.Delta[s] = row
 	}
-	for _, w := range neg {
-		id := ids[words.Key(w)]
-		if p.Marks[id] == Accepting {
+	for _, t := range ends[:len(pos)] {
+		p.Marks[id[t]] = Accepting
+	}
+	for _, t := range ends[len(pos):] {
+		if p.Marks[id[t]] == Accepting {
 			panic("automata: word is both positive and negative in PTA")
 		}
-		p.Marks[id] = Rejecting
+		p.Marks[id[t]] = Rejecting
 	}
 	return p
+}
+
+// noneRow appends k absent transitions to trie.
+func noneRow(trie []int32, k int) []int32 {
+	for range k {
+		trie = append(trie, None)
+	}
+	return trie
 }
 
 // NumStates returns the number of PTA states.

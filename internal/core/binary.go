@@ -94,20 +94,16 @@ func learnBinaryFixedK(snap *graph.Snapshot, s PairSample, opt Options, k int) (
 		return nil, ErrAbstain
 	}
 
-	pta := automata.BuildPTA(snap.Alphabet().Size(), paths, nil)
-	var d *automata.DFA
-	if opt.DisableGeneralization {
-		d = pta.DFA()
-	} else {
-		m := automata.NewMerger(pta)
+	m := automata.NewMerger(automata.BuildPTA(snap.Alphabet().Size(), paths, nil))
+	if !opt.DisableGeneralization {
 		negWorkers := opt.workersFor(len(s.Neg))
-		m.Generalize(func(cand *automata.DFA) bool {
+		m.Generalize(func() bool {
 			// One shape-preserving plan per candidate: every negative
 			// check of this candidate shares its compiled tables.
-			return coversNoPair(snap, plan.FromDFA(cand), s.Neg, negWorkers)
+			return coversNoPair(snap, plan.FromDFA(m.DFA()), s.Neg, negWorkers)
 		})
-		d = m.DFA()
 	}
+	d := m.DFA()
 	dp := plan.FromDFA(d)
 	for _, p := range s.Pos {
 		if !snap.CoversPairPlan(dp, p.From, p.To) {

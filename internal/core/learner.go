@@ -24,7 +24,9 @@
 // snapshot, each worker holding its own lazily-determinized coverage
 // index. The monadic merger checks its candidates serially and in place:
 // each candidate costs one early-exit forward search over the negatives,
-// which is cheaper than the goroutines that would share it out.
+// run on the live merger (graph.Snapshot.CoversAnyMerger) with no
+// automaton built for it, which is cheaper than the goroutines that would
+// share it out.
 package core
 
 import (
@@ -35,7 +37,6 @@ import (
 
 	"pathquery/internal/automata"
 	"pathquery/internal/graph"
-	"pathquery/internal/plan"
 	"pathquery/internal/query"
 	"pathquery/internal/scp"
 	"pathquery/internal/words"
@@ -226,35 +227,25 @@ func learnFixedK(snap *graph.Snapshot, s Sample, opt Options, k int) (*Result, e
 
 	// Lines 4-5: generalize by state merging while consistent — no
 	// negative node may gain a path in the candidate language. Each
-	// candidate gets only the forward tables the early-exit search reads,
-	// built into buffers shared by every candidate; its first-symbol
-	// filter prunes most negatives without touching the product space.
-	var fb plan.ForwardBuilder
-	var d *automata.DFA
-	if opt.DisableGeneralization {
-		d = pta.DFA()
-	} else {
-		m := automata.NewMerger(pta)
-		before := pta.NumStates()
-		m.Generalize(func(cand *automata.DFA) bool {
-			return !snap.CoversAnyPlan(fb.Build(cand), s.Neg)
-		})
-		d = m.DFA()
-		res.Merges = before - len(m.Representatives())
+	// candidate is searched in place on the merger, with no automaton
+	// built for it.
+	m := automata.NewMerger(pta)
+	if !opt.DisableGeneralization {
+		m.Generalize(func() bool { return !snap.CoversAnyMerger(m, s.Neg) })
+		res.Merges = pta.NumStates() - len(m.Representatives())
 	}
 
 	// Lines 6-7: the query must select every positive node — including
 	// those whose SCP was longer than k.
-	dp := fb.Build(d)
 	for _, nu := range s.Pos {
-		if !snap.CoversPlan(dp, nu) {
+		if !snap.CoversAnyMerger(m, []graph.NodeID{nu}) {
 			return nil, ErrAbstain
 		}
 	}
 	// Return the prefix-free canonical representative of the learned
 	// query's equivalence class (Section 2); node selection is unchanged.
 	// query.FromDFA minimizes, so the cut automaton is minimized once.
-	res.Query = query.FromDFA(snap.Alphabet(), d.CutAtFinals())
+	res.Query = query.FromDFA(snap.Alphabet(), m.DFA().CutAtFinals())
 	return res, nil
 }
 

@@ -83,6 +83,31 @@ func TestEnginePlanCacheDedupesVariants(t *testing.T) {
 	}
 }
 
+// TestInstallCachedLanguageAllocatesNothing checks that installing a
+// learned query whose language the cache already holds neither compiles
+// its plan nor renders its source again: a repeat install of an
+// equivalent query makes no allocation.
+func TestInstallCachedLanguageAllocatesNothing(t *testing.T) {
+	g := buildFixture()
+	alpha := g.Alphabet()
+	c := newPlanCache(alpha)
+	// Learned queries carry no source expression, so String extracts one
+	// from the DFA.
+	learned := query.FromDFA(alpha, query.MustParse(alpha, "tram·cinema|bus·cinema").DFA())
+	p := c.install(learned)
+	again := query.FromDFA(alpha, query.MustParse(alpha, "(tram|bus)·cinema").DFA())
+	if got := c.install(again); got != p {
+		t.Fatal("an equivalent query installed a second plan")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { c.install(again) }); allocs != 0 {
+		t.Fatalf("repeat install of a cached language made %v allocations, want 0", allocs)
+	}
+	var st Stats
+	if c.fill(&st); st.Plans != 1 {
+		t.Fatalf("Plans = %d, want 1", st.Plans)
+	}
+}
+
 func TestEngineMutateAdvancesEpoch(t *testing.T) {
 	e := New(buildFixture(), Options{})
 	before, err := evalNodes(e, "bus·cinema")

@@ -136,23 +136,32 @@ func (c *planCache) compile(src string, e *planEntry) {
 // parser ever produced, and registered under the query's rendered source
 // string so clients re-issuing the printed expression hit bySrc without
 // re-parsing. Returns the canonical plan (an equivalent plan that already
-// existed wins, so the result cache keeps one key per language).
+// existed wins, so the result cache keeps one key per language). Only a
+// new language is compiled; the canonical plan's source is rendered once
+// (query.String memoizes it), so a repeat install allocates nothing.
 func (c *planCache) install(q *query.Query) *cachedPlan {
-	start := time.Now()
-	q.Plan() // compile at install time, as the parse path does
-	elapsed := time.Since(start)
 	key := q.CacheKey()
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	c.mu.RLock()
 	p := c.byKey[key]
+	c.mu.RUnlock()
 	if p == nil {
-		p = &cachedPlan{q: q, key: key, compileTime: elapsed}
-		c.byKey[key] = p
+		start := time.Now()
+		q.Plan() // compile at install time, as the parse path does
+		elapsed := time.Since(start)
+		c.mu.Lock()
+		if p = c.byKey[key]; p == nil {
+			p = &cachedPlan{q: q, key: key, compileTime: elapsed}
+			c.byKey[key] = p
+		}
+		c.mu.Unlock()
 	}
 	// Register the canonical plan's own rendering (which may differ from
 	// q's when an equivalent plan already existed): it is the string
 	// LearnResult.Source reports, so re-issuing it must hit bySrc.
-	if src := p.q.String(); c.bySrc[src] == nil {
+	src := p.q.String()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.bySrc[src] == nil {
 		e := &planEntry{done: make(chan struct{}), p: p}
 		close(e.done)
 		c.bySrc[src] = e

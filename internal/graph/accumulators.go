@@ -64,7 +64,7 @@ func (s *Snapshot) witnessPath(ctx context.Context, p *plan.Plan, start NodeID, 
 	if p.AcceptsEpsilon() && (target < 0 || target == start) {
 		return PathWitness{Nodes: []NodeID{start}, Word: words.Epsilon}, true, nil
 	}
-	if target < 0 && !s.hasFirstSymEdge(&p.Forward, start) {
+	if target < 0 && !s.hasFirstSymEdge(p, start) {
 		// No out-edge of ν can start an accepted word: not selected.
 		return PathWitness{}, false, nil
 	}

@@ -120,7 +120,7 @@ func TestConcurrentReadersDuringMutation(t *testing.T) {
 				}
 				// Name resolution against the pinned epoch must be in range.
 				_ = s.NodeName(graph.NodeID(s.NumNodes() - 1))
-				s.CoversAnyPlan(&p.Forward, []graph.NodeID{graph.NodeID(w)})
+				s.CoversAnyPlan(p, []graph.NodeID{graph.NodeID(w)})
 				select {
 				case <-stop:
 					return

@@ -169,7 +169,7 @@ func TestCoversMatchesSelectMonadic(t *testing.T) {
 		p := plan.FromDFA(automata.RandomNonEmptyDFA(rng, 5, alpha.Size(), 0.6))
 		sel := snap.SelectMonadicPlan(p)
 		for v := 0; v < snap.NumNodes(); v++ {
-			if got := snap.CoversPlan(&p.Forward, graph.NodeID(v)); got != sel[v] {
+			if got := snap.CoversPlan(p, graph.NodeID(v)); got != sel[v] {
 				t.Fatalf("iter %d: CoversPlan(%d) = %v, SelectMonadicPlan = %v", iter, v, got, sel[v])
 			}
 		}
@@ -232,13 +232,13 @@ func TestCoversAnyIsUnionOfCovers(t *testing.T) {
 	g, s := paperfix.G0()
 	snap := g.Snapshot()
 	p := compileOn(t, g, "(a·b)*·c")
-	if snap.CoversAnyPlan(&p.Forward, s.Neg) {
+	if snap.CoversAnyPlan(p, s.Neg) {
 		t.Fatal("(a·b)*·c should not cover any negative")
 	}
-	if !snap.CoversAnyPlan(&p.Forward, s.Pos) {
+	if !snap.CoversAnyPlan(p, s.Pos) {
 		t.Fatal("(a·b)*·c should cover positives")
 	}
-	if snap.CoversAnyPlan(&p.Forward, nil) {
+	if snap.CoversAnyPlan(p, nil) {
 		t.Fatal("empty set covers nothing")
 	}
 }

@@ -19,6 +19,7 @@ import (
 	"pathquery/internal/graph"
 	"pathquery/internal/plan"
 	"pathquery/internal/query"
+	"pathquery/internal/words"
 )
 
 // plansOf builds both plan forms of d. Compile may change the state count
@@ -82,9 +83,6 @@ func TestSelectMonadicPlanPackedMatchesReference(t *testing.T) {
 func TestCoversPlanMatchesNFAReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(203))
 	alpha := alphabet.NewSorted("a", "b", "c")
-	// One builder across iterations: every Build must fully overwrite the
-	// buffers the previous automaton left behind.
-	var fb plan.ForwardBuilder
 	for iter := 0; iter < 80; iter++ {
 		nodes := 2 + rng.Intn(10)
 		g := randomGraph(rng, alpha, nodes, rng.Intn(3*nodes))
@@ -97,12 +95,7 @@ func TestCoversPlanMatchesNFAReference(t *testing.T) {
 		}
 		snap := g.Snapshot()
 		want := refCovers(g, d, set)
-		var forwards []*plan.Forward
-		for _, p := range plansOf(d) {
-			forwards = append(forwards, &p.Forward)
-		}
-		forwards = append(forwards, fb.Build(d))
-		for pi, p := range forwards {
+		for pi, p := range plansOf(d) {
 			if got := snap.CoversAnyPlan(p, set); got != want {
 				t.Fatalf("iter %d plan %d: CoversAnyPlan(%v) = %v, NFA reference = %v",
 					iter, pi, set, got, want)
@@ -113,6 +106,54 @@ func TestCoversPlanMatchesNFAReference(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestCoversAnyMergerMatchesNFAReference checks the learner's in-place
+// candidate search against the NFA reference on the materialized
+// quotient: at every candidate Generalize offers, on a random node set
+// and on each single node, and again on the committed merger. Candidates
+// are accepted or rejected at random, so both commits and rollbacks
+// happen between checks; positive words include ε.
+func TestCoversAnyMergerMatchesNFAReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(206))
+	alpha := alphabet.NewSorted("a", "b", "c")
+	for iter := 0; iter < 120; iter++ {
+		nodes := 2 + rng.Intn(10)
+		g := randomGraph(rng, alpha, nodes, rng.Intn(3*nodes))
+		snap := g.Snapshot()
+		var pos []words.Word
+		for n := 1 + rng.Intn(6); n > 0; n-- {
+			w := make(words.Word, rng.Intn(5))
+			for i := range w {
+				w[i] = alphabet.Symbol(rng.Intn(alpha.Size()))
+			}
+			pos = append(pos, w)
+		}
+		m := automata.NewMerger(automata.BuildPTA(alpha.Size(), pos, nil))
+		check := func(stage string) {
+			d := m.DFA()
+			var set []graph.NodeID
+			for v := 0; v < nodes; v++ {
+				if rng.Intn(3) == 0 {
+					set = append(set, graph.NodeID(v))
+				}
+			}
+			if got, want := snap.CoversAnyMerger(m, set), refCovers(g, d, set); got != want {
+				t.Fatalf("iter %d %s: CoversAnyMerger(%v) = %v, NFA reference = %v", iter, stage, set, got, want)
+			}
+			for v := 0; v < nodes; v++ {
+				one := []graph.NodeID{graph.NodeID(v)}
+				if got, want := snap.CoversAnyMerger(m, one), refCovers(g, d, one); got != want {
+					t.Fatalf("iter %d %s: CoversAnyMerger(%d) = %v, NFA reference = %v", iter, stage, v, got, want)
+				}
+			}
+		}
+		m.Generalize(func() bool {
+			check("candidate")
+			return rng.Intn(2) == 0
+		})
+		check("committed")
 	}
 }
 

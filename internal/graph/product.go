@@ -37,6 +37,10 @@ import (
 //     full product bitset.
 //   - CoversAnyPlan / CoversPlan: early-exit forward search, skipping
 //     whole start nodes through the plan's first-symbol filter.
+//   - CoversAnyMerger: the same search on the learner's live merger —
+//     (node, class representative) pairs, transitions resolved through
+//     the union-find — so a merge candidate is checked without being
+//     built as a DFA or compiled into a plan.
 //   - CoversPairPlan: bidirectional reachability — per level the cheaper
 //     frontier (by CSR degree sums) is expanded, and the sides meet in a
 //     shared product space.
@@ -326,18 +330,15 @@ func (k *maskKernel) abandon() {
 
 // CoversPlan reports whether L(p) ∩ paths_G(ν) ≠ ∅ for a single node,
 // with an early-exit forward search from (ν, p.Start).
-func (s *Snapshot) CoversPlan(p *plan.Forward, nu NodeID) bool {
+func (s *Snapshot) CoversPlan(p *plan.Plan, nu NodeID) bool {
 	return s.CoversAnyPlan(p, []NodeID{nu})
 }
 
 // CoversAnyPlan reports whether L(p) ∩ paths_G(X) ≠ ∅: some node of X has
-// a path in L(p). This is the learner's consistency primitive — with
-// X = S− it decides whether a candidate generalization selects a negative
-// example. Start nodes without an out-edge labeled by a viable first
-// symbol are skipped before any product pair is materialized. The search
-// reads only the plan's forward tables, so a plan.ForwardBuilder's output
-// serves as well as a full plan's embedded Forward.
-func (s *Snapshot) CoversAnyPlan(p *plan.Forward, set []NodeID) bool {
+// a path in L(p). With X = S− it decides whether a query selects a
+// negative example. Start nodes without an out-edge labeled by a viable
+// first symbol are skipped before any product pair is materialized.
+func (s *Snapshot) CoversAnyPlan(p *plan.Plan, set []NodeID) bool {
 	if len(set) == 0 || p.Empty() {
 		return false
 	}
@@ -375,10 +376,71 @@ func (s *Snapshot) CoversAnyPlan(p *plan.Forward, set []NodeID) bool {
 	return found
 }
 
+// CoversAnyMerger reports whether the merger's current quotient selects
+// some node of X: L(m) ∩ paths_G(X) ≠ ∅. It is the learner's consistency
+// check (lines 4-5 of Algorithm 1, with X = S−), run on each merge
+// candidate in place: an early-exit forward search over the pairs
+// (node, representative) of the pooled product space, indexed
+// v·m.NumStates()+rep, that resolves the merger's transitions through
+// Find. No DFA, plan or first-symbol filter is built for the candidate.
+// Every class reaches an accepting one — the merger starts from a PTA of
+// positive words, and merging keeps that true — so no Live pruning is
+// needed. Find's path-halving writes go on the merger's undo trail.
+func (s *Snapshot) CoversAnyMerger(m *automata.Merger, set []NodeID) bool {
+	if len(set) == 0 {
+		return false
+	}
+	start := m.Find(0)
+	if m.Accepting(start) {
+		return true // ε ∈ paths_G(ν) for every ν
+	}
+	nq := m.NumStates()
+	sc := s.getProduct(s.nv * nq)
+	defer s.putProductSparse(sc)
+	stack := sc.stack
+	for _, v := range set {
+		idx := int(v)*nq + int(start)
+		if sc.bits.TrySet(idx) {
+			sc.touched = append(sc.touched, uint64(idx))
+			stack = append(stack, uint64(idx))
+		}
+	}
+	found := false
+	co := &s.out
+search:
+	for len(stack) > 0 {
+		idx := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		v := NodeID(idx / uint64(nq))
+		row := m.Row(int32(idx % uint64(nq)))
+		rs := co.segs(v)
+		for si, sym := range rs.syms {
+			if int(sym) >= len(row) || row[sym] == automata.None {
+				continue
+			}
+			t := m.Find(row[sym])
+			if m.Accepting(t) {
+				found = true // a segment holds at least one edge
+				break search
+			}
+			tb := int(t)
+			for _, e := range rs.edges[rs.offs[si]:rs.offs[si+1]] {
+				idx := int(e.To)*nq + tb
+				if sc.bits.TrySet(idx) {
+					sc.touched = append(sc.touched, uint64(idx))
+					stack = append(stack, uint64(idx))
+				}
+			}
+		}
+	}
+	sc.stack = stack
+	return found
+}
+
 // hasFirstSymEdge reports whether v has an out-edge whose symbol can start
 // an accepted word — the plan's first-symbol filter applied to the node's
 // CSR segment list (no edges are touched).
-func (s *Snapshot) hasFirstSymEdge(p *plan.Forward, v NodeID) bool {
+func (s *Snapshot) hasFirstSymEdge(p *plan.Plan, v NodeID) bool {
 	for _, sym := range s.out.segs(v).syms {
 		if int(sym) < p.NumSyms && p.FirstSym[sym] {
 			return true
@@ -391,7 +453,7 @@ func (s *Snapshot) hasFirstSymEdge(p *plan.Forward, v NodeID) bool {
 // (v, q): out-segment symbols look up the plan's flat transition table
 // once, then mark every neighbor in the contiguous segment. Transitions
 // into non-live states (no final reachable) are pruned.
-func (s *Snapshot) expandForwardPlan(p *plan.Forward, co *adj, v NodeID, q int32, nq int, sc *productScratch, stack []uint64) []uint64 {
+func (s *Snapshot) expandForwardPlan(p *plan.Plan, co *adj, v NodeID, q int32, nq int, sc *productScratch, stack []uint64) []uint64 {
 	base := int(q) * p.NumSyms
 	rs := co.segs(v)
 	for si := range rs.syms {

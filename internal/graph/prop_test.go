@@ -71,7 +71,7 @@ func TestCoversAnyMatchesNFAReference(t *testing.T) {
 				set = append(set, graph.NodeID(v))
 			}
 		}
-		if got, want := g.Snapshot().CoversAnyPlan(&plan.FromDFA(d).Forward, set), refCovers(g, d, set); got != want {
+		if got, want := g.Snapshot().CoversAnyPlan(plan.FromDFA(d), set), refCovers(g, d, set); got != want {
 			t.Fatalf("iter %d: CoversAnyPlan(%v) = %v, NFA reference = %v", iter, set, got, want)
 		}
 	}

@@ -25,11 +25,8 @@
 //     respectively end, an accepted word — used to skip whole nodes and
 //     CSR segments before any product pair is materialized.
 //
-// The tables the early-exit forward search reads — Delta, Final, Live and
-// FirstSym — form a Forward, which every Plan embeds. A ForwardBuilder
-// builds a Forward alone, into reused buffers, for callers that check many
-// short-lived automata once each (the learner's merge candidates); the
-// forward search takes a *Forward and every other evaluator a *Plan.
+// The monadic learner's merge candidates are not compiled: each is
+// searched once, on the live merger (graph.Snapshot.CoversAnyMerger).
 //
 // The Layout — LayoutMasked vs LayoutPacked — is chosen at compile time
 // from the state count, so evaluators branch once per call, not per
@@ -68,51 +65,32 @@ func (l Layout) String() string {
 	return "packed"
 }
 
-// Forward is the part of a plan the early-exit forward search reads (see
-// graph.Snapshot.CoversAnyPlan): the flat transition table, the final
-// states, accept-reachability and the first-symbol filter. Every Plan
-// embeds one; a ForwardBuilder makes one alone, without the reverse and
-// mask tables, for callers that check many short-lived automata. Backward
-// evaluators take a *Plan, so they cannot be handed a bare Forward.
-type Forward struct {
+// Plan is a compiled, immutable evaluation plan for one query DFA. All
+// fields are read-only after construction; evaluators index the tables
+// directly. Plans are safe for concurrent use.
+type Plan struct {
 	// NumStates and NumSyms dimension every table below.
 	NumStates int
 	NumSyms   int
 	// Start is the initial state.
 	Start int32
+	// Layout is the reverse-table representation chosen at compile time.
+	Layout Layout
 
 	// Delta is the flat forward transition table: Delta[q·NumSyms+sym] is
 	// δ(q, sym), or None.
 	Delta []int32
-	// Final[q] reports whether q accepts.
-	Final []bool
+	// Final[q] reports whether q accepts; Finals lists the final states in
+	// increasing order.
+	Final  []bool
+	Finals []int32
+	// FinalMask is the bitmask of final states (LayoutMasked only).
+	FinalMask uint64
 
 	// Live[q] reports whether a final state is reachable from q — the
 	// accept-reachability set. Forward searches skip transitions into
 	// non-live states: they can never contribute to any result.
 	Live []bool
-
-	// FirstSym[sym] reports whether some accepted word starts with sym:
-	// δ(Start, sym) exists and is live. A node with no out-edge labeled by
-	// a first symbol cannot be selected (unless ε is accepted), so forward
-	// searches skip it without touching the product space.
-	FirstSym []bool
-}
-
-// Plan is a compiled, immutable evaluation plan for one query DFA. All
-// fields are read-only after construction; evaluators index the tables
-// directly. Plans are safe for concurrent use.
-type Plan struct {
-	Forward
-
-	// Layout is the reverse-table representation chosen at compile time.
-	Layout Layout
-
-	// Finals lists the final states in increasing order.
-	Finals []int32
-	// FinalMask is the bitmask of final states (LayoutMasked only).
-	FinalMask uint64
-
 	// LiveMask is the bitmask form of Live (LayoutMasked only).
 	LiveMask uint64
 	// Reach[q] reports whether q is reachable from Start — the mirror of
@@ -120,6 +98,11 @@ type Plan struct {
 	// lie on an accepting run, so backward searches skip them.
 	Reach []bool
 
+	// FirstSym[sym] reports whether some accepted word starts with sym:
+	// δ(Start, sym) exists and is live. A node with no out-edge labeled by
+	// a first symbol cannot be selected (unless ε is accepted), so forward
+	// searches skip it without touching the product space.
+	FirstSym []bool
 	// LastSym[sym] reports whether some accepted word ends with sym: a
 	// transition on sym into a final state exists. Backward evaluation
 	// seeds only from in-segments labeled by a last symbol.
@@ -186,13 +169,13 @@ func (p *Plan) DFA() *automata.DFA { return p.dfa }
 
 // Empty reports whether the plan's language is empty — no evaluation can
 // select anything.
-func (f *Forward) Empty() bool {
-	return f.NumStates == 0 || !f.Live[f.Start]
+func (p *Plan) Empty() bool {
+	return p.NumStates == 0 || !p.Live[p.Start]
 }
 
 // AcceptsEpsilon reports whether ε is accepted (the start state is final).
-func (f *Forward) AcceptsEpsilon() bool {
-	return f.NumStates > 0 && f.Final[f.Start]
+func (p *Plan) AcceptsEpsilon() bool {
+	return p.NumStates > 0 && p.Final[p.Start]
 }
 
 // SymBit hashes a symbol index into a position of a 64-bit symbol mask.
@@ -201,109 +184,14 @@ func (f *Forward) AcceptsEpsilon() bool {
 // definition both use.
 func SymBit(sym int) uint64 { return 1 << (uint(sym) & 63) }
 
-// ForwardBuilder builds forward tables into buffers it reuses across
-// calls. The learner's merge loop checks one short-lived candidate
-// automaton after another, and the forward search is all it runs on each.
-type ForwardBuilder struct {
-	f Forward
-	// off/pred are the reverse adjacency of the accept-reachability
-	// search, stack its worklist: scratch kept between builds.
-	off, pred, stack []int32
-}
-
-// Build returns the forward tables of d exactly as given (no states are
-// added, removed, or renumbered). The result is owned by b and valid until
-// the next Build.
-func (b *ForwardBuilder) Build(d *automata.DFA) *Forward {
-	f := &b.f
-	nq, nsym := d.NumStates(), d.NumSyms
-	f.NumStates, f.NumSyms, f.Start = nq, nsym, d.Start
-	f.Delta = resize(f.Delta, nq*nsym)
-	f.Final = resize(f.Final, nq)
-	for q := 0; q < nq; q++ {
-		copy(f.Delta[q*nsym:(q+1)*nsym], d.Delta[q])
-		f.Final[q] = d.Final[q]
-	}
-	b.markLive()
-	f.FirstSym = resize(f.FirstSym, nsym)
-	if nq > 0 {
-		start := int(f.Start) * nsym
-		for sym, t := range f.Delta[start : start+nsym] {
-			f.FirstSym[sym] = t != None && f.Live[t]
-		}
-	}
-	return f
-}
-
-// markLive computes accept-reachability by a search from the final states
-// over the reverse of Delta. The reverse adjacency is bucketed by target
-// state only — the predecessors of q are pred[off[q]:off[q+1]] — which is
-// all the search needs and costs O(|Q|) beyond one pass over Delta.
-func (b *ForwardBuilder) markLive() {
-	f := &b.f
-	nq, nsym := f.NumStates, f.NumSyms
-	// Count each bucket into off[q+1] and prefix-sum, so off[q] is the
-	// start of bucket q; filling advances off[q] to the start of q+1,
-	// and shifting by one restores the starts.
-	off := resize(b.off, nq+1)
-	for _, t := range f.Delta {
-		if t != None {
-			off[t+1]++
-		}
-	}
-	for q := 1; q <= nq; q++ {
-		off[q] += off[q-1]
-	}
-	pred := resize(b.pred, int(off[nq]))
-	for q := 0; q < nq; q++ {
-		for _, t := range f.Delta[q*nsym : (q+1)*nsym] {
-			if t != None {
-				pred[off[t]] = int32(q)
-				off[t]++
-			}
-		}
-	}
-	copy(off[1:], off[:nq])
-	off[0] = 0
-
-	f.Live = resize(f.Live, nq)
-	stack := b.stack[:0]
-	for q, final := range f.Final {
-		if final {
-			f.Live[q] = true
-			stack = append(stack, int32(q))
-		}
-	}
-	for len(stack) > 0 {
-		q := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, pr := range pred[off[q]:off[q+1]] {
-			if !f.Live[pr] {
-				f.Live[pr] = true
-				stack = append(stack, pr)
-			}
-		}
-	}
-	b.off, b.pred, b.stack = off, pred, stack
-}
-
-// resize returns s with length n and every element zero, reallocating
-// only when its capacity is short.
-func resize[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	s = s[:n]
-	clear(s)
-	return s
-}
-
 func build(d *automata.DFA) *Plan {
 	nq, nsym := d.NumStates(), d.NumSyms
 	p := &Plan{
-		Forward: Forward{NumStates: nq, NumSyms: nsym, Start: d.Start},
-		Layout:  LayoutPacked,
-		dfa:     d,
+		NumStates: nq,
+		NumSyms:   nsym,
+		Start:     d.Start,
+		Layout:    LayoutPacked,
+		dfa:       d,
 	}
 	if nq <= 64 {
 		p.Layout = LayoutMasked
@@ -312,18 +200,16 @@ func build(d *automata.DFA) *Plan {
 		return p
 	}
 
-	// Forward tables, then the final list and the masks over them.
-	p.Forward = *new(ForwardBuilder).Build(d)
+	// Flat forward table and finals.
+	p.Delta = make([]int32, nq*nsym)
+	p.Final = make([]bool, nq)
 	for q := 0; q < nq; q++ {
-		if p.Final[q] {
+		copy(p.Delta[q*nsym:(q+1)*nsym], d.Delta[q])
+		if d.Final[q] {
+			p.Final[q] = true
 			p.Finals = append(p.Finals, int32(q))
-		}
-		if p.Layout == LayoutMasked {
-			if p.Final[q] {
+			if p.Layout == LayoutMasked {
 				p.FinalMask |= 1 << uint(q)
-			}
-			if p.Live[q] {
-				p.LiveMask |= 1 << uint(q)
 			}
 		}
 	}
@@ -353,10 +239,37 @@ func build(d *automata.DFA) *Plan {
 		}
 	}
 
+	// Accept-reachability over the reverse table.
+	p.Live = make([]bool, nq)
+	stack := append([]int32(nil), p.Finals...)
+	for _, f := range p.Finals {
+		p.Live[f] = true
+	}
+	for len(stack) > 0 {
+		q := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for sym := 0; sym < nsym; sym++ {
+			k := sym*nq + int(q)
+			for _, pr := range p.RevPred[p.RevOff[k]:p.RevOff[k+1]] {
+				if !p.Live[pr] {
+					p.Live[pr] = true
+					stack = append(stack, pr)
+				}
+			}
+		}
+	}
+	if p.Layout == LayoutMasked {
+		for q := 0; q < nq; q++ {
+			if p.Live[q] {
+				p.LiveMask |= 1 << uint(q)
+			}
+		}
+	}
+
 	// Start-reachability over the forward table.
 	p.Reach = make([]bool, nq)
 	p.Reach[p.Start] = true
-	stack := []int32{p.Start}
+	stack = append(stack[:0], p.Start)
 	for len(stack) > 0 {
 		q := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
@@ -382,7 +295,13 @@ func build(d *automata.DFA) *Plan {
 		}
 	}
 
-	// Last-symbol filter.
+	// Symbol filters.
+	p.FirstSym = make([]bool, nsym)
+	for sym := 0; sym < nsym; sym++ {
+		if t := p.Delta[int(p.Start)*nsym+sym]; t != None && p.Live[t] {
+			p.FirstSym[sym] = true
+		}
+	}
 	p.LastSym = make([]bool, nsym)
 	for sym := 0; sym < nsym; sym++ {
 		for _, f := range p.Finals {

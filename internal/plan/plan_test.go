@@ -2,7 +2,6 @@ package plan
 
 import (
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"pathquery/internal/automata"
@@ -140,22 +139,6 @@ func TestFromDFATablesRandom(t *testing.T) {
 		nsym := 1 + rng.Intn(4)
 		d := automata.RandomNonEmptyDFA(rng, nq, nsym, 0.2+0.6*rng.Float64())
 		checkTables(t, FromDFA(d), d)
-	}
-}
-
-// TestForwardBuilderMatchesPlan checks that a builder reused across
-// automata of growing and shrinking sizes yields exactly the forward tables
-// a full plan embeds.
-func TestForwardBuilderMatchesPlan(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	var b ForwardBuilder
-	for i := 0; i < 300; i++ {
-		nq := 1 + rng.Intn(12)
-		nsym := 1 + rng.Intn(5)
-		d := automata.RandomNonEmptyDFA(rng, nq, nsym, 0.2+0.6*rng.Float64())
-		if got, want := b.Build(d), FromDFA(d).Forward; !reflect.DeepEqual(*got, want) {
-			t.Fatalf("iter %d: ForwardBuilder = %+v, plan's Forward = %+v", i, *got, want)
-		}
 	}
 }
 

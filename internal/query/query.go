@@ -34,6 +34,9 @@ type Query struct {
 	keyOnce sync.Once
 	key     string
 
+	strOnce sync.Once
+	str     string
+
 	planOnce sync.Once
 	plan     *plan.Plan
 }
@@ -188,7 +191,7 @@ func (s Selection) Selectivity() float64 {
 
 // Selects reports whether q selects ν on an epoch snapshot.
 func (q *Query) Selects(s *graph.Snapshot, nu graph.NodeID) bool {
-	return s.CoversPlan(&q.Plan().Forward, nu)
+	return s.CoversPlan(q.Plan(), nu)
 }
 
 // SelectsPair reports whether (u, v) ∈ q(G) under binary semantics
@@ -206,12 +209,11 @@ func (q *Query) SelectPairsFrom(s *graph.Snapshot, u graph.NodeID) []graph.NodeI
 }
 
 // String renders the query: its source expression when known, otherwise an
-// expression extracted from the canonical DFA.
+// expression extracted from the canonical DFA. Rendered once and memoized;
+// safe for concurrent use.
 func (q *Query) String() string {
-	if q.source != nil {
-		return q.source.String(q.alpha)
-	}
-	return automata.ToRegex(q.dfa).String(q.alpha)
+	q.strOnce.Do(func() { q.str = q.Regex().String(q.alpha) })
+	return q.str
 }
 
 // Regex returns a regular expression denoting L(q): the original source if
