@@ -921,29 +921,21 @@ func BenchmarkLearnerPaperExample(b *testing.B) {
 
 // BenchmarkLearn measures one full Algorithm 1 run on a realistically
 // sized sample over the pinned snapshot — the learner throughput the
-// serving engine's Learn endpoint pays per request. The serial variant
-// pins Workers=1; parallel lets the per-positive SCP searches spread over
-// GOMAXPROCS. The merger's consistency checks run serially in both, so
-// the pair tracks what the SCP fan-out alone buys.
+// serving engine's Learn endpoint pays per request. The call is serial:
+// one coverage index serves the SCP searches of every round of the k
+// schedule, and the merger checks its candidates in place.
 func BenchmarkLearn(b *testing.B) {
 	g, qs := alibaba()
 	snap := g.Snapshot()
 	rng := rand.New(rand.NewSource(9))
 	pos, neg := datasets.RandomSample(snap, qs[2].Query, 0.07, rng)
 	s := core.Sample{Pos: pos, Neg: neg}
-	for _, bc := range []struct {
-		name    string
-		workers int
-	}{{"serial", 1}, {"parallel", 0}} {
-		b.Run(bc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := core.LearnDetailed(snap, s, core.Options{Workers: bc.workers}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.LearnDetailed(snap, s, core.Options{}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -40,8 +40,6 @@ func Minimize(d *DFA) *DFA {
 
 	// Refine until stable: states are split by the signature
 	// (own class, class of each successor).
-	sig := make([]int64, n) // packed signature hashing is avoided: exact map
-	_ = sig
 	for {
 		type key struct {
 			own  int32

@@ -3,8 +3,6 @@ package core
 import (
 	"fmt"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"pathquery/internal/alphabet"
 	"pathquery/internal/automata"
@@ -18,9 +16,8 @@ import (
 // binary and n-ary semantics. A binary example is a pair of nodes; the
 // only change from Algorithm 1 is that SCPs are drawn from the pair path
 // language paths2_G(ν, ν') — a smaller candidate space, since the
-// destination is fixed. Like the monadic learner, everything runs against
-// one pinned epoch snapshot, with the per-pair searches and per-negative
-// consistency checks sharded across workers.
+// destination is fixed. Like the monadic learner, everything runs serially
+// against one pinned epoch snapshot.
 
 // Pair is an ordered node pair (the example of binary semantics).
 type Pair struct {
@@ -73,110 +70,59 @@ func LearnBinary(snap *graph.Snapshot, s PairSample, opt Options) (*query.Query,
 	if len(s.Pos) == 0 {
 		return nil, ErrAbstain
 	}
-	if opt.K > 0 {
-		return learnBinaryFixedK(snap, s, opt, opt.K)
-	}
-	var lastErr error = ErrAbstain
 	for k := opt.StartK; k <= opt.MaxK; k++ {
-		q, err := learnBinaryFixedK(snap, s, opt, k)
-		if err == nil {
+		if q := learnBinaryFixedK(snap, s, opt, k); q != nil {
 			return q, nil
 		}
-		lastErr = err
 	}
-	return nil, lastErr
+	return nil, ErrAbstain
 }
 
-func learnBinaryFixedK(snap *graph.Snapshot, s PairSample, opt Options, k int) (*query.Query, error) {
-	// Lines 1-2: smallest consistent pair-path per positive pair.
-	paths := smallestPairPaths(snap, s.Pos, s.Neg, k, opt.workersFor(len(s.Pos)))
+// learnBinaryFixedK runs one round of the schedule at SCP bound k; nil
+// means the round abstains.
+func learnBinaryFixedK(snap *graph.Snapshot, s PairSample, opt Options, k int) *query.Query {
+	// Lines 1-2: smallest consistent pair-path per positive pair, in input
+	// order.
+	paths := make([]words.Word, 0, len(s.Pos))
+	for _, p := range s.Pos {
+		if w, ok := smallestPairPath(snap, p, s.Neg, k); ok {
+			paths = append(paths, w)
+		}
+	}
 	if len(paths) == 0 {
-		return nil, ErrAbstain
+		return nil
 	}
 
 	m := automata.NewMerger(automata.BuildPTA(snap.Alphabet().Size(), paths, nil))
 	if !opt.DisableGeneralization {
-		negWorkers := opt.workersFor(len(s.Neg))
 		m.Generalize(func() bool {
 			// One shape-preserving plan per candidate: every negative
 			// check of this candidate shares its compiled tables.
-			return coversNoPair(snap, plan.FromDFA(m.DFA()), s.Neg, negWorkers)
+			return coversNoPair(snap, plan.FromDFA(m.DFA()), s.Neg)
 		})
 	}
 	d := m.DFA()
 	dp := plan.FromDFA(d)
 	for _, p := range s.Pos {
 		if !snap.CoversPairPlan(dp, p.From, p.To) {
-			return nil, ErrAbstain
+			return nil
 		}
 	}
 	// Binary queries keep their exact language: the prefix-free reduction
 	// is a monadic-semantics equivalence and does not apply to paths2.
-	return query.FromDFA(snap.Alphabet(), d), nil
-}
-
-// smallestPairPaths selects the smallest consistent pair-path per positive
-// pair, in input order. The searches are independent (each builds its own
-// subset interner), so they shard directly across workers over the shared
-// pinned snapshot.
-func smallestPairPaths(snap *graph.Snapshot, pos, neg []Pair, k, workers int) []words.Word {
-	found := make([]words.Word, len(pos))
-	ok := make([]bool, len(pos))
-	if workers <= 1 || len(pos) < 2 {
-		for i, p := range pos {
-			found[i], ok[i] = smallestPairPath(snap, p, neg, k)
-		}
-	} else {
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for i := w; i < len(pos); i += workers {
-					found[i], ok[i] = smallestPairPath(snap, pos[i], neg, k)
-				}
-			}(w)
-		}
-		wg.Wait()
-	}
-	paths := found[:0]
-	for i := range found {
-		if ok[i] {
-			paths = append(paths, found[i])
-		}
-	}
-	return paths
+	return query.FromDFA(snap.Alphabet(), d)
 }
 
 // coversNoPair reports whether the compiled candidate selects none of the
-// negative pairs — the binary merger's consistency predicate, sharded
-// across workers with an early exit when any pair is covered. All shards
-// share one immutable plan.
-func coversNoPair(snap *graph.Snapshot, dp *plan.Plan, neg []Pair, workers int) bool {
-	if workers <= 1 || len(neg) < 2 {
-		for _, n := range neg {
-			if snap.CoversPairPlan(dp, n.From, n.To) {
-				return false
-			}
+// negative pairs — the binary merger's consistency predicate, with an
+// early exit at the first covered pair.
+func coversNoPair(snap *graph.Snapshot, dp *plan.Plan, neg []Pair) bool {
+	for _, n := range neg {
+		if snap.CoversPairPlan(dp, n.From, n.To) {
+			return false
 		}
-		return true
 	}
-	var covered atomic.Bool
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := w; i < len(neg) && !covered.Load(); i += workers {
-				if snap.CoversPairPlan(dp, neg[i].From, neg[i].To) {
-					covered.Store(true)
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	return !covered.Load()
+	return true
 }
 
 // smallestPairPath returns the canonical-order minimal word of length ≤ k

@@ -19,21 +19,20 @@
 // Every learner runs against one immutable epoch Snapshot. Pinning a
 // snapshot makes learning safe to run concurrently with writers mutating
 // and publishing newer epochs — the serving engine's Learn service relies
-// on this. The
-// per-positive SCP searches fan out across worker shards over the pinned
-// snapshot, each worker holding its own lazily-determinized coverage
-// index. The monadic merger checks its candidates serially and in place:
-// each candidate costs one early-exit forward search over the negatives,
-// run on the live merger (graph.Snapshot.CoversAnyMerger) with no
-// automaton built for it, which is cheaper than the goroutines that would
-// share it out.
+// on this. One learn call is serial and starts no goroutine; concurrency
+// sits where the traffic is, in the server running learn requests side by
+// side and in the experiments fanning out across goals. The SCP searches
+// read the determinized path language of S−, which depends on the
+// negatives alone and not on k, so one lazily-determinized coverage index
+// per call serves every positive in every round of the k schedule. The
+// monadic merger checks each candidate with one early-exit forward search
+// over the negatives, run on the live merger
+// (graph.Snapshot.CoversAnyMerger) with no automaton built for it.
 package core
 
 import (
 	"errors"
 	"fmt"
-	"runtime"
-	"sync"
 
 	"pathquery/internal/automata"
 	"pathquery/internal/graph"
@@ -113,9 +112,10 @@ func (s Sample) Size() int { return len(s.Pos) + len(s.Neg) }
 
 // Options tunes the learner.
 type Options struct {
-	// K is the fixed maximal SCP length (the parameter k of Algorithm 1).
-	// K = 0 selects the dynamic schedule of Section 5.1: start at
-	// StartK and increase while the learned query misses a positive.
+	// K is the fixed maximal SCP length (the parameter k of Algorithm 1):
+	// a positive K is the one-round schedule K..K. K = 0 selects the
+	// dynamic schedule of Section 5.1: start at StartK and increase while
+	// the learned query misses a positive.
 	K int
 	// StartK and MaxK bound the dynamic schedule; defaults 2 and 8.
 	StartK, MaxK int
@@ -124,38 +124,20 @@ type Options struct {
 	// ("the positive effect of the generalization ... is generally of 1%
 	// in F1 score").
 	DisableGeneralization bool
-	// Workers bounds the learner's parallelism: the per-positive SCP
-	// searches, and the binary learner's per-negative-pair consistency
-	// checks, fan out across this many goroutines over the pinned
-	// snapshot. The monadic merger's consistency checks always run
-	// serially. 0 selects GOMAXPROCS; 1 forces the serial path.
-	Workers int
 }
 
+// withDefaults resolves the k schedule to the rounds StartK..MaxK.
 func (o Options) withDefaults() Options {
+	if o.K > 0 {
+		o.StartK, o.MaxK = o.K, o.K
+	}
 	if o.StartK == 0 {
 		o.StartK = 2
 	}
 	if o.MaxK == 0 {
 		o.MaxK = 8
 	}
-	if o.Workers <= 0 {
-		o.Workers = runtime.GOMAXPROCS(0)
-	}
 	return o
-}
-
-// workersFor caps the configured worker count by the number of independent
-// work items; 1 means "stay serial".
-func (o Options) workersFor(items int) int {
-	w := o.Workers
-	if w > items {
-		w = items
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
 }
 
 // Result reports what the learner did, alongside the learned query.
@@ -196,29 +178,32 @@ func LearnDetailed(snap *graph.Snapshot, s Sample, opt Options) (*Result, error)
 		// scenario interprets abstain as "keep asking".
 		return nil, ErrAbstain
 	}
-	if opt.K > 0 {
-		return learnFixedK(snap, s, opt, opt.K)
-	}
-	// Dynamic schedule (Section 5.1): start with k = StartK; if for a given
-	// k the learned query does not select all positive nodes, increment k
-	// and iterate.
-	var lastErr error = ErrAbstain
+	// Schedule (Section 5.1): start with k = StartK; if for a given k the
+	// learned query does not select all positive nodes, increment k and
+	// iterate. The coverage index does not depend on k, so every round
+	// shares the subsets the earlier rounds determinized.
+	cov := scp.NewCoverage(snap, s.Neg)
 	for k := opt.StartK; k <= opt.MaxK; k++ {
-		r, err := learnFixedK(snap, s, opt, k)
-		if err == nil {
+		if r := learnFixedK(snap, s, opt, cov, k); r != nil {
 			return r, nil
 		}
-		lastErr = err
 	}
-	return nil, lastErr
+	return nil, ErrAbstain
 }
 
-func learnFixedK(snap *graph.Snapshot, s Sample, opt Options, k int) (*Result, error) {
+// learnFixedK runs one round of the schedule at SCP bound k; nil means
+// the round abstains.
+func learnFixedK(snap *graph.Snapshot, s Sample, opt Options, cov *scp.Coverage, k int) *Result {
 	// Lines 1-2: select the SCP of length ≤ k for every positive that has
-	// one.
-	paths := smallestPaths(snap, s.Pos, s.Neg, k, opt.workersFor(len(s.Pos)))
+	// one, in input order.
+	paths := make([]words.Word, 0, len(s.Pos))
+	for _, nu := range s.Pos {
+		if w, ok := cov.Smallest(nu, k); ok {
+			paths = append(paths, w)
+		}
+	}
 	if len(paths) == 0 {
-		return nil, ErrAbstain
+		return nil
 	}
 	res := &Result{SCPs: paths, K: k}
 
@@ -239,50 +224,14 @@ func learnFixedK(snap *graph.Snapshot, s Sample, opt Options, k int) (*Result, e
 	// those whose SCP was longer than k.
 	for _, nu := range s.Pos {
 		if !snap.CoversAnyMerger(m, []graph.NodeID{nu}) {
-			return nil, ErrAbstain
+			return nil
 		}
 	}
 	// Return the prefix-free canonical representative of the learned
 	// query's equivalence class (Section 2); node selection is unchanged.
 	// query.FromDFA minimizes, so the cut automaton is minimized once.
 	res.Query = query.FromDFA(snap.Alphabet(), m.DFA().CutAtFinals())
-	return res, nil
-}
-
-// smallestPaths selects the SCP of length ≤ k for every positive that has
-// one, in input order. With workers > 1 the positives are sharded across
-// goroutines, each holding its own coverage index over the shared pinned
-// snapshot (the index memoizes lazily and is not safe to share); the
-// snapshot's pooled scratch makes the concurrent subset steps cheap.
-func smallestPaths(snap *graph.Snapshot, pos, neg []graph.NodeID, k, workers int) []words.Word {
-	found := make([]words.Word, len(pos))
-	ok := make([]bool, len(pos))
-	if workers <= 1 || len(pos) < 2 {
-		cov := scp.NewCoverage(snap, neg)
-		for i, nu := range pos {
-			found[i], ok[i] = cov.Smallest(nu, k)
-		}
-	} else {
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				cov := scp.NewCoverage(snap, neg)
-				for i := w; i < len(pos); i += workers {
-					found[i], ok[i] = cov.Smallest(pos[i], k)
-				}
-			}(w)
-		}
-		wg.Wait()
-	}
-	paths := found[:0]
-	for i := range found {
-		if ok[i] {
-			paths = append(paths, found[i])
-		}
-	}
-	return paths
+	return res
 }
 
 // Consistent decides whether a sample is consistent (Lemma 3.1): every

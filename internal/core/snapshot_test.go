@@ -1,11 +1,9 @@
 package core_test
 
 import (
-	"math/rand"
 	"testing"
 
 	"pathquery/internal/core"
-	"pathquery/internal/datasets"
 	"pathquery/internal/graph"
 	"pathquery/internal/paperfix"
 )
@@ -48,35 +46,5 @@ func TestLearnRejectsOutOfRangeIDs(t *testing.T) {
 	}
 	if err := (core.TupleSample{Pos: [][]graph.NodeID{{0, bad}}}).ValidateOn(snap); err == nil {
 		t.Error("TupleSample.ValidateOn accepted out-of-range id")
-	}
-}
-
-// TestLearnParallelMatchesSerial cross-checks the worker-shard fan-out of
-// the per-positive SCP searches against the serial path on randomized
-// samples: same snapshot, same sample, same learned language.
-func TestLearnParallelMatchesSerial(t *testing.T) {
-	g := datasets.Synthetic(400, 7)
-	snap := g.Snapshot()
-	qs := datasets.SynQueriesOn(snap)
-	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 4; trial++ {
-		goal := qs[trial%len(qs)].Query
-		pos, neg := datasets.RandomSample(snap, goal, 0.1, rng)
-		s := core.Sample{Pos: pos, Neg: neg}
-		serial, errS := core.LearnDetailed(snap, s, core.Options{Workers: 1})
-		parallel, errP := core.LearnDetailed(snap, s, core.Options{Workers: 8})
-		if (errS == nil) != (errP == nil) {
-			t.Fatalf("trial %d: serial err %v, parallel err %v", trial, errS, errP)
-		}
-		if errS != nil {
-			continue
-		}
-		if !serial.Query.EquivalentTo(parallel.Query) {
-			t.Fatalf("trial %d: serial learned %v, parallel %v", trial, serial.Query, parallel.Query)
-		}
-		if serial.K != parallel.K || len(serial.SCPs) != len(parallel.SCPs) {
-			t.Fatalf("trial %d: diagnostics diverge: k %d/%d, scps %d/%d",
-				trial, serial.K, parallel.K, len(serial.SCPs), len(parallel.SCPs))
-		}
 	}
 }

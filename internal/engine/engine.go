@@ -31,10 +31,10 @@
 //     the pooled bitset scratch across queries.
 //
 // The engine also hosts the paper's learner as a service: Learn pins the
-// currently served epoch, runs Algorithm 1 on it (SCP searches and merge
-// consistency checks sharded across workers over that one snapshot, so
-// learning never races mutation), and installs the learned query into the
-// plan and result caches — the query serves immediately after.
+// currently served epoch, runs Algorithm 1 on it (serially, every read on
+// that one snapshot, so learning never races mutation), and installs the
+// learned query into the plan and result caches — the query serves
+// immediately after.
 package engine
 
 import (
@@ -409,12 +409,12 @@ type LearnResult struct {
 }
 
 // Learn runs the paper's Algorithm 1 against the currently served epoch
-// and installs the learned query as a first-class serving plan: the
+// and installs the learned query as a first-class serving plan. The
 // snapshot is pinned with one atomic load (mutations racing the learner
-// build future epochs and never touch it), the learner's SCP searches and
-// consistency checks fan out over that snapshot, and the result goes into
-// the plan cache under its canonical language key plus the result cache at
-// the pinned epoch — learn→serve in one call. Returns core.ErrAbstain
+// build future epochs and never touch it), and one call learns serially
+// on it; concurrent calls run side by side. The result goes into the plan
+// cache under its canonical language key plus the result cache at the
+// pinned epoch — learn→serve in one call. Returns core.ErrAbstain
 // (wrapped) when the examples are insufficient.
 func (e *Engine) Learn(s core.Sample, opt core.Options) (LearnResult, error) {
 	return e.learnOn(e.g.Current(), s, opt)

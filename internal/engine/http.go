@@ -95,8 +95,9 @@ func Routes() []Route {
 // (the paper's abstain) answer 422 with code "abstain", an example name
 // not in the served epoch 404 unknown_node; "k" fixes the SCP bound
 // (0 = dynamic schedule from 2 up to "maxk", default 8). A negative "k",
-// a negative "maxk" or a "maxk" of 1 answers 400 bad_k. "pos" and "neg"
-// are node names; "limit" truncates the selection's rows as on /v1/query.
+// a negative "maxk", a "maxk" of 1, or a "k" or "maxk" above maxLearnK
+// (16) answers 400 bad_k. "pos" and "neg" are node names; "limit"
+// truncates the selection's rows as on /v1/query.
 //
 // Diagnostics: POST /v1/query?trace=1 adds a "trace" field to the
 // answer — {"total_ns", "spans": [{"name", "ns"}]} — breaking the
@@ -203,6 +204,14 @@ func ServeMutation(e *Engine, w http.ResponseWriter, edges []EdgeSpec) {
 	}{m.Epoch, m.Nodes, m.Edges})
 }
 
+// maxLearnK caps /learn's SCP bound, "k" or "maxk". The learner's
+// polynomial run time rests on the bound (consistency without it is
+// PSPACE-hard, Lemma 3.2), and a sample that abstains runs every round of
+// the schedule up to maxk, so an uncapped wire value would let one request
+// hold a tenant's in-flight slot for as long as it names. 16 is twice the
+// default schedule's top and four times the paper's largest k.
+const maxLearnK = 16
+
 func serveLearn(e *Engine, _ HandlerOptions, w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Pos   []string `json:"pos"`
@@ -216,9 +225,10 @@ func serveLearn(e *Engine, _ HandlerOptions, w http.ResponseWriter, r *http.Requ
 	}
 	// The dynamic schedule starts at k = 2, so a maxk of 1 would run
 	// no learner at all and answer a misleading abstain.
-	if req.K < 0 || req.MaxK < 0 || req.MaxK == 1 {
+	if req.K < 0 || req.K > maxLearnK || req.MaxK < 0 || req.MaxK == 1 || req.MaxK > maxLearnK {
 		WriteError(w, badRequest("bad_k",
-			"k must be at least 0 and maxk 0 or at least 2 (got k=%d, maxk=%d)", req.K, req.MaxK))
+			"k must be 0 to %d and maxk 0 or 2 to %d (got k=%d, maxk=%d)",
+			maxLearnK, maxLearnK, req.K, req.MaxK))
 		return
 	}
 	lr, err := e.LearnNamed(req.Pos, req.Neg, core.Options{K: req.K, MaxK: req.MaxK})

@@ -147,7 +147,8 @@ func TestRunLoadSmoke(t *testing.T) {
 
 // TestLearnRejectsBadK: an SCP bound the learner cannot run with is a bad
 // request, not the paper's abstain. The dynamic schedule starts at k = 2,
-// so maxk 1 would run no learner at all.
+// so maxk 1 would run no learner at all; a k or maxk above maxLearnK
+// would let one request buy unbounded rounds.
 func TestLearnRejectsBadK(t *testing.T) {
 	h := NewHandler(New(buildFixture(), Options{}))
 	learn := func(params string) (int, errorEnvelope) {
@@ -163,12 +164,13 @@ func TestLearnRejectsBadK(t *testing.T) {
 		}
 		return rr.Code, env
 	}
-	for _, params := range []string{`,"maxk":1`, `,"maxk":-1`, `,"k":-5`, `,"k":-1,"maxk":4`} {
+	for _, params := range []string{`,"maxk":1`, `,"maxk":-1`, `,"k":-5`, `,"k":-1,"maxk":4`,
+		`,"maxk":17`, `,"k":17`, `,"maxk":2147483647`} {
 		if code, env := learn(params); code != http.StatusBadRequest || env.Error.Code != "bad_k" {
 			t.Errorf("%s: status %d, envelope %+v; want 400 bad_k", params, code, env)
 		}
 	}
-	for _, params := range []string{``, `,"maxk":2`, `,"k":3`} {
+	for _, params := range []string{``, `,"maxk":2`, `,"k":3`, `,"maxk":16`} {
 		if code, env := learn(params); code != http.StatusOK {
 			t.Errorf("%s: status %d, envelope %+v; want 200", params, code, env)
 		}

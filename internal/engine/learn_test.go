@@ -104,11 +104,12 @@ func TestEngineLearnAbstainAndErrors(t *testing.T) {
 // build-side adjacency, so running it against concurrent Mutate/Snapshot
 // publications was a data race (caught by -race). Now each Learn pins one
 // epoch; the mutations here add disconnected edges, so every epoch's
-// learned query must stay equivalent to a single-threaded reference run.
+// learned query must stay equivalent to a reference run made before the
+// writer starts.
 func TestEngineLearnConcurrentWithMutate(t *testing.T) {
 	e := New(buildFixture(), Options{})
 	sample := sampleFor(t, e, []string{"N1"}, []string{"N3", "N5"})
-	ref, err := core.LearnDetailed(e.Graph().Current(), sample, core.Options{Workers: 1})
+	ref, err := core.LearnDetailed(e.Graph().Current(), sample, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

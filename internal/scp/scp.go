@@ -23,10 +23,11 @@
 // A Coverage is pinned to one immutable epoch Snapshot: every search it
 // runs observes exactly the graph published at that epoch, so coverage
 // indexes may be built and queried while a writer keeps mutating and
-// publishing newer epochs. One Coverage is not safe for concurrent use
-// (transitions are memoized lazily); concurrent searches build one
-// Coverage per worker over the same pinned snapshot, as the parallel
-// learner and the kS strategy do.
+// publishing newer epochs. The negatives' coverage does not depend on k,
+// so one Coverage serves a whole learn call, every round of the k
+// schedule included. It is not safe for concurrent use (transitions are
+// memoized lazily); concurrent searches build one Coverage per worker
+// over the same pinned snapshot, as the kS strategy does.
 package scp
 
 import (
@@ -63,12 +64,6 @@ func NewCoverage(s *graph.Snapshot, neg []graph.NodeID) *Coverage {
 	c.start = c.ix.Intern(sortedUnique(neg))
 	return c
 }
-
-// Snapshot returns the epoch snapshot the coverage is pinned to.
-func (c *Coverage) Snapshot() *graph.Snapshot { return c.s }
-
-// Start returns the initial coverage state (the full negative set).
-func (c *Coverage) Start() int32 { return c.start }
 
 // Escaped reports whether the coverage state is the empty subset: words
 // reaching it are not covered by any negative example.

@@ -1,8 +1,10 @@
 package scp_test
 
 import (
+	"math/rand"
 	"testing"
 
+	"pathquery/internal/datasets"
 	"pathquery/internal/graph"
 	"pathquery/internal/paperfix"
 	"pathquery/internal/scp"
@@ -123,6 +125,32 @@ func TestCoverageIsSharedAcrossNodes(t *testing.T) {
 		w2, ok2 := fresh.Smallest(graph.NodeID(v), 3)
 		if ok1 != ok2 || (ok1 && !words.Equal(w1, w2)) {
 			t.Fatalf("node %d: SCP differs between coverage instances", v)
+		}
+	}
+
+	// The learner's k schedule shares one coverage across its rounds: it
+	// searches every node at k = 1, 2, …, 5 in increasing order, and each
+	// answer must equal a fresh coverage's at that k.
+	syn := datasets.Synthetic(200, 7).Snapshot()
+	var synNeg []graph.NodeID
+	for _, v := range rand.New(rand.NewSource(5)).Perm(syn.NumNodes())[:20] {
+		synNeg = append(synNeg, graph.NodeID(v))
+	}
+	for _, in := range []struct {
+		snap *graph.Snapshot
+		neg  []graph.NodeID
+	}{{snap, s.Neg}, {syn, synNeg}} {
+		shared := scp.NewCoverage(in.snap, in.neg)
+		for k := 1; k <= 5; k++ {
+			fresh := scp.NewCoverage(in.snap, in.neg)
+			for v := 0; v < in.snap.NumNodes(); v++ {
+				w1, ok1 := shared.Smallest(graph.NodeID(v), k)
+				w2, ok2 := fresh.Smallest(graph.NodeID(v), k)
+				if ok1 != ok2 || (ok1 && !words.Equal(w1, w2)) {
+					t.Fatalf("%d nodes, k=%d, node %d: shared coverage answers %v/%v, fresh %v/%v",
+						in.snap.NumNodes(), k, v, w1, ok1, w2, ok2)
+				}
+			}
 		}
 	}
 }
