@@ -28,6 +28,7 @@ import (
 	"pathquery/internal/experiments"
 	"pathquery/internal/graph"
 	"pathquery/internal/interactive"
+	"pathquery/internal/loadgen"
 	"pathquery/internal/paperfix"
 	"pathquery/internal/plan"
 	"pathquery/internal/query"
@@ -63,6 +64,16 @@ func synthetic() (*graph.Graph, []datasets.NamedQuery) {
 		synQueries = datasets.SynQueriesOn(synGraph.Snapshot())
 	})
 	return synGraph, synQueries
+}
+
+// synMix is the closed-loop read mix of syn1..syn3: one class per query,
+// drawn uniformly.
+func synMix(qs []datasets.NamedQuery) *engine.ReplaySpec {
+	spec := &engine.ReplaySpec{}
+	for _, nq := range qs {
+		spec.Entries = append(spec.Entries, engine.ReplayEntry{Class: nq.Name, Expr: nq.Expr})
+	}
+	return spec
 }
 
 // BenchmarkTable1BioSelectivity regenerates Table 1: evaluate each bio
@@ -410,22 +421,18 @@ func BenchmarkEngineServe(b *testing.B) {
 	b.Run("closedloop", func(b *testing.B) {
 		// A fresh mutable graph per run: the shared fixture must stay
 		// immutable for the other benchmarks.
-		queries := make([]string, len(qs))
-		for i, nq := range qs {
-			queries[i] = nq.Expr
-		}
-		var report engine.LoadReport
+		var report loadgen.Report
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
 			e := engine.New(datasets.Synthetic(5000, 11), engine.Options{})
 			b.StartTimer()
 			var err error
-			report, err = engine.RunLoad(e, engine.LoadConfig{
-				Clients:     16,
-				Duration:    300 * time.Millisecond,
-				Queries:     queries,
-				MutateEvery: 50,
-				Seed:        1,
+			report, err = loadgen.Run(loadgen.InProcess(e), loadgen.Config{
+				Clients:    16,
+				Duration:   300 * time.Millisecond,
+				Mix:        synMix(qs),
+				MutateRate: 0.02,
+				Seed:       1,
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -447,10 +454,10 @@ func BenchmarkEngineServe(b *testing.B) {
 // BenchmarkReplayMixed is the workload-replay regression gate: forge a
 // deterministic three-tier workload (one class per operator family —
 // concatenation, union, optional, one-or-more, star, anchored tails)
-// over the synthetic graph, replay it through the engine's ReplaySpec
-// closed loop with a 2% mutation rate, and record per-AQ-class p50/p99
-// as custom metrics so every BENCH_<date>.json snapshot carries a
-// scenario-diverse latency profile, not just the hand-picked queries.
+// over the synthetic graph, replay it through the closed-loop driver
+// (internal/loadgen) with a 2% mutation rate, and record per-AQ-class
+// p50/p99 as custom metrics so every BENCH_<date>.json snapshot carries
+// a scenario-diverse latency profile, not just the hand-picked queries.
 func BenchmarkReplayMixed(b *testing.B) {
 	classes := []string{"AQ1", "AQ2", "AQ7", "AQ15", "AQ18", "AQ22", "AQ27", "AQ28"}
 	file, err := workload.Forge(datasets.Synthetic(5000, 11).Snapshot(), workload.ForgeConfig{
@@ -465,17 +472,17 @@ func BenchmarkReplayMixed(b *testing.B) {
 			Class: e.Class, Expr: e.Expr, Semantics: e.Semantics, From: e.From,
 		})
 	}
-	var report engine.LoadReport
+	var report loadgen.Report
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		// A fresh mutable graph per run: mutations must not accumulate
 		// across iterations or leak into the forge fixture.
 		e := engine.New(datasets.Synthetic(5000, 11), engine.Options{})
 		b.StartTimer()
-		report, err = engine.RunLoad(e, engine.LoadConfig{
+		report, err = loadgen.Run(loadgen.InProcess(e), loadgen.Config{
 			Clients:    16,
 			Duration:   300 * time.Millisecond,
-			Replay:     spec,
+			Mix:        spec,
 			MutateRate: 0.02,
 			Seed:       1,
 		})
@@ -573,20 +580,16 @@ func BenchmarkEngineMaintain(b *testing.B) {
 	})
 
 	b.Run("closedloop", func(b *testing.B) {
-		queries := make([]string, len(qs))
-		for i, nq := range qs {
-			queries[i] = nq.Expr
-		}
-		var report engine.LoadReport
+		var report loadgen.Report
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
 			e := engine.New(datasets.Synthetic(5000, 11), engine.Options{})
 			b.StartTimer()
 			var err error
-			report, err = engine.RunLoad(e, engine.LoadConfig{
+			report, err = loadgen.Run(loadgen.InProcess(e), loadgen.Config{
 				Clients:    16,
 				Duration:   300 * time.Millisecond,
-				Queries:    queries,
+				Mix:        synMix(qs),
 				MutateRate: 0.02,
 				Seed:       1,
 			})

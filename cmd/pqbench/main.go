@@ -10,6 +10,8 @@
 //	pqbench -all -quick          # everything, scaled down
 //	pqbench -snapshot            # go-bench snapshot into BENCH_<date>.json
 //	pqbench -restart             # crash-recovery timings into BENCH_<date>.json
+//	pqbench -serve               # closed loop over syn1..syn3
+//	pqbench -replay w.ndjson     # closed loop over a pqworkload file
 //
 // -quick shrinks trial counts, fraction grids, synthetic sizes, and
 // interaction budgets so the full suite finishes in minutes; without it
@@ -22,6 +24,17 @@
 // PR-over-PR; -snapshot-bench overrides the benchmark pattern,
 // -snapshot-out the file name, and -snapshot-note attaches free-form
 // context (e.g. the baseline being compared against).
+//
+// -serve and -replay run the one closed-loop load driver
+// (internal/loadgen) and differ only in where the read mix comes from:
+// -serve calibrates syn1..syn3 on a -serve-syn node synthetic graph and
+// draws them uniformly, -replay reads a pqworkload file (-replay-mix
+// skews its classes, -replay-anchored filters its tiers). Both share the
+// client flags: -clients, -duration, -requests (a fixed count per client
+// instead of a duration), -mutate-rate, and -addr, which drives one graph
+// of a live server (its /v1/graphs/{name} base URL) instead of an
+// in-process engine. Both print the run's report and its per-class
+// latency table.
 package main
 
 import (
@@ -68,15 +81,6 @@ var (
 
 	restart = flag.Bool("restart", false,
 		"crash-recovery scenario: run BenchmarkStoreRecovery (checkpoint load + WAL replay µs per 1k records) and write the snapshot")
-
-	serve            = flag.Bool("serve", false, "closed-loop serving benchmark against the in-process engine")
-	serveSyn         = flag.Int("serve-syn", 10000, "synthetic graph size for -serve")
-	serveClients     = flag.Int("serve-clients", 16, "closed-loop clients for -serve")
-	serveDuration    = flag.Duration("serve-duration", 5*time.Second, "load duration for -serve")
-	serveMutateEvery = flag.Int("serve-mutate-every", 50, "every n-th request per client mutates and publishes an epoch (0: read-only)")
-	serveMutateRate  = flag.Float64("serve-mutate-rate", 0, "probability each request mutates (0..1) — the closed-loop mutation-rate axis; composes with -serve-mutate-every")
-	serveBatch       = flag.Int("serve-batch", 0, "issue EvaluateBatch requests of this size instead of single evaluations")
-	serveWriters     = flag.Int("serve-writers", 0, "dedicated free-running mutator lanes on top of the client mix (group-commit saturation)")
 )
 
 func main() {
@@ -102,7 +106,7 @@ func main() {
 		return
 	}
 	if *serve {
-		if err := runServeBench(); err != nil {
+		if err := runServe(); err != nil {
 			log.Fatal(err)
 		}
 		return

@@ -71,26 +71,35 @@ func LearnBinary(snap *graph.Snapshot, s PairSample, opt Options) (*query.Query,
 		return nil, ErrAbstain
 	}
 	for k := opt.StartK; k <= opt.MaxK; k++ {
-		if q := learnBinaryFixedK(snap, s, opt, k); q != nil {
+		q, inconsistent := learnBinaryFixedK(snap, s, opt, k)
+		if q != nil {
 			return q, nil
+		}
+		if inconsistent {
+			break
 		}
 	}
 	return nil, ErrAbstain
 }
 
-// learnBinaryFixedK runs one round of the schedule at SCP bound k; nil
-// means the round abstains.
-func learnBinaryFixedK(snap *graph.Snapshot, s PairSample, opt Options, k int) *query.Query {
+// learnBinaryFixedK runs one round of the schedule at SCP bound k; a nil
+// query means the round abstains. inconsistent reports that a positive
+// pair's search ran out of states below the bound, so no round at any k
+// can select it, as in learnFixedK.
+func learnBinaryFixedK(snap *graph.Snapshot, s PairSample, opt Options, k int) (q *query.Query, inconsistent bool) {
 	// Lines 1-2: smallest consistent pair-path per positive pair, in input
 	// order.
 	paths := make([]words.Word, 0, len(s.Pos))
 	for _, p := range s.Pos {
-		if w, ok := smallestPairPath(snap, p, s.Neg, k); ok {
+		w, ok, cut := smallestPairPath(snap, p, s.Neg, k)
+		if ok {
 			paths = append(paths, w)
+		} else if !cut {
+			return nil, true
 		}
 	}
 	if len(paths) == 0 {
-		return nil
+		return nil, false
 	}
 
 	m := automata.NewMerger(automata.BuildPTA(snap.Alphabet().Size(), paths, nil))
@@ -105,12 +114,12 @@ func learnBinaryFixedK(snap *graph.Snapshot, s PairSample, opt Options, k int) *
 	dp := plan.FromDFA(d)
 	for _, p := range s.Pos {
 		if !snap.CoversPairPlan(dp, p.From, p.To) {
-			return nil
+			return nil, false
 		}
 	}
 	// Binary queries keep their exact language: the prefix-free reduction
 	// is a monadic-semantics equivalence and does not apply to paths2.
-	return query.FromDFA(snap.Alphabet(), d)
+	return query.FromDFA(snap.Alphabet(), d), false
 }
 
 // coversNoPair reports whether the compiled candidate selects none of the
@@ -126,16 +135,17 @@ func coversNoPair(snap *graph.Snapshot, dp *plan.Plan, neg []Pair) bool {
 }
 
 // smallestPairPath returns the canonical-order minimal word of length ≤ k
-// in paths2_G(p) \ paths2_G(neg). The whole search state — the node set
-// reachable from p.From and, per negative pair, the set reachable from its
-// origin — is a deterministic function of the word, so the shared
+// in paths2_G(p) \ paths2_G(neg), and whether the bound k cut the search
+// (as scp.Coverage.Smallest reports it). The whole search state — the
+// node set reachable from p.From and, per negative pair, the set reachable
+// from its origin — is a deterministic function of the word, so the shared
 // canonical-order witness core (graph.WitnessBFS) over pairs
 // (mine subset id, negative-subset tuple id) enumerates words canonically.
 // Subsets are interned to dense ids (graph.NodeSetIndex) with memoized
 // (set, symbol) transitions, and the per-negative id vectors are interned
 // in turn (tupleIndex), so the search state is two int32s and each
 // distinct subset is stepped at most once per symbol.
-func smallestPairPath(snap *graph.Snapshot, p Pair, neg []Pair, k int) (words.Word, bool) {
+func smallestPairPath(snap *graph.Snapshot, p Pair, neg []Pair, k int) (w words.Word, ok, cut bool) {
 	ix := graph.NewNodeSetIndex()
 	tup := newTupleIndex()
 	trans := make(map[uint64]int32)

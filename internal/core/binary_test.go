@@ -196,3 +196,27 @@ func TestNaryQuerySelectTuples(t *testing.T) {
 		}
 	}
 }
+
+// TestLearnBinaryStopsAtInconsistentPair: a positive pair leaving a sink
+// has no path at all, so its pair search runs out of states in the first
+// round and the learner abstains there, whatever MaxK.
+func TestLearnBinaryStopsAtInconsistentPair(t *testing.T) {
+	g := graph.New(nil)
+	g.AddEdgeByName("p", "a", "q")
+	g.AddEdgeByName("x", "a", "y")
+	s := core.PairSample{
+		Pos: []core.Pair{pairOf(t, g, "p", "q"), pairOf(t, g, "q", "p")},
+		Neg: []core.Pair{pairOf(t, g, "x", "y")},
+	}
+	snap := g.Snapshot()
+	for _, maxK := range []int{8, 1 << 16} {
+		allocs := testing.AllocsPerRun(5, func() {
+			if _, err := core.LearnBinary(snap, s, core.Options{MaxK: maxK}); !errors.Is(err, core.ErrAbstain) {
+				t.Fatalf("MaxK %d: err = %v, want ErrAbstain", maxK, err)
+			}
+		})
+		if allocs > 64 {
+			t.Errorf("MaxK %d: %v allocations per learn, want at most 64", maxK, allocs)
+		}
+	}
+}

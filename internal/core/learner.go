@@ -180,30 +180,41 @@ func LearnDetailed(snap *graph.Snapshot, s Sample, opt Options) (*Result, error)
 	}
 	// Schedule (Section 5.1): start with k = StartK; if for a given k the
 	// learned query does not select all positive nodes, increment k and
-	// iterate. The coverage index does not depend on k, so every round
-	// shares the subsets the earlier rounds determinized.
+	// iterate, until a round proves that no k can succeed. The coverage
+	// index does not depend on k, so every round shares the subsets the
+	// earlier rounds determinized.
 	cov := scp.NewCoverage(snap, s.Neg)
 	for k := opt.StartK; k <= opt.MaxK; k++ {
-		if r := learnFixedK(snap, s, opt, cov, k); r != nil {
+		r, inconsistent := learnFixedK(snap, s, opt, cov, k)
+		if r != nil {
 			return r, nil
+		}
+		if inconsistent {
+			break
 		}
 	}
 	return nil, ErrAbstain
 }
 
-// learnFixedK runs one round of the schedule at SCP bound k; nil means
-// the round abstains.
-func learnFixedK(snap *graph.Snapshot, s Sample, opt Options, cov *scp.Coverage, k int) *Result {
+// learnFixedK runs one round of the schedule at SCP bound k; a nil
+// result means the round abstains. inconsistent reports that a
+// positive's SCP search ran out of states below the bound: all of its
+// paths are covered by the negatives, so no round at any k can select it
+// (Lemma 3.1), and the schedule stops.
+func learnFixedK(snap *graph.Snapshot, s Sample, opt Options, cov *scp.Coverage, k int) (r *Result, inconsistent bool) {
 	// Lines 1-2: select the SCP of length ≤ k for every positive that has
 	// one, in input order.
 	paths := make([]words.Word, 0, len(s.Pos))
 	for _, nu := range s.Pos {
-		if w, ok := cov.Smallest(nu, k); ok {
+		w, ok, cut := cov.Smallest(nu, k)
+		if ok {
 			paths = append(paths, w)
+		} else if !cut {
+			return nil, true
 		}
 	}
 	if len(paths) == 0 {
-		return nil
+		return nil, false
 	}
 	res := &Result{SCPs: paths, K: k}
 
@@ -224,14 +235,14 @@ func learnFixedK(snap *graph.Snapshot, s Sample, opt Options, cov *scp.Coverage,
 	// those whose SCP was longer than k.
 	for _, nu := range s.Pos {
 		if !snap.CoversAnyMerger(m, []graph.NodeID{nu}) {
-			return nil
+			return nil, false
 		}
 	}
 	// Return the prefix-free canonical representative of the learned
 	// query's equivalence class (Section 2); node selection is unchanged.
 	// query.FromDFA minimizes, so the cut automaton is minimized once.
 	res.Query = query.FromDFA(snap.Alphabet(), m.DFA().CutAtFinals())
-	return res
+	return res, false
 }
 
 // Consistent decides whether a sample is consistent (Lemma 3.1): every

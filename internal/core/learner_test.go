@@ -261,3 +261,34 @@ func TestSampleHelpers(t *testing.T) {
 		t.Fatalf("valid sample rejected: %v", err)
 	}
 }
+
+// TestLearnerStopsAtInconsistentPositive: a sink positive's only path is
+// ε, which every negative covers, so no round of the k schedule can
+// select it (Lemma 3.1). Its SCP search runs out of states below the
+// bound in the first round, and the learner abstains there: the work,
+// measured in allocations, does not grow with MaxK.
+func TestLearnerStopsAtInconsistentPositive(t *testing.T) {
+	g := graph.New(nil)
+	g.AddEdgeByName("a", "x", "b")
+	g.AddEdgeByName("b", "y", "sink")
+	g.AddEdgeByName("n", "x", "m")
+	snap := g.Snapshot()
+	id := func(name string) graph.NodeID {
+		v, ok := g.NodeByName(name)
+		if !ok {
+			t.Fatalf("node %q missing", name)
+		}
+		return v
+	}
+	s := core.Sample{Pos: []graph.NodeID{id("a"), id("sink")}, Neg: []graph.NodeID{id("n")}}
+	for _, maxK := range []int{8, 1 << 16} {
+		allocs := testing.AllocsPerRun(5, func() {
+			if _, err := core.LearnDetailed(snap, s, core.Options{MaxK: maxK}); !errors.Is(err, core.ErrAbstain) {
+				t.Fatalf("MaxK %d: err = %v, want ErrAbstain", maxK, err)
+			}
+		})
+		if allocs > 64 {
+			t.Errorf("MaxK %d: %v allocations per learn, want at most 64", maxK, allocs)
+		}
+	}
+}

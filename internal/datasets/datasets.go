@@ -255,26 +255,28 @@ var SynTargets = []float64{0.01, 0.15, 0.40}
 // candidate on s and keeping the closest, so concurrent mutations cannot
 // skew the search mid-way.
 func SynQueriesOn(s *graph.Snapshot) []NamedQuery {
-	out := make([]NamedQuery, len(SynTargets))
+	out := calibrateABC(s, SynTargets)
 	for i, target := range SynTargets {
-		name := fmt.Sprintf("syn%d", i+1)
-		expr, q := calibrateABC(s, target)
-		out[i] = NamedQuery{Name: name, Expr: expr, Query: q, PaperSelectivity: target}
+		out[i].Name = fmt.Sprintf("syn%d", i+1)
+		out[i].PaperSelectivity = target
 	}
 	return out
 }
 
 // calibrateABC searches start ranks and widths for the classes A and C
 // (B fixed as a mid-frequency band, overlapping as the paper allows) and
-// returns the A·B*·C candidate whose selectivity on the snapshot is
-// closest to target. The search evaluates each candidate on s, so
-// calibration adapts to the generated graph — the paper's queries
+// returns, for each target, the A·B*·C candidate whose selectivity on the
+// snapshot is closest to it, the first in search order on a tie. Each
+// candidate is parsed and evaluated on s once, for every target at once,
+// so calibration adapts to the generated graph — the paper's queries
 // likewise hold their selectivities "regardless of the actual size of the
 // graph".
-func calibrateABC(s *graph.Snapshot, target float64) (string, *query.Query) {
-	bestExpr := ""
-	var bestQ *query.Query
-	bestGap := math.Inf(1)
+func calibrateABC(s *graph.Snapshot, targets []float64) []NamedQuery {
+	best := make([]NamedQuery, len(targets))
+	gaps := make([]float64, len(targets))
+	for i := range gaps {
+		gaps[i] = math.Inf(1)
+	}
 	labels := s.Alphabet().Size()
 	B := classExpr(rankRange(1, 4))
 	starts := []int{0, 2, 4, 6, 8, 10, 12, 14, 16}
@@ -296,17 +298,18 @@ func calibrateABC(s *graph.Snapshot, target float64) (string, *query.Query) {
 					if err != nil {
 						continue
 					}
-					gap := math.Abs(q.Evaluate(s).Selectivity() - target)
-					if gap < bestGap {
-						bestGap = gap
-						bestExpr = expr
-						bestQ = q
+					sel := q.Evaluate(s).Selectivity()
+					for i, target := range targets {
+						if gap := math.Abs(sel - target); gap < gaps[i] {
+							gaps[i] = gap
+							best[i] = NamedQuery{Expr: expr, Query: q}
+						}
 					}
 				}
 			}
 		}
 	}
-	return bestExpr, bestQ
+	return best
 }
 
 // RandomSample draws a static-protocol sample for a goal query: labeled

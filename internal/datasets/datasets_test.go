@@ -219,6 +219,17 @@ func TestSnapshotWorkloadsPinned(t *testing.T) {
 
 	wantBio := BioQueries(s)
 	wantSyn := SynQueriesOn(s)
+	// The calibrated picks on this graph, recorded so that a change to
+	// the calibration search that moves a pick fails here.
+	for i, want := range []string{
+		"l06·(l01+l02+l03+l04)*·l16",
+		"(l02+l03+l04)·(l01+l02+l03+l04)*·(l06+l07)",
+		"(l00+l01+l02+l03)·(l01+l02+l03+l04)*·(l14+l15+l16+l17+l18+l19)",
+	} {
+		if wantSyn[i].Expr != want {
+			t.Fatalf("%s calibrated to %q, want %q", wantSyn[i].Name, wantSyn[i].Expr, want)
+		}
+	}
 	rng := rand.New(rand.NewSource(4))
 	wantPos, wantNeg := RandomSample(s, wantSyn[0].Query, 0.05, rng)
 

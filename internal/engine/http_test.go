@@ -121,30 +121,6 @@ func TestHTTPHandler(t *testing.T) {
 	}
 }
 
-func TestRunLoadSmoke(t *testing.T) {
-	e := New(buildFixture(), Options{})
-	report, err := RunLoad(e, LoadConfig{
-		Clients:     4,
-		Duration:    50 * 1e6, // 50ms
-		Queries:     []string{"tram·cinema", "bus·cinema"},
-		MutateEvery: 10,
-		BatchSize:   0,
-		Seed:        1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if report.Requests == 0 || report.Throughput <= 0 {
-		t.Fatalf("empty load report: %+v", report)
-	}
-	if report.Mutations == 0 {
-		t.Errorf("MutateEvery produced no mutations: %+v", report)
-	}
-	if _, err := RunLoad(e, LoadConfig{Queries: []string{"("}}); err == nil {
-		t.Error("bad load query not rejected")
-	}
-}
-
 // TestLearnRejectsBadK: an SCP bound the learner cannot run with is a bad
 // request, not the paper's abstain. The dynamic schedule starts at k = 2,
 // so maxk 1 would run no learner at all; a k or maxk above maxLearnK

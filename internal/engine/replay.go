@@ -1,21 +1,17 @@
 package engine
 
-// Deterministic traffic replay: the ReplaySpec axis of the closed-loop
-// load driver. Instead of the uniform Queries mix, each read draws one
-// recorded workload entry — an (AQ class, expr, semantics, anchor)
+// Deterministic traffic replay: the read mix of the closed-loop load
+// driver (internal/loadgen) and of perfbench's clients. Each read draws
+// one recorded workload entry — an (AQ class, expr, semantics, anchor)
 // tuple, typically loaded from a pqworkload file — under a configurable
-// class-weight mix, and its latency is observed into a per-class
-// histogram alongside the aggregate ones. The engine deliberately does
-// not import internal/workload: the caller (pqbench, tests) converts
-// file entries to ReplayEntry values, so the dependency points from the
-// tooling down into the engine and never sideways.
+// class-weight mix. The engine deliberately does not import
+// internal/workload: the caller (pqbench, tests) converts file entries
+// to ReplayEntry values, so the dependency points from the tooling down
+// into the engine and never sideways.
 
 import (
 	"fmt"
 	"sort"
-
-	"pathquery/internal/query"
-	"pathquery/internal/telemetry"
 )
 
 // ReplayEntry is one recorded request of a replay mix.
@@ -44,8 +40,8 @@ const (
 	AnchoredNone
 )
 
-// ReplaySpec configures workload-file replay. When set on a LoadConfig
-// it replaces the Queries/Weights mix for read requests.
+// ReplaySpec configures workload-file replay: the read mix a closed-loop
+// driver draws from.
 type ReplaySpec struct {
 	// Entries is the recorded workload (required).
 	Entries []ReplayEntry
@@ -63,9 +59,8 @@ type ReplaySpec struct {
 // the draw-ready entry pool and its chooser. The class weight is split
 // evenly across a class's surviving entries so the class-level mix
 // matches the requested weights regardless of how many templates and
-// anchors the source file records per class. Exported so out-of-process
-// drivers (pqbench's HTTP replay) reproduce exactly the draw sequence
-// RunLoad uses in-process.
+// anchors the source file records per class. Every driver draws through
+// it, so a seed gives one draw sequence in process and over HTTP.
 func (spec *ReplaySpec) Flatten() ([]ReplayEntry, WeightedChooser, error) {
 	var kept []ReplayEntry
 	classCount := make(map[string]int)
@@ -105,51 +100,6 @@ func (spec *ReplaySpec) Flatten() ([]ReplayEntry, WeightedChooser, error) {
 		return nil, WeightedChooser{}, fmt.Errorf("engine: replay spec: %w", err)
 	}
 	return kept, chooser, nil
-}
-
-// replayMix is the validated, draw-ready form of a ReplaySpec: a flat
-// entry slice with a cumulative-weight array (one sort.Search per draw,
-// nothing allocated on the hot path) and one shared histogram per class.
-type replayMix struct {
-	entries []ReplayEntry
-	chooser WeightedChooser
-	hists   map[string]*telemetry.Histogram
-}
-
-func buildReplayMix(e *Engine, spec *ReplaySpec) (*replayMix, error) {
-	kept, chooser, err := spec.Flatten()
-	if err != nil {
-		return nil, err
-	}
-	hists := make(map[string]*telemetry.Histogram)
-	for _, re := range kept {
-		if _, err := e.plans.get(re.Expr); err != nil {
-			return nil, fmt.Errorf("engine: replay entry %s %q: %w", re.Class, re.Expr, err)
-		}
-		if _, err := query.ParseSemantics(re.Semantics); err != nil {
-			return nil, fmt.Errorf("engine: replay entry %s: %w", re.Class, err)
-		}
-		if re.From != "" {
-			// Nodes are never removed, so resolving anchors up front keeps
-			// the hot loop free of not-found errors for the whole run.
-			if _, ok := e.g.NodeByName(re.From); !ok {
-				return nil, fmt.Errorf("engine: replay entry %s: anchor %q not in graph", re.Class, re.From)
-			}
-		}
-		if hists[re.Class] == nil {
-			hists[re.Class] = &telemetry.Histogram{}
-		}
-	}
-	return &replayMix{entries: kept, chooser: chooser, hists: hists}, nil
-}
-
-// snapshot freezes the per-class distributions into a report map.
-func (m *replayMix) snapshot() map[string]telemetry.HistogramSnapshot {
-	out := make(map[string]telemetry.HistogramSnapshot, len(m.hists))
-	for class, h := range m.hists {
-		out[class] = h.Snapshot()
-	}
-	return out
 }
 
 // WeightedChooser draws indices proportionally to a fixed weight slice

@@ -847,7 +847,7 @@ func (s *Snapshot) FirstEscapingPath(left, right []NodeID, depth int) (words.Wor
 		starts[i] = [2]int32{v, startSet}
 	}
 	co := &s.out
-	w, escaped := WitnessBFS(depth, starts,
+	w, escaped, _ := WitnessBFS(depth, starts,
 		func(_, set int32) bool { return len(ix.Set(set)) == 0 },
 		func(v, set int32, emit func(sym alphabet.Symbol, a2, b2 int32)) {
 			rs := co.segs(v)

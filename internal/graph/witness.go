@@ -25,12 +25,15 @@ import (
 // bounds the word length (< 0 means unbounded; termination is then
 // guaranteed by the finiteness of the state space).
 //
-// Returns (word, true) for the canonical-minimal accepted word, or
-// (nil, false) when no accepted word exists within the bound.
+// Returns (word, true, _) for the canonical-minimal accepted word, or
+// (nil, false, cut) when no accepted word exists within the bound. cut
+// reports whether the bound left a state unexpanded: a search that
+// found nothing and was not cut ran out of states, so no accepted word
+// exists at any length.
 func WitnessBFS(depth int, starts [][2]int32,
 	accept func(a, b int32) bool,
 	expand func(a, b int32, emit func(sym alphabet.Symbol, a2, b2 int32)),
-) (words.Word, bool) {
+) (word words.Word, found, cut bool) {
 	type item struct {
 		a, b int32
 		word words.Word
@@ -47,17 +50,15 @@ func WitnessBFS(depth int, starts [][2]int32,
 		}
 		seen[k] = true
 		if accept(st[0], st[1]) {
-			return words.Epsilon, true
+			return words.Epsilon, true, false
 		}
 		queue = append(queue, item{st[0], st[1], words.Epsilon})
 	}
 
 	var (
-		cur    item
-		w      words.Word // word for the current (state, symbol) expansion
-		wsym   alphabet.Symbol
-		result words.Word
-		found  bool
+		cur  item
+		w    words.Word // word for the current (state, symbol) expansion
+		wsym alphabet.Symbol
 	)
 	// One emit closure for the whole search: successors of one symbol
 	// share a single appended word.
@@ -74,7 +75,7 @@ func WitnessBFS(depth int, starts [][2]int32,
 			w, wsym = words.Append(cur.word, sym), sym
 		}
 		if accept(a2, b2) {
-			result, found = w, true
+			word, found = w, true
 			return
 		}
 		queue = append(queue, item{a2, b2, w})
@@ -82,10 +83,11 @@ func WitnessBFS(depth int, starts [][2]int32,
 	for qi := 0; qi < len(queue) && !found; qi++ {
 		cur = queue[qi]
 		if depth >= 0 && len(cur.word) >= depth {
+			cut = true
 			continue
 		}
 		w = nil
 		expand(cur.a, cur.b, emit)
 	}
-	return result, found
+	return word, found, cut
 }

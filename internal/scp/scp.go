@@ -107,12 +107,16 @@ func (c *Coverage) NumStates() int { return c.ix.Len() }
 
 // Smallest returns the SCP of ν bounded by k: the canonical-order minimal
 // word of length ≤ k in paths_G(ν) \ paths_G(S−); ok=false if none exists.
+// cut reports whether the bound k stopped the search. ok=false with
+// cut=false means the search ran out of (node, coverage) pairs: every
+// path of ν, of any length, is covered by a negative, so no query
+// consistent with the sample selects ν (Lemma 3.1).
 //
 // The search is the shared canonical-order witness core (graph.WitnessBFS)
 // over pairs (graph node, coverage state): out-edges are sorted by symbol,
 // so expansion preserves canonical order across each BFS level, and the
 // first state with escaped coverage yields the SCP.
-func (c *Coverage) Smallest(nu graph.NodeID, k int) (words.Word, bool) {
+func (c *Coverage) Smallest(nu graph.NodeID, k int) (w words.Word, ok, cut bool) {
 	return graph.WitnessBFS(k, [][2]int32{{nu, c.start}},
 		func(_, cov int32) bool { return c.Escaped(cov) },
 		func(v, cov int32, emit func(sym alphabet.Symbol, a2, b2 int32)) {
@@ -130,7 +134,7 @@ func (c *Coverage) Smallest(nu graph.NodeID, k int) (words.Word, bool) {
 // IsKInformative reports whether ν has at least one path of length ≤ k not
 // covered by a negative example (Section 4.2).
 func (c *Coverage) IsKInformative(nu graph.NodeID, k int) bool {
-	_, ok := c.Smallest(nu, k)
+	_, ok, _ := c.Smallest(nu, k)
 	return ok
 }
 

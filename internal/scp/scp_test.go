@@ -24,11 +24,11 @@ func TestSmallestPaperSCPs(t *testing.T) {
 	// Section 3.2: "we obtain the SCPs abc and c for ν1 and ν3".
 	g, s := paperfix.G0()
 	cov := scp.NewCoverage(g.Snapshot(), s.Neg)
-	w1, ok := cov.Smallest(node(t, g, "v1"), 3)
+	w1, ok, _ := cov.Smallest(node(t, g, "v1"), 3)
 	if !ok || words.String(w1, g.Alphabet()) != "a·b·c" {
 		t.Fatalf("SCP(v1) = %v, want a·b·c", w1)
 	}
-	w3, ok := cov.Smallest(node(t, g, "v3"), 3)
+	w3, ok, _ := cov.Smallest(node(t, g, "v3"), 3)
 	if !ok || words.String(w3, g.Alphabet()) != "c" {
 		t.Fatalf("SCP(v3) = %v, want c", w3)
 	}
@@ -36,7 +36,7 @@ func TestSmallestPaperSCPs(t *testing.T) {
 
 func TestSmallestRespectsBound(t *testing.T) {
 	g, s := paperfix.G0()
-	if _, ok := scp.NewCoverage(g.Snapshot(), s.Neg).Smallest(node(t, g, "v1"), 2); ok {
+	if _, ok, _ := scp.NewCoverage(g.Snapshot(), s.Neg).Smallest(node(t, g, "v1"), 2); ok {
 		t.Fatal("SCP(v1) has length 3; k=2 must fail")
 	}
 }
@@ -44,7 +44,7 @@ func TestSmallestRespectsBound(t *testing.T) {
 func TestSmallestNoNegatives(t *testing.T) {
 	// With no negatives, ε escapes immediately.
 	g, _ := paperfix.G0()
-	w, ok := scp.NewCoverage(g.Snapshot(), nil).Smallest(node(t, g, "v5"), 3)
+	w, ok, _ := scp.NewCoverage(g.Snapshot(), nil).Smallest(node(t, g, "v5"), 3)
 	if !ok || len(w) != 0 {
 		t.Fatalf("SCP with no negatives = %v, want ε", w)
 	}
@@ -54,7 +54,7 @@ func TestSmallestInconsistentNode(t *testing.T) {
 	// Figure 5: the positive's paths are all covered; no SCP at any k.
 	g, s := paperfix.Figure5()
 	for _, k := range []int{1, 3, 6, 10} {
-		if _, ok := scp.NewCoverage(g.Snapshot(), s.Neg).Smallest(s.Pos[0], k); ok {
+		if _, ok, _ := scp.NewCoverage(g.Snapshot(), s.Neg).Smallest(s.Pos[0], k); ok {
 			t.Fatalf("k=%d: found an SCP for a fully covered node", k)
 		}
 	}
@@ -121,8 +121,8 @@ func TestCoverageIsSharedAcrossNodes(t *testing.T) {
 	// Determinism: a fresh coverage yields the same SCPs.
 	fresh := scp.NewCoverage(snap, s.Neg)
 	for v := 0; v < g.NumNodes(); v++ {
-		w1, ok1 := cov.Smallest(graph.NodeID(v), 3)
-		w2, ok2 := fresh.Smallest(graph.NodeID(v), 3)
+		w1, ok1, _ := cov.Smallest(graph.NodeID(v), 3)
+		w2, ok2, _ := fresh.Smallest(graph.NodeID(v), 3)
 		if ok1 != ok2 || (ok1 && !words.Equal(w1, w2)) {
 			t.Fatalf("node %d: SCP differs between coverage instances", v)
 		}
@@ -144,8 +144,8 @@ func TestCoverageIsSharedAcrossNodes(t *testing.T) {
 		for k := 1; k <= 5; k++ {
 			fresh := scp.NewCoverage(in.snap, in.neg)
 			for v := 0; v < in.snap.NumNodes(); v++ {
-				w1, ok1 := shared.Smallest(graph.NodeID(v), k)
-				w2, ok2 := fresh.Smallest(graph.NodeID(v), k)
+				w1, ok1, _ := shared.Smallest(graph.NodeID(v), k)
+				w2, ok2, _ := fresh.Smallest(graph.NodeID(v), k)
 				if ok1 != ok2 || (ok1 && !words.Equal(w1, w2)) {
 					t.Fatalf("%d nodes, k=%d, node %d: shared coverage answers %v/%v, fresh %v/%v",
 						in.snap.NumNodes(), k, v, w1, ok1, w2, ok2)
@@ -162,7 +162,7 @@ func TestSmallestCanonicalOrder(t *testing.T) {
 	cov := scp.NewCoverage(snap, s.Neg)
 	for v := 0; v < g.NumNodes(); v++ {
 		nu := graph.NodeID(v)
-		got, ok := cov.Smallest(nu, 4)
+		got, ok, _ := cov.Smallest(nu, 4)
 		var want words.Word
 		found := false
 		for _, w := range snap.PathsUpTo(nu, 4, 0) {
