@@ -1,6 +1,7 @@
 package pathquery_test
 
 import (
+	"errors"
 	"fmt"
 
 	"pathquery"
@@ -72,7 +73,7 @@ func ExampleLearn_abstain() {
 		Pos: []pathquery.NodeID{pos},
 		Neg: []pathquery.NodeID{neg},
 	}, pathquery.Options{})
-	fmt.Println(err == pathquery.ErrAbstain)
+	fmt.Println(errors.Is(err, pathquery.ErrAbstain))
 	// Output:
 	// true
 }

@@ -46,6 +46,23 @@ import (
 // sample is inconsistent or because the SCP length bound is too small.
 var ErrAbstain = errors.New("core: not enough examples to learn a consistent query (abstain)")
 
+// InconsistentError is the abstain of a sample that Lemma 3.1 proves
+// inconsistent: the negatives cover every path of the positive Node, so
+// no query selects it, and more examples or a larger k cannot help. It
+// matches ErrAbstain under errors.Is.
+type InconsistentError struct {
+	Node graph.NodeID
+	// Name is Node's name on the snapshot learned on.
+	Name string
+}
+
+func (e *InconsistentError) Error() string {
+	return fmt.Sprintf("core: inconsistent sample: the negatives cover every path of positive node %q (abstain)", e.Name)
+}
+
+// Is reports ErrAbstain as the error's kind.
+func (e *InconsistentError) Is(target error) bool { return target == ErrAbstain }
+
 // Sample is a set of examples over a graph: nodes the user wants selected
 // (Pos) and nodes she does not (Neg).
 type Sample struct {
@@ -166,7 +183,8 @@ func Learn(snap *graph.Snapshot, s Sample, opt Options) (*query.Query, error) {
 // LearnDetailed is Learn exposing diagnostics. Every read — SCP
 // selection, merge consistency checks, the final positives check — runs
 // against snap, so the learner observes exactly one epoch no matter what
-// the owning graph's writer does meanwhile.
+// the owning graph's writer does meanwhile. An abstain is ErrAbstain, or
+// an *InconsistentError naming the positive that no query selects.
 func LearnDetailed(snap *graph.Snapshot, s Sample, opt Options) (*Result, error) {
 	opt = opt.withDefaults()
 	if err := s.ValidateOn(snap); err != nil {
@@ -185,23 +203,20 @@ func LearnDetailed(snap *graph.Snapshot, s Sample, opt Options) (*Result, error)
 	// earlier rounds determinized.
 	cov := scp.NewCoverage(snap, s.Neg)
 	for k := opt.StartK; k <= opt.MaxK; k++ {
-		r, inconsistent := learnFixedK(snap, s, opt, cov, k)
-		if r != nil {
-			return r, nil
-		}
-		if inconsistent {
-			break
+		r, err := learnFixedK(snap, s, opt, cov, k)
+		if r != nil || err != nil {
+			return r, err
 		}
 	}
 	return nil, ErrAbstain
 }
 
 // learnFixedK runs one round of the schedule at SCP bound k; a nil
-// result means the round abstains. inconsistent reports that a
-// positive's SCP search ran out of states below the bound: all of its
-// paths are covered by the negatives, so no round at any k can select it
-// (Lemma 3.1), and the schedule stops.
-func learnFixedK(snap *graph.Snapshot, s Sample, opt Options, cov *scp.Coverage, k int) (r *Result, inconsistent bool) {
+// result and error means the round abstains. A positive whose SCP search
+// ran out of states below the bound has all of its paths covered by the
+// negatives, so no round at any k can select it (Lemma 3.1): the round
+// returns an *InconsistentError naming it, and the schedule stops.
+func learnFixedK(snap *graph.Snapshot, s Sample, opt Options, cov *scp.Coverage, k int) (*Result, error) {
 	// Lines 1-2: select the SCP of length ≤ k for every positive that has
 	// one, in input order.
 	paths := make([]words.Word, 0, len(s.Pos))
@@ -210,11 +225,11 @@ func learnFixedK(snap *graph.Snapshot, s Sample, opt Options, cov *scp.Coverage,
 		if ok {
 			paths = append(paths, w)
 		} else if !cut {
-			return nil, true
+			return nil, &InconsistentError{Node: nu, Name: snap.NodeName(nu)}
 		}
 	}
 	if len(paths) == 0 {
-		return nil, false
+		return nil, nil
 	}
 	res := &Result{SCPs: paths, K: k}
 
@@ -235,14 +250,14 @@ func learnFixedK(snap *graph.Snapshot, s Sample, opt Options, cov *scp.Coverage,
 	// those whose SCP was longer than k.
 	for _, nu := range s.Pos {
 		if !snap.CoversAnyMerger(m, []graph.NodeID{nu}) {
-			return nil, false
+			return nil, nil
 		}
 	}
 	// Return the prefix-free canonical representative of the learned
 	// query's equivalence class (Section 2); node selection is unchanged.
 	// query.FromDFA minimizes, so the cut automaton is minimized once.
 	res.Query = query.FromDFA(snap.Alphabet(), m.DFA().CutAtFinals())
-	return res, false
+	return res, nil
 }
 
 // Consistent decides whether a sample is consistent (Lemma 3.1): every

@@ -414,8 +414,10 @@ type LearnResult struct {
 // build future epochs and never touch it), and one call learns serially
 // on it; concurrent calls run side by side. The result goes into the plan
 // cache under its canonical language key plus the result cache at the
-// pinned epoch — learn→serve in one call. Returns core.ErrAbstain
-// (wrapped) when the examples are insufficient.
+// pinned epoch — learn→serve in one call. When the examples are
+// insufficient it returns an error matching core.ErrAbstain under
+// errors.Is: a *core.InconsistentError where a positive provably has no
+// consistent path.
 func (e *Engine) Learn(s core.Sample, opt core.Options) (LearnResult, error) {
 	return e.learnOn(e.g.Current(), s, opt)
 }

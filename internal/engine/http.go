@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log"
 	"net/http"
 	"time"
@@ -75,10 +74,20 @@ func Routes() []Route {
 //
 //	{"error": {"code": "parse_error", "message": "..."}}
 //
-// whose stable codes include bad_body, parse_error, unknown_semantics,
-// unknown_node, missing_from, unexpected_from, max_len_too_large, bad_k,
-// abstain, canceled and deadline_exceeded. A body must hold exactly one
-// JSON object; anything but whitespace after it is bad_body.
+// whose stable codes include bad_body, body_too_large, parse_error,
+// unknown_semantics, unknown_node, missing_from, unexpected_from,
+// max_len_too_large, bad_k, abstain, inconsistent, canceled and
+// deadline_exceeded.
+//
+// The bodies of /v1/query, /v1/batch, /learn and /mutate are read whole
+// and decoded by a hand-written strict decoder (wire.go), not by
+// reflection. It accepts exactly what json.Decoder accepts with unknown
+// fields disallowed: one JSON object (or null, the zero request) and
+// nothing but whitespace after it; keys match fields exactly or under
+// case folding, and int fields take only integer literals that fit. Any
+// other body answers 400 bad_body, with a message that starts "bad
+// request body: ", and every body over MaxBodyBytes answers 413
+// body_too_large, however early it stops being valid JSON.
 //
 // Mutation, learning and introspection are unversioned:
 //
@@ -92,8 +101,11 @@ func Routes() []Route {
 // query as a serving plan; the response's "query" string immediately
 // serves from the caches via /v1/query, and its "selection" is that
 // query's nodes answer in the /v1/query shape. Insufficient examples
-// (the paper's abstain) answer 422 with code "abstain", an example name
-// not in the served epoch 404 unknown_node; "k" fixes the SCP bound
+// (the paper's abstain) answer 422 with code "abstain"; a sample the
+// learner proves inconsistent — a positive whose every path the
+// negatives cover (Lemma 3.1) — answers 422 "inconsistent", naming that
+// node. An example name not in the served epoch answers 404
+// unknown_node. "k" fixes the SCP bound
 // (0 = dynamic schedule from 2 up to "maxk", default 8). A negative "k",
 // a negative "maxk", a "maxk" of 1, or a "k" or "maxk" above maxLearnK
 // (16) answers 400 bad_k. "pos" and "neg" are node names; "limit"
@@ -121,11 +133,12 @@ func NewHandler(e *Engine) http.Handler {
 
 func serveQuery(e *Engine, opt HandlerOptions, w http.ResponseWriter, r *http.Request) {
 	var req Request
-	if !decode(w, r, &req) {
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	ctx := r.Context()
-	wantTrace := r.URL.Query().Get("trace") == "1"
+	// Parsing the query string costs a map per request; most have none.
+	wantTrace := r.URL.RawQuery != "" && r.URL.Query().Get("trace") == "1"
 	// The multi-tenant server creates the trace above admission; under
 	// NewHandler, create one here when the client asked or the slow-query
 	// log may need it.
@@ -149,10 +162,8 @@ func serveQuery(e *Engine, opt HandlerOptions, w http.ResponseWriter, r *http.Re
 }
 
 func serveBatch(e *Engine, _ HandlerOptions, w http.ResponseWriter, r *http.Request) {
-	var req struct {
-		Requests []Request `json:"requests"`
-	}
-	if !decode(w, r, &req) {
+	var req batchRequest
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	epoch, answers, err := e.EvaluateBatch(r.Context(), req.Requests)
@@ -173,10 +184,8 @@ func serveMutate(e *Engine, _ HandlerOptions, w http.ResponseWriter, r *http.Req
 // its from, label and to. On failure it answers the error envelope and
 // returns false.
 func DecodeMutation(w http.ResponseWriter, r *http.Request) ([]EdgeSpec, bool) {
-	var req struct {
-		Edges []EdgeSpec `json:"edges"`
-	}
-	if !decode(w, r, &req) {
+	var req mutationRequest
+	if !decodeBody(w, r, &req) {
 		return nil, false
 	}
 	for i, ed := range req.Edges {
@@ -213,14 +222,8 @@ func ServeMutation(e *Engine, w http.ResponseWriter, edges []EdgeSpec) {
 const maxLearnK = 16
 
 func serveLearn(e *Engine, _ HandlerOptions, w http.ResponseWriter, r *http.Request) {
-	var req struct {
-		Pos   []string `json:"pos"`
-		Neg   []string `json:"neg"`
-		K     int      `json:"k"`
-		MaxK  int      `json:"maxk"`
-		Limit int      `json:"limit"`
-	}
-	if !decode(w, r, &req) {
+	var req learnRequest
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	// The dynamic schedule starts at k = 2, so a maxk of 1 would run
@@ -318,36 +321,6 @@ func (o HandlerOptions) logSlow(w http.ResponseWriter, req Request, tr *telemetr
 // would have to reject after the fact.
 const MaxBodyBytes = 8 << 20
 
-// decode reads a request body holding exactly one JSON value into
-// into; otherwise it answers the error envelope and returns false.
-// Unknown fields are rejected, and so is anything but whitespace after
-// the value: a second request concatenated onto the first must not be
-// answered as if the body were the first alone.
-func decode(w http.ResponseWriter, r *http.Request, into any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
-	dec.DisallowUnknownFields()
-	err := dec.Decode(into)
-	if err == nil {
-		switch _, err = dec.Token(); {
-		case err == io.EOF:
-			return true
-		case !errors.As(err, new(*http.MaxBytesError)):
-			err = errors.New("trailing data after the JSON value")
-		}
-	}
-	var mbe *http.MaxBytesError
-	if errors.As(err, &mbe) {
-		WriteError(w, &APIError{
-			Code:    "body_too_large",
-			Status:  http.StatusRequestEntityTooLarge,
-			Message: fmt.Sprintf("request body exceeds %d bytes", mbe.Limit),
-		})
-		return false
-	}
-	WriteError(w, badRequest("bad_body", "bad request body: %v", err))
-	return false
-}
-
 // WriteJSON answers v through reflective encoding/json, for the routes
 // off the answer path (/mutate, /stats, /plans and the multi-tenant
 // server's own).
@@ -360,10 +333,12 @@ func WriteJSON(w http.ResponseWriter, v any) {
 
 // WriteError answers err as the structured envelope
 // {"error": {"code", "message"}}, mapping APIError codes, context
-// cancellation and the learner's abstain onto statuses.
+// cancellation and the learner's abstain and inconsistent sample onto
+// statuses.
 func WriteError(w http.ResponseWriter, err error) {
 	code, status := "bad_request", http.StatusBadRequest
 	var ae *APIError
+	var ie *core.InconsistentError
 	switch {
 	case errors.As(err, &ae):
 		code, status = ae.Code, ae.Status
@@ -371,6 +346,9 @@ func WriteError(w http.ResponseWriter, err error) {
 		code, status = "deadline_exceeded", http.StatusGatewayTimeout
 	case errors.Is(err, context.Canceled):
 		code, status = "canceled", 499 // client closed request
+	case errors.As(err, &ie):
+		code, status = "inconsistent", http.StatusUnprocessableEntity
+		err = fmt.Errorf("inconsistent: no query selects positive node %q, whose every path the negatives cover; more examples cannot help", ie.Name)
 	case errors.Is(err, core.ErrAbstain):
 		code, status = "abstain", http.StatusUnprocessableEntity
 		err = fmt.Errorf("abstain: not enough examples to learn a consistent query")

@@ -106,6 +106,36 @@ func TestEngineLearnAbstainAndErrors(t *testing.T) {
 // epoch; the mutations here add disconnected edges, so every epoch's
 // learned query must stay equivalent to a reference run made before the
 // writer starts.
+// TestLearnInconsistentNamesNode: the sink sample of core's
+// TestLearnerStopsAtInconsistentPositive — the sink's only path is ε,
+// which the negative covers — answers 422 inconsistent naming the sink,
+// at any maxk; the error still matches core.ErrAbstain.
+func TestLearnInconsistentNamesNode(t *testing.T) {
+	g := graph.New(nil)
+	g.AddEdgeByName("a", "x", "b")
+	g.AddEdgeByName("b", "y", "sink")
+	g.AddEdgeByName("n", "x", "m")
+	e := New(g, Options{})
+	_, err := e.LearnNamed([]string{"a", "sink"}, []string{"n"}, core.Options{})
+	var ie *core.InconsistentError
+	if !errors.As(err, &ie) || ie.Name != "sink" || !errors.Is(err, core.ErrAbstain) {
+		t.Fatalf("LearnNamed: err = %v, want an *InconsistentError naming sink that is ErrAbstain", err)
+	}
+	h := NewHandler(e)
+	for _, body := range []string{`{"pos":["a","sink"],"neg":["n"]}`, `{"pos":["a","sink"],"neg":["n"],"maxk":16}`} {
+		rr := httptest.NewRecorder()
+		h.ServeHTTP(rr, httptest.NewRequest("POST", "/learn", strings.NewReader(body)))
+		var env errorEnvelope
+		if err := json.Unmarshal(rr.Body.Bytes(), &env); err != nil {
+			t.Fatalf("%s: %v (%s)", body, err, rr.Body.String())
+		}
+		if rr.Code != http.StatusUnprocessableEntity || env.Error.Code != "inconsistent" ||
+			!strings.Contains(env.Error.Message, `"sink"`) {
+			t.Fatalf("%s: %d %s, want 422 inconsistent naming \"sink\"", body, rr.Code, rr.Body.String())
+		}
+	}
+}
+
 func TestEngineLearnConcurrentWithMutate(t *testing.T) {
 	e := New(buildFixture(), Options{})
 	sample := sampleFor(t, e, []string{"N1"}, []string{"N3", "N5"})

@@ -83,10 +83,11 @@ func TestV1QueryGolden(t *testing.T) {
 
 // TestV1QueryErrorEnvelope pins the structured error envelope across the
 // error taxonomy: bad query, unknown semantics, unknown node, abstain,
-// bad body, and the from-validation errors.
+// bad body, oversized body, and the from-validation errors.
 func TestV1QueryErrorEnvelope(t *testing.T) {
 	e := New(buildFixture(), Options{})
 	h := NewHandler(e)
+	over := strings.Repeat("g", 9<<20) // past MaxBodyBytes
 
 	cases := []struct {
 		name   string
@@ -108,13 +109,21 @@ func TestV1QueryErrorEnvelope(t *testing.T) {
 		{"abstain", "/learn", `{"pos":[],"neg":["N1"]}`, 422, "abstain"},
 		{"batch member error", "/v1/batch", `{"requests":[{"query":"tram"},{"query":"(("}]}`, 400, "parse_error"},
 		{"batch member unknown node", "/v1/batch", `{"requests":[{"query":"tram"},{"query":"tram","semantics":"pairsFrom","from":"NOPE"}]}`, 404, "unknown_node"},
+		// A null body is its route's zero request (TestV1DecodeEdgeAnswers
+		// has the routes that answer it 200).
+		{"null query", "/v1/query", `null`, 400, "parse_error"},
+		{"null learn", "/learn", `null`, 422, "abstain"},
+		// Every body past MaxBodyBytes is too large, however early it
+		// stops being a valid one.
+		{"valid object then oversized", "/v1/query", `{"query":"tram"}` + over, 413, "body_too_large"},
+		{"invalid then oversized", "/v1/query", `}` + over, 413, "body_too_large"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			rr := httptest.NewRecorder()
 			h.ServeHTTP(rr, httptest.NewRequest("POST", tc.path, strings.NewReader(tc.body)))
 			if rr.Code != tc.status {
-				t.Fatalf("status %d, want %d (%s)", rr.Code, tc.status, rr.Body.String())
+				t.Fatalf("status %d, want %d (%.200s)", rr.Code, tc.status, rr.Body.String())
 			}
 			var env errorEnvelope
 			if err := json.Unmarshal(rr.Body.Bytes(), &env); err != nil {
@@ -127,6 +136,28 @@ func TestV1QueryErrorEnvelope(t *testing.T) {
 				t.Fatalf("batch error does not name the failing member: %q", env.Error.Message)
 			}
 		})
+	}
+}
+
+// TestV1DecodeEdgeAnswers pins the answers of the decoding edge cases that
+// are not errors: a null batch is no requests and a null mutation no
+// edges, and a key selects its field under case folding.
+func TestV1DecodeEdgeAnswers(t *testing.T) {
+	h := NewHandler(New(buildFixture(), Options{}))
+	cases := []struct {
+		path, body, want string
+	}{
+		{"/v1/batch", `null`, `{"epoch":1,"answers":[]}`},
+		{"/mutate", `null`, `{"epoch":1,"nodes":6,"edges":5}`},
+		{"/v1/query", `{"QUERY":"tram"}`, `{"epoch":1,"semantics":"nodes","count":2,"cached":false,"nodes":["N1","N3"]}`},
+		{"/v1/query", `{"ſemantics":"count","query":"tram"}`, `{"epoch":1,"semantics":"count","count":2,"cached":false,"counts":[{"node":"N1","count":1},{"node":"N3","count":1}]}`},
+	}
+	for _, tc := range cases {
+		rr := httptest.NewRecorder()
+		h.ServeHTTP(rr, httptest.NewRequest("POST", tc.path, strings.NewReader(tc.body)))
+		if got := strings.TrimSpace(rr.Body.String()); rr.Code != http.StatusOK || got != tc.want {
+			t.Errorf("%s %s: status %d body %s, want 200 %s", tc.path, tc.body, rr.Code, got, tc.want)
+		}
 	}
 }
 

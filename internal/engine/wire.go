@@ -1,9 +1,16 @@
 package engine
 
 import (
+	"bytes"
+	"errors"
+	"fmt"
+	"io"
+	"math"
 	"net/http"
 	"strconv"
+	"strings"
 	"sync"
+	"unicode/utf16"
 	"unicode/utf8"
 
 	"pathquery/internal/graph"
@@ -254,4 +261,527 @@ func writeWire(w http.ResponseWriter, fill func([]byte) []byte) {
 		*buf = b[:0]
 		wireBufs.Put(buf)
 	}
+}
+
+// The body routes (/v1/query, /v1/batch, /learn and /mutate) read their
+// requests with the strict decoder below, also without reflection. It
+// accepts exactly the bodies json.Decoder accepts with
+// DisallowUnknownFields and nothing but whitespace after the value, and
+// decodes them to the same values (FuzzV1Query and FuzzDecodeBody hold
+// it to that, against encoding/json):
+//
+//   - a key selects the field it names exactly or under bytes.EqualFold,
+//     so "QUERY" and "ſemantics" select fields; any other key is
+//     rejected, at every depth;
+//   - \uXXXX escapes decode in keys and values: a surrogate pair
+//     combines, and any other surrogate becomes U+FFFD without consuming
+//     the escape after it; each byte of invalid UTF-8 becomes U+FFFD, and
+//     raw bytes below 0x20 are rejected;
+//   - the last of a repeated key wins, and a repeated array decodes into
+//     the earlier array's elements, as far as its capacity holds them,
+//     before it is cut to its own length;
+//   - null leaves a string, an int or an element object unchanged and
+//     sets a slice to nil; a body that is null is the zero request;
+//   - an int field takes an integer literal that fits in an int; a
+//     fraction, an exponent or a quoted number is rejected.
+
+// batchRequest is the /v1/batch body.
+type batchRequest struct {
+	Requests []Request `json:"requests"`
+}
+
+// learnRequest is the /learn body.
+type learnRequest struct {
+	Pos   []string `json:"pos"`
+	Neg   []string `json:"neg"`
+	K     int      `json:"k"`
+	MaxK  int      `json:"maxk"`
+	Limit int      `json:"limit"`
+}
+
+// mutationRequest is the /mutate body.
+type mutationRequest struct {
+	Edges []EdgeSpec `json:"edges"`
+}
+
+// requestBody is the set of request bodies the decoder reads.
+type requestBody interface {
+	Request | batchRequest | learnRequest | mutationRequest
+}
+
+// The field tables: the keys each body shape's object takes.
+var (
+	requestKeys  = []string{"query", "semantics", "from", "limit", "maxLen"}
+	batchKeys    = []string{"requests"}
+	learnKeys    = []string{"pos", "neg", "k", "maxk", "limit"}
+	mutationKeys = []string{"edges"}
+	edgeKeys     = []string{"from", "label", "to"}
+)
+
+// decodeBody reads r's body, at most MaxBodyBytes of it, into a pooled
+// buffer and decodes it into into. Otherwise it answers the error
+// envelope, 413 body_too_large for a body over the limit whatever it
+// holds and 400 bad_body for any other, and returns false.
+func decodeBody[T requestBody](w http.ResponseWriter, r *http.Request, into *T) bool {
+	buf := wireBufs.Get().(*[]byte)
+	b, err := readBody(w, r, (*buf)[:0])
+	if err == nil {
+		err = decodeJSON(b, into)
+	}
+	if cap(b) <= maxPooledWire {
+		*buf = b[:0]
+		wireBufs.Put(buf)
+	}
+	if err == nil {
+		return true
+	}
+	if mbe := (*http.MaxBytesError)(nil); errors.As(err, &mbe) {
+		WriteError(w, &APIError{
+			Code:    "body_too_large",
+			Status:  http.StatusRequestEntityTooLarge,
+			Message: fmt.Sprintf("request body exceeds %d bytes", mbe.Limit),
+		})
+		return false
+	}
+	WriteError(w, badRequest("bad_body", "bad request body: %v", err))
+	return false
+}
+
+// decodeJSON decodes b, one JSON value and nothing but whitespace
+// around it, into into.
+func decodeJSON[T requestBody](b []byte, into *T) error {
+	d := decoder{b: b}
+	switch v := any(into).(type) {
+	case *Request:
+		d.request(v)
+	case *batchRequest:
+		d.batch(v)
+	case *learnRequest:
+		d.learn(v)
+	case *mutationRequest:
+		d.mutation(v)
+	}
+	d.end()
+	return d.err
+}
+
+// readBody appends r's whole body to b through http.MaxBytesReader.
+func readBody(w http.ResponseWriter, r *http.Request, b []byte) ([]byte, error) {
+	body := http.MaxBytesReader(w, r.Body, MaxBodyBytes)
+	if cap(b) < 512 {
+		b = make([]byte, 0, 512)
+	}
+	for {
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+		n, err := body.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err == io.EOF {
+			return b, nil
+		}
+		if err != nil {
+			return b, err
+		}
+	}
+}
+
+// decoder scans one request body. Its first error sticks: every step
+// after it is a no-op, and decodeBody reports it.
+type decoder struct {
+	b   []byte
+	i   int // the read position in b
+	err error
+	tmp []byte // the last string that needed unescaping
+}
+
+func (d *decoder) request(r *Request) {
+	for more := d.object(); more; more = d.more('}') {
+		switch d.key(requestKeys) {
+		case "query":
+			d.str(&r.Query)
+		case "semantics":
+			d.str(&r.Semantics)
+		case "from":
+			d.str(&r.From)
+		case "limit":
+			d.int(&r.Limit)
+		case "maxLen":
+			d.int(&r.MaxLen)
+		}
+	}
+}
+
+func (d *decoder) batch(b *batchRequest) {
+	for more := d.object(); more; more = d.more('}') {
+		if d.key(batchKeys) == "requests" {
+			array(d, &b.Requests)
+		}
+	}
+}
+
+func (d *decoder) learn(l *learnRequest) {
+	for more := d.object(); more; more = d.more('}') {
+		switch d.key(learnKeys) {
+		case "pos":
+			array(d, &l.Pos)
+		case "neg":
+			array(d, &l.Neg)
+		case "k":
+			d.int(&l.K)
+		case "maxk":
+			d.int(&l.MaxK)
+		case "limit":
+			d.int(&l.Limit)
+		}
+	}
+}
+
+func (d *decoder) mutation(m *mutationRequest) {
+	for more := d.object(); more; more = d.more('}') {
+		if d.key(mutationKeys) == "edges" {
+			array(d, &m.Edges)
+		}
+	}
+}
+
+func (d *decoder) edge(e *EdgeSpec) {
+	for more := d.object(); more; more = d.more('}') {
+		switch d.key(edgeKeys) {
+		case "from":
+			d.str(&e.From)
+		case "label":
+			d.str(&e.Label)
+		case "to":
+			d.str(&e.To)
+		}
+	}
+}
+
+// array decodes a JSON array into *dst as encoding/json decodes one into
+// a slice: element i decodes into the slice's element i wherever its
+// capacity holds one, and the slice is then cut to the array's length; []
+// leaves an empty slice and null a nil one.
+func array[T string | Request | EdgeSpec](d *decoder, dst *[]T) {
+	if d.null() {
+		*dst = nil
+		return
+	}
+	s, n := *dst, 0
+	for more := d.open('[', ']'); more; more = d.more(']') {
+		switch {
+		case n < len(s):
+		case n < cap(s):
+			s = s[:n+1]
+		default:
+			var zero T
+			s = append(s, zero)
+		}
+		switch e := any(&s[n]).(type) {
+		case *string:
+			d.str(e)
+		case *Request:
+			d.request(e)
+		case *EdgeSpec:
+			d.edge(e)
+		}
+		n++
+	}
+	if n == 0 {
+		s = []T{}
+	}
+	*dst = s[:n]
+}
+
+func (d *decoder) fail(format string, args ...any) {
+	if d.err == nil {
+		d.err = fmt.Errorf(format, args...)
+	}
+}
+
+// unexpected fails at the read position, which does not hold want.
+func (d *decoder) unexpected(want string) {
+	if d.i >= len(d.b) {
+		d.fail("unexpected end of body, want %s", want)
+	} else {
+		d.fail("unexpected %q at offset %d, want %s", d.b[d.i], d.i, want)
+	}
+}
+
+// next skips whitespace and returns the byte at the read position: 0 at
+// the end of the body and after an error.
+func (d *decoder) next() byte {
+	for d.err == nil && d.i < len(d.b) {
+		switch c := d.b[d.i]; c {
+		case ' ', '\t', '\n', '\r':
+			d.i++
+		default:
+			return c
+		}
+	}
+	return 0
+}
+
+// end checks that nothing but whitespace follows the value: a second
+// request concatenated onto the first must not be answered as if the
+// body were the first alone.
+func (d *decoder) end() {
+	if d.next(); d.err == nil && d.i < len(d.b) {
+		d.fail("unexpected %q at offset %d after the JSON value", d.b[d.i], d.i)
+	}
+}
+
+// null consumes a null literal if one is next, and reports whether it
+// did or failed on a literal that starts like one.
+func (d *decoder) null() bool {
+	if d.next() != 'n' {
+		return false
+	}
+	if !bytes.HasPrefix(d.b[d.i:], []byte("null")) {
+		d.unexpected("null")
+		return true
+	}
+	d.i += 4
+	return true
+}
+
+// object consumes an object's opening brace and reports whether a member
+// follows, consuming the closing brace if not; a null holds no members.
+func (d *decoder) object() bool {
+	return !d.null() && d.open('{', '}')
+}
+
+// open consumes the opening bracket of an object or array and reports
+// whether a member or element follows, consuming the closing one if not.
+func (d *decoder) open(open, close byte) bool {
+	if d.next() != open {
+		d.unexpected(string(open))
+		return false
+	}
+	d.i++
+	if d.next() == close {
+		d.i++
+		return false
+	}
+	return d.err == nil
+}
+
+// more consumes the comma before the next member or element and reports
+// whether one follows, consuming the closing bracket if not.
+func (d *decoder) more(close byte) bool {
+	switch d.next() {
+	case ',':
+		d.i++
+		return true
+	case close:
+		d.i++
+		return false
+	}
+	d.unexpected("',' or " + string(close))
+	return false
+}
+
+// key decodes a member's key and the colon after it, and returns the
+// field of keys the key selects; any other key fails.
+func (d *decoder) key(keys []string) string {
+	k, ok := d.quoted("a key")
+	if !ok {
+		return ""
+	}
+	name := selects(keys, k)
+	if name == "" {
+		d.fail("unknown field %q", k)
+		return ""
+	}
+	if d.next() != ':' {
+		d.unexpected("':'")
+		return ""
+	}
+	d.i++
+	return name
+}
+
+// selects returns the field of keys that key k selects, as encoding/json
+// matches keys: the one k equals, else the one it equals under case
+// folding, else "".
+func selects(keys []string, k []byte) string {
+	for _, f := range keys {
+		if string(k) == f {
+			return f
+		}
+	}
+	for _, f := range keys {
+		if bytes.EqualFold(k, []byte(f)) {
+			return f
+		}
+	}
+	return ""
+}
+
+// str decodes a JSON string into *dst; null leaves *dst unchanged.
+func (d *decoder) str(dst *string) {
+	if d.null() {
+		return
+	}
+	if s, ok := d.quoted("a string"); ok {
+		*dst = string(s)
+	}
+}
+
+// int decodes a JSON number into *dst as encoding/json does, through
+// strconv.ParseInt: only an integer literal that fits in an int passes.
+// null leaves *dst unchanged.
+func (d *decoder) int(dst *int) {
+	if d.null() {
+		return
+	}
+	neg := d.next() == '-'
+	start, i := d.i, d.i
+	if neg {
+		i++
+	}
+	if i >= len(d.b) || d.b[i] < '0' || d.b[i] > '9' {
+		d.i = i
+		d.unexpected("an integer")
+		return
+	}
+	limit := uint64(math.MaxInt) // the bound on the magnitude
+	if neg {
+		limit++
+	}
+	var n uint64
+	if d.b[i] == '0' {
+		i++ // a leading zero stands alone
+	} else {
+		for ; i < len(d.b) && '0' <= d.b[i] && d.b[i] <= '9'; i++ {
+			digit := uint64(d.b[i] - '0')
+			if n > (limit-digit)/10 {
+				d.fail("number at offset %d overflows an int", start)
+				return
+			}
+			n = n*10 + digit
+		}
+	}
+	d.i = i // a fraction or an exponent fails at the next member
+	if neg {
+		n = -n
+	}
+	*dst = int(n)
+}
+
+// quoted decodes the JSON string at the read position. Its bytes alias
+// the body, or d.tmp where the string holds an escape or invalid UTF-8,
+// and stay valid until the next call.
+func (d *decoder) quoted(want string) ([]byte, bool) {
+	if d.next() != '"' {
+		d.unexpected(want)
+		return nil, false
+	}
+	start := d.i + 1
+	for i := start; i < len(d.b); {
+		switch c := d.b[i]; {
+		case c == '"':
+			d.i = i + 1
+			return d.b[start:i], true
+		case c == '\\' || c < 0x20:
+			return d.unquote(start, i)
+		case c < utf8.RuneSelf:
+			i++
+		default:
+			r, size := utf8.DecodeRune(d.b[i:])
+			if r == utf8.RuneError && size == 1 {
+				return d.unquote(start, i)
+			}
+			i += size
+		}
+	}
+	d.i = len(d.b)
+	d.unexpected(`'"'`)
+	return nil, false
+}
+
+// unquote finishes quoted from d.b[i], the string's first byte that is
+// not copied as it stands, decoding d.b[start:] into d.tmp.
+func (d *decoder) unquote(start, i int) ([]byte, bool) {
+	t := append(d.tmp[:0], d.b[start:i]...)
+	for i < len(d.b) {
+		c := d.b[i]
+		switch {
+		case c == '"':
+			d.i, d.tmp = i+1, t
+			return t, true
+		case c == '\\':
+			var n int
+			if t, n = d.escape(t, i); n == 0 {
+				return nil, false
+			}
+			i += n
+		case c < 0x20:
+			d.i = i
+			d.unexpected("a string character")
+			return nil, false
+		case c < utf8.RuneSelf:
+			t = append(t, c)
+			i++
+		default:
+			r, size := utf8.DecodeRune(d.b[i:])
+			t = utf8.AppendRune(t, r) // U+FFFD for an invalid byte
+			i += size
+		}
+	}
+	d.i = len(d.b)
+	d.unexpected(`'"'`)
+	return nil, false
+}
+
+// escape appends what the escape at d.b[i] stands for to t and returns
+// the escape's length, or 0 when it is not one. A surrogate decodes only
+// as the high half of a pair whose low half is the next escape; any other
+// becomes U+FFFD, and the escape after it decodes on its own.
+func (d *decoder) escape(t []byte, i int) ([]byte, int) {
+	if i+1 < len(d.b) {
+		switch c := d.b[i+1]; c {
+		case '"', '\\', '/':
+			return append(t, c), 2
+		case 'b', 'f', 'n', 'r', 't':
+			return append(t, "\b\f\n\r\t"[strings.IndexByte("bfnrt", c)]), 2
+		case 'u':
+			r := u4(d.b[i:])
+			if r < 0 {
+				break
+			}
+			n := 6
+			if utf16.IsSurrogate(r) {
+				if r = utf16.DecodeRune(r, u4(d.b[i+6:])); r != utf8.RuneError {
+					n += 6
+				}
+			}
+			return utf8.AppendRune(t, r), n
+		}
+	}
+	d.i = i
+	d.unexpected("an escape")
+	return t, 0
+}
+
+// u4 decodes the \uXXXX escape at the start of b, or returns -1.
+func u4(b []byte) rune {
+	if len(b) < 6 || b[0] != '\\' || b[1] != 'u' {
+		return -1
+	}
+	var r rune
+	for _, c := range b[2:6] {
+		switch {
+		case '0' <= c && c <= '9':
+			c -= '0'
+		case 'a' <= c && c <= 'f':
+			c -= 'a' - 10
+		case 'A' <= c && c <= 'F':
+			c -= 'A' - 10
+		default:
+			return -1
+		}
+		r = r<<4 | rune(c)
+	}
+	return r
 }

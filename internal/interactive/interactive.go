@@ -15,6 +15,7 @@
 package interactive
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -394,7 +395,7 @@ func (s *Session) Learn() (*query.Query, error) {
 	opt.StartK = s.opts.StartK
 	opt.MaxK = s.opts.MaxK
 	r, err := core.LearnDetailed(s.snap, s.sample, opt)
-	if err == core.ErrAbstain {
+	if errors.Is(err, core.ErrAbstain) {
 		return nil, nil
 	}
 	if err != nil {

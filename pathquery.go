@@ -8,9 +8,12 @@
 // labeled positive ("I want this in the result") or negative, Learn
 // returns a query consistent with the labels, generalizing from the
 // smallest consistent path of each positive via RPNI-style state merging.
-// When the examples are insufficient, Learn returns ErrAbstain — the
-// paper's "learning with abstain" (consistency checking is
-// PSPACE-complete, so no polynomial learner can decide it exactly).
+// When the examples are insufficient, Learn returns an error matching
+// ErrAbstain under errors.Is — the paper's "learning with abstain"
+// (consistency checking is PSPACE-complete, so no polynomial learner can
+// decide it exactly). Where the learner proves the sample inconsistent,
+// that error is an *InconsistentError naming the positive no query
+// selects.
 //
 // A Graph is the writer: it adds nodes and edges and publishes immutable
 // epoch Snapshots. Every read — learning, evaluation, sessions — takes a
@@ -158,9 +161,15 @@ const (
 	SemanticsShortest  = query.SemanticsShortest
 )
 
-// ErrAbstain is returned when no consistent query can be constructed from
-// the given examples — the paper's null answer.
+// ErrAbstain is matched, under errors.Is, by the error returned when no
+// consistent query can be constructed from the given examples — the
+// paper's null answer.
 var ErrAbstain = core.ErrAbstain
+
+// InconsistentError is the abstain of a sample whose positive Node has
+// every path covered by the negatives (Lemma 3.1), so that no query
+// selects it.
+type InconsistentError = core.InconsistentError
 
 // NewGraph returns an empty graph over alpha (nil for a fresh alphabet).
 func NewGraph(alpha *Alphabet) *Graph { return graph.New(alpha) }
