@@ -291,15 +291,6 @@ func (d *DFA) IsPrefixFree() bool {
 	return true
 }
 
-// SortedSymbols returns 0..NumSyms-1 as symbols; helper for iteration.
-func (d *DFA) SortedSymbols() []alphabet.Symbol {
-	out := make([]alphabet.Symbol, d.NumSyms)
-	for i := range out {
-		out[i] = alphabet.Symbol(i)
-	}
-	return out
-}
-
 // String renders a debug form listing transitions.
 func (d *DFA) String() string {
 	var b strings.Builder

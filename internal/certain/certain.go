@@ -9,9 +9,10 @@
 //
 // A node is informative iff it is unlabeled and not certain. Deciding this
 // exactly is PSPACE-complete (Lemma 4.2); the exact deciders here run the
-// subset-construction inclusion test (exponential worst case, fine on the
-// paper-scale graphs), and the interactive strategies use the k-bounded
-// approximation from package scp instead.
+// inclusion test of package scp — an unbounded Coverage.Smallest over the
+// lazily determinized right-hand side (exponential worst case, fine on the
+// paper-scale graphs) — and the interactive strategies use the k-bounded
+// approximation from the same package instead.
 package certain
 
 import (
@@ -49,10 +50,11 @@ func (l Label) String() string {
 }
 
 // IsCertainPositive decides ν ∈ Cert+(G,S) exactly (Lemma 4.1, case 1).
+// One coverage of S− ∪ {ν} serves every positive's inclusion test.
 func IsCertainPositive(snap *graph.Snapshot, s core.Sample, nu graph.NodeID) bool {
-	right := append(append([]graph.NodeID{}, s.Neg...), nu)
+	cov := scp.NewCoverage(snap, append(append([]graph.NodeID{}, s.Neg...), nu))
 	for _, p := range s.Pos {
-		if snap.PathsIncluded([]graph.NodeID{p}, right) {
+		if included(cov, p) {
 			return true
 		}
 	}
@@ -61,15 +63,28 @@ func IsCertainPositive(snap *graph.Snapshot, s core.Sample, nu graph.NodeID) boo
 
 // IsCertainNegative decides ν ∈ Cert−(G,S) exactly (Lemma 4.1, case 2).
 func IsCertainNegative(snap *graph.Snapshot, s core.Sample, nu graph.NodeID) bool {
-	return snap.PathsIncluded([]graph.NodeID{nu}, s.Neg)
+	return included(scp.NewCoverage(snap, s.Neg), nu)
+}
+
+// included reports whether every path of ν, of any length, is in the
+// coverage's language.
+func included(cov *scp.Coverage, nu graph.NodeID) bool {
+	_, escapes, _ := cov.Smallest(nu, -1)
+	return !escapes
 }
 
 // Classify returns the exact label of ν relative to S.
 func Classify(snap *graph.Snapshot, s core.Sample, nu graph.NodeID) Label {
+	return classify(snap, s, scp.NewCoverage(snap, s.Neg), nu)
+}
+
+// classify is Classify with the coverage of S− supplied, so Propagate
+// determinizes paths(S−) once for every node's Cert− test.
+func classify(snap *graph.Snapshot, s core.Sample, neg *scp.Coverage, nu graph.NodeID) Label {
 	if _, ok := s.Labeled(nu); ok {
 		return AlreadyLabeled
 	}
-	if IsCertainNegative(snap, s, nu) {
+	if included(neg, nu) {
 		return CertainNegative
 	}
 	if IsCertainPositive(snap, s, nu) {
@@ -99,9 +114,10 @@ func IsKInformative(snap *graph.Snapshot, s core.Sample, nu graph.NodeID, k int)
 // which prunes nodes that became uninformative after a new label. Returns
 // the classified label per node id.
 func Propagate(snap *graph.Snapshot, s core.Sample) []Label {
+	neg := scp.NewCoverage(snap, s.Neg)
 	out := make([]Label, snap.NumNodes())
-	for v := 0; v < snap.NumNodes(); v++ {
-		out[v] = Classify(snap, s, graph.NodeID(v))
+	for v := range out {
+		out[v] = classify(snap, s, neg, graph.NodeID(v))
 	}
 	return out
 }

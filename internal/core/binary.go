@@ -9,6 +9,7 @@ import (
 	"pathquery/internal/graph"
 	"pathquery/internal/plan"
 	"pathquery/internal/query"
+	"pathquery/internal/scp"
 	"pathquery/internal/words"
 )
 
@@ -141,13 +142,13 @@ func coversNoPair(snap *graph.Snapshot, dp *plan.Plan, neg []Pair) bool {
 // from its origin — is a deterministic function of the word, so the shared
 // canonical-order witness core (graph.WitnessBFS) over pairs
 // (mine subset id, negative-subset tuple id) enumerates words canonically.
-// Subsets are interned to dense ids (graph.NodeSetIndex) with memoized
+// Subsets are interned to dense ids (scp.NodeSetIndex) with memoized
 // (set, symbol) transitions, and the per-negative id vectors are interned
-// in turn (tupleIndex), so the search state is two int32s and each
-// distinct subset is stepped at most once per symbol.
+// in a second index, so the search state is two int32s and each distinct
+// subset is stepped at most once per symbol.
 func smallestPairPath(snap *graph.Snapshot, p Pair, neg []Pair, k int) (w words.Word, ok, cut bool) {
-	ix := graph.NewNodeSetIndex()
-	tup := newTupleIndex()
+	ix := scp.NewNodeSetIndex()
+	tup := scp.NewNodeSetIndex()
 	trans := make(map[uint64]int32)
 	stepID := func(id int32, sym alphabet.Symbol) int32 {
 		key := uint64(uint32(id))<<32 | uint64(sym)
@@ -167,7 +168,7 @@ func smallestPairPath(snap *graph.Snapshot, p Pair, neg []Pair, k int) (w words.
 		if !contains(mine, p.To) {
 			return false
 		}
-		for i, id := range tup.set(negsID) {
+		for i, id := range tup.Set(negsID) {
 			if contains(id, neg[i].To) {
 				return false
 			}
@@ -180,12 +181,12 @@ func smallestPairPath(snap *graph.Snapshot, p Pair, neg []Pair, k int) (w words.
 	for i, n := range neg {
 		negsInit[i] = ix.Intern([]graph.NodeID{n.From})
 	}
-	startNegs := tup.intern(negsInit)
+	startNegs := tup.Intern(negsInit)
 	scratch := make([]int32, len(neg))
 	return graph.WitnessBFS(k, [][2]int32{{startMine, startNegs}},
 		accept,
 		func(mine, negsID int32, emit func(sym alphabet.Symbol, a2, b2 int32)) {
-			negs := tup.set(negsID)
+			negs := tup.Set(negsID)
 			for _, sym := range snap.SymbolsOf(ix.Set(mine)) {
 				m2 := stepID(mine, sym)
 				if len(ix.Set(m2)) == 0 {
@@ -194,53 +195,9 @@ func smallestPairPath(snap *graph.Snapshot, p Pair, neg []Pair, k int) (w words.
 				for i, id := range negs {
 					scratch[i] = stepID(id, sym)
 				}
-				emit(sym, m2, tup.intern(scratch))
+				emit(sym, m2, tup.InternCopy(scratch))
 			}
 		})
-}
-
-// tupleIndex interns int32 vectors (the per-negative subset-id tuples of
-// smallestPairPath) as dense ids, replacing the byte-string state encoding
-// of the pre-plan implementation. Same shape as graph.NodeSetIndex: FNV-1a
-// hash into buckets, element-wise compare on collision.
-type tupleIndex struct {
-	tuples  [][]int32
-	buckets map[uint64][]int32
-}
-
-func newTupleIndex() *tupleIndex {
-	return &tupleIndex{buckets: make(map[uint64][]int32)}
-}
-
-func (ix *tupleIndex) intern(t []int32) int32 {
-	h := uint64(14695981039346656037)
-	for _, v := range t {
-		h ^= uint64(uint32(v))
-		h *= 1099511628211
-	}
-	for _, id := range ix.buckets[h] {
-		if tuplesEqual(ix.tuples[id], t) {
-			return id
-		}
-	}
-	id := int32(len(ix.tuples))
-	ix.tuples = append(ix.tuples, append([]int32(nil), t...))
-	ix.buckets[h] = append(ix.buckets[h], id)
-	return id
-}
-
-func (ix *tupleIndex) set(id int32) []int32 { return ix.tuples[id] }
-
-func tuplesEqual(a, b []int32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // TupleSample is a set of n-ary examples: node tuples labeled + or −.

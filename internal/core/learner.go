@@ -266,17 +266,13 @@ func learnFixedK(snap *graph.Snapshot, s Sample, opt Options, cov *scp.Coverage,
 // construction it runs can be exponential in |S−|'s reachable region. Use
 // on small graphs, or bound the search with ConsistentWithin.
 func Consistent(snap *graph.Snapshot, s Sample) bool {
-	for _, nu := range s.Pos {
-		if snap.PathsIncluded([]graph.NodeID{nu}, s.Neg) {
-			return false
-		}
-	}
-	return true
+	return ConsistentWithin(snap, s, -1)
 }
 
 // ConsistentWithin is the k-bounded approximation of Consistent: it only
 // certifies consistency witnessed by paths of length ≤ k. It can report
-// false for samples that are consistent only via longer paths.
+// false for samples that are consistent only via longer paths. k < 0 is
+// unbounded, which is Consistent.
 func ConsistentWithin(snap *graph.Snapshot, s Sample, k int) bool {
 	cov := scp.NewCoverage(snap, s.Neg)
 	for _, nu := range s.Pos {

@@ -27,8 +27,9 @@
 //     are never cached; their single-flight waiters retry under their
 //     own contexts.
 //   - Batched evaluation: EvaluateBatch runs many requests against one
-//     pinned snapshot through the worker-shard product engine, amortizing
-//     the pooled bitset scratch across queries.
+//     pinned snapshot, so every answer of a batch reports the same epoch;
+//     cache misses fan out over at most GOMAXPROCS workers, and duplicate
+//     requests collapse into one evaluation through the result cache.
 //
 // The engine also hosts the paper's learner as a service: Learn pins the
 // currently served epoch, runs Algorithm 1 on it (serially, every read on
@@ -136,7 +137,7 @@ type pendingMutation struct {
 
 // New wraps g in a serving engine and publishes its first epoch. The
 // engine takes over concurrency control: from here on, mutate only through
-// Mutate/Update and read only through the engine (or through snapshots).
+// Mutate and read only through the engine (or through snapshots).
 func New(g *graph.Graph, opt Options) *Engine {
 	if opt.ResultCacheCap <= 0 {
 		opt.ResultCacheCap = 4096
@@ -164,7 +165,7 @@ func (e *Engine) FlushMaintenance() {}
 func (e *Engine) Close() {}
 
 // Graph returns the underlying graph. Mutating it directly bypasses the
-// engine's write serialization; use Mutate/Update instead.
+// engine's write serialization; use Mutate instead.
 func (e *Engine) Graph() *graph.Graph { return e.g }
 
 // Epoch returns the currently served epoch.
@@ -350,39 +351,6 @@ func (e *Engine) commitBatch(batch []*pendingMutation) {
 	}
 	e.commitCond.Broadcast()
 	e.commitMu.Unlock()
-}
-
-// publish is the single path every non-batched epoch publisher goes
-// through: fn runs under the write lock (an error aborts with the graph
-// untouched) and the new epoch is published. Readers pin epochs via one
-// atomic load and revalidate cached answers against them (maintain.go),
-// so a publication leaves no cache work behind.
-func (e *Engine) publish(fn func() error) (*graph.Snapshot, error) {
-	e.mu.Lock()
-	if err := fn(); err != nil {
-		e.mu.Unlock()
-		return nil, err
-	}
-	snap := e.g.Snapshot()
-	e.mu.Unlock()
-	e.mutations.Add(1)
-	return snap, nil
-}
-
-// Update runs fn against the build side under the write lock and
-// publishes a new epoch. fn must only mutate (AddNode/AddEdge/...), not
-// publish a snapshot of its own. Update cannot write ahead (fn is
-// opaque), so it refuses to run on a durable engine — recovery would
-// silently diverge; use Mutate there.
-func (e *Engine) Update(fn func(g *graph.Graph)) MutationResult {
-	if e.log != nil {
-		panic("engine: Update bypasses the mutation log; use Mutate on a durable engine")
-	}
-	snap, _ := e.publish(func() error {
-		fn(e.g)
-		return nil
-	})
-	return MutationResult{Epoch: snap.Epoch(), Nodes: snap.NumNodes(), Edges: snap.NumEdges()}
 }
 
 // LearnResult is the outcome of one Engine.Learn call: the learned query,

@@ -1,6 +1,7 @@
 package graph_test
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -35,7 +36,7 @@ func TestConcurrentReadsAfterBuild(t *testing.T) {
 			for v := w; v < 100; v += 8 {
 				g.Snapshot().OutEdges(graph.NodeID(v))
 				g.Snapshot().InEdges(graph.NodeID(v))
-				g.Snapshot().CoversPlan(p, graph.NodeID(v))
+				g.Snapshot().WitnessPathPlan(context.Background(), p, graph.NodeID(v))
 				g.Snapshot().PathsUpTo(graph.NodeID(v), 3, 10)
 			}
 		}(w)
@@ -46,7 +47,7 @@ func TestConcurrentReadsAfterBuild(t *testing.T) {
 	snap := g.Snapshot()
 	sel := snap.SelectMonadicPlan(p)
 	for v := 0; v < 100; v++ {
-		if got := snap.CoversPlan(p, graph.NodeID(v)); got != sel[v] {
+		if _, got, _ := snap.WitnessPathPlan(context.Background(), p, graph.NodeID(v)); got != sel[v] {
 			t.Fatalf("node %d: concurrent warm-up corrupted state", v)
 		}
 	}

@@ -10,9 +10,8 @@ import (
 
 // This file implements the read-side representation of a Graph: a
 // compressed sparse row (CSR) adjacency grouped by symbol, published as
-// immutable epoch Snapshots, the scratch pools shared by the hot product
-// searches, and the node-set interner used by the subset constructions
-// (FirstEscapingPath here, Coverage in internal/scp).
+// immutable epoch Snapshots, and the scratch pools shared by the hot
+// product searches.
 //
 // Epoch contract: one writer mutates (AddNode/AddEdge) the build-side
 // adjacency, which never touches a published Snapshot, and publishes:
@@ -376,63 +375,4 @@ func (s *Snapshot) putProductClean(sc *productScratch) {
 	sc.next = sc.next[:0]
 	sc.touched = sc.touched[:0]
 	s.g.prodPool.Put(sc)
-}
-
-// NodeSetIndex interns sorted node sets as dense int32 ids, replacing the
-// string-keyed subset maps of the pre-CSR implementation. Sets are hashed
-// (FNV-1a over the ids) into buckets and compared element-wise on
-// collision. Intern takes ownership of the slice it is given; callers must
-// not modify a set after interning it.
-type NodeSetIndex struct {
-	sets    [][]NodeID
-	buckets map[uint64][]int32
-}
-
-// NewNodeSetIndex returns an empty index.
-func NewNodeSetIndex() *NodeSetIndex {
-	return &NodeSetIndex{buckets: make(map[uint64][]int32)}
-}
-
-func hashNodeSet(set []NodeID) uint64 {
-	h := uint64(14695981039346656037)
-	for _, v := range set {
-		h ^= uint64(uint32(v))
-		h *= 1099511628211
-	}
-	return h
-}
-
-// Intern returns the id of set, assigning a fresh one (and taking
-// ownership of the slice) if it is new. The set must be sorted and
-// duplicate-free — the canonical form Step and dedupNodes produce.
-func (ix *NodeSetIndex) Intern(set []NodeID) int32 {
-	h := hashNodeSet(set)
-	for _, id := range ix.buckets[h] {
-		if nodeSetsEqual(ix.sets[id], set) {
-			return id
-		}
-	}
-	id := int32(len(ix.sets))
-	ix.sets = append(ix.sets, set)
-	ix.buckets[h] = append(ix.buckets[h], id)
-	return id
-}
-
-// Set returns the node set with the given id. The returned slice must not
-// be modified.
-func (ix *NodeSetIndex) Set(id int32) []NodeID { return ix.sets[id] }
-
-// Len returns the number of distinct sets interned.
-func (ix *NodeSetIndex) Len() int { return len(ix.sets) }
-
-func nodeSetsEqual(a, b []NodeID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

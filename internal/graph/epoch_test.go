@@ -1,6 +1,7 @@
 package graph_test
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -120,7 +121,7 @@ func TestConcurrentReadersDuringMutation(t *testing.T) {
 				}
 				// Name resolution against the pinned epoch must be in range.
 				_ = s.NodeName(graph.NodeID(s.NumNodes() - 1))
-				s.CoversAnyPlan(p, []graph.NodeID{graph.NodeID(w)})
+				s.WitnessPathPlan(context.Background(), p, graph.NodeID(w))
 				select {
 				case <-stop:
 					return

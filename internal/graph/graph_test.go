@@ -2,6 +2,7 @@ package graph_test
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"sort"
 	"testing"
@@ -12,6 +13,7 @@ import (
 	"pathquery/internal/paperfix"
 	"pathquery/internal/plan"
 	"pathquery/internal/regex"
+	"pathquery/internal/scp"
 	"pathquery/internal/words"
 )
 
@@ -159,9 +161,9 @@ func TestFigure1QuerySemantics(t *testing.T) {
 }
 
 func TestCoversMatchesSelectMonadic(t *testing.T) {
-	// CoversPlan (single-node forward check) must agree with
-	// SelectMonadicPlan (all-nodes backward pass) on random graphs and
-	// queries.
+	// WitnessPathPlan's verdict (the single-node forward check behind
+	// query.Query.Selects) must agree with SelectMonadicPlan (all-nodes
+	// backward pass) on random graphs and queries.
 	rng := rand.New(rand.NewSource(5))
 	alpha := alphabet.NewSorted("a", "b", "c")
 	for iter := 0; iter < 50; iter++ {
@@ -169,8 +171,8 @@ func TestCoversMatchesSelectMonadic(t *testing.T) {
 		p := plan.FromDFA(automata.RandomNonEmptyDFA(rng, 5, alpha.Size(), 0.6))
 		sel := snap.SelectMonadicPlan(p)
 		for v := 0; v < snap.NumNodes(); v++ {
-			if got := snap.CoversPlan(p, graph.NodeID(v)); got != sel[v] {
-				t.Fatalf("iter %d: CoversPlan(%d) = %v, SelectMonadicPlan = %v", iter, v, got, sel[v])
+			if _, got, _ := snap.WitnessPathPlan(context.Background(), p, graph.NodeID(v)); got != sel[v] {
+				t.Fatalf("iter %d: WitnessPathPlan(%d) ok = %v, SelectMonadicPlan = %v", iter, v, got, sel[v])
 			}
 		}
 	}
@@ -229,17 +231,28 @@ func TestSelectMonadicAgainstPathEnumeration(t *testing.T) {
 }
 
 func TestCoversAnyIsUnionOfCovers(t *testing.T) {
+	// Whether a query covers a node set is the union of its per-node
+	// verdicts, each the witness search behind query.Query.Selects:
+	// (a·b)*·c on G0 covers both positives and no negative, agreeing with
+	// the all-nodes selection.
 	g, s := paperfix.G0()
 	snap := g.Snapshot()
 	p := compileOn(t, g, "(a·b)*·c")
-	if snap.CoversAnyPlan(p, s.Neg) {
-		t.Fatal("(a·b)*·c should not cover any negative")
-	}
-	if !snap.CoversAnyPlan(p, s.Pos) {
-		t.Fatal("(a·b)*·c should cover positives")
-	}
-	if snap.CoversAnyPlan(p, nil) {
-		t.Fatal("empty set covers nothing")
+	sel := snap.SelectMonadicPlan(p)
+	for _, set := range []struct {
+		nodes []graph.NodeID
+		want  bool
+	}{{s.Pos, true}, {s.Neg, false}} {
+		for _, v := range set.nodes {
+			_, ok, err := snap.WitnessPathPlan(context.Background(), p, v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ok != set.want || sel[v] != set.want {
+				t.Fatalf("(a·b)*·c at %s: witness search %v, SelectMonadicPlan %v, want %v",
+					g.NodeName(v), ok, sel[v], set.want)
+			}
+		}
 	}
 }
 
@@ -280,20 +293,24 @@ func TestSelectBinaryFrom(t *testing.T) {
 	}
 }
 
+// TestPathsIncluded and the tests after it check path-language inclusion
+// paths(ν) ⊆ paths(X) and its first escaping path, which the unbounded
+// SCP search answers (scp.Coverage.Smallest with k < 0): it finds no
+// escaping word iff the inclusion holds.
 func TestPathsIncluded(t *testing.T) {
 	g, s := paperfix.Figure5()
 	snap := g.Snapshot()
 	// Figure 5's point: the positive's paths are all covered by negatives.
-	if !snap.PathsIncluded(s.Pos, s.Neg) {
-		t.Fatal("figure 5 positive should be covered by the negatives")
+	both := scp.NewCoverage(snap, s.Neg)
+	for _, nu := range s.Pos {
+		if w, ok, _ := both.Smallest(nu, -1); ok {
+			t.Fatalf("figure 5 positive should be covered by the negatives; %v escapes", w)
+		}
 	}
 	// But not by a single negative.
-	if snap.PathsIncluded(s.Pos, s.Neg[:1]) {
-		t.Fatal("neg1 alone does not cover a·Σ* and b·Σ*")
-	}
-	w, ok := snap.FirstEscapingPath(s.Pos, s.Neg[:1], -1)
+	w, ok, _ := scp.NewCoverage(snap, s.Neg[:1]).Smallest(s.Pos[0], -1)
 	if !ok {
-		t.Fatal("expected an escaping path")
+		t.Fatal("neg1 alone does not cover a·Σ* and b·Σ*: expected an escaping path")
 	}
 	if words.String(w, g.Alphabet()) != "b" {
 		t.Fatalf("first escaping path = %v, want b", words.String(w, g.Alphabet()))
@@ -313,21 +330,26 @@ func TestPathsIncludedAgainstAutomata(t *testing.T) {
 		want := automata.Included(
 			automata.Minimize(automata.Determinize(g.Snapshot().AsNFA(left))),
 			automata.Minimize(automata.Determinize(g.Snapshot().AsNFA(right))))
-		if got := g.Snapshot().PathsIncluded(left, right); got != want {
-			t.Fatalf("iter %d: PathsIncluded = %v, automata = %v", iter, got, want)
+		_, escapes, cut := scp.NewCoverage(g.Snapshot(), right).Smallest(left[0], -1)
+		if cut {
+			t.Fatalf("iter %d: an unbounded search reported a cut", iter)
+		}
+		if got := !escapes; got != want {
+			t.Fatalf("iter %d: included = %v, automata = %v", iter, got, want)
 		}
 	}
 }
 
 func TestFirstEscapingPathDepthBound(t *testing.T) {
 	g, s := paperfix.G0()
-	snap := g.Snapshot()
+	cov := scp.NewCoverage(g.Snapshot(), s.Neg)
 	v1 := mustNode(t, g, "v1")
-	// SCP(ν1) = abc has length 3; with depth 2 it must not be found.
-	if _, ok := snap.FirstEscapingPath([]graph.NodeID{v1}, s.Neg, 2); ok {
-		t.Fatal("no escaping path of length ≤ 2 exists for v1")
+	// SCP(ν1) = abc has length 3; with depth 2 it must not be found, and
+	// the bound, not exhaustion, must be what stopped the search.
+	if _, ok, cut := cov.Smallest(v1, 2); ok || !cut {
+		t.Fatalf("depth 2: ok = %v, cut = %v; want no escaping path, cut by the bound", ok, cut)
 	}
-	w, ok := snap.FirstEscapingPath([]graph.NodeID{v1}, s.Neg, 3)
+	w, ok, _ := cov.Smallest(v1, 3)
 	if !ok || words.String(w, g.Alphabet()) != "a·b·c" {
 		t.Fatalf("escaping path = %v, want a·b·c", w)
 	}

@@ -9,6 +9,7 @@ package graph_test
 // direction-optimizing traversals are all exercised.
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"time"
@@ -80,29 +81,38 @@ func TestSelectMonadicPlanPackedMatchesReference(t *testing.T) {
 	}
 }
 
+// TestCoversPlanMatchesNFAReference checks whether a plan covers (selects)
+// a node as the single-node forward search behind query.Query.Selects
+// decides it (WitnessPathPlan's verdict), per node, on both plan forms of
+// random DFAs and on the packed layout (DFAs padded past 64 states).
 func TestCoversPlanMatchesNFAReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(203))
 	alpha := alphabet.NewSorted("a", "b", "c")
+	ctx := context.Background()
 	for iter := 0; iter < 80; iter++ {
 		nodes := 2 + rng.Intn(10)
 		g := randomGraph(rng, alpha, nodes, rng.Intn(3*nodes))
 		d := randomDFA(rng, alpha.Size())
-		var set []graph.NodeID
-		for v := 0; v < nodes; v++ {
-			if rng.Intn(3) == 0 {
-				set = append(set, graph.NodeID(v))
-			}
+		plans := plansOf(d)
+		padded := d.Clone()
+		for padded.NumStates() <= 64 {
+			padded.AddState()
+		}
+		plans = append(plans, plan.FromDFA(padded))
+		if plans[2].Layout != plan.LayoutPacked {
+			t.Fatalf("iter %d: padded DFA still %v", iter, plans[2].Layout)
 		}
 		snap := g.Snapshot()
-		want := refCovers(g, d, set)
-		for pi, p := range plansOf(d) {
-			if got := snap.CoversAnyPlan(p, set); got != want {
-				t.Fatalf("iter %d plan %d: CoversAnyPlan(%v) = %v, NFA reference = %v",
-					iter, pi, set, got, want)
-			}
-			for _, v := range set {
-				if got := snap.CoversPlan(p, v); got != refCovers(g, d, []graph.NodeID{v}) {
-					t.Fatalf("iter %d plan %d: CoversPlan(%d) disagrees", iter, pi, v)
+		for v := 0; v < nodes; v++ {
+			want := refCovers(g, d, []graph.NodeID{graph.NodeID(v)})
+			for pi, p := range plans {
+				_, got, err := snap.WitnessPathPlan(ctx, p, graph.NodeID(v))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != want {
+					t.Fatalf("iter %d plan %d: WitnessPathPlan(%d) ok = %v, NFA reference = %v",
+						iter, pi, v, got, want)
 				}
 			}
 		}

@@ -79,7 +79,7 @@ func TestScratchPoolCleanliness(t *testing.T) {
 	want1 := snap.SelectMonadicPlan(p1)
 	want2 := snap.SelectMonadicPlan(p2)
 	for round := 0; round < 20; round++ {
-		snap.CoversAnyPlan(p2, []NodeID{NodeID(rng.Intn(30))})
+		snap.WitnessPathPlan(context.Background(), p2, NodeID(rng.Intn(30)))
 		got1 := snap.SelectMonadicPlan(p1)
 		snap.CoversPairPlan(p1, NodeID(rng.Intn(30)), NodeID(rng.Intn(30)))
 		got2 := snap.SelectMonadicPlan(p2)

@@ -5,13 +5,10 @@ import (
 	"errors"
 	"math"
 	"math/bits"
-	"slices"
 
-	"pathquery/internal/alphabet"
 	"pathquery/internal/automata"
 	"pathquery/internal/bitset"
 	"pathquery/internal/plan"
-	"pathquery/internal/words"
 )
 
 // This file is the evaluator core: the product constructions between a
@@ -22,11 +19,11 @@ import (
 // cites (Lange & Rossmanith).
 //
 // One traversal core serves every semantics. Forward expansion
-// (expandForwardPlan / relaxPlanForward) walks CSR out-segments through
-// the plan's flat Delta with accept-reachability (Live) pruning; backward
-// expansion (relaxPlanBackward) walks in-segments through the plan's
-// packed reverse DFA (RevOff/RevPred) with start-reachability (Reach)
-// pruning. For plans in the masked layout (|Q| ≤ 64) the product
+// (relaxPlanForward here, witnessPath in accumulators.go) walks CSR
+// out-segments through the plan's flat Delta with accept-reachability
+// (Live) pruning; backward expansion (relaxPlanBackward) walks in-segments
+// through the plan's packed reverse DFA (RevOff/RevPred) with
+// start-reachability (Reach) pruning. For plans in the masked layout (|Q| ≤ 64) the product
 // fixpoint is one state mask per node, grown by the masked propagation
 // kernel (maskKernel) along one adjacency direction through one
 // per-(symbol, state) mask table. On top of them:
@@ -35,12 +32,13 @@ import (
 //     the masked kernel seeded by one sweep over all in-segments, or, in
 //     the packed layout (|Q| > 64), a level-synchronous relax over the
 //     full product bitset.
-//   - CoversAnyPlan / CoversPlan: early-exit forward search, skipping
-//     whole start nodes through the plan's first-symbol filter.
-//   - CoversAnyMerger: the same search on the learner's live merger —
-//     (node, class representative) pairs, transitions resolved through
-//     the union-find — so a merge candidate is checked without being
-//     built as a DFA or compiled into a plan.
+//   - WitnessPathPlan (accumulators.go): early-exit forward search from
+//     one node, skipping it whole through the plan's first-symbol filter;
+//     its verdict is query.Query.Selects.
+//   - CoversAnyMerger: early-exit forward search on the learner's live
+//     merger — (node, class representative) pairs, transitions resolved
+//     through the union-find — so a merge candidate is checked without
+//     being built as a DFA or compiled into a plan.
 //   - CoversPairPlan: bidirectional reachability — per level the cheaper
 //     frontier (by CSR degree sums) is expanded, and the sides meet in a
 //     shared product space.
@@ -49,8 +47,8 @@ import (
 //     cheaper; once the backward co-accepting set is complete, the
 //     remaining forward work is pruned to it.
 //   - WitnessBFS (witness.go): the canonical-order word search shared by
-//     FirstEscapingPath here, scp.Coverage.Smallest, and the binary learner's
-//     smallest pair-path.
+//     scp.Coverage.Smallest (the SCP and, unbounded, path-language
+//     inclusion) and the binary learner's smallest pair-path.
 //
 // The product space is the dense index v·|Q|+q over (node, DFA state)
 // pairs; visited sets are pooled bitsets over it (see csr.go). Every
@@ -328,54 +326,6 @@ func (k *maskKernel) abandon() {
 	k.stack = k.stack[:0]
 }
 
-// CoversPlan reports whether L(p) ∩ paths_G(ν) ≠ ∅ for a single node,
-// with an early-exit forward search from (ν, p.Start).
-func (s *Snapshot) CoversPlan(p *plan.Plan, nu NodeID) bool {
-	return s.CoversAnyPlan(p, []NodeID{nu})
-}
-
-// CoversAnyPlan reports whether L(p) ∩ paths_G(X) ≠ ∅: some node of X has
-// a path in L(p). With X = S− it decides whether a query selects a
-// negative example. Start nodes without an out-edge labeled by a viable
-// first symbol are skipped before any product pair is materialized.
-func (s *Snapshot) CoversAnyPlan(p *plan.Plan, set []NodeID) bool {
-	if len(set) == 0 || p.Empty() {
-		return false
-	}
-	if p.AcceptsEpsilon() {
-		return true // ε ∈ paths_G(ν) for every ν
-	}
-	nq := p.NumStates
-	sc := s.getProduct(s.nv * nq)
-	defer s.putProductSparse(sc)
-	stack := sc.stack
-	for _, v := range set {
-		if !s.hasFirstSymEdge(p, v) {
-			continue
-		}
-		idx := int(v)*nq + int(p.Start)
-		if sc.bits.TrySet(idx) {
-			sc.touched = append(sc.touched, uint64(idx))
-			stack = append(stack, uint64(idx))
-		}
-	}
-	found := false
-	co := &s.out
-	for len(stack) > 0 {
-		idx := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		v := NodeID(idx / uint64(nq))
-		q := int32(idx % uint64(nq))
-		if p.Final[q] {
-			found = true
-			break
-		}
-		stack = s.expandForwardPlan(p, co, v, q, nq, sc, stack)
-	}
-	sc.stack = stack
-	return found
-}
-
 // CoversAnyMerger reports whether the merger's current quotient selects
 // some node of X: L(m) ∩ paths_G(X) ≠ ∅. It is the learner's consistency
 // check (lines 4-5 of Algorithm 1, with X = S−), run on each merge
@@ -447,34 +397,6 @@ func (s *Snapshot) hasFirstSymEdge(p *plan.Plan, v NodeID) bool {
 		}
 	}
 	return false
-}
-
-// expandForwardPlan pushes the unvisited forward product successors of
-// (v, q): out-segment symbols look up the plan's flat transition table
-// once, then mark every neighbor in the contiguous segment. Transitions
-// into non-live states (no final reachable) are pruned.
-func (s *Snapshot) expandForwardPlan(p *plan.Plan, co *adj, v NodeID, q int32, nq int, sc *productScratch, stack []uint64) []uint64 {
-	base := int(q) * p.NumSyms
-	rs := co.segs(v)
-	for si := range rs.syms {
-		sym := int(rs.syms[si])
-		if sym >= p.NumSyms {
-			continue
-		}
-		t := p.Delta[base+sym]
-		if t == plan.None || !p.Live[t] {
-			continue
-		}
-		tb := int(t)
-		for _, e := range rs.edges[rs.offs[si]:rs.offs[si+1]] {
-			idx := int(e.To)*nq + tb
-			if sc.bits.TrySet(idx) {
-				sc.touched = append(sc.touched, uint64(idx))
-				stack = append(stack, uint64(idx))
-			}
-		}
-	}
-	return stack
 }
 
 // CoversPairPlan reports whether some path from u to v spells a word of
@@ -803,82 +725,6 @@ func (s *Snapshot) seedBackwardAll(p *plan.Plan, nq int, sc *productScratch, fro
 		}
 	})
 	return front, cost
-}
-
-// PathsIncluded decides paths_G(left) ⊆ paths_G(right) exactly, via a
-// subset construction on the right side: it searches for a word matched
-// from left whose right-coverage set becomes empty. Both languages are
-// prefix-closed with every state accepting, so inclusion fails exactly when
-// such a word exists. The worst case is exponential in |right| — this is
-// the PSPACE-hard core of consistency checking (Lemma 3.2) and node
-// informativeness (Lemma 4.2); callers use it on small graphs or fall back
-// to the k-bounded variant below.
-func (s *Snapshot) PathsIncluded(left, right []NodeID) bool {
-	_, escaped := s.FirstEscapingPath(left, right, -1)
-	return !escaped
-}
-
-// FirstEscapingPath returns the canonical-order minimal word in
-// paths_G(left) \ paths_G(right), with ok=false when inclusion holds
-// (no such word). Depth < 0 means unbounded (termination is still
-// guaranteed: the product state space is finite).
-//
-// It runs the shared canonical-order witness search (WitnessBFS) over
-// pairs (left node, right subset); the first word whose right subset is
-// empty escapes. Right subsets are interned to dense ids via NodeSetIndex
-// with memoized (set, symbol) transitions, so each distinct subset is
-// stepped once per symbol instead of re-encoded per edge.
-func (s *Snapshot) FirstEscapingPath(left, right []NodeID, depth int) (words.Word, bool) {
-	rightStart := dedupNodes(right)
-	if len(rightStart) == 0 {
-		// Right side covers nothing: even ε is uncovered when the right
-		// node set is empty, for any left node.
-		if len(left) > 0 {
-			return words.Epsilon, true
-		}
-		return nil, false
-	}
-	ix := NewNodeSetIndex()
-	startSet := ix.Intern(rightStart)
-	trans := make(map[uint64]int32) // (set, sym) -> stepped set id
-	leftStart := dedupNodes(left)
-	starts := make([][2]int32, len(leftStart))
-	for i, v := range leftStart {
-		starts[i] = [2]int32{v, startSet}
-	}
-	co := &s.out
-	w, escaped, _ := WitnessBFS(depth, starts,
-		func(_, set int32) bool { return len(ix.Set(set)) == 0 },
-		func(v, set int32, emit func(sym alphabet.Symbol, a2, b2 int32)) {
-			rs := co.segs(v)
-			for si := range rs.syms {
-				sym := rs.syms[si]
-				tk := uint64(uint32(set))<<32 | uint64(sym)
-				ns, ok := trans[tk]
-				if !ok {
-					ns = ix.Intern(s.Step(ix.Set(set), sym))
-					trans[tk] = ns
-				}
-				for _, e := range rs.edges[rs.offs[si]:rs.offs[si+1]] {
-					emit(sym, e.To, ns)
-				}
-			}
-		})
-	return w, escaped
-}
-
-// dedupNodes returns a sorted, deduplicated copy of set.
-func dedupNodes(set []NodeID) []NodeID {
-	out := append([]NodeID(nil), set...)
-	slices.Sort(out)
-	n := 0
-	for i, v := range out {
-		if i == 0 || v != out[n-1] {
-			out[n] = v
-			n++
-		}
-	}
-	return out[:n]
 }
 
 // AsNFA materializes the graph as an NFA with the given start nodes and

@@ -7,6 +7,7 @@ package graph_test
 // DFAs.
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -14,6 +15,7 @@ import (
 	"pathquery/internal/automata"
 	"pathquery/internal/graph"
 	"pathquery/internal/plan"
+	"pathquery/internal/scp"
 	"pathquery/internal/words"
 )
 
@@ -59,8 +61,12 @@ func TestSelectMonadicMatchesNFAReference(t *testing.T) {
 }
 
 func TestCoversAnyMatchesNFAReference(t *testing.T) {
+	// A plan covers a node set iff its witness search (the one behind
+	// query.Query.Selects) succeeds at some node of the set; checked
+	// against the NFA reference run from the whole set at once.
 	rng := rand.New(rand.NewSource(102))
 	alpha := alphabet.NewSorted("a", "b", "c")
+	ctx := context.Background()
 	for iter := 0; iter < 80; iter++ {
 		nodes := 2 + rng.Intn(10)
 		g := randomGraph(rng, alpha, nodes, rng.Intn(3*nodes))
@@ -71,8 +77,17 @@ func TestCoversAnyMatchesNFAReference(t *testing.T) {
 				set = append(set, graph.NodeID(v))
 			}
 		}
-		if got, want := g.Snapshot().CoversAnyPlan(plan.FromDFA(d), set), refCovers(g, d, set); got != want {
-			t.Fatalf("iter %d: CoversAnyPlan(%v) = %v, NFA reference = %v", iter, set, got, want)
+		snap, p := g.Snapshot(), plan.FromDFA(d)
+		got := false
+		for _, v := range set {
+			_, ok, err := snap.WitnessPathPlan(ctx, p, v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = got || ok
+		}
+		if want := refCovers(g, d, set); got != want {
+			t.Fatalf("iter %d: witness search covers %v = %v, NFA reference = %v", iter, set, got, want)
 		}
 	}
 }
@@ -107,34 +122,46 @@ func TestCoversPairMatchesNFAReference(t *testing.T) {
 	}
 }
 
-// TestFirstEscapingPathMatchesNFAReference checks both the inclusion
-// verdict (against automata-side language inclusion on the materialized
-// NFAs) and the witness word: it must escape, and it must be the
+// TestFirstEscapingPathMatchesNFAReference checks the unbounded SCP
+// search (scp.Coverage.Smallest with k < 0), which answers path-language
+// inclusion, on random graphs with one or two right nodes: it finds no
+// word exactly when paths(left) ⊆ paths(right) on the materialized NFAs
+// (automata.Included), and a word it finds must escape and be the
 // canonical-order minimum among all escaping words, verified by brute
 // force enumeration up to the witness length.
 func TestFirstEscapingPathMatchesNFAReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(104))
 	alpha := alphabet.NewSorted("a", "b")
-	for iter := 0; iter < 60; iter++ {
+	var seen [2]int // inclusions, escapes
+	for iter := 0; iter < 120; iter++ {
 		nodes := 2 + rng.Intn(7)
 		g := randomGraph(rng, alpha, nodes, rng.Intn(2*nodes))
+		snap := g.Snapshot()
 		left := []graph.NodeID{graph.NodeID(rng.Intn(nodes))}
 		right := []graph.NodeID{graph.NodeID(rng.Intn(nodes))}
-		w, ok := g.Snapshot().FirstEscapingPath(left, right, -1)
+		if iter%2 == 1 {
+			right = append(right, graph.NodeID(rng.Intn(nodes)))
+		}
+		w, ok, cut := scp.NewCoverage(snap, right).Smallest(left[0], -1)
+		if cut {
+			t.Fatalf("iter %d: an unbounded search reported a cut", iter)
+		}
 		wantIncluded := automata.Included(
-			automata.Minimize(automata.Determinize(g.Snapshot().AsNFA(left))),
-			automata.Minimize(automata.Determinize(g.Snapshot().AsNFA(right))))
+			automata.Minimize(automata.Determinize(snap.AsNFA(left))),
+			automata.Minimize(automata.Determinize(snap.AsNFA(right))))
 		if ok == wantIncluded {
-			t.Fatalf("iter %d: FirstEscapingPath ok = %v, automata inclusion = %v",
+			t.Fatalf("iter %d: escaping path found = %v, automata inclusion = %v",
 				iter, ok, wantIncluded)
 		}
 		if !ok {
+			seen[0]++
 			continue
 		}
-		if !g.Snapshot().MatchesAny(left, w) {
+		seen[1]++
+		if !snap.MatchesAny(left, w) {
 			t.Fatalf("iter %d: witness %v not in paths(left)", iter, w)
 		}
-		if g.Snapshot().MatchesAny(right, w) {
+		if snap.MatchesAny(right, w) {
 			t.Fatalf("iter %d: witness %v covered by right side", iter, w)
 		}
 		// Canonical minimality: no strictly smaller word escapes.
@@ -142,10 +169,13 @@ func TestFirstEscapingPathMatchesNFAReference(t *testing.T) {
 			if words.Compare(u, w) >= 0 {
 				break
 			}
-			if g.Snapshot().MatchesAny(left, u) && !g.Snapshot().MatchesAny(right, u) {
+			if snap.MatchesAny(left, u) && !snap.MatchesAny(right, u) {
 				t.Fatalf("iter %d: %v escapes but is smaller than witness %v", iter, u, w)
 			}
 		}
+	}
+	if seen[0] == 0 || seen[1] == 0 {
+		t.Fatalf("inclusions %d, escapes %d: both verdicts must occur", seen[0], seen[1])
 	}
 }
 

@@ -6,14 +6,13 @@ import (
 )
 
 // WitnessBFS is the canonical-order word search shared by every
-// witness-producing evaluator: FirstEscapingPath (path-language inclusion,
-// product.go), scp.Coverage.Smallest (SCP extraction), and the binary
-// learner's smallest pair-path. Each of these used to carry its own copy
-// of the same loop — a BFS over a product of two opaque int32 components
-// (a graph node or interned node set on the left, a determinized
-// right-language state on the right) that enumerates words in the
-// canonical length-lexicographic order of Section 2 and returns the first
-// accepted one.
+// witness-producing evaluator: scp.Coverage.Smallest (SCP extraction and,
+// unbounded, path-language inclusion) and the binary learner's smallest
+// pair-path. Each of these used to carry its own copy of the same loop —
+// a BFS over a product of two opaque int32 components (a graph node or
+// interned node set on the left, a determinized right-language state on
+// the right) that enumerates words in the canonical length-lexicographic
+// order of Section 2 and returns the first accepted one.
 //
 // starts are the depth-0 states, visited in order with the word ε. expand
 // must emit the successors of a state grouped by symbol in ascending

@@ -9,6 +9,7 @@
 package query
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"sync"
@@ -189,9 +190,11 @@ func (s Selection) Selectivity() float64 {
 	return float64(s.count) / float64(len(s.vec))
 }
 
-// Selects reports whether q selects ν on an epoch snapshot.
+// Selects reports whether q selects ν on an epoch snapshot: the verdict of
+// the early-exit forward search that finds ν's witness path.
 func (q *Query) Selects(s *graph.Snapshot, nu graph.NodeID) bool {
-	return s.CoversPlan(q.Plan(), nu)
+	_, ok, _ := s.WitnessPathPlan(context.Background(), q.Plan(), nu)
+	return ok
 }
 
 // SelectsPair reports whether (u, v) ∈ q(G) under binary semantics

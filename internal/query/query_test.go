@@ -40,9 +40,12 @@ func TestSelectOnG0(t *testing.T) {
 	if got := q.Evaluate(snap).Selectivity(); got != 2.0/7 {
 		t.Fatalf("selectivity = %v", got)
 	}
-	for _, v := range nodes {
-		if !q.Selects(snap, v) {
-			t.Fatalf("Selects disagrees with Evaluate at %d", v)
+	// Selects agrees with Evaluate on every node: it holds at v1 and v3
+	// and at no other node, the sample's negatives included.
+	sel := q.Evaluate(snap)
+	for v := 0; v < g.NumNodes(); v++ {
+		if q.Selects(snap, graph.NodeID(v)) != sel.Vector()[v] {
+			t.Fatalf("Selects disagrees with Evaluate at %s", g.NodeName(graph.NodeID(v)))
 		}
 	}
 }

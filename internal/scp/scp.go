@@ -15,10 +15,17 @@
 // experiments), which bounds the subset blow-up that makes the unbounded
 // problem PSPACE-hard (Lemma 3.2).
 //
-// Subset states are interned to dense ids via graph.NodeSetIndex (hashed
-// sorted-set interning over the CSR substrate) and transitions are flat
-// per-state symbol slabs, so the learner's thousands of consistency checks
-// run without per-step string encoding or per-state maps.
+// Subset states are interned to dense ids via NodeSetIndex (hashed
+// sorted-set interning) and transitions are flat per-state symbol slabs,
+// so the learner's thousands of consistency checks run without per-step
+// string encoding or per-state maps.
+//
+// With no bound (k < 0) the same search decides path-language inclusion
+// paths_G(ν) ⊆ paths_G(S−) exactly: it fails iff an escaping word exists.
+// That is the question behind consistency (Lemma 3.1, core.Consistent)
+// and the certain labels Cert+ and Cert− (Lemma 4.1, package certain);
+// its worst case is exponential in |S−|, the PSPACE-hard core of
+// Lemmas 3.2 and 4.2.
 //
 // A Coverage is pinned to one immutable epoch Snapshot: every search it
 // runs observes exactly the graph published at that epoch, so coverage
@@ -45,7 +52,7 @@ import (
 // negative".
 type Coverage struct {
 	s       *graph.Snapshot
-	ix      *graph.NodeSetIndex
+	ix      *NodeSetIndex
 	nsym    int
 	start   int32
 	emptyID int32
@@ -59,7 +66,7 @@ type Coverage struct {
 // NewCoverage builds the coverage index for the negative node set neg,
 // pinned to the given epoch snapshot.
 func NewCoverage(s *graph.Snapshot, neg []graph.NodeID) *Coverage {
-	c := &Coverage{s: s, ix: graph.NewNodeSetIndex(), nsym: s.Alphabet().Size()}
+	c := &Coverage{s: s, ix: NewNodeSetIndex(), nsym: s.Alphabet().Size()}
 	c.emptyID = c.ix.Intern(nil)
 	c.start = c.ix.Intern(sortedUnique(neg))
 	return c
@@ -107,6 +114,7 @@ func (c *Coverage) NumStates() int { return c.ix.Len() }
 
 // Smallest returns the SCP of ν bounded by k: the canonical-order minimal
 // word of length ≤ k in paths_G(ν) \ paths_G(S−); ok=false if none exists.
+// k < 0 means unbounded: ok=false then means paths_G(ν) ⊆ paths_G(S−).
 // cut reports whether the bound k stopped the search. ok=false with
 // cut=false means the search ran out of (node, coverage) pairs: every
 // path of ν, of any length, is covered by a negative, so no query
@@ -182,6 +190,66 @@ func (c *Coverage) CountNonCovered(nu graph.NodeID, k int) int {
 	}
 	return total
 }
+
+// NodeSetIndex interns sorted node sets as dense int32 ids, replacing the
+// string-keyed subset maps of the pre-CSR implementation. Sets are hashed
+// (FNV-1a over the ids) into buckets and compared element-wise on
+// collision. Intern takes ownership of the slice it is given; callers must
+// not modify a set after interning it.
+type NodeSetIndex struct {
+	sets    [][]graph.NodeID
+	buckets map[uint64][]int32
+}
+
+// NewNodeSetIndex returns an empty index.
+func NewNodeSetIndex() *NodeSetIndex {
+	return &NodeSetIndex{buckets: make(map[uint64][]int32)}
+}
+
+func hashNodeSet(set []graph.NodeID) uint64 {
+	h := uint64(14695981039346656037)
+	for _, v := range set {
+		h ^= uint64(uint32(v))
+		h *= 1099511628211
+	}
+	return h
+}
+
+// Intern returns the id of set, assigning a fresh one (and taking
+// ownership of the slice) if it is new. The set must be sorted and
+// duplicate-free — the canonical form Step and StepAll produce.
+func (ix *NodeSetIndex) Intern(set []graph.NodeID) int32 {
+	h := hashNodeSet(set)
+	for _, id := range ix.buckets[h] {
+		if slices.Equal(ix.sets[id], set) {
+			return id
+		}
+	}
+	id := int32(len(ix.sets))
+	ix.sets = append(ix.sets, set)
+	ix.buckets[h] = append(ix.buckets[h], id)
+	return id
+}
+
+// InternCopy is Intern for a caller that reuses its slice: a new vector
+// is copied before it is stored. Ids compare vectors element by element,
+// so any int32 vector can be interned here, not only sorted sets (the
+// binary learner interns per-negative tuples of set ids).
+func (ix *NodeSetIndex) InternCopy(vec []int32) int32 {
+	n := len(ix.sets)
+	id := ix.Intern(vec)
+	if int(id) == n {
+		ix.sets[id] = slices.Clone(vec)
+	}
+	return id
+}
+
+// Set returns the node set with the given id. The returned slice must not
+// be modified.
+func (ix *NodeSetIndex) Set(id int32) []graph.NodeID { return ix.sets[id] }
+
+// Len returns the number of distinct sets interned.
+func (ix *NodeSetIndex) Len() int { return len(ix.sets) }
 
 func sortedUnique(set []graph.NodeID) []graph.NodeID {
 	out := append([]graph.NodeID(nil), set...)

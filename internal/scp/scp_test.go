@@ -2,6 +2,7 @@ package scp_test
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"pathquery/internal/datasets"
@@ -51,9 +52,10 @@ func TestSmallestNoNegatives(t *testing.T) {
 }
 
 func TestSmallestInconsistentNode(t *testing.T) {
-	// Figure 5: the positive's paths are all covered; no SCP at any k.
+	// Figure 5: the positive's paths are all covered; no SCP at any k,
+	// and none unbounded (k < 0): paths(ν) ⊆ paths(S−).
 	g, s := paperfix.Figure5()
-	for _, k := range []int{1, 3, 6, 10} {
+	for _, k := range []int{1, 3, 6, 10, -1} {
 		if _, ok, _ := scp.NewCoverage(g.Snapshot(), s.Neg).Smallest(s.Pos[0], k); ok {
 			t.Fatalf("k=%d: found an SCP for a fully covered node", k)
 		}
@@ -178,5 +180,25 @@ func TestSmallestCanonicalOrder(t *testing.T) {
 		if ok && !words.Equal(got, want) {
 			t.Fatalf("node %d: SCP %v, brute %v", v, got, want)
 		}
+	}
+}
+
+func TestNodeSetIndexInternCopy(t *testing.T) {
+	ix := scp.NewNodeSetIndex()
+	empty := ix.Intern(nil)
+	scratch := []int32{3, 1, 2}
+	id := ix.InternCopy(scratch)
+	scratch[0] = 9 // the caller reuses its slice
+	if got := ix.Set(id); !slices.Equal(got, []int32{3, 1, 2}) {
+		t.Fatalf("interned vector changed with the caller's slice: %v", got)
+	}
+	if again := ix.InternCopy([]int32{3, 1, 2}); again != id {
+		t.Fatalf("equal vector got id %d, want %d", again, id)
+	}
+	if other := ix.InternCopy(scratch); other == id || other == empty {
+		t.Fatalf("distinct vector %v got id %d of an earlier one", scratch, other)
+	}
+	if ix.Intern([]int32{}) != empty || ix.Len() != 3 {
+		t.Fatalf("index holds %d vectors, want 3 (∅, [3 1 2], [9 1 2])", ix.Len())
 	}
 }

@@ -196,6 +196,52 @@ func TestCrashBetweenCheckpointAndTruncate(t *testing.T) {
 	requireState(t, st2, 3)
 }
 
+// TestCrashAtCheckpointRename injects a rename failure into the second
+// checkpoint: the new checkpoint is written and fsynced to its temporary
+// file but never installed. Recovery must keep the first checkpoint,
+// replay the WAL past it, and clear the temporary file.
+func TestCrashAtCheckpointRename(t *testing.T) {
+	dir := t.TempDir()
+	ffs := NewFaultFS(nil)
+	st := openStore(t, dir, Options{FS: ffs, CheckpointEvery: 4})
+	e := engine.New(st.Graph(), engine.Options{Log: st})
+	acked := 0
+	for i := 0; i < 8; i++ {
+		if i == 6 {
+			if stats := st.Stats(); stats.CheckpointEpoch != 4 {
+				t.Fatalf("checkpoint epoch %d before the fault, want 4", stats.CheckpointEpoch)
+			}
+			// Mutation 6 publishes epoch 8, CheckpointEvery past the first
+			// checkpoint: its commit hook cuts the second checkpoint, whose
+			// rename fails (and kills the FS, as a crash would).
+			ffs.FailRename()
+		}
+		if _, err := e.Mutate(scriptMutation(i)); err != nil {
+			break
+		}
+		acked++
+	}
+	// Mutation 6 still acks — its WAL record was durable before the
+	// checkpoint ran. Mutation 7 then fails against the dead filesystem.
+	if acked != 7 || !ffs.Crashed() {
+		t.Fatalf("acked %d mutations (crashed %v), want 7 and a crash in the checkpoint rename", acked, ffs.Crashed())
+	}
+	st.Close()
+	tmp := filepath.Join(dir, checkpointFile+".tmp")
+	if _, err := os.Stat(tmp); err != nil {
+		t.Fatalf("the failed rename left no temporary checkpoint: %v", err)
+	}
+	st2 := openStore(t, dir, Options{})
+	defer st2.Close()
+	if stats := st2.Stats(); stats.CheckpointEpoch != 4 {
+		t.Fatalf("checkpoint epoch %d, want 4: %+v", stats.CheckpointEpoch, stats)
+	}
+	requireState(t, st2, 7)
+	if _, err := os.Stat(tmp); !os.IsNotExist(err) {
+		t.Fatalf("checkpoint.tmp survived recovery: %v", err)
+	}
+}
+
 // TestKillAtEveryWriteOffset is the exhaustive kill-and-restart sweep:
 // a crash is injected after every possible written byte across the whole
 // scripted run (WAL appends and checkpoint writes alike). Whatever the

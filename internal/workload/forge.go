@@ -25,10 +25,8 @@ import (
 	"math/rand"
 	"sort"
 
-	"pathquery/internal/alphabet"
 	"pathquery/internal/graph"
 	"pathquery/internal/query"
-	"pathquery/internal/regex"
 )
 
 // ForgeConfig parametrizes three-tier workload generation.
@@ -206,10 +204,7 @@ func bandName(bands []Band, sel float64) string {
 // no first-symbol out-edge are never anchors — an anchored replay
 // request should exercise a traversal, not a guaranteed miss.
 func pickAnchors(s *graph.Snapshot, q *query.Query, rng *rand.Rand, topDegree, n int) []graph.NodeID {
-	firsts := firstSymbols(q.Regex())
-	if len(firsts) == 0 {
-		return nil
-	}
+	firsts := q.Plan().FirstSym
 	type scored struct {
 		v     graph.NodeID
 		score int
@@ -218,7 +213,7 @@ func pickAnchors(s *graph.Snapshot, q *query.Query, rng *rand.Rand, topDegree, n
 	for v := 0; v < s.NumNodes(); v++ {
 		score := 0
 		for _, e := range s.OutEdges(graph.NodeID(v)) {
-			if firsts[e.Sym] {
+			if int(e.Sym) < len(firsts) && firsts[e.Sym] {
 				score++
 			}
 		}
@@ -248,48 +243,4 @@ func pickAnchors(s *graph.Snapshot, q *query.Query, rng *rand.Rand, topDegree, n
 		out[i] = candidates[idx].v
 	}
 	return out
-}
-
-// firstSymbols returns the set of symbols that can start a word of L(n).
-func firstSymbols(n *regex.Node) map[alphabet.Symbol]bool {
-	out := make(map[alphabet.Symbol]bool)
-	var walk func(*regex.Node)
-	walk = func(m *regex.Node) {
-		if m == nil {
-			return
-		}
-		switch m.Kind {
-		case regex.Literal:
-			out[m.Sym] = true
-		case regex.Union:
-			walk(m.Left)
-			walk(m.Right)
-		case regex.Concat:
-			walk(m.Left)
-			if nullable(m.Left) {
-				walk(m.Right)
-			}
-		case regex.Star:
-			walk(m.Left)
-		}
-	}
-	walk(n)
-	return out
-}
-
-// nullable reports whether ε ∈ L(n).
-func nullable(n *regex.Node) bool {
-	if n == nil {
-		return false
-	}
-	switch n.Kind {
-	case regex.Epsilon, regex.Star:
-		return true
-	case regex.Union:
-		return nullable(n.Left) || nullable(n.Right)
-	case regex.Concat:
-		return nullable(n.Left) && nullable(n.Right)
-	default:
-		return false
-	}
 }

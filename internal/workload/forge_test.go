@@ -2,10 +2,13 @@ package workload_test
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"strings"
 	"testing"
 
 	"pathquery/internal/alphabet"
+	"pathquery/internal/datasets"
 	"pathquery/internal/query"
 	"pathquery/internal/workload"
 )
@@ -211,5 +214,24 @@ func TestForgeClassSubset(t *testing.T) {
 	}
 	if _, err := workload.Forge(snap, workload.ForgeConfig{Seed: 3, Classes: []string{"AQ0"}}); err == nil {
 		t.Fatal("unknown class accepted")
+	}
+}
+
+// TestForgePinned pins the bytes of one forged file. Replay workloads
+// (the benchmark's among them) read their queries and anchors from Forge,
+// so a change to the forge that moves any template, anchor or band shows
+// here, not as a silent shift in what a replay measures.
+func TestForgePinned(t *testing.T) {
+	f, err := workload.Forge(datasets.Synthetic(300, 7).Snapshot(), workload.ForgeConfig{Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b bytes.Buffer
+	if err := f.Write(&b); err != nil {
+		t.Fatal(err)
+	}
+	const want = "d395b2e50cba2d6ed276b3fb44e051ddcd22a6c127516c6ffb4196c325b7f59d"
+	if got := fmt.Sprintf("%x", sha256.Sum256(b.Bytes())); got != want {
+		t.Fatalf("forged file SHA-256 = %s, want %s (%d bytes, %d entries)", got, want, b.Len(), len(f.Entries))
 	}
 }
