@@ -579,6 +579,39 @@ func BenchmarkEngineMaintain(b *testing.B) {
 		b.ReportMetric(float64(st.ResultDropped), "dropped")
 	})
 
+	b.Run("pairsfrom", func(b *testing.B) {
+		// The same round trip for an anchored read: every publish writes
+		// l04, so each read revalidates the pairsFrom entry and
+		// reanswers it however the cache maintains that semantics.
+		e := engine.New(datasets.Synthetic(10000, 10000), engine.Options{})
+		sel, err := evalNodes(e, src)
+		if err != nil || sel.Count == 0 {
+			b.Fatalf("no anchor for %s: %v", src, err)
+		}
+		req := engine.Request{Query: src, Semantics: "pairsFrom", From: sel.Names()[0]}
+		ctx := context.Background()
+		if _, err := e.Evaluate(ctx, req); err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := e.Mutate([]engine.EdgeSpec{{
+				From:  fmt.Sprintf("rg%d", i),
+				Label: "l04",
+				To:    fmt.Sprintf("rg%d", i+1),
+			}}); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := e.Evaluate(ctx, req); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+		st := e.Stats()
+		b.ReportMetric(float64(st.ResultRegrown), "regrown")
+		b.ReportMetric(float64(st.ResultDropped), "dropped")
+	})
+
 	b.Run("closedloop", func(b *testing.B) {
 		var report loadgen.Report
 		for i := 0; i < b.N; i++ {
@@ -790,7 +823,7 @@ func BenchmarkEvaluateWitness(b *testing.B) {
 	req := query.Req{Semantics: query.SemanticsWitness, Limit: 32}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ans, err := q.EvaluateReq(ctx, snap, req)
+		ans, _, err := q.EvaluateReq(ctx, snap, req)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -811,7 +844,7 @@ func BenchmarkEvaluateCount(b *testing.B) {
 	req := query.Req{Semantics: query.SemanticsCount, MaxLen: 16}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := q.EvaluateReq(ctx, snap, req); err != nil {
+		if _, _, err := q.EvaluateReq(ctx, snap, req); err != nil {
 			b.Fatal(err)
 		}
 	}

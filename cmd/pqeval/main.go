@@ -116,7 +116,7 @@ func main() {
 		defer cancel()
 	}
 	start := time.Now()
-	ans, err := q.EvaluateReq(ctx, snap, req)
+	ans, _, err := q.EvaluateReq(ctx, snap, req)
 	if err != nil {
 		log.Fatal(err)
 	}

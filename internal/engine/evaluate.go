@@ -239,11 +239,10 @@ func (e *Engine) evaluateOn(ctx context.Context, snap *graph.Snapshot, p *cached
 		endTraverse := tr.StartSpan("traverse")
 		var err error
 		ent, cached, err = e.results.do(ctx, key, snap, p.q, e.regrowBudget, func() (query.Answer, []uint64, error) {
-			// The state-capturing variant: for regrowable (semantics,
-			// layout) pairs it also returns the product fixpoint, which the
-			// cache keeps so a read at a later epoch can regrow this entry
-			// instead of recomputing it (maintain.go).
-			return p.q.EvaluateReqState(ctx, snap, qreq)
+			// For masked nodes entries this also returns the product
+			// fixpoint, which the cache keeps so a read at a later epoch
+			// can regrow the entry instead of recomputing it (maintain.go).
+			return p.q.EvaluateReq(ctx, snap, qreq)
 		})
 		endTraverse()
 		if err != nil {

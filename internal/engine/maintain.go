@@ -22,18 +22,19 @@ import (
 //     (anchored ones can reach new nodes only through new edges, which
 //     the alphabet test already covers). The empty language is retained
 //     on any write.
-//   - regrow — nodes or anchored pairsFrom semantics whose entry carries
-//     the product fixpoint masks: the graph's Regrow entry points extend
-//     the cached fixpoint to the new nodes and re-enter the propagation
-//     from the edges of DeltaSince(validTo) alone, under
-//     defaultRegrowBudget edge relaxations, inside the single flight that
-//     replaces the entry. The result is bit-for-bit the from-scratch
-//     fixpoint.
-//   - recompute — everything else: witness/count/shortest (minimality and
-//     counts are not monotone under edge inserts), packed-layout plans,
-//     spans the fenced delta chain no longer reaches, and regrows whose
-//     cost would exceed the budget. The entry is dropped and the flight
-//     evaluates from scratch.
+//   - regrow — nodes semantics whose entry carries the monadic fixpoint
+//     masks (masked-layout plans): graph.RegrowMonadicMasked extends the
+//     cached fixpoint to the new nodes and re-enters the propagation from
+//     the edges of DeltaSince(validTo) alone, under defaultRegrowBudget
+//     edge relaxations, inside the single flight that replaces the entry.
+//     The result is bit-for-bit the from-scratch fixpoint.
+//   - recompute — everything else: pairsFrom (its direction-optimizing
+//     search reruns faster than a forward fixpoint regrows, and keeps no
+//     per-node state), witness/count/shortest (minimality and counts are
+//     not monotone under edge inserts), packed-layout plans, spans the
+//     fenced delta chain no longer reaches, and regrows whose cost would
+//     exceed the budget. The entry is dropped and the flight evaluates
+//     from scratch.
 
 // defaultRegrowBudget bounds the edge relaxations one regrow may spend
 // before it gives up for a scratch recompute. A relaxation is a few
@@ -78,10 +79,10 @@ func (c *resultCache) current(e *resultEntry, key resultKey, snap *graph.Snapsho
 
 // regrow fills the flight e, which replaces the stale entry prev at snap's
 // epoch, by folding the delta since prev.validTo into prev's cached
-// fixpoint. It reports false, leaving e for a scratch compute, when prev
-// keeps no fixpoint, the delta chain does not reach back to validTo, or
-// the regrow would exceed budget edge relaxations.
-func (c *resultCache) regrow(e, prev *resultEntry, sem query.Semantics, snap *graph.Snapshot, budget int) bool {
+// monadic fixpoint. It reports false, leaving e for a scratch compute,
+// when prev keeps no fixpoint, the delta chain does not reach back to
+// validTo, or the regrow would exceed budget edge relaxations.
+func (c *resultCache) regrow(e, prev *resultEntry, snap *graph.Snapshot, budget int) bool {
 	if prev.masks == nil {
 		return false
 	}
@@ -90,17 +91,7 @@ func (c *resultCache) regrow(e, prev *resultEntry, sem query.Semantics, snap *gr
 		return false
 	}
 	start := time.Now()
-	p := prev.q.Plan()
-	var masks []uint64
-	var newly []graph.NodeID
-	switch sem {
-	case query.SemanticsNodes:
-		masks, newly, ok = snap.RegrowMonadicMasked(p, prev.masks, &span, budget)
-	case query.SemanticsPairsFrom:
-		masks, newly, ok = snap.RegrowBinaryFromMasked(p, prev.masks, &span, budget)
-	default:
-		return false
-	}
+	masks, newly, ok := snap.RegrowMonadicMasked(prev.q.Plan(), prev.masks, &span, budget)
 	if !ok {
 		return false
 	}

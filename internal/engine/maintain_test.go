@@ -141,7 +141,7 @@ func TestMaintainIncrementalMatchesFromScratch(t *testing.T) {
 				}
 				qreq.From, qreq.HasFrom = id, true
 			}
-			want, err := refs[qi].EvaluateReq(ctx, snap, qreq)
+			want, _, err := refs[qi].EvaluateReq(ctx, snap, qreq)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -339,6 +339,73 @@ func TestFirstReadAfterDisjointPublishIsCached(t *testing.T) {
 	}
 	if st := e.Stats(); st.ResultMisses != uint64(len(reqs)) || st.ResultRetained != uint64(len(reqs)) {
 		t.Fatalf("misses %d retained %d, want %d each", st.ResultMisses, st.ResultRetained, len(reqs))
+	}
+}
+
+// TestOverlappingPublishDropsPairsFromRegrowsNodes: a pairsFrom entry
+// keeps no fixpoint, so the first read after a publish on its alphabet
+// drops it and recomputes — uncached, equal to a scratch EvaluateReq —
+// while a nodes entry hit by the same publish regrows.
+func TestOverlappingPublishDropsPairsFromRegrowsNodes(t *testing.T) {
+	e := New(buildFixture(), Options{})
+	ctx := context.Background()
+	const src = "(tram+bus)*·cinema"
+	pairs := Request{Query: src, Semantics: "pairsFrom", From: "N3"}
+	nodesReq := Request{Query: src}
+	for _, req := range []Request{pairs, nodesReq} {
+		if _, err := e.Evaluate(ctx, req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pairsMasks := func() []uint64 {
+		e.results.mu.Lock()
+		defer e.results.mu.Unlock()
+		for k, ent := range e.results.entries {
+			if k.sem == query.SemanticsPairsFrom {
+				return ent.masks
+			}
+		}
+		t.Fatal("no pairsFrom entry cached")
+		return nil
+	}
+	if m := pairsMasks(); m != nil {
+		t.Fatalf("warmed pairsFrom entry holds %d fixpoint masks", len(m))
+	}
+
+	// N3 -tram-> N5 -bus-> N5 reaches a cinema edge only after this.
+	if _, err := e.Mutate([]EdgeSpec{{From: "N5", Label: "cinema", To: "C2"}}); err != nil {
+		t.Fatal(err)
+	}
+	got, err := e.Evaluate(ctx, pairs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := e.Graph().Current()
+	n3, _ := e.Graph().NodeByName("N3")
+	want, _, err := query.MustParse(snap.Alphabet(), src).EvaluateReq(ctx, snap,
+		query.Req{Semantics: query.SemanticsPairsFrom, From: n3, HasFrom: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Cached || !slices.Equal(got.Nodes, want.Nodes) || !slices.Equal(got.Names(), []string{"C2"}) {
+		t.Fatalf("pairsFrom after the publish: %v cached %v, want [C2] (scratch %v) uncached", got.Names(), got.Cached, want.Nodes)
+	}
+	if st := e.Stats(); st.ResultDropped != 1 || st.ResultRegrown != 0 {
+		t.Fatalf("pairsFrom read: dropped %d regrown %d, want 1 and 0", st.ResultDropped, st.ResultRegrown)
+	}
+	if m := pairsMasks(); m != nil {
+		t.Fatalf("recomputed pairsFrom entry holds %d fixpoint masks", len(m))
+	}
+
+	sel, err := e.Evaluate(ctx, nodesReq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sel.Cached || !slices.Equal(slices.Sorted(slices.Values(sel.Names())), []string{"N1", "N2", "N3", "N4", "N5"}) {
+		t.Fatalf("nodes after the publish: %v cached %v, want [N1 N2 N3 N4 N5] regrown", sel.Names(), sel.Cached)
+	}
+	if st := e.Stats(); st.ResultDropped != 1 || st.ResultRegrown != 1 {
+		t.Fatalf("nodes read: dropped %d regrown %d, want 1 and 1", st.ResultDropped, st.ResultRegrown)
 	}
 }
 

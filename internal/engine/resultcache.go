@@ -44,9 +44,9 @@ type resultEntry struct {
 	nv int
 	// q and masks make the entry revalidatable (maintain.go): q reaches
 	// the plan's alphabet mask and ε/emptiness flags, and masks is the
-	// product fixpoint EvaluateReqState captured alongside the answer —
-	// nil when the (semantics, layout) pair is not regrowable, in which
-	// case a write on the plan's alphabet forces a scratch recompute.
+	// monadic fixpoint EvaluateReq returned alongside a masked nodes
+	// answer — nil for every other entry, which a write on the plan's
+	// alphabet drops for a scratch recompute.
 	q     *query.Query
 	masks []uint64
 	// rendered is all of ans's rows in wire form, set by the first read
@@ -204,7 +204,7 @@ func (c *resultCache) do(ctx context.Context, key resultKey, snap *graph.Snapsho
 		close(e.done)
 	}()
 	e.failed = true
-	if prev != nil && c.regrow(e, prev, key.sem, snap, budget) {
+	if prev != nil && c.regrow(e, prev, snap, budget) {
 		cached = true
 	} else {
 		if prev != nil {

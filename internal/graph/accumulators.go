@@ -48,17 +48,20 @@ func (s *Snapshot) WitnessPathPlan(ctx context.Context, p *plan.Plan, nu NodeID)
 // to v spelling a word of L(p) — the witness of (u, v) under the binary
 // semantics of Appendix B. ok is false when the pair is not selected.
 func (s *Snapshot) WitnessPairPathPlan(ctx context.Context, p *plan.Plan, u, v NodeID) (PathWitness, bool, error) {
+	if v < 0 {
+		return PathWitness{}, false, ctx.Err() // witnessPath reads a negative target as monadic
+	}
 	return s.witnessPath(ctx, p, u, v)
 }
 
 // witnessPath is the shared parent-chain BFS: target < 0 accepts any
 // (node, final) pair (monadic witness), target ≥ 0 only (target, final)
-// (pair witness).
+// (pair witness). A start or target outside the snapshot has no witness.
 func (s *Snapshot) witnessPath(ctx context.Context, p *plan.Plan, start NodeID, target NodeID) (PathWitness, bool, error) {
 	if err := ctx.Err(); err != nil {
 		return PathWitness{}, false, err
 	}
-	if p.Empty() {
+	if p.Empty() || !s.hasNode(start) || int(target) >= s.nv {
 		return PathWitness{}, false, nil
 	}
 	if p.AcceptsEpsilon() && (target < 0 || target == start) {
@@ -171,7 +174,7 @@ func (s *Snapshot) CountPlanCtx(ctx context.Context, p *plan.Plan, maxLen int) (
 	}
 
 	sc := s.getProduct(nv * nq)
-	defer s.putProductSparse(sc) // touched is empty between levels
+	defer s.putProductClean(sc) // every level clears the bits it set
 	cur := sc.stack[:0]
 	next := sc.next[:0]
 	defer func() { sc.stack, sc.next = cur[:0], next[:0] }()
@@ -187,43 +190,12 @@ func (s *Snapshot) CountPlanCtx(ctx context.Context, p *plan.Plan, maxLen int) (
 		}
 	}
 
-	ci := &s.in
 	startState := int(p.Start)
 	for level := 1; level <= maxLen && len(cur) > 0; level++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		next = next[:0]
-		for _, idx := range cur {
-			v := NodeID(idx / uint64(nq))
-			q := int(idx % uint64(nq))
-			rs := ci.segs(v)
-			for si := range rs.syms {
-				sym := int(rs.syms[si])
-				if sym >= p.NumSyms {
-					continue
-				}
-				k := sym*nq + q
-				preds := p.RevPred[p.RevOff[k]:p.RevOff[k+1]]
-				if len(preds) == 0 {
-					continue
-				}
-				tails := rs.edges[rs.offs[si]:rs.offs[si+1]]
-				for _, pr := range preds {
-					if !p.Reach[pr] {
-						continue
-					}
-					base := int(pr)
-					for _, e := range tails {
-						nidx := int(e.To)*nq + base
-						if sc.bits.TrySet(nidx) {
-							sc.touched = append(sc.touched, uint64(nidx))
-							next = append(next, uint64(nidx))
-						}
-					}
-				}
-			}
-		}
+		next, _ = s.relaxPlanBackward(p, cur, next[:0], sc.bits, nil, nil)
 		// Read the level off and reset the per-level dedup set.
 		for _, idx := range next {
 			if int(idx%uint64(nq)) == startState {
@@ -231,7 +203,6 @@ func (s *Snapshot) CountPlanCtx(ctx context.Context, p *plan.Plan, maxLen int) (
 			}
 			sc.bits.Clear(int(idx))
 		}
-		sc.touched = sc.touched[:0]
 		cur, next = next, cur
 	}
 	return counts, nil

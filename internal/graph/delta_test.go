@@ -207,10 +207,9 @@ func mustSym(t *testing.T, alpha *alphabet.Alphabet, label string) alphabet.Symb
 }
 
 // TestRegrowMatchesFromScratch is the soundness property of incremental
-// maintenance: fold a random delta span into the cached fixpoint of an
-// older epoch and the masks — and the selected nodes — must equal a
-// from-scratch evaluation on the new snapshot, for both the monadic
-// (backward) and anchored-binary (forward) evaluators.
+// maintenance: fold a random delta span into the cached monadic fixpoint
+// of an older epoch and the masks — and the selected nodes — must equal
+// a from-scratch evaluation on the new snapshot.
 func TestRegrowMatchesFromScratch(t *testing.T) {
 	rng := rand.New(rand.NewSource(404))
 	alpha := alphabet.NewSorted("a", "b", "c")
@@ -227,11 +226,7 @@ func TestRegrowMatchesFromScratch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		u := graph.NodeID(rng.Intn(nodes))
-		oldPairs, oldPairMasks, err := s1.SelectBinaryFromMaskedState(ctx, p, u)
-		if err != nil {
-			t.Fatal(err)
-		}
+		rng.Intn(nodes) // unused draw, kept so later iterations see the same graphs
 
 		// Mutate: a few random edges, sometimes through brand-new nodes.
 		grown := nodes
@@ -264,21 +259,6 @@ func TestRegrowMatchesFromScratch(t *testing.T) {
 			}
 		}
 		checkMerged(t, iter, "monadic", oldNodes, newly, wantNodes)
-
-		pairMasks, newly, ok := s2.RegrowBinaryFromMasked(p, oldPairMasks, &span, 1<<30)
-		if !ok {
-			t.Fatalf("iter %d: binary regrow exceeded an unbounded budget", iter)
-		}
-		wantPairs, wantPairMasks, err := s2.SelectBinaryFromMaskedState(ctx, p, u)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for v := range wantPairMasks {
-			if pairMasks[v] != wantPairMasks[v] {
-				t.Fatalf("iter %d: binary mask[%d] = %b, from-scratch %b", iter, v, pairMasks[v], wantPairMasks[v])
-			}
-		}
-		checkMerged(t, iter, "binary", oldPairs, newly, wantPairs)
 	}
 }
 

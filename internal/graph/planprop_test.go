@@ -18,6 +18,7 @@ import (
 	"pathquery/internal/automata"
 	"pathquery/internal/datasets"
 	"pathquery/internal/graph"
+	"pathquery/internal/paperfix"
 	"pathquery/internal/plan"
 	"pathquery/internal/query"
 	"pathquery/internal/words"
@@ -212,6 +213,80 @@ func TestSelectBinaryFromPlanMatchesNFAReference(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestAnchorsOutsideSnapshotSelectNothing: an anchor that is not a node
+// of the snapshot (-1, NumNodes(), 1<<20), at either end, is selected by
+// nothing, covers nothing and has no witness, at every anchored entry
+// point, for an ε-accepting query too; none of them indexes out of range.
+func TestAnchorsOutsideSnapshotSelectNothing(t *testing.T) {
+	g, _ := paperfix.Figure1()
+	snap := g.Snapshot()
+	ctx := context.Background()
+	for _, tc := range []struct{ src, u, v string }{
+		{"(tram+bus)*·cinema", "N2", "C1"},
+		{"(tram+bus)*", "N2", "N4"},
+	} {
+		q := query.MustParse(g.Alphabet(), tc.src)
+		p, src := q.Plan(), tc.src
+		u, _ := g.NodeByName(tc.u)
+		v, _ := g.NodeByName(tc.v)
+		if !snap.CoversPairPlan(p, u, v) {
+			t.Fatalf("%s: (%s, %s) not covered", src, tc.u, tc.v)
+		}
+		for _, bad := range []graph.NodeID{-1, graph.NodeID(snap.NumNodes()), 1 << 20} {
+			if got := snap.SelectBinaryFromPlan(p, bad); len(got) != 0 {
+				t.Errorf("%s: SelectBinaryFromPlan(%d) = %v", src, bad, got)
+			}
+			for _, pair := range [][2]graph.NodeID{{bad, v}, {u, bad}, {bad, bad}} {
+				if snap.CoversPairPlan(p, pair[0], pair[1]) {
+					t.Errorf("%s: CoversPairPlan(%d, %d) = true", src, pair[0], pair[1])
+				}
+				if pw, ok, err := snap.WitnessPairPathPlan(ctx, p, pair[0], pair[1]); ok || err != nil {
+					t.Errorf("%s: WitnessPairPathPlan(%d, %d) = %v, %v, %v", src, pair[0], pair[1], pw, ok, err)
+				}
+			}
+			if pw, ok, err := snap.WitnessPathPlan(ctx, p, bad); ok || err != nil {
+				t.Errorf("%s: WitnessPathPlan(%d) = %v, %v, %v", src, bad, pw, ok, err)
+			}
+			for _, sem := range []query.Semantics{query.SemanticsPairsFrom, query.SemanticsShortest} {
+				ans, _, err := q.EvaluateReq(ctx, snap, query.Req{Semantics: sem, From: bad, HasFrom: true})
+				if err != nil || ans.Count != 0 || len(ans.Nodes) != 0 || len(ans.Paths) != 0 {
+					t.Errorf("%s: EvaluateReq(%v from %d) = %+v, %v", src, sem, bad, ans, err)
+				}
+			}
+		}
+	}
+}
+
+// raceEnabled reports a -race build (race_test.go).
+var raceEnabled bool
+
+// TestSelectMonadicMaskedStateAllocs: a masked monadic evaluation makes
+// two allocations however many nodes it selects — the fixpoint masks and
+// the node list, sized by a count before it is filled.
+func TestSelectMonadicMaskedStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not stable under -race: sync.Pool drops items")
+	}
+	g := datasets.Synthetic(5000, 1)
+	snap := g.Snapshot()
+	p := query.MustParse(g.Alphabet(), "l00").Plan()
+	ctx := context.Background()
+	selected := 0
+	allocs := testing.AllocsPerRun(20, func() {
+		nodes, _, err := snap.SelectMonadicMaskedState(ctx, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		selected = len(nodes)
+	})
+	if selected < 1000 {
+		t.Fatalf("l00 selects %d nodes; the check needs a large selection", selected)
+	}
+	if allocs > 2 {
+		t.Fatalf("SelectMonadicMaskedState(l00) made %v allocations for %d nodes, want at most 2", allocs, selected)
 	}
 }
 

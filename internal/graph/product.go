@@ -23,15 +23,17 @@ import (
 // out-segments through the plan's flat Delta with accept-reachability
 // (Live) pruning; backward expansion (relaxPlanBackward) walks in-segments
 // through the plan's packed reverse DFA (RevOff/RevPred) with
-// start-reachability (Reach) pruning. For plans in the masked layout (|Q| ≤ 64) the product
-// fixpoint is one state mask per node, grown by the masked propagation
-// kernel (maskKernel) along one adjacency direction through one
-// per-(symbol, state) mask table. On top of them:
+// start-reachability (Reach) pruning, one level per call, for the packed
+// monadic fixpoint, each level of CountPlanCtx and the backward sides of
+// the binary searches. For plans in the masked layout (|Q| ≤ 64) the
+// monadic fixpoint is one state mask per node, grown backward by the
+// masked propagation kernel (maskKernel) through the plan's PredMask. On
+// top of them:
 //
 //   - SelectMonadicPlan: backward propagation from every accepting pair —
 //     the masked kernel seeded by one sweep over all in-segments, or, in
-//     the packed layout (|Q| > 64), a level-synchronous relax over the
-//     full product bitset.
+//     the packed layout (|Q| > 64), level-synchronous backward relaxes
+//     over the full product bitset.
 //   - WitnessPathPlan (accumulators.go): early-exit forward search from
 //     one node, skipping it whole through the plan's first-symbol filter;
 //     its verdict is query.Query.Selects.
@@ -45,7 +47,8 @@ import (
 //   - SelectBinaryFromPlan: direction-optimizing evaluation — forward
 //     levels run until a backward sweep from the accepting set becomes
 //     cheaper; once the backward co-accepting set is complete, the
-//     remaining forward work is pruned to it.
+//     remaining forward work is pruned to it. It is the one evaluator of
+//     anchored binary semantics, for the library and the engine alike.
 //   - WitnessBFS (witness.go): the canonical-order word search shared by
 //     scp.Coverage.Smallest (the SCP and, unbounded, path-language
 //     inclusion) and the binary learner's smallest pair-path.
@@ -109,6 +112,9 @@ func (s *Snapshot) SelectMonadicPlanCtx(ctx context.Context, p *plan.Plan) ([]bo
 	good := sc.bits
 	frontier, next := sc.stack, sc.next
 	for _, q := range p.Finals {
+		if !p.Reach[q] {
+			continue
+		}
 		for v := 0; v < nv; v++ {
 			idx := v*nq + int(q)
 			good.Set(idx)
@@ -120,7 +126,7 @@ func (s *Snapshot) SelectMonadicPlanCtx(ctx context.Context, p *plan.Plan) ([]bo
 			sc.stack, sc.next = frontier, next
 			return nil, err
 		}
-		next = s.relaxMonadic(p, nq, good, frontier, next)
+		next, _ = s.relaxPlanBackward(p, frontier, next, good, nil, nil)
 		frontier, next = next, frontier[:0]
 	}
 	sc.stack, sc.next = frontier, next
@@ -130,41 +136,6 @@ func (s *Snapshot) SelectMonadicPlanCtx(ctx context.Context, p *plan.Plan) ([]bo
 		selected[v] = good.Get(v*nq + start)
 	}
 	return selected, nil
-}
-
-// relaxMonadic expands one frontier of the packed-layout backward product
-// BFS: for each pair (v, q), every in-edge (u, sym, v) combines with every
-// DFA transition p --sym--> q (read from the plan's packed reverse table)
-// into the predecessor pair (u, p). Newly marked pairs are appended to
-// next.
-func (s *Snapshot) relaxMonadic(p *plan.Plan, nq int, good bitset.Bits, frontier, next []uint64) []uint64 {
-	ci := &s.in
-	for _, idx := range frontier {
-		v := NodeID(idx / uint64(nq))
-		q := int(idx % uint64(nq))
-		rs := ci.segs(v)
-		for si := range rs.syms {
-			sym := int(rs.syms[si])
-			if sym >= p.NumSyms {
-				continue
-			}
-			k := sym*nq + q
-			preds := p.RevPred[p.RevOff[k]:p.RevOff[k+1]]
-			if len(preds) == 0 {
-				continue
-			}
-			tails := rs.edges[rs.offs[si]:rs.offs[si+1]]
-			for _, pr := range preds {
-				base := int(pr)
-				for _, e := range tails {
-					if pidx := int(e.To)*nq + base; good.TrySet(pidx) {
-						next = append(next, uint64(pidx))
-					}
-				}
-			}
-		}
-	}
-	return next
 }
 
 // monadicMasks computes the masked-layout backward fixpoint into masks
@@ -178,7 +149,7 @@ func (s *Snapshot) monadicMasks(ctx context.Context, p *plan.Plan, sc *productSc
 	for v := range masks {
 		masks[v] = p.FinalMask
 	}
-	k := s.kernel(sc, &s.in, p.PredMask, p, masks, 0, math.MaxInt)
+	k := s.kernel(sc, p, masks, 0, math.MaxInt)
 	s.in.runs(func(rs rowSegs) { k.sweep(rs, p.FinalPredMask) })
 	err := k.drain(ctx)
 	k.release(sc)
@@ -188,18 +159,17 @@ func (s *Snapshot) monadicMasks(ctx context.Context, p *plan.Plan, sc *productSc
 // errBudget reports a kernel run that gave up at its edge budget.
 var errBudget = errors.New("graph: propagation budget exceeded")
 
-// maskKernel is the masked propagation kernel shared by scratch
+// maskKernel is the masked propagation kernel shared by monadic scratch
 // evaluation and incremental regrowth (incremental.go). It grows
-// per-node state masks to a fixpoint along one adjacency direction
-// through one per-(symbol, state) mask table: backward over in-rows with
-// the plan's PredMask (monadic semantics), forward over out-rows with its
-// SuccMask (anchored binary semantics). A node whose mask gains states
-// has them accumulated in a pending mask and is queued once until
-// popped, so each of its segments is scanned once per pop however many
-// states arrived. Callers seed it — mark, sweep — then drain it.
+// per-node state masks to the monadic fixpoint, backward over the
+// in-rows through the plan's PredMask: masks[v] gains the states with an
+// accepting path from v. A node whose mask gains states has them
+// accumulated in a pending mask and is queued once until popped, so each
+// of its segments is scanned once per pop however many states arrived.
+// Callers seed it — mark, sweep — then drain it.
 type maskKernel struct {
-	a     *adj
-	tab   []uint64 // tab[sym·nq+q]: states one step from q on sym
+	in    *adj
+	pred  []uint64 // the plan's PredMask: pred[sym·nq+q], the states one step before q on sym
 	nq    int
 	nsym  int
 	masks []uint64 // the fixpoint being grown
@@ -217,14 +187,14 @@ type maskKernel struct {
 	cost, budget int
 }
 
-// kernel returns a kernel over adjacency a and table tab growing
-// masks (one word per node), with its pending masks and stack borrowed
-// from sc; release hands them back. watch and budget are as in
-// maskKernel: pass 0 and math.MaxInt for neither.
-func (s *Snapshot) kernel(sc *productScratch, a *adj, tab []uint64, p *plan.Plan, masks []uint64, watch uint64, budget int) maskKernel {
+// kernel returns a kernel growing masks (one word per node) under p,
+// with its pending masks and stack borrowed from sc; release hands them
+// back. watch and budget are as in maskKernel: pass 0 and math.MaxInt
+// for neither.
+func (s *Snapshot) kernel(sc *productScratch, p *plan.Plan, masks []uint64, watch uint64, budget int) maskKernel {
 	sc.pending = sc.pending.Grow(s.nv * 64)
 	return maskKernel{
-		a: a, tab: tab, nq: p.NumStates, nsym: p.NumSyms,
+		in: &s.in, pred: p.PredMask, nq: p.NumStates, nsym: p.NumSyms,
 		masks: masks, pending: sc.pending, stack: sc.stack,
 		watch: watch, budget: budget,
 	}
@@ -234,9 +204,9 @@ func (s *Snapshot) kernel(sc *productScratch, a *adj, tab []uint64, p *plan.Plan
 // already clean: drain empties the stack or zeroes it on an early exit.
 func (k *maskKernel) release(sc *productScratch) { sc.stack = k.stack[:0] }
 
-// step returns the union of tab over the states of m on sym.
+// step returns the predecessors of the states of m on sym.
 func (k *maskKernel) step(m uint64, sym int) uint64 {
-	row := k.tab[sym*k.nq : (sym+1)*k.nq]
+	row := k.pred[sym*k.nq : (sym+1)*k.nq]
 	var out uint64
 	for ; m != 0; m &= m - 1 {
 		out |= row[bits.TrailingZeros64(m)]
@@ -249,7 +219,7 @@ func (k *maskKernel) mark(u NodeID, m uint64) {
 	k.relax([]Edge{{To: u}}, m)
 }
 
-// relax adds the states m to the far end of every edge.
+// relax adds the states m to the tail of every in-edge.
 func (k *maskKernel) relax(edges []Edge, m uint64) {
 	masks, pending, stack := k.masks, k.pending, k.stack
 	for _, e := range edges {
@@ -294,10 +264,10 @@ func (k *maskKernel) drain(ctx context.Context) error {
 			k.newly = append(k.newly, v) // v held no watched state before m
 		}
 		var rs rowSegs
-		if k.a.ov == nil {
-			rs = k.a.base.segs(v) // inlined: the compacted common case
+		if k.in.ov == nil {
+			rs = k.in.base.segs(v) // inlined: the compacted common case
 		} else {
-			rs = k.a.segs(v)
+			rs = k.in.segs(v)
 		}
 		for si, sym := range rs.syms {
 			if int(sym) >= k.nsym {
@@ -387,6 +357,10 @@ search:
 	return found
 }
 
+// hasNode reports whether v is a node of this epoch: an anchor outside
+// it selects nothing and is covered by nothing.
+func (s *Snapshot) hasNode(v NodeID) bool { return v >= 0 && int(v) < s.nv }
+
 // hasFirstSymEdge reports whether v has an out-edge whose symbol can start
 // an accepted word — the plan's first-symbol filter applied to the node's
 // CSR segment list (no edges are touched).
@@ -402,7 +376,8 @@ func (s *Snapshot) hasFirstSymEdge(p *plan.Plan, v NodeID) bool {
 // CoversPairPlan reports whether some path from u to v spells a word of
 // L(p) — the binary semantics of Appendix B: paths2_G(u,v) ∩ L(p) ≠ ∅.
 // The accepting condition requires landing exactly on v in a final DFA
-// state; ε is accepted only when u = v and the start is final.
+// state; ε is accepted only when u = v and the start is final. A pair
+// with an end outside the snapshot is not covered.
 //
 // The search is bidirectional: a forward frontier grows from (u, Start)
 // and a backward frontier from every (v, final) pair; per level the side
@@ -411,7 +386,7 @@ func (s *Snapshot) hasFirstSymEdge(p *plan.Plan, v NodeID) bool {
 // the answer — on skewed graphs (huge out-fanout from u, few paths into
 // v) this is the classical direction-optimizing win over forward-only.
 func (s *Snapshot) CoversPairPlan(p *plan.Plan, u, v NodeID) bool {
-	if p.Empty() {
+	if p.Empty() || !s.hasNode(u) || !s.hasNode(v) {
 		return false
 	}
 	if u == v && p.AcceptsEpsilon() {
@@ -460,10 +435,11 @@ func (s *Snapshot) CoversPairPlan(p *plan.Plan, u, v NodeID) bool {
 			ffront, fnext = fnext, ffront[:0]
 		} else {
 			var found bool
-			bnext, bcost, found = s.relaxPlanBackward(p, nq, sc, bfront, bnext, true)
+			bnext, found = s.relaxPlanBackward(p, bfront, bnext, sc.bits2, &sc.touched2, sc.bits)
 			if found {
 				return true
 			}
+			bcost = s.inDegreeSum(bnext, nq)
 			bfront, bnext = bnext, bfront[:0]
 		}
 	}
@@ -524,11 +500,20 @@ func (s *Snapshot) relaxPlanForward(p *plan.Plan, nq int, sc *productScratch, fr
 // relaxPlanBackward expands one level-synchronous backward frontier
 // through the plan's packed reverse DFA with Reach pruning: for each pair
 // (v, q), every in-edge (u, sym, v) combines with every reverse transition
-// q --sym--> p into the predecessor pair (u, p). With meet=true a pair
-// already in the forward visited set settles the search (CoversPairPlan).
-func (s *Snapshot) relaxPlanBackward(p *plan.Plan, nq int, sc *productScratch, frontier, next []uint64, meet bool) ([]uint64, int, bool) {
+// q --sym--> p into the predecessor pair (u, p). Pairs newly set in mark
+// are appended to next and, when touched is non-nil, to *touched. When
+// meet is non-nil, a new pair already in it settles the search
+// (CoversPairPlan's frontiers meeting): found is true and next is
+// incomplete. Both run outside the per-edge loop — touched once per
+// call, meet once per segment — so the monadic and count callers, which
+// pass neither, pay nothing for them there. The Reach pruning loses no
+// (ν, Start) pair: Start is in Reach, and every predecessor of a state
+// outside Reach is outside it.
+func (s *Snapshot) relaxPlanBackward(p *plan.Plan, frontier, next []uint64, mark bitset.Bits, touched *[]uint64, meet bitset.Bits) (_ []uint64, found bool) {
 	ci := &s.in
-	cost := 0
+	nq := p.NumStates
+	fresh := len(next)
+search:
 	for _, idx := range frontier {
 		v := NodeID(idx / uint64(nq))
 		q := int(idx % uint64(nq))
@@ -548,26 +533,43 @@ func (s *Snapshot) relaxPlanBackward(p *plan.Plan, nq int, sc *productScratch, f
 				if !p.Reach[pr] {
 					continue
 				}
-				base := int(pr)
+				base, n := int(pr), len(next)
 				for _, e := range tails {
-					nidx := int(e.To)*nq + base
-					if sc.bits2.TrySet(nidx) {
-						sc.touched2 = append(sc.touched2, uint64(nidx))
-						if meet && sc.bits.Get(nidx) {
-							return next, 0, true
-						}
+					if nidx := int(e.To)*nq + base; mark.TrySet(nidx) {
 						next = append(next, uint64(nidx))
-						cost += s.InDegree(e.To)
+					}
+				}
+				if meet == nil {
+					continue
+				}
+				for _, idx := range next[n:] {
+					if meet.Get(int(idx)) {
+						found = true
+						break search
 					}
 				}
 			}
 		}
 	}
-	return next, cost, false
+	if touched != nil {
+		*touched = append(*touched, next[fresh:]...)
+	}
+	return next, found
+}
+
+// inDegreeSum returns the in-degree sum of a backward frontier's nodes:
+// the cost of expanding it one more level.
+func (s *Snapshot) inDegreeSum(frontier []uint64, nq int) int {
+	cost := 0
+	for _, idx := range frontier {
+		cost += s.InDegree(NodeID(idx / uint64(nq)))
+	}
+	return cost
 }
 
 // SelectBinaryFromPlan returns all v such that (u, v) is selected by p
-// under binary semantics, in increasing id order.
+// under binary semantics, in increasing id order; nil when u is not a
+// node of the snapshot.
 //
 // Evaluation is direction-optimizing. Forward levels expand from
 // (u, Start), collecting nodes discovered in a final state. Whenever the
@@ -597,7 +599,7 @@ func (s *Snapshot) selectBinaryFrom(ctx context.Context, p *plan.Plan, u NodeID,
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if p.Empty() {
+	if p.Empty() || !s.hasNode(u) {
 		return nil, nil
 	}
 	nq := p.NumStates
@@ -643,7 +645,8 @@ func (s *Snapshot) selectBinaryFrom(ctx context.Context, p *plan.Plan, u NodeID,
 				bfront, bcost = s.seedBackwardAll(p, nq, sc, bfront)
 				bPhase = 1
 			} else {
-				bnext, bcost, _ = s.relaxPlanBackward(p, nq, sc, bfront, bnext, false)
+				bnext, _ = s.relaxPlanBackward(p, bfront, bnext, sc.bits2, &sc.touched2, nil)
+				bcost = s.inDegreeSum(bnext, nq)
 				bfront, bnext = bnext, bfront[:0]
 			}
 			if len(bfront) == 0 {

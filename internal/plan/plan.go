@@ -14,13 +14,13 @@
 //     state),
 //   - the reverse DFA as packed per-(symbol, state) predecessor buckets
 //     (RevOff/RevPred) — the table backward evaluation walks,
-//   - when |Q| ≤ 64, additionally the mask layout: PredMask[sym·|Q|+q] is
-//     the bitmask of states p with δ(p, sym) = q, SuccMask[sym·|Q|+q] the
-//     bit of δ(q, sym) when that state is live, and FinalPredMask[sym] the
-//     union of PredMask over final q — the whole first backward level as
-//     one mask,
-//   - accept-reachability (Live/LiveMask): states from which a final state
-//     is reachable, so forward searches never enter a dead region,
+//   - when |Q| ≤ 64, additionally the tables of the masked kernel, which
+//     propagates backward only: PredMask[sym·|Q|+q] is the bitmask of
+//     states p with δ(p, sym) = q, and FinalPredMask[sym] the union of
+//     PredMask over final q — the whole first backward level as one mask,
+//   - accept-reachability (Live): states from which a final state is
+//     reachable, so forward searches never enter a dead region, and its
+//     mirror start-reachability (Reach), which prunes backward searches,
 //   - first-symbol filters (FirstSym/LastSym): the symbols that can start,
 //     respectively end, an accepted word — used to skip whole nodes and
 //     CSR segments before any product pair is materialized.
@@ -91,8 +91,6 @@ type Plan struct {
 	// accept-reachability set. Forward searches skip transitions into
 	// non-live states: they can never contribute to any result.
 	Live []bool
-	// LiveMask is the bitmask form of Live (LayoutMasked only).
-	LiveMask uint64
 	// Reach[q] reports whether q is reachable from Start — the mirror of
 	// Live for backward evaluation: predecessors outside Reach can never
 	// lie on an accepting run, so backward searches skip them.
@@ -115,13 +113,11 @@ type Plan struct {
 	RevPred []int32
 
 	// PredMask[sym·NumStates+q] is the bitmask of states p with
-	// δ(p, sym) = q, and SuccMask[sym·NumStates+q] the bit of δ(q, sym)
-	// when that state is live (0 otherwise): the backward and forward
-	// tables of the masked propagation kernel. FinalPredMask[sym] is the
-	// union of PredMask over final q — the first backward level of the
-	// monadic evaluation, precomputed. LayoutMasked only.
+	// δ(p, sym) = q: the table of the masked propagation kernel, which
+	// runs backward. FinalPredMask[sym] is the union of PredMask over
+	// final q — the first backward level of the monadic evaluation,
+	// precomputed. LayoutMasked only.
 	PredMask      []uint64
-	SuccMask      []uint64
 	FinalPredMask []uint64
 
 	// AlphaMask is the 64-bit hashed alphabet of the plan: SymBit(sym)
@@ -258,14 +254,6 @@ func build(d *automata.DFA) *Plan {
 			}
 		}
 	}
-	if p.Layout == LayoutMasked {
-		for q := 0; q < nq; q++ {
-			if p.Live[q] {
-				p.LiveMask |= 1 << uint(q)
-			}
-		}
-	}
-
 	// Start-reachability over the forward table.
 	p.Reach = make([]bool, nq)
 	p.Reach[p.Start] = true
@@ -316,14 +304,10 @@ func build(d *automata.DFA) *Plan {
 	// Masked layout.
 	if p.Layout == LayoutMasked {
 		p.PredMask = make([]uint64, nsym*nq)
-		p.SuccMask = make([]uint64, nsym*nq)
 		for q := 0; q < nq; q++ {
 			for sym := 0; sym < nsym; sym++ {
 				if t := p.Delta[q*nsym+sym]; t != None {
 					p.PredMask[sym*nq+int(t)] |= 1 << uint(q)
-					if p.Live[t] {
-						p.SuccMask[sym*nq+q] = 1 << uint(t)
-					}
 				}
 			}
 		}

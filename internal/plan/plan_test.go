@@ -116,19 +116,6 @@ func checkTables(t *testing.T, p *Plan, d *automata.DFA) {
 		if p.LastSym[sym] != wantLast {
 			t.Fatalf("lastsym[%d]: got %v want %v", sym, p.LastSym[sym], wantLast)
 		}
-		if p.Layout != LayoutMasked {
-			continue
-		}
-		// SuccMask[sym, q] is the bit of δ(q, sym) when it is live.
-		for q := 0; q < nq; q++ {
-			var want uint64
-			if t := d.Delta[q][sym]; t != automata.None && live[t] {
-				want = 1 << uint(t)
-			}
-			if got := p.SuccMask[sym*nq+q]; got != want {
-				t.Fatalf("succmask(sym=%d, q=%d): got %b want %b", sym, q, got, want)
-			}
-		}
 	}
 }
 

@@ -114,25 +114,41 @@ func (q *Query) DefaultMaxLen() int { return 2*q.Size() + 1 }
 // level-synchronous passes check between levels, worklist passes every few
 // thousand pops, so a pathological evaluation aborts promptly with
 // ctx.Err().
-func (q *Query) EvaluateReq(ctx context.Context, s *graph.Snapshot, req Req) (Answer, error) {
+//
+// For nodes semantics under a non-empty masked-layout plan it also
+// returns the product fixpoint the evaluation computed: the per-node
+// state masks the engine's result cache keeps, so that a later epoch can
+// regrow the answer from a graph delta (graph.RegrowMonadicMasked)
+// instead of recomputing it. For every other combination the masks are
+// nil, and the engine recomputes the entry once its plan's alphabet is
+// written.
+func (q *Query) EvaluateReq(ctx context.Context, s *graph.Snapshot, req Req) (Answer, []uint64, error) {
 	p := q.Plan()
 	ans := Answer{Semantics: req.Semantics}
 	switch req.Semantics {
 	case SemanticsNodes:
+		if p.Layout == plan.LayoutMasked && !p.Empty() {
+			nodes, masks, err := s.SelectMonadicMaskedState(ctx, p)
+			if err != nil {
+				return Answer{}, nil, err
+			}
+			ans.Nodes, ans.Count = nodes, len(nodes)
+			return ans, masks, nil
+		}
 		vec, err := s.SelectMonadicPlanCtx(ctx, p)
 		if err != nil {
-			return Answer{}, err
+			return Answer{}, nil, err
 		}
 		sel := NewSelection(vec)
 		ans.Nodes, ans.Count = sel.Nodes(), sel.Count()
 
 	case SemanticsPairsFrom:
 		if !req.HasFrom {
-			return Answer{}, fmt.Errorf("query: pairsFrom semantics requires a from node")
+			return Answer{}, nil, fmt.Errorf("query: pairsFrom semantics requires a from node")
 		}
 		nodes, err := s.SelectBinaryFromPlanCtx(ctx, p, req.From)
 		if err != nil {
-			return Answer{}, err
+			return Answer{}, nil, err
 		}
 		ans.Nodes, ans.Count = nodes, len(nodes)
 
@@ -143,27 +159,27 @@ func (q *Query) EvaluateReq(ctx context.Context, s *graph.Snapshot, req Req) (An
 		// with one is the pair-witness variant of the same reconstruction.
 		if req.HasFrom {
 			if req.Semantics == SemanticsWitness {
-				return Answer{}, fmt.Errorf("query: witness semantics is monadic and takes no from node; use shortest for pair witnesses")
+				return Answer{}, nil, fmt.Errorf("query: witness semantics is monadic and takes no from node; use shortest for pair witnesses")
 			}
 			nodes, err := s.SelectBinaryFromPlanCtx(ctx, p, req.From)
 			if err != nil {
-				return Answer{}, err
+				return Answer{}, nil, err
 			}
 			ans.Count = len(nodes)
 			ans.Paths, err = q.witnessPaths(ctx, s, nodes, req.Limit, req.From)
 			if err != nil {
-				return Answer{}, err
+				return Answer{}, nil, err
 			}
 		} else {
 			vec, err := s.SelectMonadicPlanCtx(ctx, p)
 			if err != nil {
-				return Answer{}, err
+				return Answer{}, nil, err
 			}
 			sel := NewSelection(vec)
 			ans.Count = sel.Count()
 			ans.Paths, err = q.witnessPaths(ctx, s, sel.Nodes(), req.Limit, -1)
 			if err != nil {
-				return Answer{}, err
+				return Answer{}, nil, err
 			}
 		}
 
@@ -174,7 +190,7 @@ func (q *Query) EvaluateReq(ctx context.Context, s *graph.Snapshot, req Req) (An
 		}
 		counts, err := s.CountPlanCtx(ctx, p, maxLen)
 		if err != nil {
-			return Answer{}, err
+			return Answer{}, nil, err
 		}
 		for v, c := range counts {
 			if c > 0 {
@@ -184,43 +200,9 @@ func (q *Query) EvaluateReq(ctx context.Context, s *graph.Snapshot, req Req) (An
 		ans.Count = len(ans.Counts)
 
 	default:
-		return Answer{}, fmt.Errorf("query: unknown semantics %v", req.Semantics)
+		return Answer{}, nil, fmt.Errorf("query: unknown semantics %v", req.Semantics)
 	}
-	return ans, nil
-}
-
-// EvaluateReqState is EvaluateReq additionally returning the product
-// fixpoint the evaluation computed — the per-node state masks the
-// engine's result cache keeps so a later epoch can regrow the answer
-// from a graph delta instead of recomputing (graph.RegrowMonadicMasked /
-// RegrowBinaryFromMasked). Masks are returned only for the maintainable
-// combinations: nodes and anchored pairsFrom semantics under a non-empty
-// masked-layout plan. For every other combination masks is nil and the
-// answer is exactly EvaluateReq's — callers treat nil masks as
-// "recompute the cached entry when its plan's alphabet is written".
-func (q *Query) EvaluateReqState(ctx context.Context, s *graph.Snapshot, req Req) (Answer, []uint64, error) {
-	p := q.Plan()
-	if p.Layout == plan.LayoutMasked && !p.Empty() {
-		switch req.Semantics {
-		case SemanticsNodes:
-			nodes, masks, err := s.SelectMonadicMaskedState(ctx, p)
-			if err != nil {
-				return Answer{}, nil, err
-			}
-			return Answer{Semantics: req.Semantics, Count: len(nodes), Nodes: nodes}, masks, nil
-		case SemanticsPairsFrom:
-			if !req.HasFrom {
-				return Answer{}, nil, fmt.Errorf("query: pairsFrom semantics requires a from node")
-			}
-			nodes, masks, err := s.SelectBinaryFromMaskedState(ctx, p, req.From)
-			if err != nil {
-				return Answer{}, nil, err
-			}
-			return Answer{Semantics: req.Semantics, Count: len(nodes), Nodes: nodes}, masks, nil
-		}
-	}
-	ans, err := q.EvaluateReq(ctx, s, req)
-	return ans, nil, err
+	return ans, nil, nil
 }
 
 // witnessPaths reconstructs one witness per node of set (up to limit;

@@ -50,7 +50,7 @@ func TestEvaluateReqSemantics(t *testing.T) {
 	name := func(v graph.NodeID) string { return snap.NodeName(v) }
 
 	// nodes
-	ans, err := q.EvaluateReq(ctx, snap, query.Req{Semantics: query.SemanticsNodes})
+	ans, _, err := q.EvaluateReq(ctx, snap, query.Req{Semantics: query.SemanticsNodes})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,19 +60,19 @@ func TestEvaluateReqSemantics(t *testing.T) {
 
 	// pairsFrom
 	n2, _ := g.NodeByName("N2")
-	ans, err = q.EvaluateReq(ctx, snap, query.Req{Semantics: query.SemanticsPairsFrom, From: n2, HasFrom: true})
+	ans, _, err = q.EvaluateReq(ctx, snap, query.Req{Semantics: query.SemanticsPairsFrom, From: n2, HasFrom: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ans.Count != 1 || name(ans.Nodes[0]) != "C1" {
 		t.Fatalf("pairsFrom N2: %+v", ans)
 	}
-	if _, err := q.EvaluateReq(ctx, snap, query.Req{Semantics: query.SemanticsPairsFrom}); err == nil {
+	if _, _, err := q.EvaluateReq(ctx, snap, query.Req{Semantics: query.SemanticsPairsFrom}); err == nil {
 		t.Fatal("pairsFrom without from accepted")
 	}
 
 	// witness: one path per selected node, words accepted
-	ans, err = q.EvaluateReq(ctx, snap, query.Req{Semantics: query.SemanticsWitness})
+	ans, _, err = q.EvaluateReq(ctx, snap, query.Req{Semantics: query.SemanticsWitness})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,12 +84,12 @@ func TestEvaluateReqSemantics(t *testing.T) {
 			t.Fatalf("witness word %v not accepted", pw.Word)
 		}
 	}
-	if _, err := q.EvaluateReq(ctx, snap, query.Req{Semantics: query.SemanticsWitness, From: n2, HasFrom: true}); err == nil {
+	if _, _, err := q.EvaluateReq(ctx, snap, query.Req{Semantics: query.SemanticsWitness, From: n2, HasFrom: true}); err == nil {
 		t.Fatal("witness with from accepted")
 	}
 
 	// witness limit truncates paths, not the count
-	ans, err = q.EvaluateReq(ctx, snap, query.Req{Semantics: query.SemanticsWitness, Limit: 1})
+	ans, _, err = q.EvaluateReq(ctx, snap, query.Req{Semantics: query.SemanticsWitness, Limit: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestEvaluateReqSemantics(t *testing.T) {
 
 	// count: every selected node has at least one accepting length within
 	// the default bound, and only nonzero rows are reported.
-	ans, err = q.EvaluateReq(ctx, snap, query.Req{Semantics: query.SemanticsCount})
+	ans, _, err = q.EvaluateReq(ctx, snap, query.Req{Semantics: query.SemanticsCount})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestEvaluateReqSemantics(t *testing.T) {
 	}
 
 	// shortest with from: pair witnesses ending at the target
-	ans, err = q.EvaluateReq(ctx, snap, query.Req{Semantics: query.SemanticsShortest, From: n2, HasFrom: true})
+	ans, _, err = q.EvaluateReq(ctx, snap, query.Req{Semantics: query.SemanticsShortest, From: n2, HasFrom: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestWitnessShortestAcceptProperty(t *testing.T) {
 		q := query.MustParse(alpha, exprs[rng.Intn(len(exprs))])
 		snap := g.Snapshot()
 
-		ans, err := q.EvaluateReq(ctx, snap, query.Req{Semantics: query.SemanticsWitness})
+		ans, _, err := q.EvaluateReq(ctx, snap, query.Req{Semantics: query.SemanticsWitness})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -171,7 +171,7 @@ func TestWitnessShortestAcceptProperty(t *testing.T) {
 		}
 
 		from := graph.NodeID(rng.Intn(nodes))
-		ans, err = q.EvaluateReq(ctx, snap, query.Req{Semantics: query.SemanticsShortest, From: from, HasFrom: true})
+		ans, _, err = q.EvaluateReq(ctx, snap, query.Req{Semantics: query.SemanticsShortest, From: from, HasFrom: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -202,7 +202,7 @@ func TestEvaluateReqCancellation(t *testing.T) {
 	for _, sem := range []query.Semantics{
 		query.SemanticsNodes, query.SemanticsWitness, query.SemanticsCount, query.SemanticsShortest,
 	} {
-		if _, err := q.EvaluateReq(ctx, snap, query.Req{Semantics: sem}); err != context.Canceled {
+		if _, _, err := q.EvaluateReq(ctx, snap, query.Req{Semantics: sem}); err != context.Canceled {
 			t.Errorf("%v: err = %v, want context.Canceled", sem, err)
 		}
 	}
