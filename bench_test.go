@@ -10,6 +10,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math/rand"
 	"net/http/httptest"
@@ -955,23 +956,79 @@ func BenchmarkLearnerPaperExample(b *testing.B) {
 	}
 }
 
-// BenchmarkLearn measures one full Algorithm 1 run on a realistically
-// sized sample over the pinned snapshot — the learner throughput the
-// serving engine's Learn endpoint pays per request. The call is serial:
-// one coverage index serves the SCP searches of every round of the k
-// schedule, and the merger checks its candidates in place.
-func BenchmarkLearn(b *testing.B) {
-	g, qs := alibaba()
-	snap := g.Snapshot()
-	rng := rand.New(rand.NewSource(9))
-	pos, neg := datasets.RandomSample(snap, qs[2].Query, 0.07, rng)
-	s := core.Sample{Pos: pos, Neg: neg}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.LearnDetailed(snap, s, core.Options{}); err != nil {
-			b.Fatal(err)
+// learnFixture is BenchmarkLearn's perfbench-regime task set: on
+// datasets.Synthetic(5000, 1), for each labeled fraction of perfbench's
+// learn workload, 16 samples of each goal syn1..syn3 with at least one
+// positive and one negative example.
+type learnFixture struct {
+	snap  *graph.Snapshot
+	tasks map[float64][]core.Sample
+}
+
+var (
+	learnFixOnce sync.Once
+	learnFix     learnFixture
+)
+
+// learnFractions are perfbench learn's labeled fractions: 5, 25 and 50
+// of 5000 nodes.
+var learnFractions = []float64{0.001, 0.005, 0.01}
+
+func learnTasks() learnFixture {
+	learnFixOnce.Do(func() {
+		snap := datasets.Synthetic(5000, 1).Snapshot()
+		goals := datasets.SynQueriesOn(snap)
+		rng := rand.New(rand.NewSource(26))
+		learnFix = learnFixture{snap: snap, tasks: map[float64][]core.Sample{}}
+		for _, f := range learnFractions {
+			for _, goal := range goals {
+				for n := 0; n < 16; {
+					pos, neg := datasets.RandomSample(snap, goal.Query, f, rng)
+					if len(pos) > 0 && len(neg) > 0 {
+						learnFix.tasks[f] = append(learnFix.tasks[f], core.Sample{Pos: pos, Neg: neg})
+						n++
+					}
+				}
+			}
 		}
+	})
+	return learnFix
+}
+
+// BenchmarkLearn measures one full Algorithm 1 run over a pinned snapshot
+// — the learner time the serving engine's Learn endpoint pays per
+// request. The call is serial: one coverage index serves the SCP searches
+// of every round of the k schedule, and the merger checks its candidates
+// in place. "alibaba-7%" learns one sample labeling 7% of the AliBaba
+// stand-in; "syn-F" cycles through learnTasks' samples at the labeled
+// fraction F, perfbench learn's regime, one sample per op.
+func BenchmarkLearn(b *testing.B) {
+	b.Run("alibaba-7%", func(b *testing.B) {
+		g, qs := alibaba()
+		snap := g.Snapshot()
+		rng := rand.New(rand.NewSource(9))
+		pos, neg := datasets.RandomSample(snap, qs[2].Query, 0.07, rng)
+		s := core.Sample{Pos: pos, Neg: neg}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := core.LearnDetailed(snap, s, core.Options{}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	fix := learnTasks()
+	for _, f := range learnFractions {
+		tasks := fix.tasks[f]
+		b.Run(fmt.Sprintf("syn-%g%%", 100*f), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; b.Loop(); i++ {
+				_, err := core.LearnDetailed(fix.snap, tasks[i%len(tasks)], core.Options{})
+				if err != nil && !errors.Is(err, core.ErrAbstain) {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
@@ -1005,6 +1062,30 @@ func BenchmarkDeterminizeMinimize(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		automata.CompileRegex(exprs[i%len(exprs)], g.Alphabet().Size())
+	}
+}
+
+// BenchmarkMinimize measures the canonicalization of a learned query:
+// Minimize on the cut merger quotients (Merger.DFA().CutAtFinals(), as
+// learnFixedK hands query.FromDFA) of learnTasks' samples at every
+// fraction, one quotient per op.
+func BenchmarkMinimize(b *testing.B) {
+	fix := learnTasks()
+	var quotients []*automata.DFA
+	for _, f := range learnFractions {
+		for _, s := range fix.tasks[f] {
+			r, err := core.LearnDetailed(fix.snap, s, core.Options{})
+			if err != nil {
+				continue
+			}
+			m := automata.NewMerger(automata.BuildPTA(fix.snap.Alphabet().Size(), r.SCPs, nil))
+			m.Generalize(func() bool { return !fix.snap.CoversAnyMerger(m, s.Neg) })
+			quotients = append(quotients, m.DFA().CutAtFinals())
+		}
+	}
+	b.ReportAllocs()
+	for i := 0; b.Loop(); i++ {
+		automata.Minimize(quotients[i%len(quotients)])
 	}
 }
 

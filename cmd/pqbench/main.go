@@ -73,7 +73,7 @@ var (
 	synSize   = flag.Int("syn-size", 0, "run synthetic experiments on this single size only")
 
 	snapshot      = flag.Bool("snapshot", false, "run go-benchmarks and write BENCH_<date>.json")
-	snapshotBench = flag.String("snapshot-bench", "BenchmarkSelectMonadic$|BenchmarkSCPSearch$|BenchmarkLearnerPaperExample$|BenchmarkEngineServe|BenchmarkEngineMaintain|BenchmarkReplayMixed$|BenchmarkLearn$|BenchmarkEngineLearn$|BenchmarkPlanCompile|BenchmarkSelectBinaryDirectional|BenchmarkEvaluateWitness$|BenchmarkEvaluateCount$|BenchmarkStoreRecovery|BenchmarkWALAppend$|BenchmarkWALGroupCommit$|BenchmarkPublishIncremental$|BenchmarkPublishFull$|BenchmarkPublishCompact$",
+	snapshotBench = flag.String("snapshot-bench", "BenchmarkSelectMonadic$|BenchmarkSCPSearch$|BenchmarkLearnerPaperExample$|BenchmarkEngineServe|BenchmarkEngineMaintain|BenchmarkReplayMixed$|BenchmarkLearn$|BenchmarkMinimize$|BenchmarkEngineLearn$|BenchmarkPlanCompile|BenchmarkSelectBinaryDirectional|BenchmarkEvaluateWitness$|BenchmarkEvaluateCount$|BenchmarkStoreRecovery|BenchmarkWALAppend$|BenchmarkWALGroupCommit$|BenchmarkPublishIncremental$|BenchmarkPublishFull$|BenchmarkPublishCompact$",
 		"benchmark pattern for -snapshot")
 	snapshotOut   = flag.String("snapshot-out", "", "snapshot file name (default BENCH_<date>.json)")
 	snapshotNote  = flag.String("snapshot-note", "", "free-form note stored in the snapshot")

@@ -25,15 +25,22 @@ type DFA struct {
 
 // NewDFA returns a DFA with n states, all transitions absent.
 func NewDFA(n, numSyms int) *DFA {
-	d := &DFA{NumSyms: numSyms, Final: make([]bool, n), Delta: make([][]int32, n)}
-	for i := range d.Delta {
-		row := make([]int32, numSyms)
-		for j := range row {
-			row[j] = None
-		}
-		d.Delta[i] = row
+	slab := make([]int32, n*numSyms)
+	for i := range slab {
+		slab[i] = None
 	}
-	return d
+	return &DFA{NumSyms: numSyms, Final: make([]bool, n), Delta: rows(slab, n, numSyms)}
+}
+
+// rows cuts n rows of k slots from slab. Each row is capacity-capped, so
+// an append to one row cannot write into the next; AddState gives each
+// state it adds a row of its own.
+func rows(slab []int32, n, k int) [][]int32 {
+	delta := make([][]int32, n)
+	for i := range delta {
+		delta[i] = slab[i*k : (i+1)*k : (i+1)*k]
+	}
+	return delta
 }
 
 // NumStates returns the number of states.
@@ -50,14 +57,14 @@ func (d *DFA) AddState() int32 {
 	return int32(len(d.Final) - 1)
 }
 
-// Clone returns a deep copy.
+// Clone returns a deep copy, its rows backed by one slab.
 func (d *DFA) Clone() *DFA {
-	c := &DFA{NumSyms: d.NumSyms, Start: d.Start, Final: append([]bool(nil), d.Final...)}
-	c.Delta = make([][]int32, len(d.Delta))
-	for i, row := range d.Delta {
-		c.Delta[i] = append([]int32(nil), row...)
+	n, k := d.NumStates(), d.NumSyms
+	slab := make([]int32, n*k)
+	for s, row := range d.Delta {
+		copy(slab[s*k:(s+1)*k], row)
 	}
-	return c
+	return &DFA{NumSyms: k, Start: d.Start, Final: append([]bool(nil), d.Final...), Delta: rows(slab, n, k)}
 }
 
 // Step returns δ(s, sym), or None.
@@ -150,86 +157,107 @@ func (d *DFA) Complete() *DFA {
 	return c
 }
 
-// Trim removes states that are unreachable from Start or cannot reach a
-// final state, except that the start state is always kept (the canonical
-// DFA of ∅ is a single non-final state). Transitions into removed states
-// become None. States are renumbered in canonical order: BFS from Start
+// Trim removes the states that are unreachable from Start or reach no
+// final state, and every transition into them; the start state is always
+// kept, so the trimmed DFA of ∅ is a single non-final state with no
+// transitions. States are renumbered in canonical order: BFS from Start
 // taking symbols in increasing order, which makes structural equality of
 // trimmed minimal DFAs coincide with language equality.
 func (d *DFA) Trim() *DFA {
-	n := d.NumStates()
-	reach := make([]bool, n)
-	stack := []int32{d.Start}
-	reach[d.Start] = true
-	for len(stack) > 0 {
-		s := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, t := range d.Delta[s] {
-			if t != None && !reach[t] {
-				reach[t] = true
-				stack = append(stack, t)
-			}
-		}
-	}
-	// Co-reachability via reverse edges.
-	rev := make([][]int32, n)
-	for s := 0; s < n; s++ {
-		for _, t := range d.Delta[s] {
-			if t != None {
-				rev[t] = append(rev[t], int32(s))
-			}
-		}
-	}
-	co := make([]bool, n)
-	stack = stack[:0]
-	for s := 0; s < n; s++ {
-		if d.Final[s] {
-			co[s] = true
-			stack = append(stack, int32(s))
-		}
-	}
-	for len(stack) > 0 {
-		s := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, p := range rev[s] {
-			if !co[p] {
-				co[p] = true
-				stack = append(stack, p)
-			}
-		}
-	}
-	keep := func(s int32) bool {
-		return s == d.Start || (reach[s] && co[s])
-	}
-	// Canonical BFS numbering over kept states.
-	number := make([]int32, n)
+	live := d.live()
+	number := make([]int32, d.NumStates())
 	for i := range number {
 		number[i] = None
 	}
-	order := []int32{d.Start}
+	order := make([]int32, 1, d.NumStates())
+	order[0] = d.Start
 	number[d.Start] = 0
 	for i := 0; i < len(order); i++ {
-		s := order[i]
-		for sym := 0; sym < d.NumSyms; sym++ {
-			t := d.Delta[s][sym]
-			if t != None && keep(t) && number[t] == None {
+		for _, t := range d.Delta[order[i]] {
+			if t != None && live[t] && number[t] == None {
 				number[t] = int32(len(order))
 				order = append(order, t)
 			}
 		}
 	}
 	out := NewDFA(len(order), d.NumSyms)
-	out.Start = 0
 	for i, s := range order {
 		out.Final[i] = d.Final[s]
-		for sym := 0; sym < d.NumSyms; sym++ {
-			t := d.Delta[s][sym]
-			if t != None && keep(t) && number[t] != None {
+		for sym, t := range d.Delta[s] {
+			if t != None && live[t] {
 				out.Delta[i][sym] = number[t]
 			}
 		}
 	}
 	return out
+}
+
+// live reports, per state, whether it is reachable from Start and reaches
+// a final state: the states Trim keeps. One pass from Start marks the
+// reachable states and counts their edges into each state; the reverse
+// edges then fill one counted CSR array, which a second pass walks back
+// from the reachable final states.
+func (d *DFA) live() []bool {
+	n := d.NumStates()
+	flags := make([]bool, 2*n)
+	reach, live := flags[:n], flags[n:]
+	// off[t+1] first counts the reachable edges into t; the prefix sums
+	// make off[t]:off[t+1] t's slice of src. The stack holds each state
+	// at most once per pass.
+	ints := make([]int32, 2*n+1)
+	off, stack := ints[:n+1], ints[n+1:n+1]
+	stack = append(stack, d.Start)
+	reach[d.Start] = true
+	for len(stack) > 0 {
+		s := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, t := range d.Delta[s] {
+			if t == None {
+				continue
+			}
+			off[t+1]++
+			if !reach[t] {
+				reach[t] = true
+				stack = append(stack, t)
+			}
+		}
+	}
+	for t := 0; t < n; t++ {
+		off[t+1] += off[t]
+	}
+	// Fill src with off[t] as t's cursor, which leaves off shifted by
+	// one slot; shift it back.
+	src := make([]int32, off[n])
+	for s := 0; s < n; s++ {
+		if !reach[s] {
+			continue
+		}
+		for _, t := range d.Delta[s] {
+			if t != None {
+				src[off[t]] = int32(s)
+				off[t]++
+			}
+		}
+	}
+	copy(off[1:], off[:n])
+	off[0] = 0
+	for s := 0; s < n; s++ {
+		if reach[s] && d.Final[s] {
+			live[s] = true
+			stack = append(stack, int32(s))
+		}
+	}
+	for len(stack) > 0 {
+		t := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, s := range src[off[t]:off[t+1]] {
+			if !live[s] {
+				live[s] = true
+				stack = append(stack, s)
+			}
+		}
+	}
+	return live
 }
 
 // Equal reports structural equality (same canonical form). Use on outputs

@@ -11,10 +11,10 @@ import (
 // key is stable as the shared alphabet grows: a query compiled before new
 // labels were interned keys identically to the same query compiled after.
 //
-// On canonical DFAs (as produced by Minimize, whose Trim renumbers states
-// by BFS from the start in symbol order), two automata have equal keys iff
-// their languages are equal — which makes the key usable as a
-// language-level plan-cache key (see Query.CacheKey).
+// On canonical DFAs (as produced by Minimize, which numbers states by BFS
+// from the start in symbol order and gives ∅ no transitions), two
+// automata have equal keys iff their languages are equal — which makes
+// the key usable as a language-level plan-cache key (see Query.CacheKey).
 func (d *DFA) CanonicalKey() string {
 	var b strings.Builder
 	b.Grow(16 * d.NumStates())

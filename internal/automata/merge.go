@@ -189,7 +189,7 @@ func (m *Merger) DFA() *DFA {
 	}
 	root := m.Find(0)
 	number[root] = 0
-	order := []int32{root}
+	order := append(make([]int32, 0, len(m.parent)), root)
 	for i := 0; i < len(order); i++ {
 		for _, t := range m.Row(order[i]) {
 			if t == None {

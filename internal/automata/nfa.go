@@ -1,6 +1,6 @@
 // Package automata implements the word-automata substrate of the paper
 // (Section 2 and the appendix): NFAs, DFAs, Thompson construction, subset
-// construction, Hopcroft minimization with canonical numbering, products,
+// construction, Moore minimization with canonical numbering, products,
 // emptiness, inclusion and equivalence tests, prefix tree acceptors, the
 // RPNI-style deterministic merge-fold, the prefix-free transform, and
 // DFA→regex extraction.

@@ -41,8 +41,15 @@ func BuildPTA(numSyms int, pos, neg []words.Word) *PTA {
 	}
 	// Insert every word into a trie: trie[t·k+sym] is node t's child on
 	// sym, or None. Node 0 is the root (ε); ends lists the node each word
-	// ends at, positives first.
-	trie := noneRow(nil, k)
+	// ends at, positives first. Each symbol adds at most one node, which
+	// bounds the trie's size.
+	size := 1
+	for _, ws := range [2][]words.Word{pos, neg} {
+		for _, w := range ws {
+			size += len(w)
+		}
+	}
+	trie := noneRow(make([]int32, 0, size*k), k)
 	n := 1
 	ends := make([]int32, 0, len(pos)+len(neg))
 	for _, ws := range [2][]words.Word{pos, neg} {

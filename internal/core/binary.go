@@ -183,9 +183,10 @@ func smallestPairPath(snap *graph.Snapshot, p Pair, neg []Pair, k int) (w words.
 	}
 	startNegs := tup.Intern(negsInit)
 	scratch := make([]int32, len(neg))
-	return graph.WitnessBFS(k, [][2]int32{{startMine, startNegs}},
+	var bfs graph.WitnessBFS
+	return bfs.Search(k, [][2]int32{{startMine, startNegs}},
 		accept,
-		func(mine, negsID int32, emit func(sym alphabet.Symbol, a2, b2 int32)) {
+		func(mine, negsID int32, steps []graph.WitnessStep) []graph.WitnessStep {
 			negs := tup.Set(negsID)
 			for _, sym := range snap.SymbolsOf(ix.Set(mine)) {
 				m2 := stepID(mine, sym)
@@ -195,8 +196,9 @@ func smallestPairPath(snap *graph.Snapshot, p Pair, neg []Pair, k int) (w words.
 				for i, id := range negs {
 					scratch[i] = stepID(id, sym)
 				}
-				emit(sym, m2, tup.InternCopy(scratch))
+				steps = append(steps, graph.WitnessStep{Sym: sym, A: m2, B: tup.InternCopy(scratch)})
 			}
+			return steps
 		})
 }
 

@@ -70,6 +70,29 @@ func TestDefineEmptySet(t *testing.T) {
 	}
 }
 
+// TestDefineEmptySetKeyStable: the empty set's defining query is ∅, whose
+// CacheKey stays the same when the graph's alphabet grows.
+func TestDefineEmptySetKeyStable(t *testing.T) {
+	g, _ := paperfix.G0()
+	q, err := definability.Define(g.Snapshot(), nil, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := q.CacheKey()
+	g.AddEdgeByName("v1", "d", "v2")
+	grown := g.Snapshot()
+	if grown.Alphabet().Size() != 4 {
+		t.Fatalf("alphabet has %d labels, want 4", grown.Alphabet().Size())
+	}
+	q2, err := definability.Define(grown, nil, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := q2.CacheKey(); got != key {
+		t.Fatalf("∅ keys %q after a label is interned, %q before", got, key)
+	}
+}
+
 func TestDefineWholeGraph(t *testing.T) {
 	// The whole node set is defined by ε.
 	g, _ := paperfix.G0()

@@ -311,9 +311,15 @@ func (s *Snapshot) StepAll(set []NodeID, fn func(sym alphabet.Symbol, succ []Nod
 	buckets := sc.buckets[:nsym]
 	present := sc.present[:0]
 	symMarks := sc.syms
-	co := &s.out
+	out, base := &s.out, &s.out.base
+	compacted := out.ov == nil
 	for _, v := range set {
-		rs := co.segs(v)
+		var rs rowSegs
+		if compacted {
+			rs = base.segs(v) // inlined, as in CoversAnyMerger
+		} else {
+			rs = out.segs(v)
+		}
 		for k := range rs.syms {
 			sym := rs.syms[k]
 			if symMarks.TrySet(int(sym)) {
@@ -334,9 +340,9 @@ func (s *Snapshot) StepAll(set []NodeID, fn func(sym alphabet.Symbol, succ []Nod
 		for _, to := range buckets[sym] {
 			mk.TrySet(int(to))
 		}
-		out := make([]NodeID, 0, mk.Count())
-		mk.Drain(func(i int) { out = append(out, NodeID(i)) })
-		fn(sym, out)
+		succ := make([]NodeID, 0, mk.Count())
+		mk.Drain(func(i int) { succ = append(succ, NodeID(i)) })
+		fn(sym, succ)
 	}
 }
 

@@ -11,6 +11,7 @@ package graph_test
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -168,6 +169,68 @@ func TestCoversAnyMergerMatchesNFAReference(t *testing.T) {
 	}
 }
 
+// TestOverlayRowsInLearnerSearches runs the two learner searches that
+// read rows straight from the base CSR when there is no overlay —
+// CoversAnyMerger and StepAll — on an epoch published incrementally, so
+// that touched nodes' rows come from the overlay: CoversAnyMerger against
+// the NFA reference, and StepAll against Step per symbol. The new edges
+// carry a label of their own, d, so words through d are covered only by
+// overlay rows.
+func TestOverlayRowsInLearnerSearches(t *testing.T) {
+	rng := rand.New(rand.NewSource(207))
+	alpha := alphabet.NewSorted("a", "b", "c")
+	const nodes = 200
+	g := randomGraph(rng, alpha, nodes, 1000)
+	g.Snapshot()
+	d := alpha.Intern("d")
+	var touched []graph.NodeID
+	for i := 0; i < 4; i++ {
+		from, to := graph.NodeID(rng.Intn(nodes)), graph.NodeID(rng.Intn(nodes))
+		g.AddEdge(from, d, to)
+		touched = append(touched, from)
+	}
+	snap, st := g.SnapshotStats()
+	if !st.Incremental || st.Compacted || st.OverlayEdges == 0 {
+		t.Fatalf("publication %+v, want an incremental epoch with an overlay", st)
+	}
+	for iter := 0; iter < 40; iter++ {
+		var pos []words.Word
+		for n := 1 + rng.Intn(4); n > 0; n-- {
+			w := make(words.Word, 1+rng.Intn(4))
+			for i := range w {
+				w[i] = alphabet.Symbol(rng.Intn(alpha.Size()))
+			}
+			if rng.Intn(2) == 0 {
+				w[0] = d
+			}
+			pos = append(pos, w)
+		}
+		m := automata.NewMerger(automata.BuildPTA(alpha.Size(), pos, nil))
+		set := []graph.NodeID{touched[rng.Intn(len(touched))], graph.NodeID(rng.Intn(nodes))}
+		m.Generalize(func() bool {
+			if got, want := snap.CoversAnyMerger(m, set), refCovers(g, m.DFA(), set); got != want {
+				t.Fatalf("iter %d: CoversAnyMerger(%v) = %v, NFA reference = %v", iter, set, got, want)
+			}
+			return rng.Intn(2) == 0
+		})
+		if set[0] > set[1] {
+			set[0], set[1] = set[1], set[0]
+		} else if set[0] == set[1] {
+			set = set[:1]
+		}
+		steps := 0
+		snap.StepAll(set, func(sym alphabet.Symbol, succ []graph.NodeID) {
+			steps++
+			if want := snap.Step(set, sym); !slices.Equal(succ, want) {
+				t.Fatalf("iter %d: StepAll(%v) on %d = %v, Step = %v", iter, set, sym, succ, want)
+			}
+		})
+		if want := len(snap.SymbolsOf(set)); steps != want {
+			t.Fatalf("iter %d: StepAll(%v) visited %d symbols, want %d", iter, set, steps, want)
+		}
+	}
+}
+
 func TestCoversPairPlanMatchesNFAReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(204))
 	alpha := alphabet.NewSorted("a", "b", "c")
@@ -287,6 +350,30 @@ func TestSelectMonadicMaskedStateAllocs(t *testing.T) {
 	}
 	if allocs > 2 {
 		t.Fatalf("SelectMonadicMaskedState(l00) made %v allocations for %d nodes, want at most 2", allocs, selected)
+	}
+}
+
+// TestCoversAnyMergerAllocs: on a warm scratch pool the learner's
+// candidate check allocates nothing.
+func TestCoversAnyMergerAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not stable under -race: sync.Pool drops items")
+	}
+	snap := datasets.Synthetic(5000, 1).Snapshot()
+	pos := []words.Word{{0, 1}, {0, 1, 1}, {2, 3}, {1}}
+	m := automata.NewMerger(automata.BuildPTA(snap.Alphabet().Size(), pos, nil))
+	m.Merge(0, 3) // a loop, so the search runs deep
+	neg := make([]graph.NodeID, 0, 50)
+	for v := graph.NodeID(0); v < 5000; v += 100 {
+		neg = append(neg, v)
+	}
+	var covers bool
+	allocs := testing.AllocsPerRun(50, func() { covers = snap.CoversAnyMerger(m, neg) })
+	if !covers {
+		t.Fatal("the quotient selects none of 50 nodes; the check needs a search that runs")
+	}
+	if allocs != 0 {
+		t.Fatalf("CoversAnyMerger made %v allocations on a warm pool, want 0", allocs)
 	}
 }
 

@@ -326,14 +326,23 @@ func (s *Snapshot) CoversAnyMerger(m *automata.Merger, set []NodeID) bool {
 		}
 	}
 	found := false
-	co := &s.out
+	// The overlay test is hoisted out of the pop loop: without an overlay
+	// (the compacted common case) every row comes from the inlinable
+	// csr.segs, as in maskKernel.drain.
+	out, base := &s.out, &s.out.base
+	compacted := out.ov == nil
 search:
 	for len(stack) > 0 {
 		idx := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		v := NodeID(idx / uint64(nq))
 		row := m.Row(int32(idx % uint64(nq)))
-		rs := co.segs(v)
+		var rs rowSegs
+		if compacted {
+			rs = base.segs(v)
+		} else {
+			rs = out.segs(v)
+		}
 		for si, sym := range rs.syms {
 			if int(sym) >= len(row) || row[sym] == automata.None {
 				continue

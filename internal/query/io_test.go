@@ -101,6 +101,35 @@ func TestRebaseDropsUnknownLabels(t *testing.T) {
 	}
 }
 
+// TestEmptyQueryKeyStableUnderAlphabetGrowth: ∅'s canonical DFA is one
+// non-final state with no transitions, so its CacheKey, like any other
+// query's, does not change when a label is interned. A query rebased onto
+// an alphabet lacking every one of its labels denotes ∅.
+func TestEmptyQueryKeyStableUnderAlphabetGrowth(t *testing.T) {
+	src := alphabet.NewSorted("a", "b")
+	q := query.MustParse(src, "a·b")
+	target := alphabet.NewSorted("x", "y")
+	before := q.Rebase(target)
+	if !before.IsEmpty() {
+		t.Fatalf("a·b rebased onto {x, y} = %v, want ∅", before)
+	}
+	key := before.CacheKey()
+	if want := automata.NewDFA(1, 0).CanonicalKey(); key != want {
+		t.Fatalf("∅ keys %q, want %q: one state and no transitions", key, want)
+	}
+	target.Intern("z")
+	after := q.Rebase(target)
+	if got := after.CacheKey(); got != key {
+		t.Fatalf("∅ keys %q after a label is interned, %q before", got, key)
+	}
+	// A non-empty query keys alike across the growth too.
+	ab := query.MustParse(src, "a·b").CacheKey()
+	src.Intern("c")
+	if got := query.MustParse(src, "a·b").CacheKey(); got != ab {
+		t.Fatalf("a·b keys %q after a label is interned, %q before", got, ab)
+	}
+}
+
 func TestDFAMarshalRoundTripProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(79))
 	for i := 0; i < 100; i++ {

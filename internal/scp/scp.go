@@ -61,6 +61,9 @@ type Coverage struct {
 	// Entries store the successor id so absent symbols read as the empty
 	// (escaped) subset.
 	trans [][]int32
+	// bfs runs every Smallest search, so each search reuses the visited
+	// set and queue of the ones before it.
+	bfs graph.WitnessBFS
 }
 
 // NewCoverage builds the coverage index for the negative node set neg,
@@ -90,8 +93,8 @@ func (c *Coverage) Step(id int32, sym alphabet.Symbol) int32 {
 // row determinizes state id on first use: one StepAll pass computes every
 // symbol's successor subset at once.
 func (c *Coverage) row(id int32) []int32 {
-	for int(id) >= len(c.trans) {
-		c.trans = append(c.trans, nil)
+	if int(id) >= len(c.trans) {
+		c.trans = append(c.trans, make([][]int32, c.ix.Len()-len(c.trans))...)
 	}
 	row := c.trans[id]
 	if row != nil {
@@ -125,17 +128,18 @@ func (c *Coverage) NumStates() int { return c.ix.Len() }
 // so expansion preserves canonical order across each BFS level, and the
 // first state with escaped coverage yields the SCP.
 func (c *Coverage) Smallest(nu graph.NodeID, k int) (w words.Word, ok, cut bool) {
-	return graph.WitnessBFS(k, [][2]int32{{nu, c.start}},
+	return c.bfs.Search(k, [][2]int32{{nu, c.start}},
 		func(_, cov int32) bool { return c.Escaped(cov) },
-		func(v, cov int32, emit func(sym alphabet.Symbol, a2, b2 int32)) {
+		func(v, cov int32, steps []graph.WitnessStep) []graph.WitnessStep {
 			row := c.row(cov)
 			for _, e := range c.s.OutEdges(v) {
 				next := c.emptyID
 				if int(e.Sym) < len(row) {
 					next = row[e.Sym]
 				}
-				emit(e.Sym, e.To, next)
+				steps = append(steps, graph.WitnessStep{Sym: e.Sym, A: e.To, B: next})
 			}
+			return steps
 		})
 }
 
@@ -193,17 +197,20 @@ func (c *Coverage) CountNonCovered(nu graph.NodeID, k int) int {
 
 // NodeSetIndex interns sorted node sets as dense int32 ids, replacing the
 // string-keyed subset maps of the pre-CSR implementation. Sets are hashed
-// (FNV-1a over the ids) into buckets and compared element-wise on
-// collision. Intern takes ownership of the slice it is given; callers must
-// not modify a set after interning it.
+// (FNV-1a over the ids) and compared element-wise along the chain of ids
+// sharing their hash. Intern takes ownership of the slice it is given;
+// callers must not modify a set after interning it.
 type NodeSetIndex struct {
-	sets    [][]graph.NodeID
-	buckets map[uint64][]int32
+	sets [][]graph.NodeID
+	// head maps a hash to the newest id with that hash; chain[id] is the
+	// next older id with id's hash, or -1.
+	head  map[uint64]int32
+	chain []int32
 }
 
 // NewNodeSetIndex returns an empty index.
 func NewNodeSetIndex() *NodeSetIndex {
-	return &NodeSetIndex{buckets: make(map[uint64][]int32)}
+	return &NodeSetIndex{head: make(map[uint64]int32)}
 }
 
 func hashNodeSet(set []graph.NodeID) uint64 {
@@ -220,14 +227,19 @@ func hashNodeSet(set []graph.NodeID) uint64 {
 // duplicate-free — the canonical form Step and StepAll produce.
 func (ix *NodeSetIndex) Intern(set []graph.NodeID) int32 {
 	h := hashNodeSet(set)
-	for _, id := range ix.buckets[h] {
+	first, ok := ix.head[h]
+	if !ok {
+		first = -1
+	}
+	for id := first; id >= 0; id = ix.chain[id] {
 		if slices.Equal(ix.sets[id], set) {
 			return id
 		}
 	}
 	id := int32(len(ix.sets))
 	ix.sets = append(ix.sets, set)
-	ix.buckets[h] = append(ix.buckets[h], id)
+	ix.chain = append(ix.chain, first)
+	ix.head[h] = id
 	return id
 }
 
